@@ -1,24 +1,20 @@
 """Catalogue of building-block 4-manifolds and their Seiberg-Witten data.
 
-The blocks are the summands the connected-sum engine understands:
+The blocks are the summands the connected-sum engine understands, all with
+b1 = 0: elliptic surfaces E(p_g; m, n) (``K3`` is E(1; 1, 1)), symplectic
+and Kaehler blocks known through declared classes, negative definite
+diagonal blocks, and homotopy-sphere-like blocks.  Each kind is declared
+once, as its class: its label, Betti profile, SW value and parity at a class
+key, odd-SW class set, whether it is neutral or almost complex, and its JSON
+tag and fields.  The module functions check once that they were given a
+catalogued block and then ask the block.
 
-* ``EllipticSurface(p_g, m, n)``: a simply connected minimal elliptic surface
-  with geometric genus p_g and coprime multiple fibers m <= n.  Its basic
-  classes are the multiples of the fiber class listed by ``basic_class_table``:
-  the multiple (p_g-1-2a)mn + (m-2b-1)n + (n-2c-1)m carries SW value
-  binomial(p_g-1, a), for 0 <= a < p_g, 0 <= b < m, 0 <= c < n.  For coprime
-  m, n these multiples are pairwise distinct, the table is symmetric under
-  negation, and the largest multiple always has value 1.
-* ``SymplecticGeneric(b_plus)``: a symplectic block with b1 = 0 known only
-  through the canonical class, where SW = 1 (sign convention fixed to +1).
-* ``KaehlerGeneric(b_plus, odd_basic)``: a Kaehler block with b1 = 0 whose
-  classes with odd SW are declared up front, labelled by their c^2 values.
-  The declaration is complete: undeclared classes have even SW.
-* ``NegativeDefinite(rank)``: a closed 4-manifold with b1 = 0 and negative
-  definite diagonal intersection form of the given rank.
-* ``HomotopySphereLike()``: b1 = b2 = 0, the neutral element for sums.
-
-``K3`` is ``EllipticSurface(1, 1, 1)``.  All blocks here have b1 = 0.
+The basic classes of E(p_g; m, n) are the multiples of the fiber class
+listed by ``basic_class_table``: the multiple (p_g-1-2a)mn + (m-2b-1)n +
+(n-2c-1)m carries SW value binomial(p_g-1, a), for 0 <= a < p_g,
+0 <= b < m, 0 <= c < n.  For coprime m, n these multiples are pairwise
+distinct, the table is symmetric under negation, and the largest multiple
+always has value 1.
 """
 
 from __future__ import annotations
@@ -45,19 +41,78 @@ class Parity(enum.Enum):
         return self.name.lower()
 
 
+def _integer(raw, message: str) -> int:
+    # bool is an int subclass; reject it explicitly
+    if not isinstance(raw, int) or isinstance(raw, bool):
+        raise InvalidParameters(message)
+    return raw
+
+
+def _json_int(raw, what: str) -> int:
+    return _integer(raw, f"{what} must be an integer, got {raw!r}")
+
+
+class _Block:
+    """What every catalogued kind declares: a ``label``, a ``top_profile``
+    and overrides of these defaults, those of a block without SW data.
+
+    ``class_key=None`` selects the block's distinguished class.  ``tag`` is
+    the JSON ``"type"``, ``fields`` the other JSON keys (by default the
+    integer dataclass fields), ``required`` those that must be present;
+    ``from_json`` returns the block and the characteristic coordinates of
+    its spin-c structure (None for the default), and ``to_json`` takes
+    those coordinates back.
+    """
+
+    fields: tuple[str, ...] = ()
+    required: tuple[str, ...] = ()
+    almost_complex = False
+
+    @property
+    def neutral(self) -> bool:
+        """b1 = b2 = 0: the block contributes the identity to every sum."""
+        p = self.top_profile()
+        return p.b_plus == 0 and p.b_minus == 0
+
+    def sw_value(self, class_key):
+        raise UnknownSW(f"{self.label} carries no SW data")
+
+    def sw_parity(self, class_key=None) -> Parity | None:
+        try:
+            return Parity(self.sw_value(class_key) % 2)
+        except UnknownSW:
+            return None
+
+    def odd_classes(self) -> tuple[int, ...]:
+        raise UnknownSW(f"{self.label} does not declare a complete odd basic set")
+
+    @classmethod
+    def from_json(cls, raw: dict):
+        return cls(*(_json_int(raw[key], key) for key in cls.fields)), None
+
+    def to_json(self, coords) -> dict:
+        return {"type": self.tag, **{key: getattr(self, key) for key in self.fields}}
+
+
 @dataclass(frozen=True)
-class EllipticSurface:
+class EllipticSurface(_Block):
     """Simply connected minimal elliptic surface E(p_g; m, n).
 
     ``p_g >= 0`` is the geometric genus; ``m <= n`` are the coprime
     multiplicities of the multiple fibers (1 means no log transform).  Inputs
     with m > n are swapped with a warning.  Basic-class data exists for
-    p_g >= 1 only; p_g = 0 blocks carry unknown SW.
+    p_g >= 1 only; p_g = 0 blocks carry unknown SW.  The distinguished class
+    is the largest multiple (value 1); a chosen multiple must have the parity
+    of the table multiples, otherwise it is not characteristic.
     """
 
     p_g: int
     m: int
     n: int
+
+    tag = "elliptic"
+    fields = required = ("p_g", "m", "n")
+    almost_complex = True
 
     def __post_init__(self):
         if self.p_g < 0:
@@ -77,16 +132,68 @@ class EllipticSurface:
                 f"multiplicities must be coprime, got ({self.m}, {self.n})"
             )
 
+    @property
+    def label(self) -> str:
+        if self == K3:
+            return "K3"
+        return f"E(p_g={self.p_g},m={self.m},n={self.n})"
+
+    def top_profile(self) -> TopProfile:
+        # K3 is the one elliptic surface whose b- the catalogue pins
+        return TopProfile(0, 2 * self.p_g + 1, 19 if self == K3 else None)
+
+    def sw_value(self, class_key):
+        if self.p_g < 1:
+            raise UnknownSW("p_g = 0 elliptic blocks carry no declared SW data")
+        if class_key is None:
+            return 1
+        key = _integer(class_key, "elliptic class keys are fiber multiples (integers)")
+        return basic_class_table(self.p_g, self.m, self.n).value(key)
+
+    def sw_parity(self, class_key=None) -> Parity | None:
+        if self.p_g < 1:
+            return None
+        if class_key is None:
+            return Parity.ODD
+        key = _integer(class_key, "elliptic class keys are fiber multiples (integers)")
+        if (key - max_multiple(self.p_g, self.m, self.n)) % 2 != 0:
+            raise InvalidParameters(
+                f"multiple {key} is not characteristic on "
+                f"{self.label}: its parity differs from the table's"
+            )
+        odd = key in _recognizable(self.p_g, self.m, self.n)
+        return Parity.ODD if odd else Parity.EVEN
+
+    def odd_classes(self) -> tuple[int, ...]:
+        if self.p_g < 1:
+            raise UnknownSW(f"{self.label}: no declared odd basic data for p_g = 0")
+        return recognizable_set(self.p_g, self.m, self.n)
+
 
 K3 = EllipticSurface(1, 1, 1)
 
 
+class _K3Shorthand(_Block):
+    """The JSON tag ``k3``: K3 without fields.  K3 serializes as elliptic."""
+
+    tag = "k3"
+
+    @staticmethod
+    def from_json(raw: dict):
+        return K3, None
+
+
 @dataclass(frozen=True)
-class SymplecticGeneric:
-    """Symplectic block with b1 = 0; only the canonical class carries declared
-    SW data (value 1)."""
+class SymplecticGeneric(_Block):
+    """Symplectic block with b1 = 0; only the canonical class, which is also
+    the distinguished class, carries declared SW data: SW = 1 (sign
+    convention fixed to +1)."""
 
     b_plus: int
+
+    tag = "symplectic"
+    fields = required = ("b_plus",)
+    almost_complex = True
 
     def __post_init__(self):
         if self.b_plus < 1 or self.b_plus % 2 == 0:
@@ -94,14 +201,35 @@ class SymplecticGeneric:
                 f"b_plus of a symplectic block must be odd and positive, got {self.b_plus}"
             )
 
+    @property
+    def label(self) -> str:
+        return f"symplectic(b+={self.b_plus})"
+
+    def top_profile(self) -> TopProfile:
+        return TopProfile(0, self.b_plus)
+
+    def sw_value(self, class_key):
+        if class_key is None or class_key == CANONICAL:
+            return 1
+        raise UnknownSW(
+            "symplectic blocks declare SW data only at the canonical class"
+        )
+
 
 @dataclass(frozen=True)
-class KaehlerGeneric:
+class KaehlerGeneric(_Block):
     """Kaehler block with b1 = 0 and a complete declaration of its odd-SW
-    classes, labelled by their c^2 values."""
+    classes, labelled by their c^2 values.  SW values are known as parities
+    only.  The distinguished class is the largest declared label (even
+    everywhere when nothing is declared)."""
 
     b_plus: int
     odd_basic: tuple[int, ...] = ()
+
+    tag = "kaehler"
+    fields = ("b_plus", "odd_basic")
+    required = ("b_plus",)
+    almost_complex = True
 
     def __post_init__(self):
         if self.b_plus < 1 or self.b_plus % 2 == 0:
@@ -111,68 +239,110 @@ class KaehlerGeneric:
         labels = tuple(sorted({int(x) for x in self.odd_basic}))
         object.__setattr__(self, "odd_basic", labels)
 
+    @property
+    def label(self) -> str:
+        return f"kaehler(b+={self.b_plus})"
+
+    def top_profile(self) -> TopProfile:
+        return TopProfile(0, self.b_plus)
+
+    def sw_parity(self, class_key=None) -> Parity | None:
+        if class_key is not None:
+            key = _integer(class_key, "Kaehler class keys are c^2 labels (integers)")
+            return Parity.ODD if key in self.odd_basic else Parity.EVEN
+        return Parity.ODD if self.odd_basic else Parity.EVEN
+
+    sw_value = sw_parity
+
+    def odd_classes(self) -> tuple[int, ...]:
+        return self.odd_basic
+
+    @classmethod
+    def from_json(cls, raw: dict):
+        labels = raw.get("odd_basic", [])
+        if not isinstance(labels, list):
+            raise InvalidParameters("odd_basic must be a list")
+        odd_basic = tuple(_json_int(x, "odd_basic entry") for x in labels)
+        return cls(_json_int(raw["b_plus"], "b_plus"), odd_basic), None
+
 
 @dataclass(frozen=True)
-class NegativeDefinite:
-    """Negative definite diagonal block of the given rank, b1 = 0."""
+class NegativeDefinite(_Block):
+    """Negative definite diagonal block of the given rank, b1 = 0.  It takes
+    spin-c data (the ``c`` coordinates) instead of a class key."""
 
     rank: int
+
+    tag = "negative_definite"
+    fields = ("rank", "c")
+    required = ("rank",)
 
     def __post_init__(self):
         if self.rank < 0:
             raise InvalidParameters(f"rank must be >= 0, got {self.rank}")
 
+    @property
+    def label(self) -> str:
+        return f"negative-definite(rank={self.rank})"
+
+    def top_profile(self) -> TopProfile:
+        return TopProfile(0, 0, self.rank)
+
+    @classmethod
+    def from_json(cls, raw: dict):
+        block = cls(_json_int(raw["rank"], "rank"))
+        if "c" not in raw:
+            return block, None
+        coords = raw["c"]
+        if not isinstance(coords, list):
+            raise InvalidParameters("c must be a list of integers")
+        return block, tuple(_json_int(x, "coordinate") for x in coords)
+
+    def to_json(self, coords) -> dict:
+        out: dict = {"type": self.tag, "rank": self.rank}
+        if coords is not None:
+            out["c"] = list(coords)
+        return out
+
 
 @dataclass(frozen=True)
-class HomotopySphereLike:
+class HomotopySphereLike(_Block):
     """A block with b1 = b2 = 0; contributes the identity to every sum."""
+
+    tag = "s4"
+
+    @property
+    def label(self) -> str:
+        return "homotopy-sphere"
+
+    def top_profile(self) -> TopProfile:
+        return TopProfile(0, 0, 0)
 
 
 BuildingBlock = Union[
-    EllipticSurface,
-    SymplecticGeneric,
-    KaehlerGeneric,
-    NegativeDefinite,
-    HomotopySphereLike,
+    EllipticSurface, SymplecticGeneric, KaehlerGeneric, NegativeDefinite, HomotopySphereLike
 ]
+
+#: JSON tag -> the declaration that parses it
+JSON_KINDS = {kind.tag: kind for kind in (*BuildingBlock.__args__, _K3Shorthand)}
+
+
+def _catalogued(block) -> _Block:
+    if not isinstance(block, _Block):
+        raise UncataloguedBlock(f"not a catalogued building block: {block!r}")
+    return block
 
 
 def describe_block(block: BuildingBlock) -> str:
     """Short human-readable tag used in traces and error messages."""
-    if isinstance(block, EllipticSurface):
-        if block == K3:
-            return "K3"
-        return f"E(p_g={block.p_g},m={block.m},n={block.n})"
-    if isinstance(block, SymplecticGeneric):
-        return f"symplectic(b+={block.b_plus})"
-    if isinstance(block, KaehlerGeneric):
-        return f"kaehler(b+={block.b_plus})"
-    if isinstance(block, NegativeDefinite):
-        return f"negative-definite(rank={block.rank})"
-    if isinstance(block, HomotopySphereLike):
-        return "homotopy-sphere"
-    raise UncataloguedBlock(f"not a catalogued building block: {block!r}")
+    return _catalogued(block).label
 
 
 def profile(block: BuildingBlock) -> TopProfile:
-    """Betti-number profile of a block.
-
-    b_minus is only reported where the catalogue pins it: K3 (b- = 19,
-    signature -16), negative definite blocks (b- = rank) and sphere-like
-    blocks.  Elliptic surfaces other than K3 and the generic symplectic or
-    Kaehler blocks leave it undetermined.
-    """
-    if isinstance(block, EllipticSurface):
-        if block == K3:
-            return TopProfile(0, 3, 19)
-        return TopProfile(0, 2 * block.p_g + 1)
-    if isinstance(block, (SymplecticGeneric, KaehlerGeneric)):
-        return TopProfile(0, block.b_plus)
-    if isinstance(block, NegativeDefinite):
-        return TopProfile(0, 0, block.rank)
-    if isinstance(block, HomotopySphereLike):
-        return TopProfile(0, 0, 0)
-    raise UncataloguedBlock(f"not a catalogued building block: {block!r}")
+    """Betti-number profile of a block; b_minus is None where the catalogue
+    leaves it undetermined (elliptic surfaces other than K3, and the
+    symplectic and Kaehler blocks)."""
+    return _catalogued(block).top_profile()
 
 
 def odd_binomial(n: int, k: int) -> bool:
@@ -292,66 +462,14 @@ def recognizable_set(p_g: int, m: int, n: int) -> tuple[int, ...]:
 
 
 def sw_value(block: BuildingBlock, class_key):
-    """Seiberg-Witten datum of a block at a chosen class.
-
-    Elliptic blocks answer with the exact integer from their table (0 when
-    the multiple is absent).  Symplectic blocks answer 1 at ``CANONICAL`` and
-    have no data elsewhere.  Kaehler blocks answer with a ``Parity`` from
-    their declared odd-basic set.  Other blocks carry no SW data.
-    """
-    if isinstance(block, EllipticSurface):
-        if block.p_g < 1:
-            raise UnknownSW("p_g = 0 elliptic blocks carry no declared SW data")
-        if not isinstance(class_key, int) or isinstance(class_key, bool):
-            raise InvalidParameters("elliptic class keys are fiber multiples (integers)")
-        return basic_class_table(block.p_g, block.m, block.n).value(class_key)
-    if isinstance(block, SymplecticGeneric):
-        if class_key == CANONICAL:
-            return 1
-        raise UnknownSW(
-            "symplectic blocks declare SW data only at the canonical class"
-        )
-    if isinstance(block, KaehlerGeneric):
-        if not isinstance(class_key, int) or isinstance(class_key, bool):
-            raise InvalidParameters("Kaehler class keys are c^2 labels (integers)")
-        return Parity.ODD if class_key in block.odd_basic else Parity.EVEN
-    raise UnknownSW(f"{describe_block(block)} carries no SW data")
+    """Seiberg-Witten datum of a block at a chosen class (None: its
+    distinguished class): an exact integer for elliptic blocks (0 off the
+    table) and symplectic blocks, a ``Parity`` for Kaehler blocks; UnknownSW
+    where the block declares none."""
+    return _catalogued(block).sw_value(class_key)
 
 
 def sw_parity(block: BuildingBlock, class_key=None) -> Parity | None:
-    """SW parity of a block at a chosen class; None when undetermined.
-
-    ``class_key=None`` selects the block's distinguished class: the largest
-    multiple for elliptic blocks (value 1), the canonical class for
-    symplectic blocks, and the largest declared label for Kaehler blocks
-    (even everywhere when nothing is declared).  An elliptic key must have
-    the parity of the table multiples, otherwise it is not characteristic.
-    """
-    if isinstance(block, EllipticSurface):
-        if block.p_g < 1:
-            return None
-        top = max_multiple(block.p_g, block.m, block.n)
-        if class_key is None:
-            return Parity.ODD
-        if not isinstance(class_key, int) or isinstance(class_key, bool):
-            raise InvalidParameters("elliptic class keys are fiber multiples (integers)")
-        if (class_key - top) % 2 != 0:
-            raise InvalidParameters(
-                f"multiple {class_key} is not characteristic on "
-                f"{describe_block(block)}: its parity differs from the table's"
-            )
-        odd = class_key in _recognizable(block.p_g, block.m, block.n)
-        return Parity.ODD if odd else Parity.EVEN
-    if isinstance(block, SymplecticGeneric):
-        if class_key is None or class_key == CANONICAL:
-            return Parity.ODD
-        return None
-    if isinstance(block, KaehlerGeneric):
-        if class_key is None:
-            return Parity.ODD if block.odd_basic else Parity.EVEN
-        if not isinstance(class_key, int) or isinstance(class_key, bool):
-            raise InvalidParameters("Kaehler class keys are c^2 labels (integers)")
-        return Parity.ODD if class_key in block.odd_basic else Parity.EVEN
-    if isinstance(block, (NegativeDefinite, HomotopySphereLike)):
-        return None
-    raise UncataloguedBlock(f"not a catalogued building block: {block!r}")
+    """SW parity of a block at a chosen class (None: its distinguished
+    class, see the block classes); None when undetermined."""
+    return _catalogued(block).sw_parity(class_key)

@@ -58,15 +58,14 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _bounds(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected PG,N with two integers, got {text!r}")
     try:
-        return int(parts[0]), int(parts[1])
+        # a count other than two fails the unpacking with ValueError too
+        p_g_max, n_max = (int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected PG,N with two integers, got {text!r}"
         )
+    return p_g_max, n_max
 
 
 def _emit_json(payload: dict) -> None:
@@ -368,10 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_normalize_argv(list(argv)))
     try:
         return args.func(args)
-    except SwStemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SwStemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -45,10 +45,12 @@ class NotAnEllipticPattern(SwStemError):
 
 
 class ManifoldSyntaxError(SwStemError):
-    """Malformed JSON in a manifold description; carries line and column."""
+    """Malformed JSON in a manifold description; carries line and column if known."""
 
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"line {line}, column {column}: {message}")
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        if line is not None:
+            message = f"line {line}, column {column}: {message}"
+        super().__init__(message)
         self.line = line
         self.column = column
 

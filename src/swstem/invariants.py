@@ -29,33 +29,15 @@ import enum
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .blocks import (
-    CANONICAL,
-    BuildingBlock,
-    EllipticSurface,
-    HomotopySphereLike,
-    KaehlerGeneric,
-    NegativeDefinite,
-    Parity,
-    SymplecticGeneric,
-    basic_class_table,
-    describe_block,
-    max_multiple,
-    profile,
-    recognizable_set,
-    sw_parity,
-)
+from .blocks import BuildingBlock, NegativeDefinite, Parity, profile
 from .errors import (
     InvalidParameters,
     PositiveIndexOnNegativeDefinite,
     PreconditionNotMet,
-    UncataloguedBlock,
     UnknownSW,
 )
 from .lattice import SpinC, dirac_index
 from .stems import StemElement, StemKind, TriState, hopf_power, smash_all, unknown, zero
-
-_AC_KINDS = (EllipticSurface, SymplecticGeneric, KaehlerGeneric)
 
 
 @dataclass(frozen=True)
@@ -81,27 +63,23 @@ class Summand:
                 raise InvalidParameters(
                     "negative definite summands take spin-c data, not a class key"
                 )
-            if self.spin_c is not None and self.spin_c.c_coords is not None:
-                if len(self.spin_c.c_coords) != self.block.rank:
-                    raise InvalidParameters(
-                        f"{len(self.spin_c.c_coords)} coordinates given for a "
-                        f"rank-{self.block.rank} block"
-                    )
+            coords = None if self.spin_c is None else self.spin_c.c_coords
+            if coords is not None and len(coords) != self.block.rank:
+                raise InvalidParameters(
+                    f"{len(coords)} coordinates given for a rank-{self.block.rank} block"
+                )
             return
         if self.spin_c is not None:
             raise InvalidParameters(
-                f"{describe_block(self.block)} takes a class key, not raw spin-c data"
+                f"{self.block.label} takes a class key, not raw spin-c data"
             )
-        if self.class_key is None:
-            return
-        if isinstance(self.block, EllipticSurface) and self.block.p_g < 1:
-            raise InvalidParameters("p_g = 0 blocks have no class table to choose from")
-        if isinstance(self.block, SymplecticGeneric) and self.class_key != CANONICAL:
-            raise InvalidParameters(
-                "symplectic blocks only declare data at the canonical class"
-            )
+        if self.class_key is None or self.block.neutral:
+            return  # a neutral block drops out of every sum, and its key with it
         # validates key type and, for elliptic blocks, characteristic parity
-        sw_parity(self.block, self.class_key)
+        if self.block.sw_parity(self.class_key) is None:
+            raise InvalidParameters(
+                f"{self.block.label} declares no SW data at class {self.class_key!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -211,22 +189,13 @@ class _AcData:
     sw: int | None  # exact integer where declared
 
 
-def _is_neutral(block: BuildingBlock) -> bool:
-    p = profile(block)
-    return p.b_plus == 0 and p.b_minus == 0
-
-
-def _negdef_index(block: NegativeDefinite, spin_c: SpinC | None) -> int:
-    if spin_c is None:
-        spin_c = SpinC.from_coords((1,) * block.rank)
-    if spin_c.c_coords is not None and len(spin_c.c_coords) != block.rank:
-        raise InvalidParameters(
-            f"{len(spin_c.c_coords)} coordinates given for a rank-{block.rank} block"
-        )
+def _negdef_index(s: Summand) -> int:
+    block = s.block
+    spin_c = s.spin_c or SpinC.from_coords((1,) * block.rank)
     d = dirac_index(spin_c.c_square, -block.rank)
     if d > 0:
         raise PositiveIndexOnNegativeDefinite(
-            f"c^2 = {spin_c.c_square} on {describe_block(block)} gives d = {d} > 0; "
+            f"c^2 = {spin_c.c_square} on {block.label} gives d = {d} > 0; "
             "no characteristic vector does this"
         )
     return d
@@ -234,18 +203,15 @@ def _negdef_index(block: NegativeDefinite, spin_c: SpinC | None) -> int:
 
 def _ac_data(s: Summand) -> _AcData:
     block = s.block
-    b_plus = profile(block).b_plus
+    b_plus = block.top_profile().b_plus
     d = (b_plus + 1) // 2  # expected dimension zero pins 2d = b+ + 1
-    parity = sw_parity(block, s.class_key)
-    sw = None
-    if isinstance(block, EllipticSurface) and block.p_g >= 1:
-        key = s.class_key
-        if key is None:
-            key = max_multiple(block.p_g, block.m, block.n)
-        sw = basic_class_table(block.p_g, block.m, block.n).value(key)
-    elif isinstance(block, SymplecticGeneric):
-        sw = 1
-    return _AcData(describe_block(block), b_plus, d, parity, sw)
+    parity = block.sw_parity(s.class_key)
+    try:
+        sw = block.sw_value(s.class_key)
+    except UnknownSW:
+        sw = None
+    # a Parity (what Kaehler blocks declare) is not an exact integer
+    return _AcData(block.label, b_plus, d, parity, sw if isinstance(sw, int) else None)
 
 
 def _parity_word(parity: Parity | None) -> str:
@@ -317,14 +283,12 @@ def _split_summands(
     ac: list[Summand] = []
     negdef: list[Summand] = []
     for s in csum.summands:
-        if _is_neutral(s.block):
-            trace.append(f"dropped {describe_block(s.block)} (neutral summand)")
-        elif isinstance(s.block, NegativeDefinite):
-            negdef.append(s)
-        elif isinstance(s.block, _AC_KINDS):
+        if s.block.neutral:
+            trace.append(f"dropped {s.block.label} (neutral summand)")
+        elif s.block.almost_complex:
             ac.append(s)
-        else:  # unreachable for the current catalogue
-            raise UncataloguedBlock(f"not a catalogued building block: {s.block!r}")
+        else:
+            negdef.append(s)
     return ac, negdef
 
 
@@ -343,11 +307,11 @@ def invariant(csum: ConnectedSum) -> InvariantClass:
     total_b_plus = 0
     gamma_power = 0
     for s in negdef_summands:
-        d = _negdef_index(s.block, s.spin_c)
+        d = _negdef_index(s)
         total_d += d
         gamma_power += -d
         trace.append(
-            f"{describe_block(s.block)}: d = {d}, contributes {-d} gamma factor(s)"
+            f"{s.block.label}: d = {d}, contributes {-d} gamma factor(s)"
         )
 
     ac = [_ac_data(s) for s in ac_summands]
@@ -439,7 +403,7 @@ def nonvanishing_criteria(csum: ConnectedSum) -> CriteriaResult:
     trace: list[str] = []
     ac_summands, negdef_summands = _split_summands(csum, trace)
     if negdef_summands:
-        labels = ", ".join(describe_block(s.block) for s in negdef_summands)
+        labels = ", ".join(s.block.label for s in negdef_summands)
         trace.append(f"not almost complex: {labels}; criteria do not apply")
         return CriteriaResult(TriState.UNKNOWN, tuple(trace))
     core = _criteria_core([_ac_data(s) for s in ac_summands])
@@ -458,11 +422,11 @@ def blowup(
     """
     if not isinstance(block, NegativeDefinite):
         raise InvalidParameters("blowup blocks must be negative definite")
-    d = _negdef_index(block, spin_c)
+    d = _negdef_index(Summand(block, spin_c))
     k = inv.stem_degree - 1  # expected dimension of the original sum (b1 = 0)
     if d == 0:
         new_trace = inv.trace + (
-            f"{describe_block(block)}: d = 0, zero gamma factors, class unchanged",
+            f"{block.label}: d = 0, zero gamma factors, class unchanged",
         )
         new_inv = InvariantClass(
             inv.total_d,
@@ -494,7 +458,7 @@ def blowup(
         preserved = TriState.UNKNOWN
         note = f"2|d| = {2 * (-d)} exceeds k = {k} or b+ <= 1: SW preservation unknown"
     new_trace = inv.trace + (
-        f"{describe_block(block)}: d = {d}, adds {-d} gamma factor(s)",
+        f"{block.label}: d = {d}, adds {-d} gamma factor(s)",
         note,
     )
     new_inv = InvariantClass(
@@ -609,21 +573,5 @@ def odd_basic_fingerprint(csum: ConnectedSum) -> tuple[tuple[int, ...], ...]:
     summands their declared labels; neutral summands contribute nothing.
     Blocks without complete parity data have no fingerprint.
     """
-    sets: list[tuple[int, ...]] = []
-    for s in csum.summands:
-        block = s.block
-        if _is_neutral(block):
-            continue
-        if isinstance(block, EllipticSurface):
-            if block.p_g < 1:
-                raise UnknownSW(
-                    f"{describe_block(block)}: no declared odd basic data for p_g = 0"
-                )
-            sets.append(recognizable_set(block.p_g, block.m, block.n))
-        elif isinstance(block, KaehlerGeneric):
-            sets.append(block.odd_basic)
-        else:
-            raise UnknownSW(
-                f"{describe_block(block)} does not declare a complete odd basic set"
-            )
+    sets = [s.block.odd_classes() for s in csum.summands if not s.block.neutral]
     return tuple(sorted(sets))

@@ -29,14 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .blocks import (
-    EllipticSurface,
-    HomotopySphereLike,
-    K3,
-    KaehlerGeneric,
-    NegativeDefinite,
-    SymplecticGeneric,
-)
+from .blocks import JSON_KINDS
 from .errors import (
     InvalidParameters,
     ManifoldSemanticError,
@@ -46,22 +39,6 @@ from .invariants import ConnectedSum, Summand
 from .lattice import SpinC
 
 _TOP_KEYS = {"summands", "name", "notes"}
-_BLOCK_KEYS = {
-    "k3": set(),
-    "s4": set(),
-    "elliptic": {"p_g", "m", "n"},
-    "symplectic": {"b_plus"},
-    "kaehler": {"b_plus", "odd_basic"},
-    "negative_definite": {"rank", "c"},
-}
-_REQUIRED_KEYS = {
-    "k3": set(),
-    "s4": set(),
-    "elliptic": {"p_g", "m", "n"},
-    "symplectic": {"b_plus"},
-    "kaehler": {"b_plus"},
-    "negative_definite": {"rank"},
-}
 
 
 @dataclass(frozen=True)
@@ -76,68 +53,29 @@ class ManifoldDoc:
         return ConnectedSum(self.summands)
 
 
-def _require_int(raw: object, what: str, index: int) -> int:
-    # bool is an int subclass; reject it explicitly
-    if not isinstance(raw, int) or isinstance(raw, bool):
-        raise ManifoldSemanticError(f"{what} must be an integer, got {raw!r}", index)
-    return raw
-
-
 def _parse_summand(raw: object, index: int) -> Summand:
     if not isinstance(raw, dict):
         raise ManifoldSemanticError("summands must be JSON objects", index)
-    kind = raw.get("type")
-    if kind not in _BLOCK_KEYS:
-        known = ", ".join(sorted(_BLOCK_KEYS))
+    tag = raw.get("type")
+    kind = JSON_KINDS.get(tag) if isinstance(tag, str) else None
+    if kind is None:
+        known = ", ".join(sorted(JSON_KINDS))
         raise ManifoldSemanticError(
-            f"unknown summand type {kind!r}; expected one of: {known}", index
+            f"unknown summand type {tag!r}; expected one of: {known}", index
         )
-    allowed = _BLOCK_KEYS[kind] | {"type"}
     for key in raw:
-        if key not in allowed:
+        if key != "type" and key not in kind.fields:
             raise ManifoldSemanticError(
-                f"unknown key {key!r} on a {kind!r} summand", index
+                f"unknown key {key!r} on a {tag!r} summand", index
             )
-    for key in _REQUIRED_KEYS[kind]:
+    for key in kind.required:
         if key not in raw:
             raise ManifoldSemanticError(
-                f"missing key {key!r} on a {kind!r} summand", index
+                f"missing key {key!r} on a {tag!r} summand", index
             )
     try:
-        if kind == "k3":
-            return Summand(K3)
-        if kind == "s4":
-            return Summand(HomotopySphereLike())
-        if kind == "elliptic":
-            return Summand(
-                EllipticSurface(
-                    _require_int(raw["p_g"], "p_g", index),
-                    _require_int(raw["m"], "m", index),
-                    _require_int(raw["n"], "n", index),
-                )
-            )
-        if kind == "symplectic":
-            return Summand(SymplecticGeneric(_require_int(raw["b_plus"], "b_plus", index)))
-        if kind == "kaehler":
-            labels = raw.get("odd_basic", [])
-            if not isinstance(labels, list):
-                raise ManifoldSemanticError("odd_basic must be a list", index)
-            odd_basic = tuple(
-                _require_int(x, "odd_basic entry", index) for x in labels
-            )
-            return Summand(
-                KaehlerGeneric(_require_int(raw["b_plus"], "b_plus", index), odd_basic)
-            )
-        # negative_definite
-        block = NegativeDefinite(_require_int(raw["rank"], "rank", index))
-        spin_c = None
-        if "c" in raw:
-            coords = raw["c"]
-            if not isinstance(coords, list):
-                raise ManifoldSemanticError("c must be a list of integers", index)
-            spin_c = SpinC.from_coords(
-                tuple(_require_int(x, "coordinate", index) for x in coords)
-            )
+        block, coords = kind.from_json(raw)
+        spin_c = None if coords is None else SpinC.from_coords(coords)
         return Summand(block, spin_c=spin_c)
     except InvalidParameters as exc:
         raise ManifoldSemanticError(str(exc), index) from exc
@@ -149,6 +87,9 @@ def parse_manifold(text: str) -> ManifoldDoc:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ManifoldSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer past the digit limit, or nesting past the recursion limit
+        raise ManifoldSyntaxError(str(exc)) from exc
     if not isinstance(raw, dict):
         raise ManifoldSemanticError("a manifold description is a JSON object")
     for key in raw:
@@ -168,33 +109,17 @@ def parse_manifold(text: str) -> ManifoldDoc:
     return ManifoldDoc(summands, raw.get("name"), raw.get("notes"))
 
 
-def _summand_to_json(s: Summand) -> dict:
-    block = s.block
-    if isinstance(block, EllipticSurface):
-        return {"type": "elliptic", "p_g": block.p_g, "m": block.m, "n": block.n}
-    if isinstance(block, SymplecticGeneric):
-        return {"type": "symplectic", "b_plus": block.b_plus}
-    if isinstance(block, KaehlerGeneric):
-        return {
-            "type": "kaehler",
-            "b_plus": block.b_plus,
-            "odd_basic": list(block.odd_basic),
-        }
-    if isinstance(block, NegativeDefinite):
-        out: dict = {"type": "negative_definite", "rank": block.rank}
-        if s.spin_c is not None and s.spin_c.c_coords is not None:
-            out["c"] = list(s.spin_c.c_coords)
-        return out
-    return {"type": "s4"}
-
-
 def serialize_manifold(doc: ManifoldDoc) -> str:
     """Canonical JSON text for a manifold description.
 
     ``parse_manifold(serialize_manifold(doc))`` returns an equal document;
     the output is deterministic byte for byte.
     """
-    raw: dict = {"summands": [_summand_to_json(s) for s in doc.summands]}
+    summands = [
+        s.block.to_json(None if s.spin_c is None else s.spin_c.c_coords)
+        for s in doc.summands
+    ]
+    raw: dict = {"summands": summands}
     if doc.name is not None:
         raw["name"] = doc.name
     if doc.notes is not None:
@@ -204,5 +129,9 @@ def serialize_manifold(doc: ManifoldDoc) -> str:
 
 def load_manifold(path: str) -> ManifoldDoc:
     """Read and parse a manifold file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_manifold(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ManifoldSyntaxError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    return parse_manifold(text)

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
-from .blocks import (
-    BuildingBlock,
-    EllipticSurface,
-    describe_block,
-    profile,
-    recognizable_set,
-)
+from .blocks import BuildingBlock, EllipticSurface, profile, recognizable_set
 from .errors import InvalidParameters, NotAnEllipticPattern
 
 
@@ -185,10 +179,10 @@ def _elliptic_parts(blocks: Sequence[BuildingBlock]) -> list[EllipticSurface] | 
     appears."""
     out: list[EllipticSurface] = []
     for block in blocks:
-        p = profile(block)
-        if p.b_plus == 0 and p.b_minus == 0:
+        profile(block)  # raises UncataloguedBlock on aliens
+        if block.neutral:
             continue
-        if not isinstance(block, EllipticSurface):
+        if block.tag != EllipticSurface.tag:
             return None
         out.append(block)
     return out

@@ -38,6 +38,10 @@ class StemKind(enum.Enum):
     UNKNOWN = "unknown"
 
 
+# bound once: looking an enum member up on its class is slow in smash
+_INTEGER, _HOPF, _ZERO, _UNKNOWN = StemKind
+
+
 @dataclass(frozen=True)
 class StemElement:
     """An element of a truncated stable stem.
@@ -75,28 +79,36 @@ class StemElement:
         return "unknown"
 
 
+# prebuilt values for the integers, Hopf powers and degrees sums usually reach
+_INTEGERS = {v: StemElement(_INTEGER, 0, v) for v in range(-64, 65)}
+_HOPFS = {j: StemElement(_HOPF, j) for j in (1, 2, 3)}
+_ZEROS = {d: StemElement(_ZERO, d) for d in range(-16, 17)}
+_UNKNOWNS = {d: StemElement(_UNKNOWN, d) for d in range(17)}
+
+
 def integer_class(value: int) -> StemElement:
     """An integer in the zeroth stem."""
-    return StemElement(StemKind.INTEGER, 0, int(value))
+    value = int(value)
+    return _INTEGERS.get(value) or StemElement(_INTEGER, 0, value)
 
 
 def hopf_power(j: int) -> StemElement:
     """eta^j for j in {1, 2, 3}."""
-    if j not in (1, 2, 3):
+    if j not in _HOPFS:
         raise InvalidParameters(f"Hopf powers exist in degrees 1..3 only, got {j}")
-    return StemElement(StemKind.HOPF, j)
+    return _HOPFS[j]
 
 
 def zero(degree: int) -> StemElement:
     """The zero class in any degree."""
-    return StemElement(StemKind.ZERO, degree)
+    return _ZEROS.get(degree) or StemElement(_ZERO, degree)
 
 
 def unknown(degree: int) -> StemElement:
     """An undetermined class; normalizes to zero in negative degrees."""
     if degree < 0:
         return zero(degree)
-    return StemElement(StemKind.UNKNOWN, degree)
+    return _UNKNOWNS.get(degree) or StemElement(_UNKNOWN, degree)
 
 
 ETA = hopf_power(1)
@@ -118,15 +130,15 @@ def smash(x: StemElement, y: StemElement) -> StemElement:
     """
     deg = x.degree + y.degree
     # order matters: unknown absorbs before zero
-    if x.kind is StemKind.UNKNOWN or y.kind is StemKind.UNKNOWN:
+    if x.kind is _UNKNOWN or y.kind is _UNKNOWN:
         return unknown(deg)
-    if x.kind is StemKind.ZERO or y.kind is StemKind.ZERO:
+    if x.kind is _ZERO or y.kind is _ZERO:
         return zero(deg)
-    if x.kind is StemKind.INTEGER and y.kind is StemKind.INTEGER:
+    if x.kind is _INTEGER and y.kind is _INTEGER:
         return integer_class(x.value * y.value)
-    if x.kind is StemKind.INTEGER:
+    if x.kind is _INTEGER:
         return hopf_power(y.degree) if x.value % 2 else zero(deg)
-    if y.kind is StemKind.INTEGER:
+    if y.kind is _INTEGER:
         return hopf_power(x.degree) if y.value % 2 else zero(deg)
     return hopf_power(deg) if deg <= 3 else zero(deg)
 

@@ -24,7 +24,8 @@ from swstem.blocks import (
     sw_parity,
     sw_value,
 )
-from swstem.errors import InvalidParameters, UnknownSW
+from swstem.errors import InvalidParameters, UncataloguedBlock, UnknownSW
+from swstem.invariants import Summand
 from swstem.lattice import TopProfile
 
 
@@ -169,6 +170,8 @@ def test_block_validation():
         KaehlerGeneric(2)
     with pytest.raises(InvalidParameters):
         NegativeDefinite(-1)
+    with pytest.raises(UncataloguedBlock):
+        Summand(object())
 
 
 def test_elliptic_orders_multiplicities():
@@ -187,12 +190,24 @@ def test_profiles():
     assert profile(SymplecticGeneric(5)) == TopProfile(0, 5)
     assert profile(NegativeDefinite(4)) == TopProfile(0, 0, 4)
     assert profile(HomotopySphereLike()) == TopProfile(0, 0, 0)
+    assert profile(KaehlerGeneric(3, (0,))) == TopProfile(0, 3)
+    assert profile(EllipticSurface(0, 1, 1)) == TopProfile(0, 1)
+    assert profile(NegativeDefinite(0)) == TopProfile(0, 0, 0)
+    with pytest.raises(UncataloguedBlock):
+        profile(object())
 
 
 def test_describe():
     assert describe_block(K3) == "K3"
     assert describe_block(EllipticSurface(3, 1, 1)) == "E(p_g=3,m=1,n=1)"
     assert describe_block(NegativeDefinite(1)) == "negative-definite(rank=1)"
+    assert describe_block(SymplecticGeneric(5)) == "symplectic(b+=5)"
+    assert describe_block(KaehlerGeneric(3, (0,))) == "kaehler(b+=3)"
+    assert describe_block(HomotopySphereLike()) == "homotopy-sphere"
+    assert describe_block(EllipticSurface(0, 1, 1)) == "E(p_g=0,m=1,n=1)"
+    assert describe_block(NegativeDefinite(0)) == "negative-definite(rank=0)"
+    with pytest.raises(UncataloguedBlock):
+        describe_block(object())
 
 
 def test_sw_value_elliptic():
@@ -235,3 +250,5 @@ def test_sw_parity_defaults():
     assert sw_parity(NegativeDefinite(2)) is None
     assert sw_parity(HomotopySphereLike()) is None
     assert sw_parity(EllipticSurface(0, 1, 1)) is None
+    with pytest.raises(UncataloguedBlock):
+        sw_parity(object())

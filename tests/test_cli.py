@@ -219,3 +219,21 @@ def test_domain_errors_exit_one():
     run_cli("recognize", "--classes", "1,2", expect=1)
     run_cli("invariant", "/no/such/file.json", expect=1)
     run_cli("split-check", sample("k3.json"), "--modulus", "3", "--residue", "1", expect=1)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b'{"summands": [{"type": "k3", "name": "\xff\xfe"}]}',  # not UTF-8
+        b'{"summands": [{"type": "elliptic", "p_g": ' + b"7" * 5000 + b', "m": 1, "n": 1}]}',
+        b'{"summands": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",  # deep nesting
+    ],
+    ids=["non-utf8", "huge-int", "deep-nesting"],
+)
+def test_hostile_files_end_in_one_error_line(tmp_path, raw):
+    path = tmp_path / "hostile.json"
+    path.write_bytes(raw)
+    proc = run_cli("invariant", str(path), expect=1)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert sum(line.startswith("error:") for line in proc.stderr.splitlines()) == 1

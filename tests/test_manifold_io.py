@@ -102,6 +102,7 @@ def test_semantic_error_carries_block_index():
         '{"summands": [{"type": "k3"}], "name": 3}',  # name not a string
         '{"summands": [42]}',  # summand not an object
         '{"summands": [{"type": "torus"}]}',  # unknown type
+        '{"summands": [{"type": ["k3"]}]}',  # unhashable type
         '{"summands": [{"type": "k3", "extra": 1}]}',  # unknown key
         '{"summands": [{"type": "elliptic", "p_g": 3}]}',  # missing keys
         '{"summands": [{"type": "symplectic", "b_plus": true}]}',  # bool
