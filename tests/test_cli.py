@@ -237,3 +237,21 @@ def test_hostile_files_end_in_one_error_line(tmp_path, raw):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:")
     assert sum(line.startswith("error:") for line in proc.stderr.splitlines()) == 1
+
+
+def test_broken_pipe_ends_in_one_error_line():
+    # a 543k-line table overflows the pipe, which closes after 10 bytes
+    argv = ["basic-classes", "--pg", "201", "--m", "51", "--n", "53"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "swstem", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.read(10)
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode("utf-8")
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in stderr
+    assert stderr.startswith("error:")
+    assert sum(line.startswith("error:") for line in stderr.splitlines()) == 1

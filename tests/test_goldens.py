@@ -1,14 +1,20 @@
-"""Byte-exact CLI goldens over every sample file.
+"""Byte-exact CLI goldens over every sample file and a fixed list of flags.
 
 Each case runs ``swstem.cli.main`` in this process and compares stdout with
 ``goldens/<sample>/<command>.<form>.out``.  A case that exits 1 also pins its
-stderr in a ``.err`` file next to it.  To rewrite the goldens after an
-intended output change, run ``PYTHONPATH=src python tests/test_goldens.py``
-and review the diff.
+stderr in a ``.err`` file next to it.  The subcommands that read flags
+rather than a sample, the errors of each command family and the usage errors
+are pinned under ``goldens/_flags/``; a usage error (exit 2) pins only its
+``usage:`` line and any ``invalid choice`` line, which fix the order of the
+flags and of the subcommands.  All cases run with ``COLUMNS=200`` so that
+argparse does not wrap.  To rewrite the goldens after an intended output
+change, run ``PYTHONPATH=src python tests/test_goldens.py`` and review the
+diff.
 """
 
 import contextlib
 import io
+import os
 from pathlib import Path
 
 import pytest
@@ -19,6 +25,8 @@ from swstem.manifold_io import load_manifold, serialize_manifold
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "samples"
 GOLDENS = Path(__file__).resolve().parent / "goldens"
+FLAGS = GOLDENS / "_flags"
+COLUMNS = "200"
 
 #: command name -> extra arguments
 COMMANDS = {
@@ -38,44 +46,109 @@ FORMS = {
 UNTRACED = {"fingerprint"}
 
 
+def sample(name):
+    return str(SAMPLES / f"{name}.json")
+
+
+MISSING = "/no/such/file.json"
+
+#: golden name -> argv, each run as text and under --json
+FLAG_CASES = {
+    "basic-classes-e3": ("basic-classes", "--pg", "3", "--m", "1", "--n", "1"),
+    "basic-classes-e1_2_3": ("basic-classes", "--pg", "1", "--m", "2", "--n", "3"),
+    "recognizable": ("recognizable", "--pg", "1", "--m", "2", "--n", "3"),
+    "recognize-validated": ("recognize", "--classes", "-2,2"),
+    "recognize-note": ("recognize", "--classes", "-6,6"),
+    "recognize-bounds-match": ("recognize", "--classes", "-2,2", "--bounds", "15,9"),
+    "recognize-bounds-none": ("recognize", "--classes", "-3,3", "--bounds", "9,5"),
+    "distinguish-same": ("distinguish", sample("k3"), sample("k3")),
+    "distinguish-different": ("distinguish", sample("k3"), sample("e311_k3")),
+    "distinguish-out": ("distinguish", sample("k3"), sample("symplectic_pair")),
+    # domain errors: one error line on stderr, exit 1
+    "error-basic-classes": ("basic-classes", "--pg", "0", "--m", "1", "--n", "1"),
+    "error-recognizable": ("recognizable", "--pg", "1", "--m", "2", "--n", "4"),
+    "error-recognize": ("recognize", "--classes", "1,2"),
+    "error-recognize-bounds": ("recognize", "--classes", "-2,2", "--bounds", "0,1"),
+    "error-invariant": ("invariant", MISSING),
+    "error-blowup": ("blowup", sample("k3"), "--rank", "1", "--c", "2"),
+    "error-split-check": ("split-check", sample("k3"), "--modulus", "3", "--residue", "1"),
+    "error-fingerprint": ("fingerprint", sample("symplectic_pair")),
+    "error-distinguish": ("distinguish", sample("k3"), MISSING),
+}
+#: golden name -> argv that argparse rejects with exit 2
+USAGE_CASES = {
+    "usage-unknown-command": ("bogus",),
+    "usage-basic-classes": ("basic-classes", "--pg", "1"),
+    "usage-recognizable": ("recognizable",),
+    "usage-recognize": ("recognize",),
+    "usage-invariant": ("invariant",),
+    "usage-nonvanishing": ("nonvanishing",),
+    "usage-blowup": ("blowup", sample("k3")),
+    "usage-split-check": ("split-check", sample("k3")),
+    "usage-distinguish": ("distinguish", sample("k3")),
+    "usage-fingerprint": ("fingerprint",),
+}
+
+
 def cases():
+    """(test id, golden directory, file stem, argv) for every exit-0/1 case."""
     for path in sorted(SAMPLES.glob("*.json")):
         for command, extra in COMMANDS.items():
             for form, flags in FORMS.items():
                 if command in UNTRACED and "--trace" in flags:
                     continue
-                yield path, command, form, (command, str(path), *extra, *flags)
+                argv = (command, str(path), *extra, *flags)
+                ident = f"{path.stem}-{command}-{form}"
+                yield ident, GOLDENS / path.stem, f"{command}.{form}", argv
+    for name, argv in FLAG_CASES.items():
+        for form in ("text", "json"):
+            yield f"{name}-{form}", FLAGS, f"{name}.{form}", (*argv, *FORMS[form])
 
 
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
-def golden_paths(path, command, form):
-    base = GOLDENS / path.stem
-    return base / f"{command}.{form}.out", base / f"{command}.{form}.err"
+def usage_lines(err):
+    """The first ``usage:`` line and any ``invalid choice`` line."""
+    lines = err.splitlines(keepends=True)
+    first = [next(line for line in lines if line.startswith("usage:"))]
+    return "".join(first + [line for line in lines if "invalid choice" in line])
 
 
 CASES = list(cases())
 
 
+@pytest.fixture(autouse=True)
+def wide_terminal(monkeypatch):
+    monkeypatch.setenv("COLUMNS", COLUMNS)
+
+
 @pytest.mark.parametrize(
-    "path, command, form, argv",
-    CASES,
-    ids=[f"{p.stem}-{c}-{f}" for p, c, f, _ in CASES],
+    "base, stem, argv", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
 )
-def test_cli_golden(path, command, form, argv):
-    out_file, err_file = golden_paths(path, command, form)
+def test_cli_golden(base, stem, argv):
     code, out, err = run(argv)
-    assert out == out_file.read_text(encoding="utf-8")
+    assert out == (base / f"{stem}.out").read_text(encoding="utf-8")
+    err_file = base / f"{stem}.err"
     if err_file.exists():
         assert code == 1
         assert err == err_file.read_text(encoding="utf-8")
     else:
         assert code == 0, err
+
+
+@pytest.mark.parametrize("name, argv", USAGE_CASES.items(), ids=list(USAGE_CASES))
+def test_usage_golden(name, argv):
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert usage_lines(err) == (FLAGS / f"{name}.err").read_text(encoding="utf-8")
 
 
 def test_mixed_sample_serializes_canonically():
@@ -85,15 +158,19 @@ def test_mixed_sample_serializes_canonically():
 
 
 def regenerate():
-    for path, command, form, argv in CASES:
-        out_file, err_file = golden_paths(path, command, form)
-        out_file.parent.mkdir(parents=True, exist_ok=True)
+    os.environ["COLUMNS"] = COLUMNS
+    for _, base, stem, argv in CASES:
+        base.mkdir(parents=True, exist_ok=True)
         code, out, err = run(argv)
-        out_file.write_text(out, encoding="utf-8")
+        (base / f"{stem}.out").write_text(out, encoding="utf-8")
+        err_file = base / f"{stem}.err"
         if code:
             err_file.write_text(err, encoding="utf-8")
         elif err_file.exists():
             err_file.unlink()
+    for name, argv in USAGE_CASES.items():
+        _, _, err = run(argv)
+        (FLAGS / f"{name}.err").write_text(usage_lines(err), encoding="utf-8")
     doc = load_manifold(str(SAMPLES / "mixed_all_kinds.json"))
     (GOLDENS / "mixed_all_kinds" / "serialized.json").write_text(
         serialize_manifold(doc), encoding="utf-8"
