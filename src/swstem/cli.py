@@ -3,9 +3,14 @@
 Nine subcommands delegate one to one to library operations: basic-classes,
 recognizable and recognize work on elliptic-surface data given by flags;
 invariant, nonvanishing, blowup, split-check and fingerprint read a manifold
-description file; distinguish reads two.  Output is human-readable text by
-default and a deterministic JSON document under --json.  Exit codes: 0 ok,
-1 domain error, 2 usage error.
+description file; distinguish reads two.  Each ``_cmd_*`` function returns
+its answer as (JSON payload, text lines, rule trace) and prints nothing;
+``main`` renders it in one place.  Every command prints text by default and
+one sorted-key JSON document under --json.  --trace exists on invariant,
+nonvanishing, blowup and split-check only: it appends the rule trace to the
+text, indented by two spaces, or adds it to the JSON document as "trace".
+An error is one ``error:`` line on stderr.  Exit codes: 0 ok, 1 domain
+error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -68,23 +73,13 @@ def _bounds(text: str) -> tuple[int, int]:
     return p_g_max, n_max
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True))
+# Each command returns (payload, lines, trace): the JSON document without its
+# trace, the text output, and the rule trace, () for untraced commands.  JSON
+# renders tuples as lists, so payloads hold the library's tuples as they are.
 
 
-def _emit_trace(lines: tuple[str, ...]) -> None:
-    for line in lines:
-        print("  " + line)
-
-
-def _invariant_line(inv: InvariantClass) -> str:
-    return (
-        f"stem degree {inv.stem_degree}, class {inv.nonequiv_class}, "
-        f"nonvanishing: {inv.equivariant_nonzero}"
-    )
-
-
-def _invariant_payload(inv: InvariantClass, with_trace: bool) -> dict:
+def _invariant_view(inv: InvariantClass) -> tuple[dict, list[str]]:
+    """Payload and headline of an invariant class (invariant and blowup)."""
     payload = {
         "class": str(inv.nonequiv_class),
         "class_degree": inv.nonequiv_class.degree,
@@ -95,173 +90,182 @@ def _invariant_payload(inv: InvariantClass, with_trace: bool) -> dict:
         "total_b_plus": inv.total_b_plus,
         "total_d": inv.total_d,
     }
-    if with_trace:
-        payload["trace"] = list(inv.trace)
-    return payload
+    headline = (
+        f"stem degree {inv.stem_degree}, class {inv.nonequiv_class}, "
+        f"nonvanishing: {inv.equivariant_nonzero}"
+    )
+    return payload, [headline]
 
 
-def _cmd_basic_classes(args) -> int:
-    table = basic_class_table(args.pg, args.m, args.n)
-    if args.json:
-        _emit_json(
-            {
-                "entries": [[k, v] for k, v in table.entries],
-                "m": args.m,
-                "n": args.n,
-                "p_g": args.pg,
-            }
-        )
-        return 0
-    for k, v in table.entries:
-        print(f"{k}: {v}")
-    return 0
+def _cmd_basic_classes(args):
+    entries = basic_class_table(args.pg, args.m, args.n).entries
+    payload = {"entries": entries, "m": args.m, "n": args.n, "p_g": args.pg}
+    return payload, (f"{k}: {v}" for k, v in entries), ()
 
 
-def _cmd_recognizable(args) -> int:
+def _cmd_recognizable(args):
     classes = recognizable_set(args.pg, args.m, args.n)
-    if args.json:
-        _emit_json(
-            {"classes": list(classes), "m": args.m, "n": args.n, "p_g": args.pg}
-        )
-        return 0
-    print(",".join(str(c) for c in classes))
-    return 0
+    payload = {"classes": classes, "m": args.m, "n": args.n, "p_g": args.pg}
+    return payload, [",".join(str(c) for c in classes)], ()
 
 
-def _cmd_recognize(args) -> int:
+def _cmd_recognize(args):
     pattern = Pattern.of(args.classes)
     if args.bounds is not None:
         matches = recognize_oracle(pattern, args.bounds)
-        if args.json:
-            _emit_json(
-                {
-                    "bounds": list(args.bounds),
-                    "matches": [list(t) for t in matches],
-                }
-            )
-        elif matches:
-            for p_g, m, n in matches:
-                print(f"p_g={p_g} m={m} n={n}")
-        else:
-            print(
-                f"no match within bounds p_g<={args.bounds[0]}, n<={args.bounds[1]}"
-            )
-        return 0
+        lines = [f"p_g={p_g} m={m} n={n}" for p_g, m, n in matches] or [
+            f"no match within bounds p_g<={args.bounds[0]}, n<={args.bounds[1]}"
+        ]
+        return {"bounds": args.bounds, "matches": matches}, lines, ()
     result = recognize(pattern)
-    if args.json:
-        _emit_json(
-            {
-                "diagnostics": list(result.diagnostics),
-                "m": result.m,
-                "n": result.n,
-                "p_g": result.p_g,
-                "validated": result.validated,
-            }
-        )
-        return 0
+    payload = {
+        "diagnostics": result.diagnostics,
+        "m": result.m,
+        "n": result.n,
+        "p_g": result.p_g,
+        "validated": result.validated,
+    }
     word = "validated" if result.validated else "unvalidated"
-    print(f"p_g={result.p_g} m={result.m} n={result.n} ({word})")
-    for note in result.diagnostics:
-        print(f"note: {note}")
-    return 0
+    lines = [f"p_g={result.p_g} m={result.m} n={result.n} ({word})"]
+    return payload, lines + [f"note: {note}" for note in result.diagnostics], ()
 
 
-def _cmd_invariant(args) -> int:
-    doc = load_manifold(args.file)
-    inv = invariant(doc.to_connected_sum())
-    if args.json:
-        _emit_json(_invariant_payload(inv, args.trace))
-        return 0
-    print(_invariant_line(inv))
+def _cmd_invariant(args):
+    inv = invariant(load_manifold(args.file).to_connected_sum())
+    payload, lines = _invariant_view(inv)
     if inv.gamma_power:
-        print(f"gamma power: {inv.gamma_power}")
-    if args.trace:
-        _emit_trace(inv.trace)
-    return 0
+        lines.append(f"gamma power: {inv.gamma_power}")
+    return payload, lines, inv.trace
 
 
-def _cmd_nonvanishing(args) -> int:
-    doc = load_manifold(args.file)
-    result = nonvanishing_criteria(doc.to_connected_sum())
-    if args.json:
-        payload: dict = {"verdict": str(result.verdict)}
-        if args.trace:
-            payload["trace"] = list(result.trace)
-        _emit_json(payload)
-        return 0
-    print(f"nonvanishing: {result.verdict}")
-    if args.trace:
-        _emit_trace(result.trace)
-    return 0
+def _cmd_nonvanishing(args):
+    result = nonvanishing_criteria(load_manifold(args.file).to_connected_sum())
+    verdict = str(result.verdict)
+    return {"verdict": verdict}, [f"nonvanishing: {verdict}"], result.trace
 
 
-def _cmd_blowup(args) -> int:
-    doc = load_manifold(args.file)
-    inv = invariant(doc.to_connected_sum())
+def _cmd_blowup(args):
+    inv = invariant(load_manifold(args.file).to_connected_sum())
     spin_c = SpinC.from_coords(args.c) if args.c is not None else None
     result = blowup(inv, NegativeDefinite(args.rank), spin_c)
-    if args.json:
-        payload = _invariant_payload(result.invariant, args.trace)
-        payload["sw_preserved"] = str(result.sw_preserved)
-        _emit_json(payload)
-        return 0
-    print(_invariant_line(result.invariant))
-    print(f"gamma power: {result.invariant.gamma_power}")
-    print(f"sw preserved: {result.sw_preserved}")
-    if args.trace:
-        _emit_trace(result.invariant.trace)
-    return 0
+    payload, lines = _invariant_view(result.invariant)
+    payload["sw_preserved"] = str(result.sw_preserved)
+    lines.append(f"gamma power: {result.invariant.gamma_power}")
+    lines.append(f"sw preserved: {result.sw_preserved}")
+    return payload, lines, result.invariant.trace
 
 
-def _cmd_split_check(args) -> int:
-    doc = load_manifold(args.file)
-    verdict = split_verdict(
-        doc.to_connected_sum(), SplitQuery(args.modulus, args.residue)
-    )
-    if args.json:
-        payload = {
-            "kind": verdict.kind.value,
-            "modulus": args.modulus,
-            "residue": args.residue,
-        }
-        if args.trace:
-            payload["trace"] = list(verdict.trace)
-        _emit_json(payload)
-        return 0
-    print(f"verdict: {verdict.kind.value}")
-    if args.trace:
-        _emit_trace(verdict.trace)
-    return 0
+def _cmd_split_check(args):
+    csum = load_manifold(args.file).to_connected_sum()
+    verdict = split_verdict(csum, SplitQuery(args.modulus, args.residue))
+    kind = verdict.kind.value
+    payload = {"kind": kind, "modulus": args.modulus, "residue": args.residue}
+    return payload, [f"verdict: {kind}"], verdict.trace
 
 
-def _cmd_distinguish(args) -> int:
+def _cmd_distinguish(args):
     doc_a = load_manifold(args.file_a)
     doc_b = load_manifold(args.file_b)
     verdict = distinguish(
         [s.block for s in doc_a.summands], [s.block for s in doc_b.summands]
-    )
-    if args.json:
-        _emit_json({"verdict": verdict.value})
-        return 0
-    print(f"verdict: {verdict.value}")
-    return 0
+    ).value
+    return {"verdict": verdict}, [f"verdict: {verdict}"], ()
 
 
-def _cmd_fingerprint(args) -> int:
-    doc = load_manifold(args.file)
-    sets = odd_basic_fingerprint(doc.to_connected_sum())
-    if args.json:
-        _emit_json({"sets": [list(s) for s in sets]})
-        return 0
-    for s in sets:
-        print(",".join(str(c) for c in s))
-    return 0
+def _cmd_fingerprint(args):
+    sets = odd_basic_fingerprint(load_manifold(args.file).to_connected_sum())
+    return {"sets": sets}, [",".join(str(c) for c in s) for s in sets], ()
 
 
-def _add_triple_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pg", type=int, required=True, help="geometric genus")
-    p.add_argument("--m", type=int, required=True, help="smaller fiber multiplicity")
-    p.add_argument("--n", type=int, required=True, help="larger fiber multiplicity")
+_FILE = ("file", dict(metavar="FILE", help="manifold description file"))
+_TRIPLE = (
+    ("--pg", dict(type=int, required=True, help="geometric genus")),
+    ("--m", dict(type=int, required=True, help="smaller fiber multiplicity")),
+    ("--n", dict(type=int, required=True, help="larger fiber multiplicity")),
+)
+
+#: (name, help, command, its own arguments, traced) in registration order;
+#: --json follows each command's own arguments, and --trace follows --json
+_SUBCOMMANDS = (
+    (
+        "basic-classes",
+        "basic-class table of an elliptic surface",
+        _cmd_basic_classes,
+        _TRIPLE,
+        False,
+    ),
+    ("recognizable", "multiples with odd SW value", _cmd_recognizable, _TRIPLE, False),
+    (
+        "recognize",
+        "identify an elliptic surface from its odd multiples",
+        _cmd_recognize,
+        (
+            (
+                "--classes",
+                dict(
+                    type=_int_list,
+                    required=True,
+                    help="comma-separated multiples, e.g. --classes=-2,2",
+                ),
+            ),
+            (
+                "--bounds",
+                dict(
+                    type=_bounds,
+                    help="PG,N: run the exhaustive search oracle within these bounds",
+                ),
+            ),
+        ),
+        False,
+    ),
+    ("invariant", "invariant class of a connected sum", _cmd_invariant, (_FILE,), True),
+    (
+        "nonvanishing",
+        "summand-count nonvanishing criteria verdict",
+        _cmd_nonvanishing,
+        (_FILE,),
+        True,
+    ),
+    (
+        "blowup",
+        "sum with a negative definite block and track the class",
+        _cmd_blowup,
+        (
+            _FILE,
+            ("--rank", dict(type=int, required=True, help="rank of the block")),
+            (
+                "--c",
+                dict(
+                    type=_int_list,
+                    help="odd characteristic coordinates, e.g. --c=3,1 (default: all 1)",
+                ),
+            ),
+        ),
+        True,
+    ),
+    (
+        "split-check",
+        "congruence obstruction to a connected-sum splitting",
+        _cmd_split_check,
+        (
+            _FILE,
+            ("--modulus", dict(type=int, required=True, help="2 or 4")),
+            ("--residue", dict(type=int, required=True, help="queried residue of b+(X1)")),
+        ),
+        True,
+    ),
+    (
+        "distinguish",
+        "compare two connected sums of elliptic surfaces",
+        _cmd_distinguish,
+        (
+            ("file_a", dict(metavar="FILE1", help="first manifold description")),
+            ("file_b", dict(metavar="FILE2", help="second manifold description")),
+        ),
+        False,
+    ),
+    ("fingerprint", "odd-SW class sets of the summands", _cmd_fingerprint, (_FILE,), False),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,103 +274,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact invariant arithmetic for connected sums of 4-manifolds.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = sub.add_parser(
-        "basic-classes", help="basic-class table of an elliptic surface"
-    )
-    _add_triple_flags(p)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=_cmd_basic_classes)
-
-    p = sub.add_parser("recognizable", help="multiples with odd SW value")
-    _add_triple_flags(p)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=_cmd_recognizable)
-
-    p = sub.add_parser(
-        "recognize", help="identify an elliptic surface from its odd multiples"
-    )
-    p.add_argument(
-        "--classes",
-        type=_int_list,
-        required=True,
-        help="comma-separated multiples, e.g. --classes=-2,2",
-    )
-    p.add_argument(
-        "--bounds",
-        type=_bounds,
-        default=None,
-        help="PG,N: run the exhaustive search oracle within these bounds",
-    )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=_cmd_recognize)
-
-    p = sub.add_parser("invariant", help="invariant class of a connected sum")
-    p.add_argument("file", metavar="FILE", help="manifold description file")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--trace", action="store_true", help="include the rule trace")
-    p.set_defaults(func=_cmd_invariant)
-
-    p = sub.add_parser(
-        "nonvanishing", help="summand-count nonvanishing criteria verdict"
-    )
-    p.add_argument("file", metavar="FILE", help="manifold description file")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--trace", action="store_true", help="include the rule trace")
-    p.set_defaults(func=_cmd_nonvanishing)
-
-    p = sub.add_parser(
-        "blowup", help="sum with a negative definite block and track the class"
-    )
-    p.add_argument("file", metavar="FILE", help="manifold description file")
-    p.add_argument("--rank", type=int, required=True, help="rank of the block")
-    p.add_argument(
-        "--c",
-        type=_int_list,
-        default=None,
-        help="odd characteristic coordinates, e.g. --c=3,1 (default: all 1)",
-    )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--trace", action="store_true", help="include the rule trace")
-    p.set_defaults(func=_cmd_blowup)
-
-    p = sub.add_parser(
-        "split-check", help="congruence obstruction to a connected-sum splitting"
-    )
-    p.add_argument("file", metavar="FILE", help="manifold description file")
-    p.add_argument("--modulus", type=int, required=True, help="2 or 4")
-    p.add_argument(
-        "--residue", type=int, required=True, help="queried residue of b+(X1)"
-    )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--trace", action="store_true", help="include the rule trace")
-    p.set_defaults(func=_cmd_split_check)
-
-    p = sub.add_parser(
-        "distinguish", help="compare two connected sums of elliptic surfaces"
-    )
-    p.add_argument("file_a", metavar="FILE1", help="first manifold description")
-    p.add_argument("file_b", metavar="FILE2", help="second manifold description")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=_cmd_distinguish)
-
-    p = sub.add_parser(
-        "fingerprint", help="odd-SW class sets of the summands"
-    )
-    p.add_argument("file", metavar="FILE", help="manifold description file")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=_cmd_fingerprint)
-
+    for name, help_text, command, arguments, traced in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.add_argument("--json", action="store_true", help="machine-readable output")
+        if traced:
+            p.add_argument("--trace", action="store_true", help="include the rule trace")
+        p.set_defaults(func=command, trace=False)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(_normalize_argv(list(argv)))
+    args = build_parser().parse_args(_normalize_argv(list(argv)))
     try:
-        return args.func(args)
+        payload, lines, trace = args.func(args)
+        if args.json:
+            if args.trace:
+                payload["trace"] = trace
+            print(json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True))
+            return 0
+        for line in lines:
+            print(line)
+        for line in trace if args.trace else ():
+            print("  " + line)
+        return 0
     except (SwStemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
