@@ -73,8 +73,8 @@ class Summand:
             raise InvalidParameters(
                 f"{self.block.label} takes a class key, not raw spin-c data"
             )
-        if self.class_key is None or self.block.neutral:
-            return  # a neutral block drops out of every sum, and its key with it
+        if self.class_key is None:
+            return
         # validates key type and, for elliptic blocks, characteristic parity
         if self.block.sw_parity(self.class_key) is None:
             raise InvalidParameters(

@@ -87,9 +87,13 @@ def parse_manifold(text: str) -> ManifoldDoc:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ManifoldSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
-    except (ValueError, RecursionError) as exc:
-        # an integer past the digit limit, or nesting past the recursion limit
-        raise ManifoldSyntaxError(str(exc)) from exc
+    except ValueError as exc:
+        # an integer past the digit limit; drop the interpreter's advice after
+        # ";" (sys.set_int_max_str_digits), which a file's author cannot act on
+        detail = str(exc).partition(";")[0]
+        raise ManifoldSyntaxError(f"integer literal too long: {detail}") from exc
+    except RecursionError as exc:
+        raise ManifoldSyntaxError(str(exc)) from exc  # nesting past the recursion limit
     if not isinstance(raw, dict):
         raise ManifoldSemanticError("a manifold description is a JSON object")
     for key in raw:

@@ -6,7 +6,8 @@ leaves a fingerprint: the set of fiber multiples carrying odd SW values.
 ``recognize_oracle`` does the same by brute-force enumeration and is the
 cross-check used in the test suite.  ``distinguish`` applies the resulting
 classification to decide whether two small connected sums of elliptic
-surfaces are built from the same pieces.
+surfaces are built from the same pieces; its regime is asked of the
+summand-count verdict in ``invariants``, not recoded here.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from typing import Iterable, Sequence
 
 from .blocks import BuildingBlock, EllipticSurface, profile, recognizable_set
 from .errors import InvalidParameters, NotAnEllipticPattern
+from .invariants import connected_sum, nonvanishing_criteria
+from .stems import TriState
 
 
 @dataclass(frozen=True)
@@ -189,14 +192,8 @@ def _elliptic_parts(blocks: Sequence[BuildingBlock]) -> list[EllipticSurface] | 
 
 
 def _in_regime(parts: list[EllipticSurface]) -> bool:
-    if any(b.p_g % 2 == 0 for b in parts):
-        return False
-    if len(parts) <= 3:
-        return True
-    if len(parts) == 4:
-        total_b_plus = sum(2 * b.p_g + 1 for b in parts)
-        return total_b_plus % 8 == 4
-    return False
+    """The summand-count verdict of the side is YES; an empty side is in regime."""
+    return not parts or nonvanishing_criteria(connected_sum(*parts)).verdict is TriState.YES
 
 
 def distinguish(
@@ -205,10 +202,11 @@ def distinguish(
     """Decide whether two connected sums of elliptic surfaces are built from
     the same summands, which settles their diffeomorphism type.
 
-    The classification applies when at least one side consists of at most
-    three odd-genus surfaces, or exactly four with total b+ congruent
-    4 mod 8; the other side may be any sum of elliptic surfaces.  Neutral
-    blocks are dropped first.  Everything else is OUT_OF_REGIME.
+    Neutral blocks are dropped first.  The classification applies when the
+    summand-count verdict (``nonvanishing_criteria``) of at least one side is
+    YES, that is at most three odd-genus surfaces or exactly four with total
+    b+ congruent 4 mod 8; the other side may be any sum of elliptic surfaces.
+    Everything else is OUT_OF_REGIME.
     """
     parts_a = _elliptic_parts(sum_a)
     parts_b = _elliptic_parts(sum_b)

@@ -235,6 +235,7 @@ def test_hostile_files_end_in_one_error_line(tmp_path, raw):
     path.write_bytes(raw)
     proc = run_cli("invariant", str(path), expect=1)
     assert "Traceback" not in proc.stderr
+    assert "set_int_max_str_digits" not in proc.stderr
     assert proc.stderr.startswith("error:")
     assert sum(line.startswith("error:") for line in proc.stderr.splitlines()) == 1
 

@@ -176,6 +176,8 @@ def test_summand_validation():
         Summand(EllipticSurface(0, 1, 1), class_key=0)
     with pytest.raises(InvalidParameters):
         Summand(SymplecticGeneric(3), class_key=0)
+    with pytest.raises(InvalidParameters):
+        Summand(SPHERE, class_key=0)  # neutral: no SW data either
     Summand(SymplecticGeneric(3), class_key=CANONICAL)
     with pytest.raises(InvalidParameters):
         Summand(E3, class_key=1)  # wrong parity, not characteristic
