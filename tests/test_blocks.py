@@ -107,6 +107,27 @@ def test_table_value_defaults_to_zero_off_table():
     assert basic_class_table(3, 1, 1).value(100) == 0
 
 
+FAR_KEYS = (10**50, -(10**50), 10**50 + 1, -(10**50) - 1)
+
+
+def test_lookups_agree_with_the_materialised_table():
+    # every lookup answers what the table lists, on and off the table
+    for p_g, m, n in coprime_grid(8, 7):
+        block = EllipticSurface(p_g, m, n)
+        table = basic_class_table(p_g, m, n)
+        entries = table.as_dict()
+        odd = set(recognizable_set(p_g, m, n))
+        top = max_multiple(p_g, m, n)
+        for x in (*range(-top - 3, top + 4), *FAR_KEYS):
+            assert block.sw_value(x) == table.value(x) == entries.get(x, 0)
+            if (x - top) % 2 == 0:
+                expected = Parity.ODD if x in odd else Parity.EVEN
+                assert block.sw_parity(x) is expected
+            else:
+                with pytest.raises(InvalidParameters):
+                    block.sw_parity(x)
+
+
 def test_table_parameter_validation():
     with pytest.raises(InvalidParameters):
         basic_class_table(0, 1, 1)
