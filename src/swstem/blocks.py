@@ -11,10 +11,15 @@ catalogued block and then ask the block.
 
 The basic classes of E(p_g; m, n) are the multiples of the fiber class
 listed by ``basic_class_table``: the multiple (p_g-1-2a)mn + (m-2b-1)n +
-(n-2c-1)m carries SW value binomial(p_g-1, a), for 0 <= a < p_g,
+(n-2c-1)m carries |SW| = binomial(p_g-1, a), for 0 <= a < p_g,
 0 <= b < m, 0 <= c < n.  For coprime m, n these multiples are pairwise
-distinct, the table is symmetric under negation, and the largest multiple
-always has value 1.
+distinct and the largest multiple always has value 1.  The values are
+absolute: the Fintushel-Stern product formula gives the signed value
+(-1)^a binomial(p_g-1, a), so SW(-k) = (-1)^(p_g-1) SW(k) and the table is
+symmetric under negation with equal values for |SW| only.
+
+A lookup at one multiple inverts the key map in O(1) (``_genus_index``);
+tables are built only for listing and recognition.
 """
 
 from __future__ import annotations
@@ -148,7 +153,8 @@ class EllipticSurface(_Block):
         if class_key is None:
             return 1
         key = _integer(class_key, "elliptic class keys are fiber multiples (integers)")
-        return basic_class_table(self.p_g, self.m, self.n).value(key)
+        a = _genus_index(self.p_g, self.m, self.n, key)
+        return 0 if a is None else comb(self.p_g - 1, a)
 
     def sw_parity(self, class_key=None) -> Parity | None:
         if self.p_g < 1:
@@ -161,7 +167,8 @@ class EllipticSurface(_Block):
                 f"multiple {key} is not characteristic on "
                 f"{self.label}: its parity differs from the table's"
             )
-        odd = key in _recognizable(self.p_g, self.m, self.n)
+        a = _genus_index(self.p_g, self.m, self.n, key)
+        odd = a is not None and odd_binomial(self.p_g - 1, a)
         return Parity.ODD if odd else Parity.EVEN
 
     def odd_classes(self) -> tuple[int, ...]:
@@ -379,6 +386,24 @@ def max_multiple(p_g: int, m: int, n: int) -> int:
     return (p_g - 1) * m * n + (m - 1) * n + (n - 1) * m
 
 
+def _genus_index(p_g: int, m: int, n: int, key: int) -> int | None:
+    """The index a of the table entry at ``key``, None off the table.
+
+    Inverts key = top - 2r with r = a*mn + b*n + c*m: b is r/n mod m, and
+    (r - b*n)/m = a*n + c.  Coprimality makes n invertible mod m (the inverse
+    mod 1 is 0) and the decomposition unique.
+    """
+    r, odd = divmod(max_multiple(p_g, m, n) - key, 2)
+    if odd or r < 0:
+        return None
+    b = r * pow(n, -1, m) % m
+    q = (r - b * n) // m
+    if q < 0:
+        return None
+    a = q // n
+    return a if a < p_g else None
+
+
 @lru_cache(maxsize=None)
 def _table_entries(p_g: int, m: int, n: int) -> tuple[tuple[int, int], ...]:
     top = max_multiple(p_g, m, n)
@@ -398,7 +423,7 @@ def _table_entries(p_g: int, m: int, n: int) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class BasicClassTable:
-    """SW values on the line of fiber multiples, keyed by the multiple."""
+    """|SW| values on the line of fiber multiples, keyed by the multiple."""
 
     p_g: int
     m: int
@@ -409,8 +434,9 @@ class BasicClassTable:
         return dict(self.entries)
 
     def value(self, multiple: int) -> int:
-        """Exact SW value at a multiple; 0 when absent from the table."""
-        return self.as_dict().get(multiple, 0)
+        """Exact |SW| value at a multiple; 0 when absent from the table."""
+        a = _genus_index(self.p_g, self.m, self.n, multiple)
+        return 0 if a is None else comb(self.p_g - 1, a)
 
     @property
     def multiples(self) -> tuple[int, ...]:
@@ -424,8 +450,9 @@ class BasicClassTable:
 def basic_class_table(p_g: int, m: int, n: int) -> BasicClassTable:
     """Full basic-class table of E(p_g; m, n), p_g >= 1, coprime m <= n.
 
-    Contains exactly p_g * m * n distinct multiples, symmetric under negation
-    with equal values, and value 1 at the largest multiple.
+    Contains exactly p_g * m * n distinct multiples with their |SW| values,
+    value 1 at the largest multiple; symmetric under negation with equal
+    values (the signed values differ by (-1)^(p_g-1)).
 
     >>> basic_class_table(3, 1, 1).entries
     ((-2, 1), (0, 2), (2, 1))

@@ -16,6 +16,7 @@ error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -163,12 +164,17 @@ def _cmd_split_check(args):
     return payload, [f"verdict: {kind}"], verdict.trace
 
 
+def _blocks_of(path: str) -> list:
+    """The blocks of a manifold file; a parse or semantic error names the file
+    (an OSError names it already)."""
+    try:
+        return [s.block for s in load_manifold(path).summands]
+    except SwStemError as exc:
+        raise SwStemError(f"{path}: {exc}") from exc
+
+
 def _cmd_distinguish(args):
-    doc_a = load_manifold(args.file_a)
-    doc_b = load_manifold(args.file_b)
-    verdict = distinguish(
-        [s.block for s in doc_a.summands], [s.block for s in doc_b.summands]
-    ).value
+    verdict = distinguish(_blocks_of(args.file_a), _blocks_of(args.file_b)).value
     return {"verdict": verdict}, [f"verdict: {verdict}"], ()
 
 
@@ -285,10 +291,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: parsing leaves it unchanged, and argparse reads
+# COLUMNS anew each time it formats a usage or error message
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_normalize_argv(list(argv)))
+    args = _parser().parse_args(_normalize_argv(list(argv)))
     try:
         payload, lines, trace = args.func(args)
         if args.json:

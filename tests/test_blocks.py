@@ -128,6 +128,54 @@ def test_lookups_agree_with_the_materialised_table():
                     block.sw_parity(x)
 
 
+def _times(p, q):
+    out = {}
+    for e, c in p.items():
+        for f, d in q.items():
+            out[e + f] = out.get(e + f, 0) + c * d
+    return {e: c for e, c in out.items() if c}
+
+
+def _divide(poly, k):
+    """Exact quotient of a Laurent polynomial by x^k - x^-k (long division)."""
+    rest, quotient, low_end = dict(poly), {}, min(poly)
+    while rest:
+        top = max(rest)
+        c = rest.pop(top)
+        quotient[top - k] = c
+        low = top - 2 * k
+        assert low >= low_end, "not divisible"
+        rest[low] = rest.get(low, 0) + c
+        if not rest[low]:
+            del rest[low]
+    return quotient
+
+
+def fintushel_stern(p_g, m, n):
+    """SW(E(p_g+1)_{m,n}) = (x^mn - x^-mn)^(p_g+1) / ((x^m - x^-m)(x^n - x^-n)),
+    Fintushel-Stern, "Rational blowdowns of smooth 4-manifolds", JDG 1997,
+    as {exponent: signed coefficient}."""
+    poly = {0: 1}
+    for _ in range(p_g + 1):
+        poly = _times(poly, {m * n: 1, -m * n: -1})
+    return _divide(_divide(poly, m), n)
+
+
+def test_product_formula_oracle():
+    for p_g, m, n in coprime_grid(8, 7):
+        signed = fintushel_stern(p_g, m, n)
+        table = basic_class_table(p_g, m, n)
+        assert {k: abs(c) for k, c in signed.items()} == table.as_dict()
+        top = max_multiple(p_g, m, n)
+        for a in range(p_g):
+            for b in range(m):
+                for c in range(n):
+                    key = top - 2 * (a * m * n + b * n + c * m)
+                    assert signed[key] == (-1) ** a * math.comb(p_g - 1, a)
+        for k, coefficient in signed.items():
+            assert signed[-k] == (-1) ** (p_g - 1) * coefficient
+
+
 def test_table_parameter_validation():
     with pytest.raises(InvalidParameters):
         basic_class_table(0, 1, 1)

@@ -158,6 +158,15 @@ def test_distinguish():
     assert out == "verdict: out_of_regime\n"
 
 
+def test_distinguish_names_the_file_that_failed(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"summands": [{"type": "k3"}], "x": 1}')
+    good = sample("k3.json")
+    for argv in ((good, str(bad)), (str(bad), good)):
+        proc = run_cli("distinguish", *argv, expect=1)
+        assert proc.stderr == f"error: {bad}: unknown top-level key 'x'\n"
+
+
 def test_fingerprint():
     out = run_cli("fingerprint", sample("e311_k3.json")).stdout
     assert out == "-2,2\n0\n"
