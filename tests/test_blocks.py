@@ -92,6 +92,16 @@ def test_recognizable_is_odd_fragment_of_table():
         assert recognizable_set(p_g, m, n) == odd
 
 
+def test_listings_match_a_dict_and_sort_enumeration():
+    # both listings against every (a, b, c) keyed into a dict, then sorted
+    for p_g, m, n in coprime_grid(17, 11):
+        expected = tuple(sorted(table_oracle(p_g, m, n).items()))
+        assert basic_class_table(p_g, m, n).entries == expected
+        odd = recognizable_set(p_g, m, n)
+        assert odd == tuple(k for k, v in expected if v % 2)
+        assert len(odd) == 2 ** bin(p_g - 1).count("1") * m * n
+
+
 def test_table_structure_on_grid():
     for p_g, m, n in coprime_grid():
         table = basic_class_table(p_g, m, n)
