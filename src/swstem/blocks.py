@@ -19,7 +19,8 @@ absolute: the Fintushel-Stern product formula gives the signed value
 symmetric under negation with equal values for |SW| only.
 
 A lookup at one multiple inverts the key map in O(1) (``_genus_index``);
-tables are built only for listing and recognition.
+tables are built only for listing and recognition, straight into ascending
+key order by residue blocks (``_key_blocks``), with no sort.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain, compress, repeat, starmap
 from math import comb, gcd
 from typing import Union
 
@@ -243,7 +245,7 @@ class KaehlerGeneric(_Block):
             raise InvalidParameters(
                 f"b_plus of a Kaehler block must be odd and positive, got {self.b_plus}"
             )
-        labels = tuple(sorted({int(x) for x in self.odd_basic}))
+        labels = tuple(sorted({_json_int(x, "odd_basic entry") for x in self.odd_basic}))
         object.__setattr__(self, "odd_basic", labels)
 
     @property
@@ -404,21 +406,42 @@ def _genus_index(p_g: int, m: int, n: int, key: int) -> int | None:
     return a if a < p_g else None
 
 
+def _key_blocks(p_g: int, m: int, n: int, rows, value):
+    """The listing in ascending key order, as (keys, values) runs, one per block.
+
+    For coprime m, n each residue t mod mn has exactly one s = b*n + c*m
+    (b < m, c < n), and s is t or t + mn (CRT; h[t] = 0 or 1).  So
+    r = a*mn + s sits in block j = a + h[t] at position t, and the key
+    top - 2r ascends as (j, t) descends.  ``rows`` are the wanted a,
+    descending; ``value(a)`` is row a's value, falsy for a row left out.
+    """
+    mn = m * n
+    h = bytearray(mn)
+    for b in range(1, m):
+        # the c >= ceil((m - b) n / m) wrap past mn
+        h[b * n % m : b * n : m] = b"\x01" * (b * n // m)
+    high = h[::-1]  # block position i holds t = mn - 1 - i
+    low = high.translate(bytes.maketrans(b"\0\1", b"\1\0"))
+    top = max_multiple(p_g, m, n)
+    last = None
+    for a in rows:
+        for j in (a,) if a + 1 == last else (a + 1, a):
+            start = top - 2 * (j * mn + mn - 1)
+            keys = range(start, start + 2 * mn, 2)
+            v_low, v_high = value(j), j and value(j - 1)
+            if not v_low:
+                yield compress(keys, high), repeat(v_high)
+            elif not v_high:
+                yield compress(keys, low), repeat(v_low)
+            else:
+                yield keys, map((v_low, v_high).__getitem__, high)
+        last = a
+
+
 @lru_cache(maxsize=None)
 def _table_entries(p_g: int, m: int, n: int) -> tuple[tuple[int, int], ...]:
-    top = max_multiple(p_g, m, n)
-    mn = m * n
-    values: dict[int, int] = {}
-    for a in range(p_g):
-        va = comb(p_g - 1, a)
-        for b in range(m):
-            for c in range(n):
-                key = top - 2 * (a * mn + b * n + c * m)
-                if key in values:
-                    # coprimality makes the triples injective; never reached
-                    raise AssertionError(f"duplicate multiple {key} in E({p_g};{m},{n})")
-                values[key] = va
-    return tuple(sorted(values.items()))
+    blocks = _key_blocks(p_g, m, n, range(p_g - 1, -1, -1), partial(comb, p_g - 1))
+    return tuple(chain.from_iterable(starmap(zip, blocks)))
 
 
 @dataclass(frozen=True)
@@ -461,19 +484,25 @@ def basic_class_table(p_g: int, m: int, n: int) -> BasicClassTable:
     return BasicClassTable(p_g, m, n, _table_entries(p_g, m, n))
 
 
+def _submasks(x: int):
+    """The a with a AND x == a, descending: the odd entries of row x (Lucas)."""
+    a = x
+    while a:
+        yield a
+        a = (a - 1) & x
+    yield 0
+
+
 @lru_cache(maxsize=None)
 def _recognizable(p_g: int, m: int, n: int) -> tuple[int, ...]:
-    top = max_multiple(p_g, m, n)
-    mn = m * n
-    keys = []
-    for a in range(p_g):
-        # parity via the bit test; the binomial itself is never evaluated
-        if not odd_binomial(p_g - 1, a):
-            continue
-        for b in range(m):
-            for c in range(n):
-                keys.append(top - 2 * (a * mn + b * n + c * m))
-    return tuple(sorted(keys))
+    blocks = _key_blocks(p_g, m, n, _submasks(p_g - 1), partial(odd_binomial, p_g - 1))
+    return tuple(chain.from_iterable(keys for keys, _ in blocks))
+
+
+def _odd_count(p_g: int, m: int, n: int) -> int:
+    """Size of the recognizable set, 2^popcount(p_g - 1) m n, without building it."""
+    _check_table_params(p_g, m, n)
+    return 2 ** (p_g - 1).bit_count() * m * n
 
 
 def recognizable_set(p_g: int, m: int, n: int) -> tuple[int, ...]:

@@ -3,8 +3,8 @@
 Every simply connected minimal elliptic surface E(p_g; m, n) with odd p_g
 leaves a fingerprint: the set of fiber multiples carrying odd SW values.
 ``recognize`` inverts that map using only integer arithmetic on the pattern;
-``recognize_oracle`` does the same by brute-force enumeration and is the
-cross-check used in the test suite.  ``distinguish`` applies the resulting
+``recognize_oracle`` does the same by enumeration of the triples whose odd
+count matches and is the cross-check used in the test suite.  ``distinguish`` applies the resulting
 classification to decide whether two small connected sums of elliptic
 surfaces are built from the same pieces; its regime is asked of the
 summand-count verdict in ``invariants``, not recoded here.
@@ -13,11 +13,13 @@ summand-count verdict in ``invariants``, not recoded here.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, Sequence
 
 from .blocks import BuildingBlock, EllipticSurface, profile, recognizable_set
+from .blocks import _odd_count, max_multiple
 from .errors import InvalidParameters, NotAnEllipticPattern
 from .invariants import connected_sum, nonvanishing_criteria
 from .stems import TriState
@@ -30,16 +32,21 @@ class Pattern:
     multiples: tuple[int, ...]
 
     def __post_init__(self):
-        items = tuple(sorted({int(x) for x in self.multiples}))
+        raw = self.multiples
+        if not set(map(type, raw)) <= {int}:
+            bad = next(x for x in raw if type(x) is not int)
+            raise InvalidParameters(f"pattern multiples must be integers, got {bad!r}")
+        items = tuple(sorted(set(raw)))
         if not items:
             raise InvalidParameters("a pattern needs at least one multiple")
         object.__setattr__(self, "multiples", items)
-        present = set(items)
-        for x in items:
-            if -x not in present:
-                raise InvalidParameters(
-                    f"pattern is not symmetric under negation: {x} present, {-x} absent"
-                )
+        # sorted and symmetric exactly when the i-th smallest negates the i-th largest
+        if any(map(operator.add, items, reversed(items))):
+            present = set(items)
+            x = next(x for x in items if -x not in present)
+            raise InvalidParameters(
+                f"pattern is not symmetric under negation: {x} present, {-x} absent"
+            )
 
     @classmethod
     def of(cls, values: Iterable[int]) -> "Pattern":
@@ -75,9 +82,10 @@ def recognize(pattern: Pattern) -> RecognitionResult:
     (the gap between the top classes moves one step along the finer fiber);
     the larger multiplicity n is the first lambda >= 1 with k - 2*lambda*m
     missing from the pattern, and p_g follows from the formula for the
-    largest multiple.  When h and k share a factor (necessarily both even),
-    the pattern belongs to the no-log-transform family m = n = 1 with
-    p_g = k + 1.  Either way the candidate is validated by regenerating its
+    largest multiple.  When h and k share a factor, the pattern can only
+    belong to the no-log-transform family m = n = 1 with p_g = k + 1.  Either
+    way the candidate is validated by comparing its odd count
+    2^popcount(p_g - 1) m n with the pattern's size, then its regenerated
     recognizable set; mismatches come back with validated=False rather than
     a guess.
     """
@@ -114,7 +122,7 @@ def recognize(pattern: Pattern) -> RecognitionResult:
             )
         return _validated_result(p_g, m, n, pattern)
 
-    # h and k share a factor: both are even, the m = n = 1 family
+    # h and k share a factor: the m = n = 1 family, or no surface at all
     return _validated_result(k + 1, 1, 1, pattern)
 
 
@@ -129,15 +137,18 @@ def _detect_larger_multiplicity(values: tuple[int, ...], k: int, m: int) -> int:
 
 def _validated_result(p_g: int, m: int, n: int, pattern: Pattern) -> RecognitionResult:
     try:
-        regenerated = recognizable_set(p_g, m, n)
+        count = _odd_count(p_g, m, n)
     except InvalidParameters as exc:
         raise NotAnEllipticPattern(str(exc)) from exc
     diagnostics: list[str] = []
-    validated = regenerated == pattern.multiples
+    validated = count == len(pattern.multiples) and (
+        recognizable_set(p_g, m, n) == pattern.multiples
+    )
     if not validated:
+        # the largest multiple always has value 1, so it is always odd
         diagnostics.append(
-            f"candidate ({p_g}, {m}, {n}) regenerates {len(regenerated)} multiples "
-            f"with largest {regenerated[-1]}, which differ from the input"
+            f"candidate ({p_g}, {m}, {n}) regenerates {count} multiples "
+            f"with largest {max_multiple(p_g, m, n)}, which differ from the input"
         )
     elif p_g % 2 == 0:
         diagnostics.append("even geometric genus: outside the proven regime")
@@ -148,7 +159,8 @@ def recognize_oracle(
     pattern: Pattern, bounds: tuple[int, int] | None = None
 ) -> tuple[tuple[int, int, int], ...]:
     """All odd-genus triples within bounds whose recognizable set equals the
-    pattern, by exhaustive enumeration.
+    pattern, by enumeration of the triples whose odd count matches: the
+    coprime divisor pairs m <= n of |P| / 2^popcount(p_g - 1) (Lucas).
 
     ``bounds`` is (p_g_max, n_max); the default derives both from the
     largest multiple, which is large enough to contain the generating
@@ -160,14 +172,18 @@ def recognize_oracle(
     p_g_max, n_max = bounds
     if p_g_max < 1 or n_max < 1:
         raise InvalidParameters("oracle bounds must be positive")
+    size = len(pattern.multiples)
     matches = []
     for p_g in range(1, p_g_max + 1, 2):
-        for m in range(1, n_max + 1):
-            for n in range(m, n_max + 1):
-                if gcd(m, n) != 1:
-                    continue
-                if recognizable_set(p_g, m, n) == pattern.multiples:
-                    matches.append((p_g, m, n))
+        mn, rest = divmod(size, _odd_count(p_g, 1, 1))
+        if rest:
+            continue
+        for m in range(1, min(isqrt(mn), n_max) + 1):
+            n, rest = divmod(mn, m)
+            if rest or n > n_max or gcd(m, n) != 1:
+                continue
+            if recognizable_set(p_g, m, n) == pattern.multiples:
+                matches.append((p_g, m, n))
     return tuple(matches)
 
 

@@ -1,6 +1,7 @@
 """Basic-class tables, SW parities and the block catalogue."""
 
 import math
+import time
 import warnings
 
 import pytest
@@ -100,6 +101,14 @@ def test_listings_match_a_dict_and_sort_enumeration():
         odd = recognizable_set(p_g, m, n)
         assert odd == tuple(k for k, v in expected if v % 2)
         assert len(odd) == 2 ** bin(p_g - 1).count("1") * m * n
+
+
+def test_recognizable_set_walks_only_the_odd_rows():
+    # row 2**80 has two odd entries: the set is (-2**80, 2**80), built at once
+    start = time.perf_counter()
+    assert recognizable_set(2**80 + 1, 1, 1) == (-(2**80), 2**80)
+    assert recognizable_set(2**80 + 1, 2, 3)[-1] == max_multiple(2**80 + 1, 2, 3)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_table_structure_on_grid():
@@ -257,6 +266,12 @@ def test_elliptic_orders_multiplicities():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert EllipticSurface(1, 3, 2) == EllipticSurface(1, 2, 3)
+
+
+@pytest.mark.parametrize("labels", [(2.5,), (2.5, True), (True,)])
+def test_kaehler_rejects_non_integer_labels(labels):
+    with pytest.raises(InvalidParameters, match="odd_basic entry must be an integer"):
+        KaehlerGeneric(3, labels)
 
 
 def test_kaehler_odd_basic_normalized():

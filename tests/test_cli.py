@@ -10,12 +10,13 @@ import pytest
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
-def run_cli(*args, expect=0):
+def run_cli(*args, expect=0, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "swstem", *args],
         capture_output=True,
         text=True,
         encoding="utf-8",
+        timeout=timeout,
     )
     assert proc.returncode == expect, (proc.stdout, proc.stderr)
     return proc
@@ -58,6 +59,13 @@ def test_recognize_with_separate_value_token():
 def test_recognize_with_equals_form():
     out = run_cli("recognize", "--classes=-2,2").stdout
     assert out == "p_g=3 m=1 n=1 (validated)\n"
+
+
+def test_recognize_rejects_a_huge_pair_by_its_count():
+    # the candidate (10**23 + 2, 1, 1) is refused without building its set
+    k = 10**23 + 1
+    out = run_cli("recognize", f"--classes=-{k},{k}", timeout=10).stdout
+    assert f"p_g={k + 1} m=1 n=1 (unvalidated)\n" in out
 
 
 def test_recognize_oracle_bounds():

@@ -1,6 +1,7 @@
 """Pattern recognition, the brute-force oracle and sum distinction."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -42,6 +43,17 @@ def test_pattern_rejects_asymmetry_and_emptiness():
         Pattern.of([])
 
 
+def test_pattern_asymmetry_names_the_smallest_unmatched_multiple():
+    with pytest.raises(InvalidParameters, match="-5 present, 5 absent"):
+        Pattern.of([-5, -3, 1, 3])
+
+
+@pytest.mark.parametrize("values", [[2.5, -2.5], [True, -1], [0, 1.0, -1]])
+def test_pattern_rejects_non_integers(values):
+    with pytest.raises(InvalidParameters, match="must be integers"):
+        Pattern.of(values)
+
+
 def test_recognize_k3():
     result = recognize(Pattern.of([0]))
     assert result.triple == (1, 1, 1)
@@ -73,6 +85,27 @@ def test_recognize_unvalidated_candidate():
     assert result.diagnostics
 
 
+def test_recognize_refuses_a_huge_pair_by_its_count():
+    # {-K, K} with odd K leads to (K + 1, 1, 1); its odd count is not 2
+    k = 10**23 + 1
+    result = recognize(Pattern.of([-k, k]))
+    assert result.triple == (k + 1, 1, 1)
+    assert not result.validated
+    count = 2 ** bin(k).count("1")
+    assert result.diagnostics == (
+        f"candidate ({k + 1}, 1, 1) regenerates {count} multiples "
+        f"with largest {k}, which differ from the input",
+    )
+
+
+def test_recognize_validates_a_huge_pair_with_two_odd_rows():
+    # row 2**80 of Pascal's triangle has two odd entries, at 0 and 2**80
+    result = recognize(Pattern.of([-(2**80), 2**80]))
+    assert result.triple == (2**80 + 1, 1, 1)
+    assert result.validated
+    assert result.diagnostics == ()
+
+
 def test_round_trip_on_grid():
     for p_g, m, n in odd_coprime_grid():
         pattern = Pattern.of(recognizable_set(p_g, m, n))
@@ -98,6 +131,34 @@ def test_oracle_agrees_on_grid():
 def test_oracle_default_bounds_contain_the_generator():
     assert recognize_oracle(Pattern.of([-2, 2])) == ((3, 1, 1),)
     assert recognize_oracle(Pattern.of([0])) == ((1, 1, 1),)
+
+
+def test_oracle_matches_a_plain_enumeration():
+    # the oracle against every odd-genus coprime triple within (11, 7), on
+    # every odd set with p_g <= 11, m <= n <= 7 and each with one pair removed
+    grid = [
+        (p_g, m, n)
+        for p_g in range(1, 12)
+        for m in range(1, 8)
+        for n in range(m, 8)
+        if math.gcd(m, n) == 1
+    ]
+    odd_sets = {triple: recognizable_set(*triple) for triple in grid}
+    candidates = [(t, odd) for t, odd in odd_sets.items() if t[0] % 2]
+    patterns = set(odd_sets.values())
+    for odd in odd_sets.values():
+        patterns.update(tuple(y for y in odd if abs(y) != x) for x in odd if x >= 0)
+    patterns.discard(())
+    for multiples in patterns:
+        expected = tuple(t for t, odd in candidates if odd == multiples)
+        assert recognize_oracle(Pattern(multiples), (11, 7)) == expected
+
+
+def test_oracle_default_bounds_on_a_large_pattern():
+    # default bounds (1136, 1137): the count gate leaves a few divisor pairs
+    start = time.perf_counter()
+    assert recognize_oracle(Pattern.of(recognizable_set(15, 8, 9))) == ((15, 8, 9),)
+    assert time.perf_counter() - start < 2
 
 
 def test_oracle_empty_for_non_elliptic_pattern():
