@@ -4,10 +4,10 @@ Every simply connected minimal elliptic surface E(p_g; m, n) with odd p_g
 leaves a fingerprint: the set of fiber multiples carrying odd SW values.
 ``recognize`` inverts that map using only integer arithmetic on the pattern;
 ``recognize_oracle`` does the same by enumeration of the triples whose odd
-count matches and is the cross-check used in the test suite.  ``distinguish`` applies the resulting
-classification to decide whether two small connected sums of elliptic
-surfaces are built from the same pieces; its regime is asked of the
-summand-count verdict in ``invariants``, not recoded here.
+count matches and is the cross-check used in the test suite.  ``distinguish``
+applies the resulting classification to decide whether two small connected
+sums of elliptic surfaces are built from the same pieces; its regime is
+asked of the summand-count verdict in ``invariants``, not recoded here.
 """
 
 from __future__ import annotations
@@ -160,7 +160,8 @@ def recognize_oracle(
 ) -> tuple[tuple[int, int, int], ...]:
     """All odd-genus triples within bounds whose recognizable set equals the
     pattern, by enumeration of the triples whose odd count matches: the
-    coprime divisor pairs m <= n of |P| / 2^popcount(p_g - 1) (Lucas).
+    coprime divisor pairs m <= n of |P| / 2^popcount(p_g - 1) (Lucas) whose
+    largest multiple is the pattern's.
 
     ``bounds`` is (p_g_max, n_max); the default derives both from the
     largest multiple, which is large enough to contain the generating
@@ -172,15 +173,14 @@ def recognize_oracle(
     p_g_max, n_max = bounds
     if p_g_max < 1 or n_max < 1:
         raise InvalidParameters("oracle bounds must be positive")
-    size = len(pattern.multiples)
-    matches = []
+    top, matches = pattern.multiples[-1], []
     for p_g in range(1, p_g_max + 1, 2):
-        mn, rest = divmod(size, _odd_count(p_g, 1, 1))
+        mn, rest = divmod(len(pattern.multiples), _odd_count(p_g, 1, 1))
         if rest:
             continue
         for m in range(1, min(isqrt(mn), n_max) + 1):
             n, rest = divmod(mn, m)
-            if rest or n > n_max or gcd(m, n) != 1:
+            if rest or n > n_max or gcd(m, n) != 1 or max_multiple(p_g, m, n) != top:
                 continue
             if recognizable_set(p_g, m, n) == pattern.multiples:
                 matches.append((p_g, m, n))

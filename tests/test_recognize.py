@@ -1,4 +1,4 @@
-"""Pattern recognition, the brute-force oracle and sum distinction."""
+"""Pattern recognition, the enumeration oracle and sum distinction."""
 
 import math
 import time
@@ -11,6 +11,7 @@ from swstem.blocks import (
     EllipticSurface,
     HomotopySphereLike,
     SymplecticGeneric,
+    _recognizable,
     recognizable_set,
 )
 from swstem.errors import InvalidParameters, NotAnEllipticPattern
@@ -155,10 +156,15 @@ def test_oracle_matches_a_plain_enumeration():
 
 
 def test_oracle_default_bounds_on_a_large_pattern():
-    # default bounds (1136, 1137): the count gate leaves a few divisor pairs
+    # default bounds (1136, 1137): only the generator passes the odd-count
+    # and largest-multiple gates, so the oracle builds no other set
+    pattern = Pattern.of(recognizable_set(15, 8, 9))
+    before = _recognizable.cache_info()
     start = time.perf_counter()
-    assert recognize_oracle(Pattern.of(recognizable_set(15, 8, 9))) == ((15, 8, 9),)
+    assert recognize_oracle(pattern) == ((15, 8, 9),)
     assert time.perf_counter() - start < 2
+    after = _recognizable.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses + 1
 
 
 def test_oracle_empty_for_non_elliptic_pattern():
