@@ -410,10 +410,10 @@ def _key_blocks(p_g: int, m: int, n: int, rows, value):
     """The listing in ascending key order, as (keys, values) runs, one per block.
 
     For coprime m, n each residue t mod mn has exactly one s = b*n + c*m
-    (b < m, c < n), and s is t or t + mn (CRT; h[t] = 0 or 1).  So
-    r = a*mn + s sits in block j = a + h[t] at position t, and the key
-    top - 2r ascends as (j, t) descends.  ``rows`` are the wanted a,
-    descending; ``value(a)`` is row a's value, falsy for a row left out.
+    (b < m, c < n), and s is t or t + mn (CRT; h[t] = 0 or 1).  So r = a*mn + s
+    sits in block j = a + h[t] at position t, and the key top - 2r ascends as
+    (j, t) descends.  ``rows`` are the wanted a, descending; ``value(a)``,
+    asked for 0 <= a <= p_g only, is row a's value, falsy for a row left out.
     """
     mn = m * n
     h = bytearray(mn)
