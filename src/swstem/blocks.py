@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, compress, repeat, starmap
 from math import comb, gcd
 from typing import Union
 
+from ._record import record
 from .errors import InvalidParameters, UncataloguedBlock, UnknownSW
 from .lattice import TopProfile
 
@@ -49,13 +49,13 @@ class Parity(enum.Enum):
 
 
 def _integer(raw, message: str) -> int:
-    # bool is an int subclass; reject it explicitly
-    if not isinstance(raw, int) or isinstance(raw, bool):
+    # exactly int: floats, and bools (an int subclass), are rejected
+    if type(raw) is not int:
         raise InvalidParameters(message)
     return raw
 
 
-def _json_int(raw, what: str) -> int:
+def _int_field(raw, what: str) -> int:
     return _integer(raw, f"{what} must be an integer, got {raw!r}")
 
 
@@ -65,7 +65,7 @@ class _Block:
 
     ``class_key=None`` selects the block's distinguished class.  ``tag`` is
     the JSON ``"type"``, ``fields`` the other JSON keys (by default the
-    integer dataclass fields), ``required`` those that must be present;
+    integer record fields), ``required`` those that must be present;
     ``from_json`` returns the block and the characteristic coordinates of
     its spin-c structure (None for the default), and ``to_json`` takes
     those coordinates back.
@@ -95,13 +95,14 @@ class _Block:
 
     @classmethod
     def from_json(cls, raw: dict):
-        return cls(*(_json_int(raw[key], key) for key in cls.fields)), None
+        # the constructors reject a field that is not an integer
+        return cls(*(raw[key] for key in cls.fields)), None
 
     def to_json(self, coords) -> dict:
         return {"type": self.tag, **{key: getattr(self, key) for key in self.fields}}
 
 
-@dataclass(frozen=True)
+@record
 class EllipticSurface(_Block):
     """Simply connected minimal elliptic surface E(p_g; m, n).
 
@@ -122,6 +123,9 @@ class EllipticSurface(_Block):
     almost_complex = True
 
     def __post_init__(self):
+        if not type(self.p_g) is type(self.m) is type(self.n) is int:
+            for name in self.fields:
+                _int_field(getattr(self, name), name)
         if self.p_g < 0:
             raise InvalidParameters(f"p_g must be >= 0, got {self.p_g}")
         if self.m < 1 or self.n < 1:
@@ -192,7 +196,7 @@ class _K3Shorthand(_Block):
         return K3, None
 
 
-@dataclass(frozen=True)
+@record
 class SymplecticGeneric(_Block):
     """Symplectic block with b1 = 0; only the canonical class, which is also
     the distinguished class, carries declared SW data: SW = 1 (sign
@@ -205,6 +209,7 @@ class SymplecticGeneric(_Block):
     almost_complex = True
 
     def __post_init__(self):
+        _int_field(self.b_plus, "b_plus")
         if self.b_plus < 1 or self.b_plus % 2 == 0:
             raise InvalidParameters(
                 f"b_plus of a symplectic block must be odd and positive, got {self.b_plus}"
@@ -225,7 +230,7 @@ class SymplecticGeneric(_Block):
         )
 
 
-@dataclass(frozen=True)
+@record
 class KaehlerGeneric(_Block):
     """Kaehler block with b1 = 0 and a complete declaration of its odd-SW
     classes, labelled by their c^2 values.  SW values are known as parities
@@ -241,11 +246,12 @@ class KaehlerGeneric(_Block):
     almost_complex = True
 
     def __post_init__(self):
+        _int_field(self.b_plus, "b_plus")
         if self.b_plus < 1 or self.b_plus % 2 == 0:
             raise InvalidParameters(
                 f"b_plus of a Kaehler block must be odd and positive, got {self.b_plus}"
             )
-        labels = tuple(sorted({_json_int(x, "odd_basic entry") for x in self.odd_basic}))
+        labels = tuple(sorted({_int_field(x, "odd_basic entry") for x in self.odd_basic}))
         object.__setattr__(self, "odd_basic", labels)
 
     @property
@@ -271,11 +277,11 @@ class KaehlerGeneric(_Block):
         labels = raw.get("odd_basic", [])
         if not isinstance(labels, list):
             raise InvalidParameters("odd_basic must be a list")
-        odd_basic = tuple(_json_int(x, "odd_basic entry") for x in labels)
-        return cls(_json_int(raw["b_plus"], "b_plus"), odd_basic), None
+        odd_basic = tuple(_int_field(x, "odd_basic entry") for x in labels)
+        return cls(raw["b_plus"], odd_basic), None
 
 
-@dataclass(frozen=True)
+@record
 class NegativeDefinite(_Block):
     """Negative definite diagonal block of the given rank, b1 = 0.  It takes
     spin-c data (the ``c`` coordinates) instead of a class key."""
@@ -287,6 +293,7 @@ class NegativeDefinite(_Block):
     required = ("rank",)
 
     def __post_init__(self):
+        _int_field(self.rank, "rank")
         if self.rank < 0:
             raise InvalidParameters(f"rank must be >= 0, got {self.rank}")
 
@@ -299,13 +306,13 @@ class NegativeDefinite(_Block):
 
     @classmethod
     def from_json(cls, raw: dict):
-        block = cls(_json_int(raw["rank"], "rank"))
+        block = cls(raw["rank"])
         if "c" not in raw:
             return block, None
         coords = raw["c"]
         if not isinstance(coords, list):
             raise InvalidParameters("c must be a list of integers")
-        return block, tuple(_json_int(x, "coordinate") for x in coords)
+        return block, tuple(_int_field(x, "coordinate") for x in coords)
 
     def to_json(self, coords) -> dict:
         out: dict = {"type": self.tag, "rank": self.rank}
@@ -314,7 +321,7 @@ class NegativeDefinite(_Block):
         return out
 
 
-@dataclass(frozen=True)
+@record
 class HomotopySphereLike(_Block):
     """A block with b1 = b2 = 0; contributes the identity to every sum."""
 
@@ -444,7 +451,7 @@ def _table_entries(p_g: int, m: int, n: int) -> tuple[tuple[int, int], ...]:
     return tuple(chain.from_iterable(starmap(zip, blocks)))
 
 
-@dataclass(frozen=True)
+@record
 class BasicClassTable:
     """|SW| values on the line of fiber multiples, keyed by the multiple."""
 

@@ -26,9 +26,9 @@ engine answer carries a human-readable trace of the rules applied.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Sequence
 
+from ._record import record
 from .blocks import BuildingBlock, NegativeDefinite, Parity, profile
 from .errors import (
     InvalidParameters,
@@ -40,7 +40,7 @@ from .lattice import SpinC, dirac_index
 from .stems import StemElement, StemKind, TriState, hopf_power, smash_all, unknown, zero
 
 
-@dataclass(frozen=True)
+@record
 class Summand:
     """A building block together with its per-summand spin-c choice.
 
@@ -82,7 +82,7 @@ class Summand:
             )
 
 
-@dataclass(frozen=True)
+@record
 class ConnectedSum:
     """A nonempty formal connected sum of summands."""
 
@@ -106,7 +106,7 @@ def connected_sum(*parts) -> ConnectedSum:
     return ConnectedSum(tuple(out))
 
 
-@dataclass(frozen=True)
+@record(uncompared=("trace",))
 class InvariantClass:
     """The invariant of a connected sum, with its bookkeeping.
 
@@ -123,7 +123,7 @@ class InvariantClass:
     nonequiv_class: StemElement
     equivariant_nonzero: TriState
     gamma_power: int
-    trace: tuple[str, ...] = field(compare=False, default=())
+    trace: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.stem_degree != 2 * self.total_d - self.total_b_plus:
@@ -132,13 +132,13 @@ class InvariantClass:
             raise InvalidParameters("gamma_power must be >= 0")
 
 
-@dataclass(frozen=True)
+@record
 class CriteriaResult:
     verdict: TriState
     trace: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class BlowupResult:
     invariant: InvariantClass
     sw_preserved: TriState
@@ -150,7 +150,7 @@ class SplitKind(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
+@record
 class SplitQuery:
     """Congruence constraint b+(X1) = residue (mod modulus) on a hypothetical
     splitting X = X1 # X2.  b1 of both parts is zero automatically, since the
@@ -160,6 +160,9 @@ class SplitQuery:
     residue: int
 
     def __post_init__(self):
+        for value in (self.modulus, self.residue):
+            if type(value) is not int:
+                raise InvalidParameters(f"split queries take integers, got {value!r}")
         if self.modulus not in (2, 4):
             raise InvalidParameters(f"modulus must be 2 or 4, got {self.modulus}")
         if not 0 <= self.residue < self.modulus:
@@ -168,7 +171,7 @@ class SplitQuery:
             )
 
 
-@dataclass(frozen=True)
+@record
 class SplitVerdict:
     kind: SplitKind
     trace: tuple[str, ...]
@@ -178,7 +181,7 @@ class SplitVerdict:
             raise InvalidParameters("split verdicts must carry a reasoning trace")
 
 
-@dataclass(frozen=True)
+@record
 class _AcData:
     """Digested per-summand data for an almost complex summand."""
 

@@ -13,12 +13,11 @@ A stably almost complex structure is almost complex exactly when k = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .errors import IndexNotIntegral, InvalidParameters
 
 
-@dataclass(frozen=True)
+@record
 class TopProfile:
     """Betti-number profile (b1, b+, b-) of a closed oriented 4-manifold.
 
@@ -43,7 +42,7 @@ class TopProfile:
         return self.b_plus - self.b_minus
 
 
-@dataclass(frozen=True)
+@record
 class SpinC:
     """First-Chern-class data of a spin-c structure, reduced to c^2.
 
@@ -57,16 +56,12 @@ class SpinC:
     c_coords: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if type(self.c_square) is not int:
+            raise InvalidParameters(f"c_square must be an integer, got {self.c_square!r}")
         if self.c_coords is None:
             return
-        coords = tuple(int(x) for x in self.c_coords)
+        coords = _odd_coordinates(self.c_coords)
         object.__setattr__(self, "c_coords", coords)
-        for x in coords:
-            if x % 2 == 0:
-                raise InvalidParameters(
-                    f"coordinate {x} is even; characteristic vectors on a diagonal "
-                    "negative definite form have odd coordinates"
-                )
         if self.c_square != -sum(x * x for x in coords):
             raise InvalidParameters(
                 f"c_square = {self.c_square} does not match -sum of squared "
@@ -75,8 +70,22 @@ class SpinC:
 
     @classmethod
     def from_coords(cls, coords) -> "SpinC":
-        coords = tuple(int(x) for x in coords)
+        coords = _odd_coordinates(coords)
         return cls(c_square=-sum(x * x for x in coords), c_coords=coords)
+
+
+def _odd_coordinates(raw) -> tuple[int, ...]:
+    """The coordinates as a tuple, checked to be odd integers (not bools)."""
+    coords = tuple(raw)
+    for x in coords:
+        if type(x) is not int:
+            raise InvalidParameters(f"coordinate must be an integer, got {x!r}")
+        if x % 2 == 0:
+            raise InvalidParameters(
+                f"coordinate {x} is even; characteristic vectors on a diagonal "
+                "negative definite form have odd coordinates"
+            )
+    return coords
 
 
 def dirac_index(c_square: int, signature: int) -> int:

@@ -27,8 +27,8 @@ with the offending summand's index.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
+from ._record import record
 from .blocks import JSON_KINDS
 from .errors import (
     InvalidParameters,
@@ -41,7 +41,7 @@ from .lattice import SpinC
 _TOP_KEYS = {"summands", "name", "notes"}
 
 
-@dataclass(frozen=True)
+@record
 class ManifoldDoc:
     """A parsed manifold description."""
 

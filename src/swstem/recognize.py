@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Iterable, Sequence
 
+from ._record import record
 from .blocks import BuildingBlock, EllipticSurface, profile, recognizable_set
 from .blocks import _odd_count, max_multiple
 from .errors import InvalidParameters, NotAnEllipticPattern
@@ -25,7 +25,7 @@ from .invariants import connected_sum, nonvanishing_criteria
 from .stems import TriState
 
 
-@dataclass(frozen=True)
+@record
 class Pattern:
     """A nonempty, negation-symmetric set of multiples, sorted ascending."""
 
@@ -53,7 +53,7 @@ class Pattern:
         return cls(tuple(values))
 
 
-@dataclass(frozen=True)
+@record
 class RecognitionResult:
     """A candidate triple plus the outcome of regenerating its pattern.
 
@@ -159,9 +159,15 @@ def recognize_oracle(
     pattern: Pattern, bounds: tuple[int, int] | None = None
 ) -> tuple[tuple[int, int, int], ...]:
     """All odd-genus triples within bounds whose recognizable set equals the
-    pattern, by enumeration of the triples whose odd count matches: the
-    coprime divisor pairs m <= n of |P| / 2^popcount(p_g - 1) (Lucas) whose
-    largest multiple is the pattern's.
+    pattern, sorted, by enumeration of the triples whose odd count matches.
+
+    The odd count is 2^j m n with j = popcount(p_g - 1) (Lucas), so j runs
+    over 0..v2(|P|) and (m, n) over the coprime divisor pairs m <= n of
+    |P| / 2^j.  Each pair fixes p_g through the largest multiple, the
+    pattern's top = (p_g - 1) mn + (m - 1) n + (n - 1) m; a candidate counts
+    when p_g is odd, within bounds and has popcount(p_g - 1) = j, and its
+    recognizable set is the pattern.  That is at most
+    (v2(|P|) + 1) * isqrt(|P|) steps, whatever the bounds.
 
     ``bounds`` is (p_g_max, n_max); the default derives both from the
     largest multiple, which is large enough to contain the generating
@@ -173,18 +179,20 @@ def recognize_oracle(
     p_g_max, n_max = bounds
     if p_g_max < 1 or n_max < 1:
         raise InvalidParameters("oracle bounds must be positive")
-    top, matches = pattern.multiples[-1], []
-    for p_g in range(1, p_g_max + 1, 2):
-        mn, rest = divmod(len(pattern.multiples), _odd_count(p_g, 1, 1))
-        if rest:
-            continue
+    size, top, matches = len(pattern.multiples), pattern.multiples[-1], []
+    for j in range((size & -size).bit_length()):
+        mn = size >> j
         for m in range(1, min(isqrt(mn), n_max) + 1):
             n, rest = divmod(mn, m)
-            if rest or n > n_max or gcd(m, n) != 1 or max_multiple(p_g, m, n) != top:
+            if rest or n > n_max or gcd(m, n) != 1:
+                continue
+            q, rest = divmod(top - (m - 1) * n - (n - 1) * m, mn)
+            p_g = q + 1
+            if rest or p_g % 2 == 0 or not 1 <= p_g <= p_g_max or q.bit_count() != j:
                 continue
             if recognizable_set(p_g, m, n) == pattern.multiples:
                 matches.append((p_g, m, n))
-    return tuple(matches)
+    return tuple(sorted(matches))
 
 
 class DistinctionVerdict(enum.Enum):

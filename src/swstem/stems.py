@@ -13,8 +13,8 @@ non-unknown fragment and an unknown operand makes the product unknown.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import InvalidParameters
 
 _SUPERSCRIPTS = {1: "η", 2: "η²", 3: "η³"}
@@ -42,7 +42,7 @@ class StemKind(enum.Enum):
 _INTEGER, _HOPF, _ZERO, _UNKNOWN = StemKind
 
 
-@dataclass(frozen=True)
+@record
 class StemElement:
     """An element of a truncated stable stem.
 

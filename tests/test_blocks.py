@@ -268,6 +268,30 @@ def test_elliptic_orders_multiplicities():
         assert EllipticSurface(1, 3, 2) == EllipticSurface(1, 2, 3)
 
 
+@pytest.mark.parametrize("args", [(1.5, 1, 1), (True, 1, 1), (1, 1.0, 1), (1, 1, 2.0)])
+def test_elliptic_surface_rejects_non_integers(args):
+    with pytest.raises(InvalidParameters, match="must be an integer"):
+        EllipticSurface(*args)
+
+
+@pytest.mark.parametrize("b_plus", [3.0, True, "3"])
+def test_symplectic_rejects_non_integer_b_plus(b_plus):
+    with pytest.raises(InvalidParameters, match="b_plus must be an integer"):
+        SymplecticGeneric(b_plus)
+
+
+@pytest.mark.parametrize("b_plus", [3.0, True])
+def test_kaehler_rejects_non_integer_b_plus(b_plus):
+    with pytest.raises(InvalidParameters, match="b_plus must be an integer"):
+        KaehlerGeneric(b_plus, (0,))
+
+
+@pytest.mark.parametrize("rank", [1.0, True])
+def test_negative_definite_rejects_non_integer_rank(rank):
+    with pytest.raises(InvalidParameters, match="rank must be an integer"):
+        NegativeDefinite(rank)
+
+
 @pytest.mark.parametrize("labels", [(2.5,), (2.5, True), (True,)])
 def test_kaehler_rejects_non_integer_labels(labels):
     with pytest.raises(InvalidParameters, match="odd_basic entry must be an integer"):

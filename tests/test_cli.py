@@ -223,6 +223,34 @@ def test_invariant_json_fields():
     assert with_trace["trace"]
 
 
+def test_oracle_with_huge_bounds_returns_at_once():
+    huge = "100000000000000000000001"
+    proc = run_cli(
+        "recognize", f"--classes=-{huge},{huge}", "--bounds", "100000000000000000000002,5",
+        timeout=5,
+    )
+    assert proc.stdout.startswith("no match within bounds")
+
+
+def test_import_loads_no_dataclasses_and_every_library_module():
+    # the frozen records are built without dataclasses, whose import chain
+    # (inspect, ast, dis, tokenize) cost about a third of every call's start
+    listing = "import sys; print(' '.join(sys.modules))"
+    bare = subprocess.run(
+        [sys.executable, "-c", listing], capture_output=True, text=True, check=True
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import swstem.cli; " + listing],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    added = set(loaded.stdout.split()) - set(bare.stdout.split())
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    library = ("blocks", "cli", "invariants", "lattice", "manifold_io", "recognize", "stems")
+    assert {f"swstem.{name}" for name in library} <= added
+
+
 def test_usage_errors_exit_two():
     run_cli("bogus", expect=2)
     run_cli("basic-classes", "--pg", "1", expect=2)  # missing --m/--n

@@ -280,6 +280,12 @@ def test_split_query_validation():
         SplitQuery(2, -1)
 
 
+@pytest.mark.parametrize("args", [(4.0, 1), (4, 1.0), (True, 1), (4, True)])
+def test_split_query_rejects_non_integers(args):
+    with pytest.raises(InvalidParameters, match="split queries take integers"):
+        SplitQuery(*args)
+
+
 def test_split_needs_a_hopf_square_or_cube():
     with pytest.raises(PreconditionNotMet):
         split_verdict(connected_sum(K3), SplitQuery(4, 1))

@@ -71,6 +71,24 @@ def test_spin_c_rejects_square_coordinate_mismatch():
         SpinC(-5, (1, 3))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SpinC(2.0),
+        lambda: SpinC(True),
+        lambda: SpinC(-1.0, (1,)),
+        lambda: SpinC(-1, (1.0,)),
+        lambda: SpinC(-1, (True,)),
+        lambda: SpinC.from_coords((3.0,)),
+        lambda: SpinC.from_coords(("3",)),
+    ],
+    ids=["float", "bool", "float-square", "float-coord", "bool-coord", "from-float", "from-str"],
+)
+def test_spin_c_rejects_non_integers(build):
+    with pytest.raises(InvalidParameters, match="must be an integer"):
+        build()
+
+
 odd_ints = st.integers(-15, 15).map(lambda v: 2 * v + 1)
 
 

@@ -1,6 +1,8 @@
 """Pattern recognition, the enumeration oracle and sum distinction."""
 
 import math
+import subprocess
+import sys
 import time
 
 import pytest
@@ -165,6 +167,20 @@ def test_oracle_default_bounds_on_a_large_pattern():
     assert time.perf_counter() - start < 2
     after = _recognizable.cache_info()
     assert after.hits + after.misses == before.hits + before.misses + 1
+
+
+def test_oracle_work_does_not_grow_with_the_top_multiple():
+    # the default bounds reach p_g = 10^23 + 2; only the divisor pairs of
+    # |P| = 2 are tried, so the call returns at once
+    code = (
+        "from swstem.recognize import Pattern, recognize_oracle; "
+        "print(recognize_oracle(Pattern.of([-(10**23 + 1), 10**23 + 1])))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=5
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "()\n"
 
 
 def test_oracle_empty_for_non_elliptic_pattern():
