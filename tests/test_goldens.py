@@ -64,6 +64,9 @@ FLAG_CASES = {
     "distinguish-same": ("distinguish", sample("k3"), sample("k3")),
     "distinguish-different": ("distinguish", sample("k3"), sample("e311_k3")),
     "distinguish-out": ("distinguish", sample("k3"), sample("symplectic_pair")),
+    # d = -1 blowups: past the dimension bound on K3, within it on four K3s
+    "blowup-k3-c3": ("blowup", sample("k3"), "--rank", "1", "--c", "3", "--trace"),
+    "blowup-k3x4-c3": ("blowup", sample("k3x4"), "--rank", "1", "--c", "3", "--trace"),
     # domain errors: one error line on stderr, exit 1
     "error-basic-classes": ("basic-classes", "--pg", "0", "--m", "1", "--n", "1"),
     "error-recognizable": ("recognizable", "--pg", "1", "--m", "2", "--n", "4"),
