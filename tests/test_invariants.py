@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from swstem.blocks import (
     CANONICAL,
@@ -363,3 +363,36 @@ def test_invariant_bookkeeping_properties(parts):
         assert inv.nonequiv_class.degree == inv.stem_degree
     # permutation invariance on the reversed order
     assert invariant(connected_sum(*reversed(parts))) == inv
+
+
+odd_coordinate = st.integers(-4, 3).map(lambda x: 2 * x + 1)
+summand_strategy = st.one_of(
+    block_strategy,
+    st.sampled_from(
+        [Summand(E3, class_key=0), Summand(E3, class_key=4), Summand(K3, class_key=0)]
+    ),
+)
+
+
+@st.composite
+def negative_definite_choice(draw):
+    rank = draw(st.integers(0, 3))
+    coords = draw(st.none() | st.lists(odd_coordinate, min_size=rank, max_size=rank))
+    return NegativeDefinite(rank), None if coords is None else SpinC.from_coords(coords)
+
+
+@given(st.lists(summand_strategy, min_size=1, max_size=5), negative_definite_choice())
+def test_blowup_agrees_with_summing_the_block(parts, choice):
+    block, spin_c = choice
+    blown = blowup(invariant(connected_sum(*parts)), block, spin_c).invariant
+    assert blown == invariant(connected_sum(*parts, Summand(block, spin_c)))
+
+
+@given(st.lists(summand_strategy, min_size=1, max_size=6))
+def test_criteria_agree_with_invariant_off_one_summand(parts):
+    csum = connected_sum(*parts)
+    blocks = [s.block for s in csum.summands]
+    assume(not any(isinstance(b, NegativeDefinite) for b in blocks))
+    assume(sum(b.almost_complex for b in blocks) != 1)
+    verdict = nonvanishing_criteria(csum).verdict
+    assert verdict is invariant(csum).equivariant_nonzero
