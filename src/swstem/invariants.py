@@ -19,6 +19,15 @@ additionally be congruent 4 mod 8; five or more summands always vanish.
 Sums with no almost complex part restrict with degree one to the fixed locus
 and can never vanish equivariantly.
 
+One pass over the summands drops the neutral blocks, keeps the negative
+definite ones and reads each almost complex block's SW value once, as
+(label, b+, parity, exact SW or None).  ``invariant`` and
+``nonvanishing_criteria`` run the same summand-count rules on that digest.
+They differ in one branch: on a lone almost complex summand ``invariant``
+answers from the SW value itself (the invariant is SW times a generator),
+while ``nonvanishing_criteria`` keeps the summand-count verdict.  ``blowup``
+applies one negative definite summand to a class already computed.
+
 Verdicts outside the covered regime are UNKNOWN, never guesses; every
 engine answer carries a human-readable trace of the rules applied.
 """
@@ -26,7 +35,6 @@ engine answer carries a human-readable trace of the rules applied.
 from __future__ import annotations
 
 import enum
-from typing import Sequence
 
 from ._record import record
 from .blocks import BuildingBlock, NegativeDefinite, Parity, profile
@@ -181,20 +189,9 @@ class SplitVerdict:
             raise InvalidParameters("split verdicts must carry a reasoning trace")
 
 
-@record
-class _AcData:
-    """Digested per-summand data for an almost complex summand."""
-
-    label: str
-    b_plus: int
-    d: int
-    parity: Parity | None
-    sw: int | None  # exact integer where declared
-
-
-def _negdef_index(s: Summand) -> int:
-    block = s.block
-    spin_c = s.spin_c or SpinC.from_coords((1,) * block.rank)
+def _negdef_index(block: NegativeDefinite, spin_c: SpinC | None) -> int:
+    if spin_c is None:
+        return 0  # the unit vector: c^2 = -rank is the signature
     d = dirac_index(spin_c.c_square, -block.rank)
     if d > 0:
         raise PositiveIndexOnNegativeDefinite(
@@ -204,17 +201,28 @@ def _negdef_index(s: Summand) -> int:
     return d
 
 
-def _ac_data(s: Summand) -> _AcData:
-    block = s.block
-    b_plus = block.top_profile().b_plus
-    d = (b_plus + 1) // 2  # expected dimension zero pins 2d = b+ + 1
-    parity = block.sw_parity(s.class_key)
-    try:
-        sw = block.sw_value(s.class_key)
-    except UnknownSW:
-        sw = None
-    # a Parity (what Kaehler blocks declare) is not an exact integer
-    return _AcData(block.label, b_plus, d, parity, sw if isinstance(sw, int) else None)
+def _walk(csum: ConnectedSum, trace: list[str]) -> tuple[list[Summand], list[tuple]]:
+    """One pass over the summands: drop neutral (b1 = b2 = 0) blocks and
+    return the negative definite summands and, for each almost complex
+    summand, (label, b+, SW parity, exact SW or None)."""
+    negdef: list[Summand] = []
+    ac: list[tuple] = []
+    for s in csum.summands:
+        block = s.block
+        if block.almost_complex:  # b+ >= 1, so never neutral
+            try:
+                sw = block.sw_value(s.class_key)
+            except UnknownSW:
+                sw = parity = None
+            else:
+                # a Kaehler block declares a Parity, not an exact integer
+                parity, sw = (sw, None) if isinstance(sw, Parity) else (Parity(sw % 2), sw)
+            ac.append((block.label, block.top_profile().b_plus, parity, sw))
+        elif block.neutral:
+            trace.append(f"dropped {block.label} (neutral summand)")
+        else:
+            negdef.append(s)
+    return negdef, ac
 
 
 def _parity_word(parity: Parity | None) -> str:
@@ -222,77 +230,53 @@ def _parity_word(parity: Parity | None) -> str:
 
 
 def _hopf_contribution(b_plus: int, parity: Parity | None) -> StemElement:
-    if b_plus % 4 == 1:
+    if b_plus % 4 == 1 or parity is Parity.EVEN:
         return zero(1)
-    if parity is Parity.ODD:
-        return hopf_power(1)
-    if parity is Parity.EVEN:
-        return zero(1)
-    return unknown(1)
+    return hopf_power(1) if parity is Parity.ODD else unknown(1)
 
 
-def _criteria_core(ac: Sequence[_AcData]) -> CriteriaResult:
-    trace: list[str] = []
+def _criteria(ac: list[tuple], trace: list[str]) -> TriState:
+    """The summand-count verdict on the almost complex summands; its rule
+    lines go to ``trace``."""
     n = len(ac)
     if n == 0:
-        return CriteriaResult(
-            TriState.YES, ("no almost complex summands: the identity class remains",)
-        )
-    violated = []
-    undecided = []
-    for data in ac:
-        if data.b_plus % 4 == 1:
-            violated.append(data)
-            trace.append(f"{data.label}: b+ = {data.b_plus} = 1 (mod 4), condition fails")
-        elif data.parity is Parity.ODD:
-            trace.append(
-                f"{data.label}: b+ = {data.b_plus} = 3 (mod 4) and SW odd, condition holds"
-            )
-        elif data.parity is Parity.EVEN:
-            violated.append(data)
-            trace.append(f"{data.label}: SW parity even, condition fails")
+        trace.append("no almost complex summands: the identity class remains")
+        return TriState.YES
+    violated = undecided = False
+    for label, b_plus, parity, _ in ac:
+        if b_plus % 4 == 1:
+            violated = True
+            trace.append(f"{label}: b+ = {b_plus} = 1 (mod 4), condition fails")
+        elif parity is Parity.ODD:
+            trace.append(f"{label}: b+ = {b_plus} = 3 (mod 4) and SW odd, condition holds")
+        elif parity is Parity.EVEN:
+            violated = True
+            trace.append(f"{label}: SW parity even, condition fails")
         else:
-            undecided.append(data)
-            trace.append(f"{data.label}: SW parity undetermined")
+            undecided = True
+            trace.append(f"{label}: SW parity undetermined")
     if n >= 5:
         trace.append(f"{n} >= 5 almost complex summands: the class always vanishes")
-        return CriteriaResult(TriState.NO, tuple(trace))
+        return TriState.NO
     if violated:
         trace.append("a summand fails its condition, so the class vanishes")
-        return CriteriaResult(TriState.NO, tuple(trace))
+        return TriState.NO
     if undecided:
         trace.append("undecided parities are load-bearing, verdict unknown")
-        return CriteriaResult(TriState.UNKNOWN, tuple(trace))
+        return TriState.UNKNOWN
     if n <= 3:
         trace.append(f"all {n} summands satisfy the condition: nonzero")
-        return CriteriaResult(TriState.YES, tuple(trace))
-    total = sum(data.b_plus for data in ac)
+        return TriState.YES
+    total = sum(b_plus for _, b_plus, _, _ in ac)
     trace.append(
         "four-summand rule uses total b+ = 4 (mod 8); the index-divisibility "
         "reading (d divisible by 8) would demand b+ = 12 (mod 16) instead"
     )
     if total % 8 == 4:
         trace.append(f"total b+ = {total} = 4 (mod 8): nonzero")
-        return CriteriaResult(TriState.YES, tuple(trace))
+        return TriState.YES
     trace.append(f"total b+ = {total} is not 4 (mod 8): the class vanishes")
-    return CriteriaResult(TriState.NO, tuple(trace))
-
-
-def _split_summands(
-    csum: ConnectedSum, trace: list[str]
-) -> tuple[list[Summand], list[Summand]]:
-    """Partition into almost complex and negative definite summands, dropping
-    neutral (b1 = b2 = 0) blocks."""
-    ac: list[Summand] = []
-    negdef: list[Summand] = []
-    for s in csum.summands:
-        if s.block.neutral:
-            trace.append(f"dropped {s.block.label} (neutral summand)")
-        elif s.block.almost_complex:
-            ac.append(s)
-        else:
-            negdef.append(s)
-    return ac, negdef
+    return TriState.NO
 
 
 def invariant(csum: ConnectedSum) -> InvariantClass:
@@ -304,29 +288,27 @@ def invariant(csum: ConnectedSum) -> InvariantClass:
     negative (negative stems vanish).
     """
     trace: list[str] = []
-    ac_summands, negdef_summands = _split_summands(csum, trace)
+    negdef, ac = _walk(csum, trace)
 
     total_d = 0
     total_b_plus = 0
     gamma_power = 0
-    for s in negdef_summands:
-        d = _negdef_index(s)
+    for s in negdef:
+        d = _negdef_index(s.block, s.spin_c)
         total_d += d
-        gamma_power += -d
-        trace.append(
-            f"{s.block.label}: d = {d}, contributes {-d} gamma factor(s)"
-        )
+        gamma_power -= d
+        trace.append(f"{s.block.label}: d = {d}, contributes {-d} gamma factor(s)")
 
-    ac = [_ac_data(s) for s in ac_summands]
     contributions = []
-    for data in ac:
-        total_d += data.d
-        total_b_plus += data.b_plus
-        piece = _hopf_contribution(data.b_plus, data.parity)
+    for label, b_plus, parity, _ in ac:
+        d = (b_plus + 1) // 2  # expected dimension zero pins 2d = b+ + 1
+        total_d += d
+        total_b_plus += b_plus
+        piece = _hopf_contribution(b_plus, parity)
         contributions.append(piece)
         trace.append(
-            f"{data.label}: b+ = {data.b_plus}, d = {data.d}, "
-            f"SW parity {_parity_word(data.parity)}, contributes {piece}"
+            f"{label}: b+ = {b_plus}, d = {d}, "
+            f"SW parity {_parity_word(parity)}, contributes {piece}"
         )
 
     stem_degree = 2 * total_d - total_b_plus
@@ -354,32 +336,26 @@ def invariant(csum: ConnectedSum) -> InvariantClass:
             "so the equivariant class is nonzero"
         )
     else:
-        crit = _criteria_core(ac)
-        trace.extend(crit.trace)
+        equivariant = _criteria(ac, trace)
         if len(ac) == 1:
-            data = ac[0]
-            if data.sw is not None:
-                base = TriState.YES if data.sw != 0 else TriState.NO
+            _, _, parity, sw = ac[0]
+            if sw is not None:
+                equivariant = TriState.YES if sw != 0 else TriState.NO
                 trace.append(
-                    f"single summand: invariant is SW times a generator, SW = {data.sw}"
+                    f"single summand: invariant is SW times a generator, SW = {sw}"
                 )
-            elif data.parity is Parity.ODD:
-                base = TriState.YES
+            elif parity is Parity.ODD:
+                equivariant = TriState.YES
                 trace.append("single summand: odd SW is in particular nonzero")
             else:
-                base = TriState.UNKNOWN
+                equivariant = TriState.UNKNOWN
                 trace.append(
                     "single summand: SW value undetermined beyond parity, "
                     "equivariant verdict unknown"
                 )
-        else:
-            base = crit.verdict
-        if gamma_power == 0:
-            equivariant = base
-        elif base is TriState.NO:
-            equivariant = TriState.NO
+        if gamma_power and equivariant is TriState.NO:
             trace.append("a vanishing factor makes the whole smash product vanish")
-        else:
+        elif gamma_power:
             equivariant = TriState.UNKNOWN
             trace.append(
                 "gamma factors may or may not kill the class: equivariant verdict unknown"
@@ -404,13 +380,13 @@ def nonvanishing_criteria(csum: ConnectedSum) -> CriteriaResult:
     UNKNOWN, never a guess.
     """
     trace: list[str] = []
-    ac_summands, negdef_summands = _split_summands(csum, trace)
-    if negdef_summands:
-        labels = ", ".join(s.block.label for s in negdef_summands)
+    negdef, ac = _walk(csum, trace)
+    if negdef:
+        labels = ", ".join(s.block.label for s in negdef)
         trace.append(f"not almost complex: {labels}; criteria do not apply")
         return CriteriaResult(TriState.UNKNOWN, tuple(trace))
-    core = _criteria_core([_ac_data(s) for s in ac_summands])
-    return CriteriaResult(core.verdict, tuple(trace) + core.trace)
+    verdict = _criteria(ac, trace)
+    return CriteriaResult(verdict, tuple(trace))
 
 
 def blowup(
@@ -425,53 +401,34 @@ def blowup(
     """
     if not isinstance(block, NegativeDefinite):
         raise InvalidParameters("blowup blocks must be negative definite")
-    d = _negdef_index(Summand(block, spin_c))
+    Summand(block, spin_c)  # checks the coordinates against the rank
+    d = _negdef_index(block, spin_c)
     k = inv.stem_degree - 1  # expected dimension of the original sum (b1 = 0)
-    if d == 0:
-        new_trace = inv.trace + (
-            f"{block.label}: d = 0, zero gamma factors, class unchanged",
-        )
-        new_inv = InvariantClass(
-            inv.total_d,
-            inv.total_b_plus,
-            inv.stem_degree,
-            inv.nonequiv_class,
-            inv.equivariant_nonzero,
-            inv.gamma_power,
-            new_trace,
-        )
-        return BlowupResult(new_inv, TriState.YES)
-
     stem_degree = inv.stem_degree + 2 * d
-    if stem_degree < 0:
-        nonequiv = zero(stem_degree)
-    else:
-        nonequiv = unknown(stem_degree)
-    if inv.equivariant_nonzero is TriState.NO:
-        equivariant = TriState.NO
-    elif inv.total_b_plus == 0 and inv.equivariant_nonzero is TriState.YES:
-        # a pure negative definite sum stays one: fixed-locus degree one
-        equivariant = TriState.YES
-    else:
-        equivariant = TriState.UNKNOWN
-    if inv.total_b_plus > 1 and 2 * (-d) <= k:
+    nonequiv, equivariant = inv.nonequiv_class, inv.equivariant_nonzero
+    if d == 0:
         preserved = TriState.YES
-        note = f"2|d| = {2 * (-d)} <= k = {k} and b+ > 1: SW invariants agree"
+        notes = (f"{block.label}: d = 0, zero gamma factors, class unchanged",)
     else:
-        preserved = TriState.UNKNOWN
-        note = f"2|d| = {2 * (-d)} exceeds k = {k} or b+ <= 1: SW preservation unknown"
-    new_trace = inv.trace + (
-        f"{block.label}: d = {d}, adds {-d} gamma factor(s)",
-        note,
-    )
+        nonequiv = unknown(stem_degree)  # zero in a negative stem
+        # a pure negative definite sum (b+ = 0) keeps fixed-locus degree one
+        if inv.total_b_plus and equivariant is not TriState.NO:
+            equivariant = TriState.UNKNOWN
+        if inv.total_b_plus > 1 and 2 * (-d) <= k:
+            preserved = TriState.YES
+            note = f"2|d| = {2 * (-d)} <= k = {k} and b+ > 1: SW invariants agree"
+        else:
+            preserved = TriState.UNKNOWN
+            note = f"2|d| = {2 * (-d)} exceeds k = {k} or b+ <= 1: SW preservation unknown"
+        notes = (f"{block.label}: d = {d}, adds {-d} gamma factor(s)", note)
     new_inv = InvariantClass(
-        inv.total_d + d,
-        inv.total_b_plus,
-        stem_degree,
-        nonequiv,
-        equivariant,
-        inv.gamma_power + (-d),
-        new_trace,
+        total_d=inv.total_d + d,
+        total_b_plus=inv.total_b_plus,
+        stem_degree=stem_degree,
+        nonequiv_class=nonequiv,
+        equivariant_nonzero=equivariant,
+        gamma_power=inv.gamma_power - d,
+        trace=inv.trace + notes,
     )
     return BlowupResult(new_inv, preserved)
 

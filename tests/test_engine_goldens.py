@@ -22,7 +22,13 @@ from swstem.blocks import (
     SymplecticGeneric,
 )
 from swstem.errors import UnknownSW
-from swstem.invariants import Summand, blowup, connected_sum, invariant, nonvanishing_criteria
+from swstem.invariants import (
+    Summand,
+    blowup,
+    connected_sum,
+    invariant,
+    nonvanishing_criteria,
+)
 from swstem.lattice import SpinC
 
 ENGINE = Path(__file__).resolve().parent / "goldens" / "_engine"

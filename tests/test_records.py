@@ -10,7 +10,6 @@ from swstem.blocks import (
     HomotopySphereLike,
     KaehlerGeneric,
     NegativeDefinite,
-    Parity,
     SymplecticGeneric,
 )
 from swstem.invariants import (
@@ -22,7 +21,6 @@ from swstem.invariants import (
     SplitQuery,
     SplitVerdict,
     Summand,
-    _AcData,
 )
 from swstem.lattice import SpinC, TopProfile
 from swstem.manifold_io import ManifoldDoc
@@ -175,14 +173,6 @@ RECORDS = [
         (SplitKind.UNKNOWN, ("r",)),
         {},
         "SplitVerdict(kind=<SplitKind.IMPOSSIBLE: 'impossible'>, trace=('r',))",
-    ),
-    (
-        _AcData,
-        ("label", "b_plus", "d", "parity", "sw"),
-        ("K3", 3, 2, Parity.ODD, 1),
-        ("K3", 3, 2, Parity.ODD, None),
-        {},
-        "_AcData(label='K3', b_plus=3, d=2, parity=<Parity.ODD: 1>, sw=1)",
     ),
     (
         ManifoldDoc,
