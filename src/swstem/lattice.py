@@ -99,6 +99,9 @@ def dirac_index(c_square: int, signature: int) -> int:
     >>> dirac_index(-9, -1)
     -1
     """
+    for value in (c_square, signature):
+        if type(value) is not int:
+            raise InvalidParameters(f"the Dirac index takes integers, got {value!r}")
     diff = c_square - signature
     if diff % 8 != 0:
         raise IndexNotIntegral(

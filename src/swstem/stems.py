@@ -57,8 +57,10 @@ class StemElement:
     value: int | None = None
 
     def __post_init__(self):
+        _exact(self.degree, "stem degree")
         if self.kind is StemKind.INTEGER:
-            if self.degree != 0 or not isinstance(self.value, int):
+            _exact(self.value, "integer class value")
+            if self.degree != 0:
                 raise InvalidParameters("integer classes live in degree 0")
         elif self.kind is StemKind.HOPF:
             if self.degree not in (1, 2, 3) or self.value is not None:
@@ -79,6 +81,12 @@ class StemElement:
         return "unknown"
 
 
+def _exact(value, what: str) -> None:
+    # exactly int: floats, and bools (an int subclass), are rejected
+    if type(value) is not int:
+        raise InvalidParameters(f"{what} must be an integer, got {value!r}")
+
+
 # prebuilt values for the integers, Hopf powers and degrees sums usually reach
 _INTEGERS = {v: StemElement(_INTEGER, 0, v) for v in range(-64, 65)}
 _HOPFS = {j: StemElement(_HOPF, j) for j in (1, 2, 3)}
@@ -88,24 +96,26 @@ _UNKNOWNS = {d: StemElement(_UNKNOWN, d) for d in range(17)}
 
 def integer_class(value: int) -> StemElement:
     """An integer in the zeroth stem."""
-    value = int(value)
+    _exact(value, "integer class value")
     return _INTEGERS.get(value) or StemElement(_INTEGER, 0, value)
 
 
 def hopf_power(j: int) -> StemElement:
     """eta^j for j in {1, 2, 3}."""
-    if j not in _HOPFS:
+    if type(j) is not int or j not in _HOPFS:
         raise InvalidParameters(f"Hopf powers exist in degrees 1..3 only, got {j}")
     return _HOPFS[j]
 
 
 def zero(degree: int) -> StemElement:
     """The zero class in any degree."""
+    _exact(degree, "stem degree")
     return _ZEROS.get(degree) or StemElement(_ZERO, degree)
 
 
 def unknown(degree: int) -> StemElement:
     """An undetermined class; normalizes to zero in negative degrees."""
+    _exact(degree, "stem degree")
     if degree < 0:
         return zero(degree)
     return _UNKNOWNS.get(degree) or StemElement(_UNKNOWN, degree)

@@ -29,6 +29,12 @@ def test_non_integral_index_rejected():
         dirac_index(1, -16)
 
 
+@pytest.mark.parametrize("args", [(0.0, -16), (0, -16.0), (True, -1), (-1, True)])
+def test_dirac_index_takes_exact_integers(args):
+    with pytest.raises(InvalidParameters, match="takes integers"):
+        dirac_index(*args)
+
+
 @given(st.integers(-200, 200), st.integers(-200, 200))
 def test_index_integrality_is_exactly_mod8(c_square, signature):
     if (c_square - signature) % 8 == 0:

@@ -126,6 +126,36 @@ def test_payload_validation():
         StemElement(StemKind.ZERO, 0, 3)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: integer_class(2.5),
+        lambda: integer_class(True),
+        lambda: StemElement(StemKind.INTEGER, 0, True),
+        lambda: StemElement(StemKind.ZERO, 2.0),
+        lambda: zero(1.5),
+        lambda: zero(1.0),
+        lambda: unknown(True),
+        lambda: hopf_power(1.0),
+        lambda: smash(integer_class(3.9), ETA),
+    ],
+    ids=[
+        "integer_class-float",
+        "integer_class-bool",
+        "integer-element-bool",
+        "zero-element-float-degree",
+        "zero-fractional-degree",
+        "zero-float-degree",
+        "unknown-bool-degree",
+        "hopf_power-float",
+        "smash-float-integer",
+    ],
+)
+def test_stems_take_exact_integers(build):
+    with pytest.raises(InvalidParameters, match="must be an integer|degrees 1..3 only"):
+        build()
+
+
 def test_sq2_detection_is_parity():
     assert [sq2_detects_hopf(d) for d in (1, 2, 3, 4)] == [False, True, False, True]
     with pytest.raises(InvalidParameters):
