@@ -19,14 +19,11 @@ additionally be congruent 4 mod 8; five or more summands always vanish.
 Sums with no almost complex part restrict with degree one to the fixed locus
 and can never vanish equivariantly.
 
-One pass over the summands drops the neutral blocks, keeps the negative
-definite ones and reads each almost complex block's SW value once, as
-(label, b+, parity, exact SW or None).  ``invariant`` and
-``nonvanishing_criteria`` run the same summand-count rules on that digest.
+``invariant`` and ``nonvanishing_criteria`` make one pass over the summands,
+reading each almost complex block's SW value once, and apply the same rules.
 They differ in one branch: on a lone almost complex summand ``invariant``
-answers from the SW value itself (the invariant is SW times a generator),
-while ``nonvanishing_criteria`` keeps the summand-count verdict.  ``blowup``
-applies one negative definite summand to a class already computed.
+answers from the SW value (the invariant is SW times a generator), while
+``nonvanishing_criteria`` keeps the summand-count verdict.
 
 Verdicts outside the covered regime are UNKNOWN, never guesses; every
 engine answer carries a human-readable trace of the rules applied.
@@ -229,12 +226,6 @@ def _parity_word(parity: Parity | None) -> str:
     return "undetermined" if parity is None else str(parity)
 
 
-def _hopf_contribution(b_plus: int, parity: Parity | None) -> StemElement:
-    if b_plus % 4 == 1 or parity is Parity.EVEN:
-        return zero(1)
-    return hopf_power(1) if parity is Parity.ODD else unknown(1)
-
-
 def _criteria(ac: list[tuple], trace: list[str]) -> TriState:
     """The summand-count verdict on the almost complex summands; its rule
     lines go to ``trace``."""
@@ -248,7 +239,9 @@ def _criteria(ac: list[tuple], trace: list[str]) -> TriState:
             violated = True
             trace.append(f"{label}: b+ = {b_plus} = 1 (mod 4), condition fails")
         elif parity is Parity.ODD:
-            trace.append(f"{label}: b+ = {b_plus} = 3 (mod 4) and SW odd, condition holds")
+            trace.append(
+                f"{label}: b+ = {b_plus} = 3 (mod 4) and SW odd, condition holds"
+            )
         elif parity is Parity.EVEN:
             violated = True
             trace.append(f"{label}: SW parity even, condition fails")
@@ -297,14 +290,19 @@ def invariant(csum: ConnectedSum) -> InvariantClass:
         d = _negdef_index(s.block, s.spin_c)
         total_d += d
         gamma_power -= d
-        trace.append(f"{s.block.label}: d = {d}, contributes {-d} gamma factor(s)")
+        trace.append(
+            f"{s.block.label}: d = {d}, contributes {-d} gamma factor(s)"
+        )
 
     contributions = []
     for label, b_plus, parity, _ in ac:
         d = (b_plus + 1) // 2  # expected dimension zero pins 2d = b+ + 1
         total_d += d
         total_b_plus += b_plus
-        piece = _hopf_contribution(b_plus, parity)
+        if b_plus % 4 == 1 or parity is Parity.EVEN:
+            piece = zero(1)
+        else:
+            piece = hopf_power(1) if parity is Parity.ODD else unknown(1)
         contributions.append(piece)
         trace.append(
             f"{label}: b+ = {b_plus}, d = {d}, "
