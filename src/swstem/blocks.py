@@ -20,7 +20,8 @@ symmetric under negation with equal values for |SW| only.
 
 A lookup at one multiple inverts the key map in O(1) (``_genus_index``);
 tables are built only for listing and recognition, straight into ascending
-key order by residue blocks (``_key_blocks``), with no sort.
+key order by residue blocks (``_key_blocks``), with no sort.  A block's
+values are filled in by list slices, and an odd-SW set builds no values.
 """
 
 from __future__ import annotations
@@ -421,12 +422,15 @@ def _key_blocks(p_g: int, m: int, n: int, rows, value):
     sits in block j = a + h[t] at position t, and the key top - 2r ascends as
     (j, t) descends.  ``rows`` are the wanted a, descending; ``value(a)``,
     asked for 0 <= a <= p_g only, is row a's value, falsy for a row left out.
+    A block with two distinct values fills them in by the slices that build h;
+    one with a single value, or two equal ones (odd sets'), repeats it.
     """
     mn = m * n
+    # the c >= ceil((m - b) n / m) wrap past mn: h[t] = 1 on these slices
+    wraps = [(slice(b * n % m, b * n, m), b * n // m) for b in range(1, m)]
     h = bytearray(mn)
-    for b in range(1, m):
-        # the c >= ceil((m - b) n / m) wrap past mn
-        h[b * n % m : b * n : m] = b"\x01" * (b * n // m)
+    for span, count in wraps:
+        h[span] = b"\x01" * count
     high = h[::-1]  # block position i holds t = mn - 1 - i
     low = high.translate(bytes.maketrans(b"\0\1", b"\1\0"))
     top = max_multiple(p_g, m, n)
@@ -440,8 +444,13 @@ def _key_blocks(p_g: int, m: int, n: int, rows, value):
                 yield compress(keys, high), repeat(v_high)
             elif not v_high:
                 yield compress(keys, low), repeat(v_low)
+            elif v_low == v_high:
+                yield keys, repeat(v_low)
             else:
-                yield keys, map((v_low, v_high).__getitem__, high)
+                values = [v_low] * mn
+                for span, count in wraps:
+                    values[span] = [v_high] * count
+                yield keys, reversed(values)
         last = a
 
 

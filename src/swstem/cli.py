@@ -21,7 +21,8 @@ import json
 import sys
 
 from .blocks import NegativeDefinite, basic_class_table, recognizable_set
-from .errors import SwStemError
+from .blocks import _check_table_params, _odd_count
+from .errors import InvalidParameters, SwStemError
 from .invariants import (
     InvariantClass,
     SplitQuery,
@@ -34,6 +35,9 @@ from .invariants import (
 from .lattice import SpinC
 from .manifold_io import load_manifold
 from .recognize import Pattern, distinguish, recognize, recognize_oracle
+
+#: the most entries basic-classes and recognizable list; more are refused unbuilt
+MAX_LISTING = 2_000_000
 
 # flags whose value may start with "-"; argparse reads a bare "-2,2" as an
 # option, so `--classes -2,2` must become `--classes=-2,2` before parsing
@@ -98,13 +102,21 @@ def _invariant_view(inv: InvariantClass) -> tuple[dict, list[str]]:
     return payload, [headline]
 
 
+def _admit(size: int, what: str) -> None:
+    if size > MAX_LISTING:
+        raise InvalidParameters(f"{what} would list more than {MAX_LISTING} entries")
+
+
 def _cmd_basic_classes(args):
+    _check_table_params(args.pg, args.m, args.n)
+    _admit(args.pg * args.m * args.n, "the table")
     entries = basic_class_table(args.pg, args.m, args.n).entries
     payload = {"entries": entries, "m": args.m, "n": args.n, "p_g": args.pg}
     return payload, (f"{k}: {v}" for k, v in entries), ()
 
 
 def _cmd_recognizable(args):
+    _admit(_odd_count(args.pg, args.m, args.n), "the odd-SW set")
     classes = recognizable_set(args.pg, args.m, args.n)
     payload = {"classes": classes, "m": args.m, "n": args.n, "p_g": args.pg}
     return payload, [",".join(str(c) for c in classes)], ()

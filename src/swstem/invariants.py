@@ -20,10 +20,10 @@ Sums with no almost complex part restrict with degree one to the fixed locus
 and can never vanish equivariantly.
 
 ``invariant`` and ``nonvanishing_criteria`` make one pass over the summands,
-reading each almost complex block's SW value once, and apply the same rules.
+reading each almost complex block's SW parity once, and apply the same rules.
 They differ in one branch: on a lone almost complex summand ``invariant``
-answers from the SW value (the invariant is SW times a generator), while
-``nonvanishing_criteria`` keeps the summand-count verdict.
+answers from the exact SW value (the invariant is SW times a generator),
+while ``nonvanishing_criteria`` keeps the summand-count verdict.
 
 Verdicts outside the covered regime are UNKNOWN, never guesses; every
 engine answer carries a human-readable trace of the rules applied.
@@ -35,12 +35,7 @@ import enum
 
 from ._record import record
 from .blocks import BuildingBlock, NegativeDefinite, Parity, profile
-from .errors import (
-    InvalidParameters,
-    PositiveIndexOnNegativeDefinite,
-    PreconditionNotMet,
-    UnknownSW,
-)
+from .errors import InvalidParameters, PositiveIndexOnNegativeDefinite, PreconditionNotMet
 from .lattice import SpinC, dirac_index
 from .stems import StemElement, StemKind, TriState, hopf_power, smash_all, unknown, zero
 
@@ -198,28 +193,27 @@ def _negdef_index(block: NegativeDefinite, spin_c: SpinC | None) -> int:
     return d
 
 
-def _walk(csum: ConnectedSum, trace: list[str]) -> tuple[list[Summand], list[tuple]]:
+def _walk(csum: ConnectedSum, trace: list[str]) -> tuple[list[Summand], list[Summand]]:
     """One pass over the summands: drop neutral (b1 = b2 = 0) blocks and
-    return the negative definite summands and, for each almost complex
-    summand, (label, b+, SW parity, exact SW or None)."""
-    negdef: list[Summand] = []
-    ac: list[tuple] = []
+    return the negative definite and the almost complex summands."""
+    negdef, ac = [], []
     for s in csum.summands:
         block = s.block
         if block.almost_complex:  # b+ >= 1, so never neutral
-            try:
-                sw = block.sw_value(s.class_key)
-            except UnknownSW:
-                sw = parity = None
-            else:
-                # a Kaehler block declares a Parity, not an exact integer
-                parity, sw = (sw, None) if isinstance(sw, Parity) else (Parity(sw % 2), sw)
-            ac.append((block.label, block.top_profile().b_plus, parity, sw))
+            ac.append(s)
         elif block.neutral:
             trace.append(f"dropped {block.label} (neutral summand)")
         else:
             negdef.append(s)
     return negdef, ac
+
+
+def _digest(ac: list[Summand]) -> list[tuple]:
+    """(label, b+, SW parity) of each summand: a Lucas bit test, no binomial."""
+    return [
+        (s.block.label, s.block.top_profile().b_plus, s.block.sw_parity(s.class_key))
+        for s in ac
+    ]
 
 
 def _parity_word(parity: Parity | None) -> str:
@@ -234,7 +228,7 @@ def _criteria(ac: list[tuple], trace: list[str]) -> TriState:
         trace.append("no almost complex summands: the identity class remains")
         return TriState.YES
     violated = undecided = False
-    for label, b_plus, parity, _ in ac:
+    for label, b_plus, parity in ac:
         if b_plus % 4 == 1:
             violated = True
             trace.append(f"{label}: b+ = {b_plus} = 1 (mod 4), condition fails")
@@ -260,7 +254,7 @@ def _criteria(ac: list[tuple], trace: list[str]) -> TriState:
     if n <= 3:
         trace.append(f"all {n} summands satisfy the condition: nonzero")
         return TriState.YES
-    total = sum(b_plus for _, b_plus, _, _ in ac)
+    total = sum(b_plus for _, b_plus, _ in ac)
     trace.append(
         "four-summand rule uses total b+ = 4 (mod 8); the index-divisibility "
         "reading (d divisible by 8) would demand b+ = 12 (mod 16) instead"
@@ -281,7 +275,8 @@ def invariant(csum: ConnectedSum) -> InvariantClass:
     negative (negative stems vanish).
     """
     trace: list[str] = []
-    negdef, ac = _walk(csum, trace)
+    negdef, summands = _walk(csum, trace)
+    ac = _digest(summands)
 
     total_d = 0
     total_b_plus = 0
@@ -295,7 +290,7 @@ def invariant(csum: ConnectedSum) -> InvariantClass:
         )
 
     contributions = []
-    for label, b_plus, parity, _ in ac:
+    for label, b_plus, parity in ac:
         d = (b_plus + 1) // 2  # expected dimension zero pins 2d = b+ + 1
         total_d += d
         total_b_plus += b_plus
@@ -336,11 +331,16 @@ def invariant(csum: ConnectedSum) -> InvariantClass:
     else:
         equivariant = _criteria(ac, trace)
         if len(ac) == 1:
-            _, _, parity, sw = ac[0]
-            if sw is not None:
+            (_, _, parity), (lone,) = ac[0], summands
+            # a block without a parity has no value; a Kaehler block's is a Parity
+            sw = None if parity is None else lone.block.sw_value(lone.class_key)
+            if isinstance(sw, int):
                 equivariant = TriState.YES if sw != 0 else TriState.NO
+                # str() refuses more than 4,300 digits (14,284 bits) by default
+                bits = sw.bit_length()
+                shown = sw if bits <= 14_000 else f"a {bits}-bit integer"
                 trace.append(
-                    f"single summand: invariant is SW times a generator, SW = {sw}"
+                    f"single summand: invariant is SW times a generator, SW = {shown}"
                 )
             elif parity is Parity.ODD:
                 equivariant = TriState.YES
@@ -383,7 +383,7 @@ def nonvanishing_criteria(csum: ConnectedSum) -> CriteriaResult:
         labels = ", ".join(s.block.label for s in negdef)
         trace.append(f"not almost complex: {labels}; criteria do not apply")
         return CriteriaResult(TriState.UNKNOWN, tuple(trace))
-    verdict = _criteria(ac, trace)
+    verdict = _criteria(_digest(ac), trace)
     return CriteriaResult(verdict, tuple(trace))
 
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import enum
 import operator
+from bisect import bisect_left
+from itertools import count
 from math import gcd, isqrt
 from typing import Iterable, Sequence
 
@@ -81,13 +83,13 @@ def recognize(pattern: Pattern) -> RecognitionResult:
     second largest.  When h is coprime to k, h is the smaller multiplicity m
     (the gap between the top classes moves one step along the finer fiber);
     the larger multiplicity n is the first lambda >= 1 with k - 2*lambda*m
-    missing from the pattern, and p_g follows from the formula for the
-    largest multiple.  When h and k share a factor, the pattern can only
-    belong to the no-log-transform family m = n = 1 with p_g = k + 1.  Either
-    way the candidate is validated by comparing its odd count
-    2^popcount(p_g - 1) m n with the pattern's size, then its regenerated
-    recognizable set; mismatches come back with validated=False rather than
-    a guess.
+    missing from the pattern (a walk down the sorted pattern, no set), and
+    p_g follows from the formula for the largest multiple.  When h and k
+    share a factor, the pattern can only belong to the no-log-transform
+    family m = n = 1 with p_g = k + 1.  Either way the candidate is validated
+    by comparing its odd count 2^popcount(p_g - 1) m n with the pattern's
+    size, then its regenerated recognizable set; mismatches come back with
+    validated=False rather than a guess.
     """
     values = pattern.multiples
     if len(values) == 1:
@@ -127,12 +129,14 @@ def recognize(pattern: Pattern) -> RecognitionResult:
 
 
 def _detect_larger_multiplicity(values: tuple[int, ...], k: int, m: int) -> int:
-    """First lambda >= 1 whose class k - 2*lambda*m leaves the pattern."""
-    present = set(values)
-    lam = 1
-    while k - 2 * lam * m in present:
-        lam += 1
-    return lam
+    """First lambda >= 1 with k - 2*lambda*m off the pattern.  Targets descend:
+    each is tried just below the last hit (values[-1] = k tops them), then bisected."""
+    i = len(values) - 1
+    for lam in count(1):
+        target = k - 2 * lam * m
+        i = i - 1 if values[i - 1] == target else bisect_left(values, target, 0, i)
+        if values[i] != target:  # on a miss, values[i] may be the last hit
+            return lam
 
 
 def _validated_result(p_g: int, m: int, n: int, pattern: Pattern) -> RecognitionResult:

@@ -93,9 +93,14 @@ def test_recognizable_is_odd_fragment_of_table():
         assert recognizable_set(p_g, m, n) == odd
 
 
+#: wide m, and m = 1 with a long row; (2, 29, 31) has two equal values in
+#: every block that holds two rows
+WIDE_TRIPLES = ((1, 89, 90), (3, 40, 41), (5, 30, 59), (2, 29, 31), (13, 1, 600))
+
+
 def test_listings_match_a_dict_and_sort_enumeration():
     # both listings against every (a, b, c) keyed into a dict, then sorted
-    for p_g, m, n in coprime_grid(17, 11):
+    for p_g, m, n in (*coprime_grid(17, 11), *WIDE_TRIPLES):
         expected = tuple(sorted(table_oracle(p_g, m, n).items()))
         assert basic_class_table(p_g, m, n).entries == expected
         odd = recognizable_set(p_g, m, n)

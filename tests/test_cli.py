@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from swstem import cli
+
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
@@ -264,6 +266,34 @@ def test_domain_errors_exit_one():
     run_cli("recognize", "--classes", "1,2", expect=1)
     run_cli("invariant", "/no/such/file.json", expect=1)
     run_cli("split-check", sample("k3.json"), "--modulus", "3", "--residue", "1", expect=1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("basic-classes", "--pg", "1", "--m", "1", "--n", "2000001"),  # one entry over
+        ("basic-classes", "--pg", str(10**40), "--m", "2", "--n", "3"),
+        ("recognizable", "--pg", str(2**20), "--m", "2", "--n", "3"),  # 2^20 * 6 odd
+        ("recognizable", "--pg", str(2**200), "--m", "1", "--n", "1"),
+    ],
+    ids=["table-just-over", "table-huge", "odd-set-over", "odd-set-huge"],
+)
+def test_listings_over_the_limit_are_refused_unbuilt(argv, monkeypatch, capsys):
+    def unbuilt(*triple):
+        raise AssertionError(f"built a listing of {triple}")
+
+    monkeypatch.setattr(cli, "basic_class_table", unbuilt)
+    monkeypatch.setattr(cli, "recognizable_set", unbuilt)
+    assert cli.main(list(argv)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"{err.splitlines()[0]}\n"
+    assert err.startswith("error:") and f"more than {cli.MAX_LISTING} entries" in err
+
+
+def test_listing_limit_admits_a_huge_genus_with_a_small_odd_set():
+    out = run_cli("recognizable", "--pg", str(2**80 + 1), "--m", "1", "--n", "1").stdout
+    assert out == f"{-(2**80)},{2**80}\n"
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Connected-sum engine: invariant classes, criteria, blowups, splittings."""
 
 import itertools
+import math
+import time
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -13,6 +15,7 @@ from swstem.blocks import (
     KaehlerGeneric,
     NegativeDefinite,
     SymplecticGeneric,
+    max_multiple,
 )
 from swstem.errors import (
     InvalidParameters,
@@ -119,6 +122,28 @@ def test_single_summand_zero_class_vanishes():
     # multiple 4 is off the table: SW value 0
     inv = invariant(ConnectedSum((Summand(E3, class_key=4),)))
     assert inv.equivariant_nonzero is TriState.NO
+
+
+def test_the_rules_read_parities_only():
+    # row 10**6 - 1 at a = 5 * 10**5: the Lucas bit test, not the binomial
+    p_g = 10**6
+    mid = Summand(EllipticSurface(p_g, 1, 1), class_key=max_multiple(p_g, 1, 1) - p_g)
+    start = time.perf_counter()
+    assert nonvanishing_criteria(connected_sum(mid, K3)).verdict is TriState.NO
+    assert invariant(connected_sum(mid, K3)).equivariant_nonzero is TriState.NO
+    assert time.perf_counter() - start < 1
+
+
+def test_a_huge_lone_sw_value_is_shown_by_its_bit_length():
+    # binomial(10**5 - 1, 5 * 10**4) has about 30,000 digits, past str()'s limit
+    p_g = 10**5
+    mid = Summand(EllipticSurface(p_g, 1, 1), class_key=max_multiple(p_g, 1, 1) - p_g)
+    inv = invariant(connected_sum(mid))
+    bits = math.comb(p_g - 1, p_g // 2).bit_length()
+    assert inv.equivariant_nonzero is TriState.YES
+    assert inv.trace[-1] == (
+        f"single summand: invariant is SW times a generator, SW = a {bits}-bit integer"
+    )
 
 
 def test_rational_elliptic_block_is_unknown():

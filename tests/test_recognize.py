@@ -1,5 +1,6 @@
 """Pattern recognition, the enumeration oracle and sum distinction."""
 
+import importlib
 import math
 import subprocess
 import sys
@@ -20,10 +21,14 @@ from swstem.errors import InvalidParameters, NotAnEllipticPattern
 from swstem.recognize import (
     DistinctionVerdict,
     Pattern,
+    _detect_larger_multiplicity,
     distinguish,
     recognize,
     recognize_oracle,
 )
+
+# the package exports the function ``recognize`` under the module's name
+RECOGNIZE = importlib.import_module("swstem.recognize")
 
 
 def odd_coprime_grid(p_g_max=7, n_max=5):
@@ -110,11 +115,58 @@ def test_recognize_validates_a_huge_pair_with_two_odd_rows():
 
 
 def test_round_trip_on_grid():
-    for p_g, m, n in odd_coprime_grid():
+    # and m = 1 with a long fiber walk
+    for p_g, m, n in (*odd_coprime_grid(), (13, 1, 600), (1, 1, 1000), (5, 1, 2048)):
         pattern = Pattern.of(recognizable_set(p_g, m, n))
         result = recognize(pattern)
         assert result.triple == (p_g, m, n)
         assert result.validated
+
+
+def set_walk(values, k, m):
+    """The set-based detection of the larger multiplicity, as an oracle."""
+    present = set(values)
+    lam = 1
+    while k - 2 * lam * m in present:
+        lam += 1
+    return lam
+
+
+def recognize_outcome(pattern):
+    try:
+        return recognize(pattern)
+    except NotAnEllipticPattern as exc:
+        return str(exc)
+
+
+#: symmetric patterns whose walk runs down to index 0 and off it
+HOSTILE = (
+    tuple(range(-11, 12, 2)),
+    tuple(range(-10, 11, 2)),
+    (-1, 1),
+    (-3, -1, 1, 3),
+    (-9, -5, -1, 1, 5, 9),
+    (-7, -3, 3, 7),
+    (-12, -6, 0, 6, 12),
+)
+
+
+@pytest.mark.parametrize("values", HOSTILE)
+def test_fiber_walk_matches_the_set_walk_on_hostile_patterns(values, monkeypatch):
+    k = values[-1]
+    for m in range(1, 2 * k + 2):
+        assert _detect_larger_multiplicity(values, k, m) == set_walk(values, k, m)
+    pattern = Pattern.of(values)
+    walked = recognize_outcome(pattern)
+    monkeypatch.setattr(RECOGNIZE, "_detect_larger_multiplicity", set_walk)
+    assert recognize_outcome(pattern) == walked
+
+
+@given(st.sets(st.integers(0, 40), min_size=1, max_size=15), st.integers(1, 30))
+def test_fiber_walk_matches_the_set_walk(halves, m):
+    values = tuple(sorted({x for h in halves for x in (h, -h)}))
+    k = values[-1]
+    assert _detect_larger_multiplicity(values, k, m) == set_walk(values, k, m)
 
 
 def test_even_genus_patterns_collapse_to_odd_representatives():
