@@ -60,6 +60,16 @@ def _int_field(raw, what: str) -> int:
     return _integer(raw, f"{what} must be an integer, got {raw!r}")
 
 
+#: the widest integer printed; str() refuses over 4,300 digits (14,284 bits)
+MAX_SHOWN_BITS = 14_000
+
+
+def shown(value) -> str:
+    """repr(value), but an integer wider than MAX_SHOWN_BITS by its bit length."""
+    bits = value.bit_length() if type(value) is int else 0
+    return repr(value) if bits <= MAX_SHOWN_BITS else f"a {bits}-bit integer"
+
+
 class _Block:
     """What every catalogued kind declares: a ``label``, a ``top_profile``
     and overrides of these defaults, those of a block without SW data.
@@ -75,12 +85,7 @@ class _Block:
     fields: tuple[str, ...] = ()
     required: tuple[str, ...] = ()
     almost_complex = False
-
-    @property
-    def neutral(self) -> bool:
-        """b1 = b2 = 0: the block contributes the identity to every sum."""
-        p = self.top_profile()
-        return p.b_plus == 0 and p.b_minus == 0
+    neutral = False  # b1 = b2 = 0: the block contributes the identity to every sum
 
     def sw_value(self, class_key):
         raise UnknownSW(f"{self.label} carries no SW data")
@@ -150,9 +155,13 @@ class EllipticSurface(_Block):
             return "K3"
         return f"E(p_g={self.p_g},m={self.m},n={self.n})"
 
+    @property
+    def b_plus(self) -> int:
+        return 2 * self.p_g + 1
+
     def top_profile(self) -> TopProfile:
         # K3 is the one elliptic surface whose b- the catalogue pins
-        return TopProfile(0, 2 * self.p_g + 1, 19 if self == K3 else None)
+        return TopProfile(0, self.b_plus, 19 if self == K3 else None)
 
     def sw_value(self, class_key):
         if self.p_g < 1:
@@ -171,7 +180,7 @@ class EllipticSurface(_Block):
         key = _integer(class_key, "elliptic class keys are fiber multiples (integers)")
         if (key - max_multiple(self.p_g, self.m, self.n)) % 2 != 0:
             raise InvalidParameters(
-                f"multiple {key} is not characteristic on "
+                f"multiple {shown(key)} is not characteristic on "
                 f"{self.label}: its parity differs from the table's"
             )
         a = _genus_index(self.p_g, self.m, self.n, key)
@@ -305,6 +314,10 @@ class NegativeDefinite(_Block):
     def top_profile(self) -> TopProfile:
         return TopProfile(0, 0, self.rank)
 
+    @property
+    def neutral(self) -> bool:
+        return self.rank == 0
+
     @classmethod
     def from_json(cls, raw: dict):
         block = cls(raw["rank"])
@@ -327,6 +340,7 @@ class HomotopySphereLike(_Block):
     """A block with b1 = b2 = 0; contributes the identity to every sum."""
 
     tag = "s4"
+    neutral = True
 
     @property
     def label(self) -> str:

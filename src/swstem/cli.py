@@ -20,7 +20,7 @@ import functools
 import json
 import sys
 
-from .blocks import NegativeDefinite, basic_class_table, recognizable_set
+from .blocks import MAX_SHOWN_BITS, NegativeDefinite, basic_class_table, recognizable_set
 from .blocks import _check_table_params, _odd_count
 from .errors import InvalidParameters, SwStemError
 from .invariants import (
@@ -110,6 +110,8 @@ def _admit(size: int, what: str) -> None:
 def _cmd_basic_classes(args):
     _check_table_params(args.pg, args.m, args.n)
     _admit(args.pg * args.m * args.n, "the table")
+    if args.pg - 1 > MAX_SHOWN_BITS:  # row p_g - 1's values stay below 2^(p_g - 1)
+        raise InvalidParameters(f"the table's values may have more than {MAX_SHOWN_BITS} bits")
     entries = basic_class_table(args.pg, args.m, args.n).entries
     payload = {"entries": entries, "m": args.m, "n": args.n, "p_g": args.pg}
     return payload, (f"{k}: {v}" for k, v in entries), ()

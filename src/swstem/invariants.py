@@ -34,7 +34,7 @@ from __future__ import annotations
 import enum
 
 from ._record import record
-from .blocks import BuildingBlock, NegativeDefinite, Parity, profile
+from .blocks import BuildingBlock, NegativeDefinite, Parity, _catalogued, shown
 from .errors import InvalidParameters, PositiveIndexOnNegativeDefinite, PreconditionNotMet
 from .lattice import SpinC, dirac_index
 from .stems import StemElement, StemKind, TriState, hopf_power, smash_all, unknown, zero
@@ -57,7 +57,7 @@ class Summand:
     class_key: int | str | None = None
 
     def __post_init__(self):
-        profile(self.block)  # raises UncataloguedBlock on aliens
+        _catalogued(self.block)  # raises UncataloguedBlock on aliens
         if isinstance(self.block, NegativeDefinite):
             if self.class_key is not None:
                 raise InvalidParameters(
@@ -78,7 +78,7 @@ class Summand:
         # validates key type and, for elliptic blocks, characteristic parity
         if self.block.sw_parity(self.class_key) is None:
             raise InvalidParameters(
-                f"{self.block.label} declares no SW data at class {self.class_key!r}"
+                f"{self.block.label} declares no SW data at class {shown(self.class_key)}"
             )
 
 
@@ -209,9 +209,10 @@ def _walk(csum: ConnectedSum, trace: list[str]) -> tuple[list[Summand], list[Sum
 
 
 def _digest(ac: list[Summand]) -> list[tuple]:
-    """(label, b+, SW parity) of each summand: a Lucas bit test, no binomial."""
+    """(label, b+, SW parity) of each summand: b+ is every almost complex
+    block's own ``b_plus`` (no ``TopProfile``), the parity a Lucas bit test."""
     return [
-        (s.block.label, s.block.top_profile().b_plus, s.block.sw_parity(s.class_key))
+        (s.block.label, s.block.b_plus, s.block.sw_parity(s.class_key))
         for s in ac
     ]
 
@@ -336,11 +337,8 @@ def invariant(csum: ConnectedSum) -> InvariantClass:
             sw = None if parity is None else lone.block.sw_value(lone.class_key)
             if isinstance(sw, int):
                 equivariant = TriState.YES if sw != 0 else TriState.NO
-                # str() refuses more than 4,300 digits (14,284 bits) by default
-                bits = sw.bit_length()
-                shown = sw if bits <= 14_000 else f"a {bits}-bit integer"
                 trace.append(
-                    f"single summand: invariant is SW times a generator, SW = {shown}"
+                    f"single summand: invariant is SW times a generator, SW = {shown(sw)}"
                 )
             elif parity is Parity.ODD:
                 equivariant = TriState.YES

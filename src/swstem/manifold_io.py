@@ -21,12 +21,14 @@ Unknown keys are rejected everywhere, at top level and inside summands.
 integer per rank) is optional and defaults to the unit vector.  Parsing is
 strict and total: malformed JSON raises ManifoldSyntaxError with line and
 column, a well-formed but invalid description raises ManifoldSemanticError
-with the offending summand's index.
+with the offending summand's index.  The canonical text, json.dumps' sorted
+indent-2 form, is written directly, not by json.dumps' pure-Python encoder.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from ._record import record
 from .blocks import JSON_KINDS
@@ -113,22 +115,35 @@ def parse_manifold(text: str) -> ManifoldDoc:
     return ManifoldDoc(summands, raw.get("name"), raw.get("notes"))
 
 
+def _field(key: str, value) -> str:
+    """``"key": value`` for a string, an int or a list of ints (one per line)."""
+    if type(value) is str:
+        value = _quote(value)
+    elif type(value) is not int:
+        items = ",\n        ".join(map(repr, value))
+        value = f"[\n        {items}\n      ]" if items else "[]"
+    return f"{_quote(key)}: {value}"
+
+
 def serialize_manifold(doc: ManifoldDoc) -> str:
     """Canonical JSON text for a manifold description.
 
-    ``parse_manifold(serialize_manifold(doc))`` returns an equal document;
-    the output is deterministic byte for byte.
+    The text is ``json.dumps(raw, indent=2, sort_keys=True) + "\\n"`` byte for
+    byte, written directly: with ``indent`` set, json.dumps runs its
+    pure-Python encoder (a generator per nesting level) before Python 3.13,
+    which cost more than parsing the text or computing its invariant.
+    ``parse_manifold(serialize_manifold(doc))`` returns an equal document.
     """
-    summands = [
-        s.block.to_json(None if s.spin_c is None else s.spin_c.c_coords)
-        for s in doc.summands
-    ]
-    raw: dict = {"summands": summands}
-    if doc.name is not None:
-        raw["name"] = doc.name
-    if doc.notes is not None:
-        raw["notes"] = doc.notes
-    return json.dumps(raw, indent=2, sort_keys=True) + "\n"
+    summands = []
+    for s in doc.summands:
+        raw = s.block.to_json(None if s.spin_c is None else s.spin_c.c_coords)
+        fields = ",\n      ".join(_field(key, raw[key]) for key in sorted(raw))
+        summands.append(f"{{\n      {fields}\n    }}")
+    top = {"name": doc.name, "notes": doc.notes}  # sorted keys
+    lines = [f'  "{key}": {_quote(text)}' for key, text in top.items() if text is not None]
+    listed = ",\n    ".join(summands)
+    lines.append(f'  "summands": [\n    {listed}\n  ]' if summands else '  "summands": []')
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def load_manifold(path: str) -> ManifoldDoc:

@@ -20,7 +20,7 @@ from math import gcd, isqrt
 from typing import Iterable, Sequence
 
 from ._record import record
-from .blocks import BuildingBlock, EllipticSurface, profile, recognizable_set
+from .blocks import BuildingBlock, EllipticSurface, _catalogued, recognizable_set
 from .blocks import _odd_count, max_multiple
 from .errors import InvalidParameters, NotAnEllipticPattern
 from .invariants import connected_sum, nonvanishing_criteria
@@ -210,7 +210,7 @@ def _elliptic_parts(blocks: Sequence[BuildingBlock]) -> list[EllipticSurface] | 
     appears."""
     out: list[EllipticSurface] = []
     for block in blocks:
-        profile(block)  # raises UncataloguedBlock on aliens
+        _catalogued(block)  # raises UncataloguedBlock on aliens
         if block.neutral:
             continue
         if block.tag != EllipticSurface.tag:

@@ -320,6 +320,39 @@ def test_profiles():
         profile(object())
 
 
+@pytest.mark.parametrize("p_g", range(5))
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 3), (3, 5)])
+def test_elliptic_b_plus_is_the_profile_b_plus(p_g, m, n):
+    block = EllipticSurface(p_g, m, n)
+    assert block.b_plus == profile(block).b_plus == 2 * p_g + 1
+
+
+@pytest.mark.parametrize(
+    "block",
+    [K3, EllipticSurface(0, 1, 1), EllipticSurface(3, 2, 3), SymplecticGeneric(5),
+     KaehlerGeneric(3), NegativeDefinite(0), NegativeDefinite(4), HomotopySphereLike()],
+    ids=repr,
+)
+def test_neutral_is_b2_zero_in_the_profile(block):
+    p = profile(block)
+    assert block.neutral == (p.b_plus == 0 and p.b_minus == 0)
+
+
+def test_huge_class_keys_are_named_by_bit_length():
+    key = 10**5000 + 1  # str() refuses it
+    with pytest.raises(
+        InvalidParameters,
+        match=f"multiple a {key.bit_length()}-bit integer is not characteristic",
+    ):
+        Summand(EllipticSurface(3, 1, 1), class_key=key)
+    with pytest.raises(
+        InvalidParameters, match=f"no SW data at class a {key.bit_length()}-bit integer"
+    ):
+        Summand(EllipticSurface(0, 1, 1), class_key=key)
+    with pytest.raises(InvalidParameters, match="no SW data at class 'spare'"):
+        Summand(SymplecticGeneric(3), class_key="spare")
+
+
 def test_describe():
     assert describe_block(K3) == "K3"
     assert describe_block(EllipticSurface(3, 1, 1)) == "E(p_g=3,m=1,n=1)"

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from swstem import cli
+from swstem.blocks import MAX_SHOWN_BITS, basic_class_table
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -289,6 +290,34 @@ def test_listings_over_the_limit_are_refused_unbuilt(argv, monkeypatch, capsys):
     assert out == ""
     assert err == f"{err.splitlines()[0]}\n"
     assert err.startswith("error:") and f"more than {cli.MAX_LISTING} entries" in err
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_tables_whose_values_str_refuses_are_refused_unbuilt(json_flag, monkeypatch, capsys):
+    def unbuilt(*triple):
+        raise AssertionError(f"built a listing of {triple}")
+
+    monkeypatch.setattr(cli, "basic_class_table", unbuilt)
+    argv = ["basic-classes", "--pg", str(MAX_SHOWN_BITS + 2), "--m", "1", "--n", "1", *json_flag]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"{err.splitlines()[0]}\n"
+    assert err.startswith("error:") and f"more than {MAX_SHOWN_BITS} bits" in err
+
+
+def test_tables_at_the_value_bound_are_built(monkeypatch, capsys):
+    built = []
+
+    def stub(*triple):
+        built.append(triple)
+        return basic_class_table(1, 1, 1)
+
+    monkeypatch.setattr(cli, "basic_class_table", stub)
+    argv = ["basic-classes", "--pg", str(MAX_SHOWN_BITS + 1), "--m", "1", "--n", "1"]
+    assert cli.main(argv) == 0
+    assert built == [(MAX_SHOWN_BITS + 1, 1, 1)]
+    assert capsys.readouterr().out == "0: 1\n"
 
 
 def test_listing_limit_admits_a_huge_genus_with_a_small_odd_set():

@@ -17,7 +17,7 @@ from swstem.blocks import (
     _recognizable,
     recognizable_set,
 )
-from swstem.errors import InvalidParameters, NotAnEllipticPattern
+from swstem.errors import InvalidParameters, NotAnEllipticPattern, UncataloguedBlock
 from swstem.recognize import (
     DistinctionVerdict,
     Pattern,
@@ -301,6 +301,11 @@ def test_distinguish_four_summands_needs_congruence():
 
 def test_distinguish_one_side_in_regime_suffices():
     assert distinguish([K3], [K3] * 5) is DistinctionVerdict.DIFFERENT_SUMMANDS
+
+
+def test_distinguish_rejects_an_alien_block():
+    with pytest.raises(UncataloguedBlock, match="not a catalogued building block"):
+        distinguish([object()], [K3])
 
 
 def test_distinguish_out_of_regime():
