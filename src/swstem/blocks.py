@@ -4,10 +4,10 @@ The blocks are the summands the connected-sum engine understands, all with
 b1 = 0: elliptic surfaces E(p_g; m, n) (``K3`` is E(1; 1, 1)), symplectic
 and Kaehler blocks known through declared classes, negative definite
 diagonal blocks, and homotopy-sphere-like blocks.  Each kind is declared
-once, as its class: its label, Betti profile, SW value and parity at a class
-key, odd-SW class set, whether it is neutral or almost complex, and its JSON
-tag and fields.  The module functions check once that they were given a
-catalogued block and then ask the block.
+once, as its class: its label, b+ (for an almost complex kind), SW value
+and parity at a class key, odd-SW class set, whether it is neutral or almost
+complex, and its JSON tag and fields.  The module functions check once that
+they were given a catalogued block and then ask the block.
 
 The basic classes of E(p_g; m, n) are the multiples of the fiber class
 listed by ``basic_class_table``: the multiple (p_g-1-2a)mn + (m-2b-1)n +
@@ -35,7 +35,6 @@ from typing import Union
 
 from ._record import record
 from .errors import InvalidParameters, UncataloguedBlock, UnknownSW
-from .lattice import TopProfile
 
 #: class key selecting the canonical class of a symplectic block
 CANONICAL = "canonical"
@@ -71,8 +70,9 @@ def shown(value) -> str:
 
 
 class _Block:
-    """What every catalogued kind declares: a ``label``, a ``top_profile``
-    and overrides of these defaults, those of a block without SW data.
+    """What every catalogued kind declares: a ``label``, a ``b_plus`` when it
+    is almost complex, and overrides of these defaults, those of a block
+    without SW data.
 
     ``class_key=None`` selects the block's distinguished class.  ``tag`` is
     the JSON ``"type"``, ``fields`` the other JSON keys (by default the
@@ -113,11 +113,12 @@ class EllipticSurface(_Block):
     """Simply connected minimal elliptic surface E(p_g; m, n).
 
     ``p_g >= 0`` is the geometric genus; ``m <= n`` are the coprime
-    multiplicities of the multiple fibers (1 means no log transform).  Inputs
-    with m > n are swapped with a warning.  Basic-class data exists for
-    p_g >= 1 only; p_g = 0 blocks carry unknown SW.  The distinguished class
-    is the largest multiple (value 1); a chosen multiple must have the parity
-    of the table multiples, otherwise it is not characteristic.
+    multiplicities of the multiple fibers (1 means no log transform).  The
+    constructor swaps m > n with a warning; a manifold file refuses them.
+    Basic-class data exists for p_g >= 1 only; p_g = 0 blocks carry unknown
+    SW.  The distinguished class is the largest multiple (value 1); a chosen
+    multiple must have the parity of the table multiples, otherwise it is not
+    characteristic.
     """
 
     p_g: int
@@ -139,7 +140,7 @@ class EllipticSurface(_Block):
         if self.m > self.n:
             warnings.warn(
                 f"multiplicities given as ({self.m}, {self.n}); normalizing to m <= n",
-                stacklevel=2,
+                stacklevel=3,  # the caller of the generated __init__
             )
             m, n = self.n, self.m
             object.__setattr__(self, "m", m)
@@ -158,10 +159,6 @@ class EllipticSurface(_Block):
     @property
     def b_plus(self) -> int:
         return 2 * self.p_g + 1
-
-    def top_profile(self) -> TopProfile:
-        # K3 is the one elliptic surface whose b- the catalogue pins
-        return TopProfile(0, self.b_plus, 19 if self == K3 else None)
 
     def sw_value(self, class_key):
         if self.p_g < 1:
@@ -191,6 +188,15 @@ class EllipticSurface(_Block):
         if self.p_g < 1:
             raise UnknownSW(f"{self.label}: no declared odd basic data for p_g = 0")
         return recognizable_set(self.p_g, self.m, self.n)
+
+    @classmethod
+    def from_json(cls, raw: dict):
+        # a file must state m <= n, as basic-classes does
+        p_g, m, n = raw["p_g"], raw["m"], raw["n"]
+        if type(m) is type(n) is int and m > n:
+            cls(p_g, n, m)  # the constructor's other checks first, with their texts
+            raise InvalidParameters(f"multiplicities must satisfy m <= n, got ({m}, {n})")
+        return cls(p_g, m, n), None
 
 
 K3 = EllipticSurface(1, 1, 1)
@@ -229,9 +235,6 @@ class SymplecticGeneric(_Block):
     def label(self) -> str:
         return f"symplectic(b+={self.b_plus})"
 
-    def top_profile(self) -> TopProfile:
-        return TopProfile(0, self.b_plus)
-
     def sw_value(self, class_key):
         if class_key is None or class_key == CANONICAL:
             return 1
@@ -267,9 +270,6 @@ class KaehlerGeneric(_Block):
     @property
     def label(self) -> str:
         return f"kaehler(b+={self.b_plus})"
-
-    def top_profile(self) -> TopProfile:
-        return TopProfile(0, self.b_plus)
 
     def sw_parity(self, class_key=None) -> Parity | None:
         if class_key is not None:
@@ -311,9 +311,6 @@ class NegativeDefinite(_Block):
     def label(self) -> str:
         return f"negative-definite(rank={self.rank})"
 
-    def top_profile(self) -> TopProfile:
-        return TopProfile(0, 0, self.rank)
-
     @property
     def neutral(self) -> bool:
         return self.rank == 0
@@ -346,9 +343,6 @@ class HomotopySphereLike(_Block):
     def label(self) -> str:
         return "homotopy-sphere"
 
-    def top_profile(self) -> TopProfile:
-        return TopProfile(0, 0, 0)
-
 
 BuildingBlock = Union[
     EllipticSurface, SymplecticGeneric, KaehlerGeneric, NegativeDefinite, HomotopySphereLike
@@ -362,18 +356,6 @@ def _catalogued(block) -> _Block:
     if not isinstance(block, _Block):
         raise UncataloguedBlock(f"not a catalogued building block: {block!r}")
     return block
-
-
-def describe_block(block: BuildingBlock) -> str:
-    """Short human-readable tag used in traces and error messages."""
-    return _catalogued(block).label
-
-
-def profile(block: BuildingBlock) -> TopProfile:
-    """Betti-number profile of a block; b_minus is None where the catalogue
-    leaves it undetermined (elliptic surfaces other than K3, and the
-    symplectic and Kaehler blocks)."""
-    return _catalogued(block).top_profile()
 
 
 def odd_binomial(n: int, k: int) -> bool:

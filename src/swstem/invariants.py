@@ -36,7 +36,7 @@ import enum
 from ._record import record
 from .blocks import BuildingBlock, NegativeDefinite, Parity, _catalogued, shown
 from .errors import InvalidParameters, PositiveIndexOnNegativeDefinite, PreconditionNotMet
-from .lattice import SpinC, dirac_index
+from .lattice import SpinC, dirac_index, expected_dimension
 from .stems import StemElement, StemKind, TriState, hopf_power, smash_all, unknown, zero
 
 
@@ -210,7 +210,7 @@ def _walk(csum: ConnectedSum, trace: list[str]) -> tuple[list[Summand], list[Sum
 
 def _digest(ac: list[Summand]) -> list[tuple]:
     """(label, b+, SW parity) of each summand: b+ is every almost complex
-    block's own ``b_plus`` (no ``TopProfile``), the parity a Lucas bit test."""
+    block's own ``b_plus``, the parity a Lucas bit test."""
     return [
         (s.block.label, s.block.b_plus, s.block.sw_parity(s.class_key))
         for s in ac
@@ -399,7 +399,7 @@ def blowup(
         raise InvalidParameters("blowup blocks must be negative definite")
     Summand(block, spin_c)  # checks the coordinates against the rank
     d = _negdef_index(block, spin_c)
-    k = inv.stem_degree - 1  # expected dimension of the original sum (b1 = 0)
+    k = expected_dimension(inv.total_d, inv.total_b_plus, 0)  # of the original sum
     stem_degree = inv.stem_degree + 2 * d
     nonequiv, equivariant = inv.nonequiv_class, inv.equivariant_nonzero
     if d == 0:

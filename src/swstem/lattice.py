@@ -18,31 +18,6 @@ from .errors import IndexNotIntegral, InvalidParameters
 
 
 @record
-class TopProfile:
-    """Betti-number profile (b1, b+, b-) of a closed oriented 4-manifold.
-
-    ``b_minus`` is None when the catalogue does not determine it; the
-    signature is derived from b+ - b- and is likewise None in that case.
-    """
-
-    b1: int
-    b_plus: int
-    b_minus: int | None = None
-
-    def __post_init__(self):
-        if self.b1 < 0 or self.b_plus < 0:
-            raise InvalidParameters("Betti numbers must be non-negative")
-        if self.b_minus is not None and self.b_minus < 0:
-            raise InvalidParameters("b_minus must be non-negative when known")
-
-    @property
-    def signature(self) -> int | None:
-        if self.b_minus is None:
-            return None
-        return self.b_plus - self.b_minus
-
-
-@record
 class SpinC:
     """First-Chern-class data of a spin-c structure, reduced to c^2.
 
@@ -115,12 +90,3 @@ def expected_dimension(d: int, b_plus: int, b1: int) -> int:
     """Expected dimension 2d - (b+ - b1 + 1) of the monopole moduli space."""
     return 2 * d - (b_plus - b1 + 1)
 
-
-def is_almost_complex_profile(d: int, b_plus: int, b1: int) -> bool:
-    """True when the expected dimension vanishes, i.e. the stably almost
-    complex structure with these indices is realized by an almost complex one.
-
-    >>> is_almost_complex_profile(2, 3, 0)
-    True
-    """
-    return expected_dimension(d, b_plus, b1) == 0

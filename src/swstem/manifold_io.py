@@ -45,11 +45,17 @@ _TOP_KEYS = {"summands", "name", "notes"}
 
 @record
 class ManifoldDoc:
-    """A parsed manifold description."""
+    """A parsed manifold description; ``name`` and ``notes`` are strings or
+    None (absent)."""
 
     summands: tuple[Summand, ...]
     name: str | None = None
     notes: str | None = None
+
+    def __post_init__(self):
+        for field_name in ("name", "notes"):
+            if not isinstance(getattr(self, field_name), (str, type(None))):
+                raise InvalidParameters(f"'{field_name}' must be a string or None")
 
     def to_connected_sum(self) -> ConnectedSum:
         return ConnectedSum(self.summands)

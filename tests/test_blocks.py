@@ -17,17 +17,14 @@ from swstem.blocks import (
     Parity,
     SymplecticGeneric,
     basic_class_table,
-    describe_block,
     max_multiple,
     odd_binomial,
-    profile,
     recognizable_set,
     sw_parity,
     sw_value,
 )
 from swstem.errors import InvalidParameters, UncataloguedBlock, UnknownSW
 from swstem.invariants import Summand
-from swstem.lattice import TopProfile
 
 
 def coprime_grid(p_g_max=8, n_max=6):
@@ -307,24 +304,10 @@ def test_kaehler_odd_basic_normalized():
     assert KaehlerGeneric(3, (2, 0, 2)).odd_basic == (0, 2)
 
 
-def test_profiles():
-    assert profile(K3) == TopProfile(0, 3, 19)
-    assert profile(EllipticSurface(3, 1, 1)) == TopProfile(0, 7)
-    assert profile(SymplecticGeneric(5)) == TopProfile(0, 5)
-    assert profile(NegativeDefinite(4)) == TopProfile(0, 0, 4)
-    assert profile(HomotopySphereLike()) == TopProfile(0, 0, 0)
-    assert profile(KaehlerGeneric(3, (0,))) == TopProfile(0, 3)
-    assert profile(EllipticSurface(0, 1, 1)) == TopProfile(0, 1)
-    assert profile(NegativeDefinite(0)) == TopProfile(0, 0, 0)
-    with pytest.raises(UncataloguedBlock):
-        profile(object())
-
-
 @pytest.mark.parametrize("p_g", range(5))
 @pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 3), (3, 5)])
 def test_elliptic_b_plus_is_the_profile_b_plus(p_g, m, n):
-    block = EllipticSurface(p_g, m, n)
-    assert block.b_plus == profile(block).b_plus == 2 * p_g + 1
+    assert EllipticSurface(p_g, m, n).b_plus == 2 * p_g + 1
 
 
 @pytest.mark.parametrize(
@@ -334,8 +317,9 @@ def test_elliptic_b_plus_is_the_profile_b_plus(p_g, m, n):
     ids=repr,
 )
 def test_neutral_is_b2_zero_in_the_profile(block):
-    p = profile(block)
-    assert block.neutral == (p.b_plus == 0 and p.b_minus == 0)
+    # b2 = 0 exactly for the homotopy spheres and the rank-0 negative definite block
+    b2_zero = isinstance(block, HomotopySphereLike) or block == NegativeDefinite(0)
+    assert block.neutral == b2_zero
 
 
 def test_huge_class_keys_are_named_by_bit_length():
@@ -354,16 +338,14 @@ def test_huge_class_keys_are_named_by_bit_length():
 
 
 def test_describe():
-    assert describe_block(K3) == "K3"
-    assert describe_block(EllipticSurface(3, 1, 1)) == "E(p_g=3,m=1,n=1)"
-    assert describe_block(NegativeDefinite(1)) == "negative-definite(rank=1)"
-    assert describe_block(SymplecticGeneric(5)) == "symplectic(b+=5)"
-    assert describe_block(KaehlerGeneric(3, (0,))) == "kaehler(b+=3)"
-    assert describe_block(HomotopySphereLike()) == "homotopy-sphere"
-    assert describe_block(EllipticSurface(0, 1, 1)) == "E(p_g=0,m=1,n=1)"
-    assert describe_block(NegativeDefinite(0)) == "negative-definite(rank=0)"
-    with pytest.raises(UncataloguedBlock):
-        describe_block(object())
+    assert K3.label == "K3"
+    assert EllipticSurface(3, 1, 1).label == "E(p_g=3,m=1,n=1)"
+    assert NegativeDefinite(1).label == "negative-definite(rank=1)"
+    assert SymplecticGeneric(5).label == "symplectic(b+=5)"
+    assert KaehlerGeneric(3, (0,)).label == "kaehler(b+=3)"
+    assert HomotopySphereLike().label == "homotopy-sphere"
+    assert EllipticSurface(0, 1, 1).label == "E(p_g=0,m=1,n=1)"
+    assert NegativeDefinite(0).label == "negative-definite(rank=0)"
 
 
 def test_sw_value_elliptic():

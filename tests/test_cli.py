@@ -344,6 +344,15 @@ def test_hostile_files_end_in_one_error_line(tmp_path, raw):
     assert sum(line.startswith("error:") for line in proc.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_a_file_with_m_greater_than_n_is_refused(tmp_path, flags):
+    path = tmp_path / "swapped.json"
+    path.write_text('{"summands": [{"type": "elliptic", "p_g": 3, "m": 3, "n": 2}]}')
+    proc = run_cli("invariant", str(path), *flags, expect=1)
+    assert proc.stdout == ""
+    assert proc.stderr == "error: summand 0: multiplicities must satisfy m <= n, got (3, 2)\n"
+
+
 def test_broken_pipe_ends_in_one_error_line():
     # a 543k-line table overflows the pipe, which closes after 10 bytes
     argv = ["basic-classes", "--pg", "201", "--m", "51", "--n", "53"]

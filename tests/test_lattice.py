@@ -1,4 +1,4 @@
-"""Index arithmetic, profiles and characteristic vectors."""
+"""Index arithmetic, the expected dimension and characteristic vectors."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,10 +6,8 @@ from hypothesis import given, strategies as st
 from swstem.errors import IndexNotIntegral, InvalidParameters
 from swstem.lattice import (
     SpinC,
-    TopProfile,
     dirac_index,
     expected_dimension,
-    is_almost_complex_profile,
 )
 
 
@@ -46,20 +44,7 @@ def test_index_integrality_is_exactly_mod8(c_square, signature):
 
 def test_expected_dimension_of_k3_vanishes():
     assert expected_dimension(2, 3, 0) == 0
-    assert is_almost_complex_profile(2, 3, 0)
-    assert not is_almost_complex_profile(2, 5, 0)
-
-
-def test_profile_signature():
-    assert TopProfile(0, 3, 19).signature == -16
-    assert TopProfile(0, 3).signature is None
-
-
-def test_profile_rejects_negative_betti_numbers():
-    with pytest.raises(InvalidParameters):
-        TopProfile(-1, 0)
-    with pytest.raises(InvalidParameters):
-        TopProfile(0, 0, -1)
+    assert expected_dimension(2, 5, 0) != 0
 
 
 def test_spin_c_from_coords():

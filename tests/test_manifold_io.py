@@ -1,15 +1,16 @@
 """Strict manifold-description parsing and canonical serialization."""
 
 import json
+import warnings
 from math import gcd
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from swstem.blocks import EllipticSurface, KaehlerGeneric, NegativeDefinite
-from swstem.errors import ManifoldSemanticError, ManifoldSyntaxError
-from swstem.invariants import invariant
+from swstem.blocks import K3, EllipticSurface, KaehlerGeneric, NegativeDefinite
+from swstem.errors import InvalidParameters, ManifoldSemanticError, ManifoldSyntaxError
+from swstem.invariants import Summand, invariant
 from swstem.manifold_io import (
     ManifoldDoc,
     load_manifold,
@@ -93,6 +94,41 @@ def test_semantic_error_carries_block_index():
         )
     assert exc.value.block_index == 1
     assert str(exc.value).startswith("summand 1: ")
+
+
+@pytest.mark.parametrize(
+    "p_g, m, n, message",
+    [
+        (3, 3, 2, "multiplicities must satisfy m <= n, got (3, 2)"),
+        # every other check comes first, with its message unchanged
+        (3, 3.0, 2, "m must be an integer, got 3.0"),
+        (3, 3, "2", "n must be an integer, got '2'"),
+        (3, True, 2, "m must be an integer, got True"),
+        (-1, 3, 2, "p_g must be >= 0, got -1"),
+        (3, 3, 0, "fiber multiplicities must be >= 1"),
+        (3, 4, 2, "multiplicities must be coprime, got (2, 4)"),
+    ],
+)
+def test_a_file_refuses_m_greater_than_n(p_g, m, n, message):
+    raw = {"summands": [{"type": "k3"}, {"type": "elliptic", "p_g": p_g, "m": m, "n": n}]}
+    with pytest.raises(ManifoldSemanticError) as exc:
+        parse_manifold(json.dumps(raw))
+    assert exc.value.block_index == 1
+    assert str(exc.value) == f"summand 1: {message}"
+
+
+@pytest.mark.parametrize("name, notes", [(3, None), (None, ["n"]), (b"k3", "n")])
+def test_manifold_doc_rejects_metadata_that_is_not_a_string(name, notes):
+    with pytest.raises(InvalidParameters, match="must be a string or None"):
+        ManifoldDoc((Summand(K3),), name, notes)
+
+
+@pytest.mark.parametrize("field_name", ["name", "notes"])
+@pytest.mark.parametrize("value", [3, None, ["n"]])
+def test_a_file_refuses_metadata_that_is_not_a_string(field_name, value):
+    raw = {"summands": [{"type": "k3"}], field_name: value}
+    with pytest.raises(ManifoldSemanticError, match=f"^'{field_name}' must be a string$"):
+        parse_manifold(json.dumps(raw))
 
 
 @pytest.mark.parametrize(
@@ -263,7 +299,9 @@ def _near_valid_summand(draw):
 
 def _parses_or_refuses(text: str) -> None:
     try:
-        doc = parse_manifold(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # parsing never warns
+            doc = parse_manifold(text)
     except (ManifoldSyntaxError, ManifoldSemanticError):
         return
     assert isinstance(doc, ManifoldDoc)

@@ -22,7 +22,7 @@ from swstem.invariants import (
     SplitVerdict,
     Summand,
 )
-from swstem.lattice import SpinC, TopProfile
+from swstem.lattice import SpinC
 from swstem.manifold_io import ManifoldDoc
 from swstem.recognize import Pattern, RecognitionResult
 from swstem.stems import ETA, StemElement, StemKind, TriState
@@ -45,14 +45,6 @@ RECORDS = [
         (StemKind.HOPF, 2, None),
         {"value": None},
         "StemElement(kind=<StemKind.HOPF: 'hopf'>, degree=1, value=None)",
-    ),
-    (
-        TopProfile,
-        ("b1", "b_plus", "b_minus"),
-        (0, 3, 19),
-        (0, 3, 18),
-        {"b_minus": None},
-        "TopProfile(b1=0, b_plus=3, b_minus=19)",
     ),
     (
         SpinC,
@@ -272,8 +264,9 @@ def test_invariant_class_trace_is_not_compared():
 
 
 def test_elliptic_surface_swaps_multiplicities_with_a_warning():
-    with pytest.warns(UserWarning, match="normalizing to m <= n"):
+    with pytest.warns(UserWarning, match="normalizing to m <= n") as caught:
         block = EllipticSurface(1, 3, 2)
+    assert caught[0].filename == __file__  # the warning names the caller's line
     assert (block.m, block.n) == (2, 3)
     assert block == EllipticSurface(1, 2, 3)
     assert repr(block) == "EllipticSurface(p_g=1, m=2, n=3)"
