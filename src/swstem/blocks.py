@@ -7,7 +7,10 @@ diagonal blocks, and homotopy-sphere-like blocks.  Each kind is declared
 once, as its class: its label, b+ (for an almost complex kind), SW value
 and parity at a class key, odd-SW class set, whether it is neutral or almost
 complex, and its JSON tag and fields.  The module functions check once that
-they were given a catalogued block and then ask the block.
+they were given a catalogued block and then ask the block.  Constructors,
+class keys and the table functions take exact integers (``exact_int``);
+the formulas ``max_multiple`` and ``odd_binomial`` run on integers already
+checked and check none.
 
 The basic classes of E(p_g; m, n) are the multiples of the fiber class
 listed by ``basic_class_table``: the multiple (p_g-1-2a)mn + (m-2b-1)n +
@@ -34,7 +37,7 @@ from math import comb, gcd
 from typing import Union
 
 from ._record import record
-from .errors import InvalidParameters, UncataloguedBlock, UnknownSW
+from .errors import InvalidParameters, UncataloguedBlock, UnknownSW, exact_int
 
 #: class key selecting the canonical class of a symplectic block
 CANONICAL = "canonical"
@@ -48,15 +51,11 @@ class Parity(enum.Enum):
         return self.name.lower()
 
 
-def _integer(raw, message: str) -> int:
-    # exactly int: floats, and bools (an int subclass), are rejected
-    if type(raw) is not int:
-        raise InvalidParameters(message)
-    return raw
-
-
-def _int_field(raw, what: str) -> int:
-    return _integer(raw, f"{what} must be an integer, got {raw!r}")
+def _triple_ints(p_g, m, n) -> None:
+    # one chained type test passes valid arguments; a message only on failure
+    if not type(p_g) is type(m) is type(n) is int:
+        for value, what in zip((p_g, m, n), ("p_g", "m", "n")):
+            exact_int(value, what)
 
 
 #: the widest integer printed; str() refuses over 4,300 digits (14,284 bits)
@@ -130,9 +129,7 @@ class EllipticSurface(_Block):
     almost_complex = True
 
     def __post_init__(self):
-        if not type(self.p_g) is type(self.m) is type(self.n) is int:
-            for name in self.fields:
-                _int_field(getattr(self, name), name)
+        _triple_ints(self.p_g, self.m, self.n)
         if self.p_g < 0:
             raise InvalidParameters(f"p_g must be >= 0, got {self.p_g}")
         if self.m < 1 or self.n < 1:
@@ -165,16 +162,14 @@ class EllipticSurface(_Block):
             raise UnknownSW("p_g = 0 elliptic blocks carry no declared SW data")
         if class_key is None:
             return 1
-        key = _integer(class_key, "elliptic class keys are fiber multiples (integers)")
-        a = _genus_index(self.p_g, self.m, self.n, key)
-        return 0 if a is None else comb(self.p_g - 1, a)
+        return _abs_sw(self.p_g, self.m, self.n, exact_int(class_key, "elliptic class key"))
 
     def sw_parity(self, class_key=None) -> Parity | None:
         if self.p_g < 1:
             return None
         if class_key is None:
             return Parity.ODD
-        key = _integer(class_key, "elliptic class keys are fiber multiples (integers)")
+        key = exact_int(class_key, "elliptic class key")
         if (key - max_multiple(self.p_g, self.m, self.n)) % 2 != 0:
             raise InvalidParameters(
                 f"multiple {shown(key)} is not characteristic on "
@@ -225,7 +220,7 @@ class SymplecticGeneric(_Block):
     almost_complex = True
 
     def __post_init__(self):
-        _int_field(self.b_plus, "b_plus")
+        exact_int(self.b_plus, "b_plus")
         if self.b_plus < 1 or self.b_plus % 2 == 0:
             raise InvalidParameters(
                 f"b_plus of a symplectic block must be odd and positive, got {self.b_plus}"
@@ -259,12 +254,12 @@ class KaehlerGeneric(_Block):
     almost_complex = True
 
     def __post_init__(self):
-        _int_field(self.b_plus, "b_plus")
+        exact_int(self.b_plus, "b_plus")
         if self.b_plus < 1 or self.b_plus % 2 == 0:
             raise InvalidParameters(
                 f"b_plus of a Kaehler block must be odd and positive, got {self.b_plus}"
             )
-        labels = tuple(sorted({_int_field(x, "odd_basic entry") for x in self.odd_basic}))
+        labels = tuple(sorted({exact_int(x, "odd_basic entry") for x in self.odd_basic}))
         object.__setattr__(self, "odd_basic", labels)
 
     @property
@@ -273,7 +268,7 @@ class KaehlerGeneric(_Block):
 
     def sw_parity(self, class_key=None) -> Parity | None:
         if class_key is not None:
-            key = _integer(class_key, "Kaehler class keys are c^2 labels (integers)")
+            key = exact_int(class_key, "Kaehler class key")
             return Parity.ODD if key in self.odd_basic else Parity.EVEN
         return Parity.ODD if self.odd_basic else Parity.EVEN
 
@@ -287,8 +282,7 @@ class KaehlerGeneric(_Block):
         labels = raw.get("odd_basic", [])
         if not isinstance(labels, list):
             raise InvalidParameters("odd_basic must be a list")
-        odd_basic = tuple(_int_field(x, "odd_basic entry") for x in labels)
-        return cls(raw["b_plus"], odd_basic), None
+        return cls(raw["b_plus"], labels), None
 
 
 @record
@@ -303,7 +297,7 @@ class NegativeDefinite(_Block):
     required = ("rank",)
 
     def __post_init__(self):
-        _int_field(self.rank, "rank")
+        exact_int(self.rank, "rank")
         if self.rank < 0:
             raise InvalidParameters(f"rank must be >= 0, got {self.rank}")
 
@@ -323,7 +317,7 @@ class NegativeDefinite(_Block):
         coords = raw["c"]
         if not isinstance(coords, list):
             raise InvalidParameters("c must be a list of integers")
-        return block, tuple(_int_field(x, "coordinate") for x in coords)
+        return block, coords
 
     def to_json(self, coords) -> dict:
         out: dict = {"type": self.tag, "rank": self.rank}
@@ -362,7 +356,8 @@ def odd_binomial(n: int, k: int) -> bool:
     """True iff binomial(n, k) is odd, decided by the bit test k AND n == k.
 
     Works for arbitrarily large inputs without evaluating the binomial;
-    k > n (a bit of k outside n) yields false.
+    k > n (a bit of k outside n) yields false.  A pure formula, run inside
+    table builds on integers already checked: it checks no argument types.
 
     >>> odd_binomial(10, 2)
     True
@@ -375,6 +370,7 @@ def odd_binomial(n: int, k: int) -> bool:
 
 
 def _check_table_params(p_g: int, m: int, n: int) -> None:
+    _triple_ints(p_g, m, n)
     if p_g < 1:
         raise InvalidParameters(
             f"basic-class data requires geometric genus >= 1, got p_g = {p_g}"
@@ -388,7 +384,8 @@ def _check_table_params(p_g: int, m: int, n: int) -> None:
 
 
 def max_multiple(p_g: int, m: int, n: int) -> int:
-    """Largest basic-class multiple, attained at a = b = c = 0."""
+    """Largest basic-class multiple, attained at a = b = c = 0.  A pure
+    formula on integers already checked: it checks no argument types."""
     return (p_g - 1) * m * n + (m - 1) * n + (n - 1) * m
 
 
@@ -408,6 +405,12 @@ def _genus_index(p_g: int, m: int, n: int, key: int) -> int | None:
         return None
     a = q // n
     return a if a < p_g else None
+
+
+def _abs_sw(p_g: int, m: int, n: int, key: int) -> int:
+    """|SW| of E(p_g; m, n) at the multiple ``key``, 0 off the table."""
+    a = _genus_index(p_g, m, n, key)
+    return 0 if a is None else comb(p_g - 1, a)
 
 
 def _key_blocks(p_g: int, m: int, n: int, rows, value):
@@ -470,8 +473,7 @@ class BasicClassTable:
 
     def value(self, multiple: int) -> int:
         """Exact |SW| value at a multiple; 0 when absent from the table."""
-        a = _genus_index(self.p_g, self.m, self.n, multiple)
-        return 0 if a is None else comb(self.p_g - 1, a)
+        return _abs_sw(self.p_g, self.m, self.n, multiple)
 
     @property
     def multiples(self) -> tuple[int, ...]:

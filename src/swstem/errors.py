@@ -2,6 +2,8 @@
 
 Every error raised on purpose by this library derives from SwStemError, so
 callers (and the CLI) can map domain failures to a single exit code.
+``exact_int`` is the library's one test for an argument that must be an
+exact integer.
 """
 
 from __future__ import annotations
@@ -21,6 +23,22 @@ class IndexNotIntegral(SwStemError):
 
 class InvalidParameters(SwStemError):
     """Arguments violate a documented precondition (range, coprimality, order)."""
+
+
+def exact_int(value, what: str) -> int:
+    """``value`` when it is exactly an int; InvalidParameters naming ``what``
+    otherwise.  Floats, strings and bools (an int subclass) are refused.
+
+    >>> exact_int(7, "rank")
+    7
+    >>> exact_int(True, "rank")  # doctest: +ELLIPSIS
+    Traceback (most recent call last):
+    ...
+    swstem.errors.InvalidParameters: rank must be an integer, ...
+    """
+    if type(value) is not int:
+        raise InvalidParameters(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 class UnknownSW(SwStemError):

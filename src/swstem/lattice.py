@@ -14,7 +14,7 @@ A stably almost complex structure is almost complex exactly when k = 0.
 from __future__ import annotations
 
 from ._record import record
-from .errors import IndexNotIntegral, InvalidParameters
+from .errors import IndexNotIntegral, InvalidParameters, exact_int
 
 
 @record
@@ -31,8 +31,7 @@ class SpinC:
     c_coords: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if type(self.c_square) is not int:
-            raise InvalidParameters(f"c_square must be an integer, got {self.c_square!r}")
+        exact_int(self.c_square, "c_square")
         if self.c_coords is None:
             return
         coords = _odd_coordinates(self.c_coords)
@@ -53,9 +52,7 @@ def _odd_coordinates(raw) -> tuple[int, ...]:
     """The coordinates as a tuple, checked to be odd integers (not bools)."""
     coords = tuple(raw)
     for x in coords:
-        if type(x) is not int:
-            raise InvalidParameters(f"coordinate must be an integer, got {x!r}")
-        if x % 2 == 0:
+        if exact_int(x, "coordinate") % 2 == 0:
             raise InvalidParameters(
                 f"coordinate {x} is even; characteristic vectors on a diagonal "
                 "negative definite form have odd coordinates"
@@ -87,6 +84,7 @@ def dirac_index(c_square: int, signature: int) -> int:
 
 
 def expected_dimension(d: int, b_plus: int, b1: int) -> int:
-    """Expected dimension 2d - (b+ - b1 + 1) of the monopole moduli space."""
+    """Expected dimension 2d - (b+ - b1 + 1) of the monopole moduli space.
+    A pure formula on integers already checked: it checks no argument types."""
     return 2 * d - (b_plus - b1 + 1)
 

@@ -15,7 +15,8 @@ A manifold file is a single JSON object::
       ]
     }
 
-Unknown keys are rejected everywhere, at top level and inside summands.
+Unknown and repeated keys are rejected everywhere, at top level and inside
+summands (json.loads alone would keep a repeated key's last value).
 ``odd_basic`` (a list of c^2 labels) is optional and defaults to empty;
 ``c`` (the characteristic coordinates of a negative definite block, one odd
 integer per rank) is optional and defaults to the unit vector.  Parsing is
@@ -28,6 +29,7 @@ indent-2 form, is written directly, not by json.dumps' pure-Python encoder.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from json.encoder import encode_basestring_ascii as _quote
 
 from ._record import record
@@ -46,7 +48,9 @@ _TOP_KEYS = {"summands", "name", "notes"}
 @record
 class ManifoldDoc:
     """A parsed manifold description; ``name`` and ``notes`` are strings or
-    None (absent)."""
+    None (absent).  ``summands`` pass ``ConnectedSum``'s check (nonempty,
+    every entry a ``Summand``) and become a tuple; the checked sum is kept
+    for ``to_connected_sum``, so every record has a canonical text."""
 
     summands: tuple[Summand, ...]
     name: str | None = None
@@ -56,13 +60,36 @@ class ManifoldDoc:
         for field_name in ("name", "notes"):
             if not isinstance(getattr(self, field_name), (str, type(None))):
                 raise InvalidParameters(f"'{field_name}' must be a string or None")
+        csum = ConnectedSum(self.summands)
+        object.__setattr__(self, "summands", csum.summands)
+        object.__setattr__(self, "_csum", csum)
 
     def to_connected_sum(self) -> ConnectedSum:
-        return ConnectedSum(self.summands)
+        return self._csum
+
+
+class _Repeats(dict):
+    """A JSON object in which ``key`` (an attribute) appears more than once."""
+
+
+def _object(pairs: list) -> dict:
+    """json's object hook: the object as a dict, a ``_Repeats`` if a key repeats."""
+    raw = dict(pairs)
+    if len(raw) < len(pairs):
+        counts = Counter(key for key, _ in pairs)
+        raw = _Repeats(raw)
+        raw.key = next(key for key, count in counts.items() if count > 1)
+    return raw
+
+
+# built once: json.loads(text, object_pairs_hook=...) builds a decoder per call
+_decode = json.JSONDecoder(object_pairs_hook=_object).decode
 
 
 def _parse_summand(raw: object, index: int) -> Summand:
-    if not isinstance(raw, dict):
+    if type(raw) is not dict:  # _object builds every JSON object
+        if type(raw) is _Repeats:
+            raise ManifoldSemanticError(f"repeated key {raw.key!r}", index)
         raise ManifoldSemanticError("summands must be JSON objects", index)
     tag = raw.get("type")
     kind = JSON_KINDS.get(tag) if isinstance(tag, str) else None
@@ -91,8 +118,10 @@ def _parse_summand(raw: object, index: int) -> Summand:
 
 def parse_manifold(text: str) -> ManifoldDoc:
     """Parse a manifold description from JSON text."""
+    if text.startswith("\ufeff"):  # json.loads refuses it; the decoder alone would not say why
+        raise ManifoldSyntaxError("Unexpected UTF-8 BOM (decode using utf-8-sig)", 1, 1)
     try:
-        raw = json.loads(text)
+        raw = _decode(text)
     except json.JSONDecodeError as exc:
         raise ManifoldSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
     except ValueError as exc:
@@ -102,7 +131,9 @@ def parse_manifold(text: str) -> ManifoldDoc:
         raise ManifoldSyntaxError(f"integer literal too long: {detail}") from exc
     except RecursionError as exc:
         raise ManifoldSyntaxError(str(exc)) from exc  # nesting past the recursion limit
-    if not isinstance(raw, dict):
+    if type(raw) is not dict:
+        if type(raw) is _Repeats:
+            raise ManifoldSemanticError(f"repeated key {raw.key!r}")
         raise ManifoldSemanticError("a manifold description is a JSON object")
     for key in raw:
         if key not in _TOP_KEYS:
@@ -115,9 +146,8 @@ def parse_manifold(text: str) -> ManifoldDoc:
     for field_name in ("name", "notes"):
         if field_name in raw and not isinstance(raw[field_name], str):
             raise ManifoldSemanticError(f"'{field_name}' must be a string")
-    summands = tuple(
-        _parse_summand(entry, index) for index, entry in enumerate(summands_raw)
-    )
+    # ManifoldDoc makes the list a tuple
+    summands = [_parse_summand(entry, index) for index, entry in enumerate(summands_raw)]
     return ManifoldDoc(summands, raw.get("name"), raw.get("notes"))
 
 
@@ -148,7 +178,7 @@ def serialize_manifold(doc: ManifoldDoc) -> str:
     top = {"name": doc.name, "notes": doc.notes}  # sorted keys
     lines = [f'  "{key}": {_quote(text)}' for key, text in top.items() if text is not None]
     listed = ",\n    ".join(summands)
-    lines.append(f'  "summands": [\n    {listed}\n  ]' if summands else '  "summands": []')
+    lines.append(f'  "summands": [\n    {listed}\n  ]')
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 from ._record import record
 from .blocks import BuildingBlock, EllipticSurface, _catalogued, recognizable_set
 from .blocks import _odd_count, max_multiple
-from .errors import InvalidParameters, NotAnEllipticPattern
+from .errors import InvalidParameters, NotAnEllipticPattern, exact_int
 from .invariants import connected_sum, nonvanishing_criteria
 from .stems import TriState
 
@@ -113,16 +113,8 @@ def recognize(pattern: Pattern) -> RecognitionResult:
             raise NotAnEllipticPattern(
                 f"largest multiple {k} is incompatible with multiplicities ({m}, {n})"
             )
-        p_g = numerator // (m * n) + 1
-        if p_g < 1:
-            raise NotAnEllipticPattern(
-                f"derived geometric genus {p_g} is not positive"
-            )
-        if m > n or gcd(m, n) != 1:
-            raise NotAnEllipticPattern(
-                f"derived multiplicities ({m}, {n}) are not coprime and ordered"
-            )
-        return _validated_result(p_g, m, n, pattern)
+        # _validated_result refuses p_g < 1 and unordered or non-coprime (m, n)
+        return _validated_result(numerator // (m * n) + 1, m, n, pattern)
 
     # h and k share a factor: the m = n = 1 family, or no surface at all
     return _validated_result(k + 1, 1, 1, pattern)
@@ -181,7 +173,7 @@ def recognize_oracle(
         k = pattern.multiples[-1]
         bounds = (k + 1, k + 2)
     p_g_max, n_max = bounds
-    if p_g_max < 1 or n_max < 1:
+    if exact_int(p_g_max, "p_g_max") < 1 or exact_int(n_max, "n_max") < 1:
         raise InvalidParameters("oracle bounds must be positive")
     size, top, matches = len(pattern.multiples), pattern.multiples[-1], []
     for j in range((size & -size).bit_length()):

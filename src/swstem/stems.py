@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 
 from ._record import record
-from .errors import InvalidParameters
+from .errors import InvalidParameters, exact_int
 
 _SUPERSCRIPTS = {1: "η", 2: "η²", 3: "η³"}
 
@@ -57,9 +57,9 @@ class StemElement:
     value: int | None = None
 
     def __post_init__(self):
-        _exact(self.degree, "stem degree")
+        exact_int(self.degree, "stem degree")
         if self.kind is StemKind.INTEGER:
-            _exact(self.value, "integer class value")
+            exact_int(self.value, "integer class value")
             if self.degree != 0:
                 raise InvalidParameters("integer classes live in degree 0")
         elif self.kind is StemKind.HOPF:
@@ -81,12 +81,6 @@ class StemElement:
         return "unknown"
 
 
-def _exact(value, what: str) -> None:
-    # exactly int: floats, and bools (an int subclass), are rejected
-    if type(value) is not int:
-        raise InvalidParameters(f"{what} must be an integer, got {value!r}")
-
-
 # prebuilt values for the integers, Hopf powers and degrees sums usually reach
 _INTEGERS = {v: StemElement(_INTEGER, 0, v) for v in range(-64, 65)}
 _HOPFS = {j: StemElement(_HOPF, j) for j in (1, 2, 3)}
@@ -96,7 +90,7 @@ _UNKNOWNS = {d: StemElement(_UNKNOWN, d) for d in range(17)}
 
 def integer_class(value: int) -> StemElement:
     """An integer in the zeroth stem."""
-    _exact(value, "integer class value")
+    exact_int(value, "integer class value")
     return _INTEGERS.get(value) or StemElement(_INTEGER, 0, value)
 
 
@@ -109,13 +103,13 @@ def hopf_power(j: int) -> StemElement:
 
 def zero(degree: int) -> StemElement:
     """The zero class in any degree."""
-    _exact(degree, "stem degree")
+    exact_int(degree, "stem degree")
     return _ZEROS.get(degree) or StemElement(_ZERO, degree)
 
 
 def unknown(degree: int) -> StemElement:
     """An undetermined class; normalizes to zero in negative degrees."""
-    _exact(degree, "stem degree")
+    exact_int(degree, "stem degree")
     if degree < 0:
         return zero(degree)
     return _UNKNOWNS.get(degree) or StemElement(_UNKNOWN, degree)
@@ -180,6 +174,6 @@ def sq2_detects_hopf(d: int) -> bool:
     >>> [sq2_detects_hopf(d) for d in (1, 2, 3, 4)]
     [False, True, False, True]
     """
-    if d < 1:
+    if exact_int(d, "d") < 1:
         raise InvalidParameters(f"detection is defined for d >= 1, got {d}")
     return d % 2 == 0

@@ -16,6 +16,7 @@ from swstem.blocks import (
     NegativeDefinite,
     Parity,
     SymplecticGeneric,
+    _odd_count,
     basic_class_table,
     max_multiple,
     odd_binomial,
@@ -25,6 +26,8 @@ from swstem.blocks import (
 )
 from swstem.errors import InvalidParameters, UncataloguedBlock, UnknownSW
 from swstem.invariants import Summand
+from swstem.recognize import Pattern, recognize_oracle
+from swstem.stems import sq2_detects_hopf
 
 
 def coprime_grid(p_g_max=8, n_max=6):
@@ -298,6 +301,22 @@ def test_negative_definite_rejects_non_integer_rank(rank):
 def test_kaehler_rejects_non_integer_labels(labels):
     with pytest.raises(InvalidParameters, match="odd_basic entry must be an integer"):
         KaehlerGeneric(3, labels)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: basic_class_table(2.0, 1, 1), "p_g must be an integer, got 2.0"),
+        (lambda: recognizable_set(True, 1, 1), "p_g must be an integer, got True"),
+        (lambda: _odd_count(3.0, 1, 1), "p_g must be an integer, got 3.0"),
+        (lambda: recognize_oracle(Pattern.of([0]), (2.5, 3)), "p_g_max must be an integer"),
+        (lambda: sq2_detects_hopf(2.0), "d must be an integer, got 2.0"),
+    ],
+    ids=["table", "recognizable", "odd-count", "oracle-bounds", "sq2"],
+)
+def test_entry_points_refuse_non_integers(call, message):
+    with pytest.raises(InvalidParameters, match=message):
+        call()
 
 
 def test_kaehler_odd_basic_normalized():

@@ -353,6 +353,16 @@ def test_a_file_with_m_greater_than_n_is_refused(tmp_path, flags):
     assert proc.stderr == "error: summand 0: multiplicities must satisfy m <= n, got (3, 2)\n"
 
 
+def test_a_file_with_a_repeated_key_is_refused(tmp_path):
+    path = tmp_path / "repeated.json"
+    path.write_text(
+        '{"summands": [{"type": "k3"}, {"type": "elliptic", "p_g": 3, "m": 1, "n": 1, "p_g": 2}]}'
+    )
+    proc = run_cli("invariant", str(path), expect=1)
+    assert proc.stdout == ""
+    assert proc.stderr == "error: summand 1: repeated key 'p_g'\n"
+
+
 def test_broken_pipe_ends_in_one_error_line():
     # a 543k-line table overflows the pipe, which closes after 10 bytes
     argv = ["basic-classes", "--pg", "201", "--m", "51", "--n", "53"]

@@ -86,6 +86,12 @@ def test_syntax_error_position():
     assert "line 3, column 1" in str(exc.value)
 
 
+def test_a_byte_order_mark_is_refused_as_json_loads_refuses_it():
+    with pytest.raises(ManifoldSyntaxError) as exc:
+        parse_manifold('\ufeff{"summands": [{"type": "k3"}]}')
+    assert str(exc.value) == "line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+
+
 def test_semantic_error_carries_block_index():
     with pytest.raises(ManifoldSemanticError) as exc:
         parse_manifold(
@@ -115,6 +121,30 @@ def test_a_file_refuses_m_greater_than_n(p_g, m, n, message):
         parse_manifold(json.dumps(raw))
     assert exc.value.block_index == 1
     assert str(exc.value) == f"summand 1: {message}"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            '{"summands": [{"type": "k3"}, '
+            '{"type": "elliptic", "p_g": 3, "m": 1, "n": 1, "p_g": 2}]}',
+            "summand 1: repeated key 'p_g'",
+        ),
+        ('{"summands": [{"type": "k3", "type": "s4"}]}', "summand 0: repeated key 'type'"),
+        (
+            '{"summands": [{"type": "elliptic", "p_g": 3, "m": 1, "n": 1}], '
+            '"summands": [{"type": "k3"}]}',
+            "repeated key 'summands'",
+        ),
+        ('{"name": "a", "summands": [{"type": "k3"}], "name": "a"}', "repeated key 'name'"),
+    ],
+    ids=["in-summand", "type", "summands", "name"],
+)
+def test_a_repeated_key_is_refused(text, message):
+    with pytest.raises(ManifoldSemanticError) as exc:
+        parse_manifold(text)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("name, notes", [(3, None), (None, ["n"]), (b"k3", "n")])
@@ -256,9 +286,14 @@ def test_serialize_escapes_names_like_the_stdlib(name):
     assert serialize_manifold(doc) == _reference_text(doc)
 
 
-def test_serialize_an_empty_sum_like_the_stdlib():
-    doc = ManifoldDoc(())
-    assert serialize_manifold(doc) == _reference_text(doc)
+@pytest.mark.parametrize(
+    "summands, message",
+    [(["x"], "not a summand: 'x'"), ((), "a connected sum needs at least one summand")],
+    ids=["not-a-summand", "empty"],
+)
+def test_manifold_doc_checks_its_summands(summands, message):
+    with pytest.raises(InvalidParameters, match=f"^{message}$"):
+        ManifoldDoc(summands)
 
 
 # hostile input: every JSON value, and summand objects one mistake away from valid

@@ -86,6 +86,12 @@ def test_recognize_rejects_mixed_parity():
         recognize(Pattern.of([-2, -1, 1, 2]))
 
 
+def test_recognize_refuses_unordered_derived_multiplicities():
+    # the top gap derives m = 3 and the walk n = 2: the table check refuses m > n
+    with pytest.raises(NotAnEllipticPattern, match=r"m <= n, got \(3, 2\)"):
+        recognize(Pattern.of([-7, -1, 1, 7]))
+
+
 def test_recognize_unvalidated_candidate():
     # (-3, 3) derives the candidate (4, 1, 1), whose table disagrees
     result = recognize(Pattern.of([-3, 3]))
