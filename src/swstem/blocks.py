@@ -98,6 +98,10 @@ class _Block:
     def odd_classes(self) -> tuple[int, ...]:
         raise UnknownSW(f"{self.label} does not declare a complete odd basic set")
 
+    def odd_count(self) -> int:
+        """How many classes ``odd_classes`` lists, 0 for a neutral block."""
+        return 0 if self.neutral else len(self.odd_classes())
+
     @classmethod
     def from_json(cls, raw: dict):
         # the constructors reject a field that is not an integer
@@ -179,9 +183,13 @@ class EllipticSurface(_Block):
         odd = a is not None and odd_binomial(self.p_g - 1, a)
         return Parity.ODD if odd else Parity.EVEN
 
-    def odd_classes(self) -> tuple[int, ...]:
+    def odd_count(self) -> int:
         if self.p_g < 1:
             raise UnknownSW(f"{self.label}: no declared odd basic data for p_g = 0")
+        return _odd_count(self.p_g, self.m, self.n)  # without building the set
+
+    def odd_classes(self) -> tuple[int, ...]:
+        self.odd_count()  # refuses p_g = 0
         return recognizable_set(self.p_g, self.m, self.n)
 
     @classmethod
@@ -473,7 +481,7 @@ class BasicClassTable:
 
     def value(self, multiple: int) -> int:
         """Exact |SW| value at a multiple; 0 when absent from the table."""
-        return _abs_sw(self.p_g, self.m, self.n, multiple)
+        return _abs_sw(self.p_g, self.m, self.n, exact_int(multiple, "multiple"))
 
     @property
     def multiples(self) -> tuple[int, ...]:

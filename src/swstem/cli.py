@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .blocks import MAX_SHOWN_BITS, NegativeDefinite, basic_class_table, recognizable_set
@@ -33,7 +32,7 @@ from .invariants import (
     split_verdict,
 )
 from .lattice import SpinC
-from .manifold_io import load_manifold
+from .manifold_io import encode_basestring, json_text, load_manifold
 from .recognize import Pattern, distinguish, recognize, recognize_oracle
 
 #: the most entries basic-classes and recognizable list; more are refused unbuilt
@@ -193,7 +192,9 @@ def _cmd_distinguish(args):
 
 
 def _cmd_fingerprint(args):
-    sets = odd_basic_fingerprint(load_manifold(args.file).to_connected_sum())
+    csum = load_manifold(args.file).to_connected_sum()
+    _admit(sum(s.block.odd_count() for s in csum.summands), "the odd-SW sets")
+    sets = odd_basic_fingerprint(csum)
     return {"sets": sets}, [",".join(str(c) for c in s) for s in sets], ()
 
 
@@ -319,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.json:
             if args.trace:
                 payload["trace"] = trace
-            print(json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True))
+            print(json_text(payload, encode_basestring))  # ensure_ascii=False
             return 0
         for line in lines:
             print(line)

@@ -22,15 +22,16 @@ summands (json.loads alone would keep a repeated key's last value).
 integer per rank) is optional and defaults to the unit vector.  Parsing is
 strict and total: malformed JSON raises ManifoldSyntaxError with line and
 column, a well-formed but invalid description raises ManifoldSemanticError
-with the offending summand's index.  The canonical text, json.dumps' sorted
-indent-2 form, is written directly, not by json.dumps' pure-Python encoder.
+with the offending summand's index.  ``json_text`` writes json.dumps' sorted
+indent-2 text, for files and the CLI's --json, without json.dumps' pure-Python
+encoder (a generator per nesting level before Python 3.13).
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from json.encoder import encode_basestring_ascii as _quote
+from json.encoder import encode_basestring, encode_basestring_ascii  # the first for cli
 
 from ._record import record
 from .blocks import JSON_KINDS
@@ -151,35 +152,35 @@ def parse_manifold(text: str) -> ManifoldDoc:
     return ManifoldDoc(summands, raw.get("name"), raw.get("notes"))
 
 
-def _field(key: str, value) -> str:
-    """``"key": value`` for a string, an int or a list of ints (one per line)."""
-    if type(value) is str:
-        value = _quote(value)
-    elif type(value) is not int:
-        items = ",\n        ".join(map(repr, value))
-        value = f"[\n        {items}\n      ]" if items else "[]"
-    return f"{_quote(key)}: {value}"
+def json_text(value, quote, _newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` byte for byte for
+    str-keyed dicts, lists, tuples, ints, strs and bools; ``quote`` is
+    ``encode_basestring_ascii`` or, for ``ensure_ascii=False``,
+    ``encode_basestring``.  Only the recursion passes ``_newline``."""
+    inner = _newline + "  "
+    if type(value) is dict:
+        items = [
+            f"{quote(key)}: "
+            + (repr(v) if type(v) is int else quote(v) if type(v) is str
+               else json_text(v, quote, inner))
+            for key, v in sorted(value.items())
+        ]
+        return f"{{{inner}{(',' + inner).join(items)}{_newline}}}" if items else "{}"
+    if type(value) in (list, tuple):
+        items = [repr(v) if type(v) is int else json_text(v, quote, inner) for v in value]
+        return f"[{inner}{(',' + inner).join(items)}{_newline}]" if items else "[]"
+    if type(value) is bool:
+        return "true" if value else "false"
+    return quote(value) if type(value) is str else int.__repr__(value)
 
 
 def serialize_manifold(doc: ManifoldDoc) -> str:
-    """Canonical JSON text for a manifold description.
-
-    The text is ``json.dumps(raw, indent=2, sort_keys=True) + "\\n"`` byte for
-    byte, written directly: with ``indent`` set, json.dumps runs its
-    pure-Python encoder (a generator per nesting level) before Python 3.13,
-    which cost more than parsing the text or computing its invariant.
-    ``parse_manifold(serialize_manifold(doc))`` returns an equal document.
-    """
-    summands = []
-    for s in doc.summands:
-        raw = s.block.to_json(None if s.spin_c is None else s.spin_c.c_coords)
-        fields = ",\n      ".join(_field(key, raw[key]) for key in sorted(raw))
-        summands.append(f"{{\n      {fields}\n    }}")
-    top = {"name": doc.name, "notes": doc.notes}  # sorted keys
-    lines = [f'  "{key}": {_quote(text)}' for key, text in top.items() if text is not None]
-    listed = ",\n    ".join(summands)
-    lines.append(f'  "summands": [\n    {listed}\n  ]')
-    return "{\n" + ",\n".join(lines) + "\n}\n"
+    """Canonical JSON text for a manifold description: json.dumps' sorted
+    indent-2 text of its raw dict plus a newline, by ``json_text``.
+    ``parse_manifold(serialize_manifold(doc))`` returns an equal document."""
+    raw = {k: t for k, t in (("name", doc.name), ("notes", doc.notes)) if t is not None}
+    raw["summands"] = [s.block.to_json(s.spin_c and s.spin_c.c_coords) for s in doc.summands]
+    return json_text(raw, encode_basestring_ascii) + "\n"
 
 
 def load_manifold(path: str) -> ManifoldDoc:

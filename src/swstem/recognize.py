@@ -172,7 +172,10 @@ def recognize_oracle(
     if bounds is None:
         k = pattern.multiples[-1]
         bounds = (k + 1, k + 2)
-    p_g_max, n_max = bounds
+    try:
+        p_g_max, n_max = bounds
+    except (TypeError, ValueError):
+        raise InvalidParameters("oracle bounds must be a pair (p_g_max, n_max)") from None
     if exact_int(p_g_max, "p_g_max") < 1 or exact_int(n_max, "n_max") < 1:
         raise InvalidParameters("oracle bounds must be positive")
     size, top, matches = len(pattern.multiples), pattern.multiples[-1], []

@@ -131,6 +131,28 @@ def test_table_value_defaults_to_zero_off_table():
     assert basic_class_table(3, 1, 1).value(100) == 0
 
 
+@pytest.mark.parametrize(
+    "block",
+    [K3, EllipticSurface(3, 1, 2), EllipticSurface(6, 2, 5), KaehlerGeneric(3, (0, 2)),
+     KaehlerGeneric(5), HomotopySphereLike(), NegativeDefinite(0)],
+    ids=repr,
+)
+def test_odd_count_is_the_size_of_the_odd_set(block):
+    expected = 0 if block.neutral else len(block.odd_classes())
+    assert block.odd_count() == expected
+
+
+@pytest.mark.parametrize(
+    "block", [EllipticSurface(0, 1, 1), SymplecticGeneric(3), NegativeDefinite(1)], ids=repr
+)
+def test_odd_count_refuses_what_odd_classes_refuses(block):
+    with pytest.raises(UnknownSW) as counted:
+        block.odd_count()
+    with pytest.raises(UnknownSW) as listed:
+        block.odd_classes()
+    assert str(counted.value) == str(listed.value)
+
+
 FAR_KEYS = (10**50, -(10**50), 10**50 + 1, -(10**50) - 1)
 
 
@@ -311,8 +333,10 @@ def test_kaehler_rejects_non_integer_labels(labels):
         (lambda: _odd_count(3.0, 1, 1), "p_g must be an integer, got 3.0"),
         (lambda: recognize_oracle(Pattern.of([0]), (2.5, 3)), "p_g_max must be an integer"),
         (lambda: sq2_detects_hopf(2.0), "d must be an integer, got 2.0"),
+        (lambda: basic_class_table(3, 1, 1).value(0.0), "multiple must be an integer, got 0.0"),
+        (lambda: basic_class_table(3, 1, 1).value("0"), "multiple must be an integer, got '0'"),
     ],
-    ids=["table", "recognizable", "odd-count", "oracle-bounds", "sq2"],
+    ids=["table", "recognizable", "odd-count", "oracle-bounds", "sq2", "value-float", "value-str"],
 )
 def test_entry_points_refuse_non_integers(call, message):
     with pytest.raises(InvalidParameters, match=message):

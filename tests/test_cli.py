@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -318,6 +319,32 @@ def test_tables_at_the_value_bound_are_built(monkeypatch, capsys):
     assert cli.main(argv) == 0
     assert built == [(MAX_SHOWN_BITS + 1, 1, 1)]
     assert capsys.readouterr().out == "0: 1\n"
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "summands",
+    [
+        [{"type": "elliptic", "p_g": 2**30, "m": 1, "n": 1}],  # 2^30 odd classes
+        [{"type": "elliptic", "p_g": 1, "m": 1, "n": 1_000_001}] * 2,  # together over
+    ],
+    ids=["one-huge", "two-halves"],
+)
+def test_fingerprints_over_the_limit_are_refused_unbuilt(
+    tmp_path, summands, json_flag, monkeypatch, capsys
+):
+    def unbuilt(csum):
+        raise AssertionError("built the odd-SW sets")
+
+    monkeypatch.setattr(cli, "odd_basic_fingerprint", unbuilt)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"summands": summands}))
+    start = time.perf_counter()
+    assert cli.main(["fingerprint", str(path), *json_flag]) == 1
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: the odd-SW sets would list more than {cli.MAX_LISTING} entries\n"
 
 
 def test_listing_limit_admits_a_huge_genus_with_a_small_odd_set():

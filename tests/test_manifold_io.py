@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from json.encoder import encode_basestring, encode_basestring_ascii
 from math import gcd
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from swstem.errors import InvalidParameters, ManifoldSemanticError, ManifoldSynt
 from swstem.invariants import Summand, invariant
 from swstem.manifold_io import (
     ManifoldDoc,
+    json_text,
     load_manifold,
     parse_manifold,
     serialize_manifold,
@@ -275,6 +277,30 @@ def test_serialize_is_the_stdlib_indent_2_text(raw, ascii_input):
     text = serialize_manifold(doc)
     assert text == _reference_text(doc)
     assert parse_manifold(text) == doc
+
+
+# every type the library writes; lone surrogates drawn on purpose (st.text skips them)
+_any_text = st.text(st.characters(exclude_categories=()) | st.characters(categories=["Cs"]))
+_writable = st.recursive(
+    st.integers()
+    | st.integers(2**64, 2**256)
+    | st.integers(-(2**256), -(2**64))
+    | st.booleans()
+    | _any_text,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_any_text, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@_text_settings
+@given(_writable)
+def test_json_text_is_the_stdlib_indent_2_text(value):
+    ascii_text = json.dumps(value, indent=2, sort_keys=True)
+    assert json_text(value, encode_basestring_ascii) == ascii_text
+    text = json.dumps(value, ensure_ascii=False, indent=2, sort_keys=True)
+    assert json_text(value, encode_basestring) == text
 
 
 @pytest.mark.parametrize(

@@ -246,8 +246,9 @@ def test_oracle_empty_for_non_elliptic_pattern():
 
 
 def test_oracle_bounds_validation():
-    with pytest.raises(InvalidParameters):
-        recognize_oracle(Pattern.of([0]), (0, 5))
+    for bounds in [(0, 5), 5, (1, 2, 3), (4,)]:
+        with pytest.raises(InvalidParameters):
+            recognize_oracle(Pattern.of([0]), bounds)
 
 
 @given(
