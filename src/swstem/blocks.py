@@ -30,14 +30,15 @@ values are filled in by list slices, and an odd-SW set builds no values.
 from __future__ import annotations
 
 import enum
-import warnings
 from functools import lru_cache, partial
 from itertools import chain, compress, repeat, starmap
 from math import comb, gcd
+from operator import itemgetter
 from typing import Union
 
 from ._record import record
-from .errors import InvalidParameters, UncataloguedBlock, UnknownSW, exact_int
+from .errors import MAX_INPUT_BITS, InvalidParameters, UncataloguedBlock, UnknownSW
+from .errors import exact_int, narrow_int
 
 #: class key selecting the canonical class of a symplectic block
 CANONICAL = "canonical"
@@ -52,10 +53,10 @@ class Parity(enum.Enum):
 
 
 def _triple_ints(p_g, m, n) -> None:
-    # one chained type test passes valid arguments; a message only on failure
-    if not type(p_g) is type(m) is type(n) is int:
+    # one type test and one width test pass valid arguments; a message only on failure
+    if not (type(p_g) is type(m) is type(n) is int and not (p_g | m | n) >> MAX_INPUT_BITS):
         for value, what in zip((p_g, m, n), ("p_g", "m", "n")):
-            exact_int(value, what)
+            narrow_int(value, what)
 
 
 #: the widest integer printed; str() refuses over 4,300 digits (14,284 bits)
@@ -66,6 +67,21 @@ def shown(value) -> str:
     """repr(value), but an integer wider than MAX_SHOWN_BITS by its bit length."""
     bits = value.bit_length() if type(value) is int else 0
     return repr(value) if bits <= MAX_SHOWN_BITS else f"a {bits}-bit integer"
+
+
+def _check_multiplicities(m: int, n: int) -> None:
+    """The multiplicity rule of every entry point: m, n >= 1, then m <= n, then coprime."""
+    if m < 1 or n < 1:
+        raise InvalidParameters("fiber multiplicities must be >= 1")
+    if m > n:
+        raise InvalidParameters(f"multiplicities must satisfy m <= n, got ({m}, {n})")
+    if gcd(m, n) != 1:
+        raise InvalidParameters(f"multiplicities must be coprime, got ({m}, {n})")
+
+
+def _check_odd_b_plus(b_plus, kind: str) -> None:
+    if narrow_int(b_plus, "b_plus") < 1 or b_plus % 2 == 0:
+        raise InvalidParameters(f"b_plus of a {kind} block must be odd and positive, got {b_plus}")
 
 
 class _Block:
@@ -102,10 +118,14 @@ class _Block:
         """How many classes ``odd_classes`` lists, 0 for a neutral block."""
         return 0 if self.neutral else len(self.odd_classes())
 
+    def __init_subclass__(cls):
+        # one C call reads "type" twice, then the fields: a tuple even for one field or none
+        cls._values = itemgetter("type", "type", *cls.fields)
+
     @classmethod
     def from_json(cls, raw: dict):
-        # the constructors reject a field that is not an integer
-        return cls(*(raw[key] for key in cls.fields)), None
+        # the constructors reject a value that is not an integer
+        return cls(*cls._values(raw)[2:]), None
 
     def to_json(self, coords) -> dict:
         return {"type": self.tag, **{key: getattr(self, key) for key in self.fields}}
@@ -116,8 +136,8 @@ class EllipticSurface(_Block):
     """Simply connected minimal elliptic surface E(p_g; m, n).
 
     ``p_g >= 0`` is the geometric genus; ``m <= n`` are the coprime
-    multiplicities of the multiple fibers (1 means no log transform).  The
-    constructor swaps m > n with a warning; a manifold file refuses them.
+    multiplicities of the multiple fibers (1 means no log transform); the
+    constructor, a manifold file and the table functions refuse m > n alike.
     Basic-class data exists for p_g >= 1 only; p_g = 0 blocks carry unknown
     SW.  The distinguished class is the largest multiple (value 1); a chosen
     multiple must have the parity of the table multiples, otherwise it is not
@@ -136,20 +156,7 @@ class EllipticSurface(_Block):
         _triple_ints(self.p_g, self.m, self.n)
         if self.p_g < 0:
             raise InvalidParameters(f"p_g must be >= 0, got {self.p_g}")
-        if self.m < 1 or self.n < 1:
-            raise InvalidParameters("fiber multiplicities must be >= 1")
-        if self.m > self.n:
-            warnings.warn(
-                f"multiplicities given as ({self.m}, {self.n}); normalizing to m <= n",
-                stacklevel=3,  # the caller of the generated __init__
-            )
-            m, n = self.n, self.m
-            object.__setattr__(self, "m", m)
-            object.__setattr__(self, "n", n)
-        if gcd(self.m, self.n) != 1:
-            raise InvalidParameters(
-                f"multiplicities must be coprime, got ({self.m}, {self.n})"
-            )
+        _check_multiplicities(self.m, self.n)
 
     @property
     def label(self) -> str:
@@ -192,15 +199,6 @@ class EllipticSurface(_Block):
         self.odd_count()  # refuses p_g = 0
         return recognizable_set(self.p_g, self.m, self.n)
 
-    @classmethod
-    def from_json(cls, raw: dict):
-        # a file must state m <= n, as basic-classes does
-        p_g, m, n = raw["p_g"], raw["m"], raw["n"]
-        if type(m) is type(n) is int and m > n:
-            cls(p_g, n, m)  # the constructor's other checks first, with their texts
-            raise InvalidParameters(f"multiplicities must satisfy m <= n, got ({m}, {n})")
-        return cls(p_g, m, n), None
-
 
 K3 = EllipticSurface(1, 1, 1)
 
@@ -228,11 +226,7 @@ class SymplecticGeneric(_Block):
     almost_complex = True
 
     def __post_init__(self):
-        exact_int(self.b_plus, "b_plus")
-        if self.b_plus < 1 or self.b_plus % 2 == 0:
-            raise InvalidParameters(
-                f"b_plus of a symplectic block must be odd and positive, got {self.b_plus}"
-            )
+        _check_odd_b_plus(self.b_plus, "symplectic")
 
     @property
     def label(self) -> str:
@@ -262,11 +256,7 @@ class KaehlerGeneric(_Block):
     almost_complex = True
 
     def __post_init__(self):
-        exact_int(self.b_plus, "b_plus")
-        if self.b_plus < 1 or self.b_plus % 2 == 0:
-            raise InvalidParameters(
-                f"b_plus of a Kaehler block must be odd and positive, got {self.b_plus}"
-            )
+        _check_odd_b_plus(self.b_plus, "Kaehler")
         labels = tuple(sorted({exact_int(x, "odd_basic entry") for x in self.odd_basic}))
         object.__setattr__(self, "odd_basic", labels)
 
@@ -305,7 +295,7 @@ class NegativeDefinite(_Block):
     required = ("rank",)
 
     def __post_init__(self):
-        exact_int(self.rank, "rank")
+        narrow_int(self.rank, "rank")
         if self.rank < 0:
             raise InvalidParameters(f"rank must be >= 0, got {self.rank}")
 
@@ -383,12 +373,7 @@ def _check_table_params(p_g: int, m: int, n: int) -> None:
         raise InvalidParameters(
             f"basic-class data requires geometric genus >= 1, got p_g = {p_g}"
         )
-    if m < 1 or n < 1:
-        raise InvalidParameters("fiber multiplicities must be >= 1")
-    if m > n:
-        raise InvalidParameters(f"multiplicities must satisfy m <= n, got ({m}, {n})")
-    if gcd(m, n) != 1:
-        raise InvalidParameters(f"multiplicities must be coprime, got ({m}, {n})")
+    _check_multiplicities(m, n)
 
 
 def max_multiple(p_g: int, m: int, n: int) -> int:

@@ -40,7 +40,7 @@ MAX_LISTING = 2_000_000
 
 # flags whose value may start with "-"; argparse reads a bare "-2,2" as an
 # option, so `--classes -2,2` must become `--classes=-2,2` before parsing
-_VALUE_FLAGS = ("--classes", "--c")
+_VALUE_FLAGS = ("--classes", "--bounds", "--c")
 
 
 def _normalize_argv(argv: list[str]) -> list[str]:
@@ -322,10 +322,10 @@ def main(argv: list[str] | None = None) -> int:
                 payload["trace"] = trace
             print(json_text(payload, encode_basestring))  # ensure_ascii=False
             return 0
-        for line in lines:
-            print(line)
-        for line in trace if args.trace else ():
-            print("  " + line)
+        # sys.stdout per call (callers redirect it); line by line, so a closed pipe raises
+        sys.stdout.writelines(f"{line}\n" for line in lines)
+        if args.trace:
+            sys.stdout.writelines(f"  {line}\n" for line in trace)
         return 0
     except (SwStemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,8 +2,8 @@
 
 Every error raised on purpose by this library derives from SwStemError, so
 callers (and the CLI) can map domain failures to a single exit code.
-``exact_int`` is the library's one test for an argument that must be an
-exact integer.
+``exact_int`` is the library's one test for an exact integer argument and
+``narrow_int`` the one for block integers and spin-c coordinates.
 """
 
 from __future__ import annotations
@@ -38,6 +38,17 @@ def exact_int(value, what: str) -> int:
     """
     if type(value) is not int:
         raise InvalidParameters(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+#: the widest block integer or spin-c coordinate: their sums and squares still print
+MAX_INPUT_BITS = 7_000
+
+
+def narrow_int(value, what: str) -> int:
+    """``exact_int(value, what)``, refused past MAX_INPUT_BITS bits."""
+    if exact_int(value, what).bit_length() > MAX_INPUT_BITS:
+        raise InvalidParameters(f"{what} has more than {MAX_INPUT_BITS} bits")
     return value
 
 

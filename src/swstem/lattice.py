@@ -14,7 +14,7 @@ A stably almost complex structure is almost complex exactly when k = 0.
 from __future__ import annotations
 
 from ._record import record
-from .errors import IndexNotIntegral, InvalidParameters, exact_int
+from .errors import IndexNotIntegral, InvalidParameters, exact_int, narrow_int
 
 
 @record
@@ -52,7 +52,7 @@ def _odd_coordinates(raw) -> tuple[int, ...]:
     """The coordinates as a tuple, checked to be odd integers (not bools)."""
     coords = tuple(raw)
     for x in coords:
-        if exact_int(x, "coordinate") % 2 == 0:
+        if narrow_int(x, "coordinate") % 2 == 0:
             raise InvalidParameters(
                 f"coordinate {x} is even; characteristic vectors on a diagonal "
                 "negative definite form have odd coordinates"

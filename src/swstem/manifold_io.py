@@ -104,7 +104,8 @@ def _parse_summand(raw: object, index: int) -> Summand:
             raise ManifoldSemanticError(
                 f"unknown key {key!r} on a {tag!r} summand", index
             )
-    for key in kind.required:
+    # the keys are known, so with "type" and every field present none is missing
+    for key in kind.required if len(raw) <= len(kind.fields) else ():
         if key not in raw:
             raise ManifoldSemanticError(
                 f"missing key {key!r} on a {tag!r} summand", index
@@ -112,7 +113,7 @@ def _parse_summand(raw: object, index: int) -> Summand:
     try:
         block, coords = kind.from_json(raw)
         spin_c = None if coords is None else SpinC.from_coords(coords)
-        return Summand(block, spin_c=spin_c)
+        return Summand(block, spin_c)
     except InvalidParameters as exc:
         raise ManifoldSemanticError(str(exc), index) from exc
 
@@ -190,4 +191,6 @@ def load_manifold(path: str) -> ManifoldDoc:
             text = handle.read()
     except UnicodeDecodeError as exc:
         raise ManifoldSyntaxError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    except ValueError as exc:  # a NUL in the path, which names no file
+        raise OSError(f"{path!r}: {exc}") from exc
     return parse_manifold(text)

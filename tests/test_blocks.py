@@ -289,10 +289,13 @@ def test_block_validation():
         Summand(object())
 
 
-def test_elliptic_orders_multiplicities():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert EllipticSurface(1, 3, 2) == EllipticSurface(1, 2, 3)
+def test_elliptic_surface_refuses_m_greater_than_n_without_a_warning():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidParameters) as exc:
+            EllipticSurface(1, 3, 2)
+    assert str(exc.value) == "multiplicities must satisfy m <= n, got (3, 2)"
+    assert caught == []
 
 
 @pytest.mark.parametrize("args", [(1.5, 1, 1), (True, 1, 1), (1, 1.0, 1), (1, 1, 2.0)])

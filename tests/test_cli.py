@@ -10,6 +10,7 @@ import pytest
 
 from swstem import cli
 from swstem.blocks import MAX_SHOWN_BITS, basic_class_table
+from swstem.errors import MAX_INPUT_BITS
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -345,6 +346,80 @@ def test_fingerprints_over_the_limit_are_refused_unbuilt(
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: the odd-SW sets would list more than {cli.MAX_LISTING} entries\n"
+
+
+def test_fingerprint_of_neutral_summands_prints_nothing(tmp_path, capsys):
+    path = tmp_path / "spheres.json"
+    path.write_text(json.dumps({"summands": [{"type": "s4"}, {"type": "s4"}]}))
+    assert cli.main(["fingerprint", str(path)]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def _widest_files(tmp_path, b_plus):
+    """Two files with four blocks of the given b+; one also holds a rank-3
+    negative definite block with all three coordinates b+."""
+    negdef = {"type": "negative_definite", "rank": 3, "c": [b_plus] * 3}
+    paths = []
+    for name, extra in (("ac", []), ("mixed", [negdef])):
+        path = tmp_path / f"{name}.json"
+        summands = [{"type": "symplectic", "b_plus": b_plus}] * 4 + extra
+        path.write_text(json.dumps({"summands": summands}))
+        paths.append(str(path))
+    return paths
+
+
+def test_the_widest_inputs_print_every_total(tmp_path, capsys):
+    widest = 2**MAX_INPUT_BITS - 1  # odd, = 3 (mod 4): the criteria hold
+    for path in _widest_files(tmp_path, widest):
+        for argv in (
+            ["invariant", path, "--json", "--trace"],
+            ["nonvanishing", path, "--trace"],
+            ["split-check", path, "--modulus", "4", "--residue", "3", "--trace"],
+            ["blowup", path, "--rank", "2", "--c", f"{widest},{widest}", "--json", "--trace"],
+        ):
+            # the class is 0 (eta^4, or in a negative stem), which split-check refuses
+            refused = argv[0] == "split-check"
+            assert cli.main(argv) == refused, argv
+            out, err = capsys.readouterr()
+            assert bool(out) != refused, argv
+            assert err == "" if not refused else err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["blowup", sample("k3.json"), "--rank", "1", "--c", str(2**MAX_INPUT_BITS + 1)],
+            "coordinate has more than 7000 bits",
+        ),
+        (
+            ["recognizable", "--pg", str(2**MAX_INPUT_BITS + 1), "--m", "2", "--n", "3"],
+            "p_g has more than 7000 bits",
+        ),
+        (
+            ["invariant", "{wide}", "--json"],
+            "summand 0: b_plus has more than 7000 bits",
+        ),
+    ],
+    ids=["coordinate", "genus", "b_plus"],
+)
+def test_integers_past_the_input_width_are_refused(argv, message, tmp_path, capsys):
+    wide = tmp_path / "wide.json"
+    summand = {"type": "symplectic", "b_plus": 2**MAX_INPUT_BITS + 1}
+    wide.write_text(json.dumps({"summands": [summand]}))
+    assert cli.main([arg.format(wide=wide) for arg in argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_a_path_with_a_nul_character_is_an_os_error(capsys):
+    assert cli.main(["invariant", "a\x00b"]) == 1
+    assert capsys.readouterr() == ("", "error: 'a\\x00b': embedded null byte\n")
+
+
+def test_negative_oracle_bounds_are_a_domain_error(capsys):
+    # --bounds takes a value starting with "-" as --classes and --c do
+    assert cli.main(["recognize", "--classes", "-2,2", "--bounds", "-1,5"]) == 1
+    assert capsys.readouterr() == ("", "error: oracle bounds must be positive\n")
 
 
 def test_listing_limit_admits_a_huge_genus_with_a_small_odd_set():

@@ -9,7 +9,14 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from swstem.blocks import K3, EllipticSurface, KaehlerGeneric, NegativeDefinite
+from swstem.blocks import (
+    K3,
+    EllipticSurface,
+    KaehlerGeneric,
+    NegativeDefinite,
+    basic_class_table,
+    recognizable_set,
+)
 from swstem.errors import InvalidParameters, ManifoldSemanticError, ManifoldSyntaxError
 from swstem.invariants import Summand, invariant
 from swstem.manifold_io import (
@@ -114,7 +121,7 @@ def test_semantic_error_carries_block_index():
         (3, True, 2, "m must be an integer, got True"),
         (-1, 3, 2, "p_g must be >= 0, got -1"),
         (3, 3, 0, "fiber multiplicities must be >= 1"),
-        (3, 4, 2, "multiplicities must be coprime, got (2, 4)"),
+        (3, 4, 2, "multiplicities must satisfy m <= n, got (4, 2)"),
     ],
 )
 def test_a_file_refuses_m_greater_than_n(p_g, m, n, message):
@@ -123,6 +130,43 @@ def test_a_file_refuses_m_greater_than_n(p_g, m, n, message):
         parse_manifold(json.dumps(raw))
     assert exc.value.block_index == 1
     assert str(exc.value) == f"summand 1: {message}"
+
+
+def _refusal(build) -> str | None:
+    """The text an entry point refuses with, None when it accepts."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no entry point warns
+        try:
+            build()
+        except (InvalidParameters, ManifoldSemanticError) as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "p_g, m, n",
+    [
+        (p_g, m, n)
+        for p_g in (0, 1, 3)
+        for m, n in [
+            (2, 3), (1, 1),  # accepted
+            (3, 2), (4, 2), (6, 4), (4, 4),  # m > n, some with a shared factor
+            (2, 4), (0, 2), (2, 0), (0, 0), (-1, 2), (3, -2),
+            (2.0, 3), (2, 3.0), (True, 3), (1, False), ("2", 3), (None, 3),
+        ]
+    ]
+    + [(1.0, 2, 3), (True, 2, 3), (-1, 3, 2), (3.0, 3, 2)]
+    + [(2**7000, 2, 3), (1, 2**7000 + 1, 2**7000 + 3)],  # past the input width
+)
+def test_every_entry_point_reads_a_triple_one_way(p_g, m, n):
+    refusal = _refusal(lambda: EllipticSurface(p_g, m, n))
+    raw = {"summands": [{"type": "k3"}, {"type": "elliptic", "p_g": p_g, "m": m, "n": n}]}
+    in_file = _refusal(lambda: parse_manifold(json.dumps(raw)))
+    assert in_file == (refusal and f"summand 1: {refusal}")
+    if type(p_g) is int and p_g < 1:
+        return  # the tables need p_g >= 1, which the constructor does not
+    assert _refusal(lambda: basic_class_table(p_g, m, n)) == refusal
+    assert _refusal(lambda: recognizable_set(p_g, m, n)) == refusal
 
 
 @pytest.mark.parametrize(

@@ -261,12 +261,3 @@ def test_invariant_class_trace_is_not_compared():
     assert a == b
     assert hash(a) == hash(b)
     assert a != InvariantClass(2, 3, 1, ETA, TriState.YES, 1, ("one",))
-
-
-def test_elliptic_surface_swaps_multiplicities_with_a_warning():
-    with pytest.warns(UserWarning, match="normalizing to m <= n") as caught:
-        block = EllipticSurface(1, 3, 2)
-    assert caught[0].filename == __file__  # the warning names the caller's line
-    assert (block.m, block.n) == (2, 3)
-    assert block == EllipticSurface(1, 2, 3)
-    assert repr(block) == "EllipticSurface(p_g=1, m=2, n=3)"
