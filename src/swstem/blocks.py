@@ -25,20 +25,23 @@ A lookup at one multiple inverts the key map in O(1) (``_genus_index``);
 tables are built only for listing and recognition, straight into ascending
 key order by residue blocks (``_key_blocks``), with no sort.  A block's
 values are filled in by list slices, and an odd-SW set builds no values.
+A table is stored as two columns, its keys and its values, one tuple each:
+no (key, value) pair is built unless ``BasicClassTable.entries`` is read.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from functools import lru_cache, partial
-from itertools import chain, compress, repeat, starmap
+from itertools import chain, compress, islice, repeat
 from math import comb, gcd
 from operator import itemgetter
 from typing import Union
 
 from ._record import record
 from .errors import MAX_INPUT_BITS, InvalidParameters, UncataloguedBlock, UnknownSW
-from .errors import exact_int, narrow_int
+from .errors import as_tuple, exact_int, narrow_int
 
 #: class key selecting the canonical class of a symplectic block
 CANONICAL = "canonical"
@@ -118,6 +121,10 @@ class _Block:
         """How many classes ``odd_classes`` lists, 0 for a neutral block."""
         return 0 if self.neutral else len(self.odd_classes())
 
+    def odd_width(self) -> int:
+        """Bit length of the widest class ``odd_classes`` lists, 0 for none."""
+        return 0 if self.neutral else max(map(abs, self.odd_classes()), default=0).bit_length()
+
     def __init_subclass__(cls):
         # one C call reads "type" twice, then the fields: a tuple even for one field or none
         cls._values = itemgetter("type", "type", *cls.fields)
@@ -195,6 +202,11 @@ class EllipticSurface(_Block):
             raise UnknownSW(f"{self.label}: no declared odd basic data for p_g = 0")
         return _odd_count(self.p_g, self.m, self.n)  # without building the set
 
+    def odd_width(self) -> int:
+        self.odd_count()  # refuses p_g = 0
+        # the set is symmetric under negation and holds the largest multiple
+        return max_multiple(self.p_g, self.m, self.n).bit_length()
+
     def odd_classes(self) -> tuple[int, ...]:
         self.odd_count()  # refuses p_g = 0
         return recognizable_set(self.p_g, self.m, self.n)
@@ -257,7 +269,8 @@ class KaehlerGeneric(_Block):
 
     def __post_init__(self):
         _check_odd_b_plus(self.b_plus, "Kaehler")
-        labels = tuple(sorted({exact_int(x, "odd_basic entry") for x in self.odd_basic}))
+        raw = as_tuple(self.odd_basic, "odd_basic")
+        labels = tuple(sorted({exact_int(x, "odd_basic entry") for x in raw}))
         object.__setattr__(self, "odd_basic", labels)
 
     @property
@@ -376,6 +389,32 @@ def _check_table_params(p_g: int, m: int, n: int) -> None:
     _check_multiplicities(m, n)
 
 
+#: the most entries a table or an odd-SW set lists, and the most bits of keys
+#: (MAX_LISTING keys of 64 bits); the table functions refuse more unbuilt
+MAX_LISTING = 2_000_000
+MAX_LISTING_BITS = 64 * MAX_LISTING
+
+
+def _admit(size: int, bits: int, what: str) -> None:
+    """Refuse a listing of ``size`` entries and ``bits`` bits of keys (its
+    size times its widest key's bit length) past either bound."""
+    if size > MAX_LISTING:
+        raise InvalidParameters(f"{what} would list more than {MAX_LISTING} entries")
+    if bits > MAX_LISTING_BITS:
+        raise InvalidParameters(f"{what} would list more than {MAX_LISTING_BITS} bits of keys")
+
+
+def _admit_table(p_g: int, m: int, n: int) -> None:
+    _check_table_params(p_g, m, n)
+    size = p_g * m * n
+    _admit(size, size * max_multiple(p_g, m, n).bit_length(), "the table")
+
+
+def _admit_odd_set(p_g: int, m: int, n: int) -> None:
+    size = _odd_count(p_g, m, n)  # checks the parameters
+    _admit(size, size * max_multiple(p_g, m, n).bit_length(), "the odd-SW set")
+
+
 def max_multiple(p_g: int, m: int, n: int) -> int:
     """Largest basic-class multiple, attained at a = b = c = 0.  A pure
     formula on integers already checked: it checks no argument types."""
@@ -407,7 +446,8 @@ def _abs_sw(p_g: int, m: int, n: int, key: int) -> int:
 
 
 def _key_blocks(p_g: int, m: int, n: int, rows, value):
-    """The listing in ascending key order, as (keys, values) runs, one per block.
+    """The listing in ascending key order, as (keys, values) runs, one per
+    block: an iterable of keys and an iterator yielding at least as many values.
 
     For coprime m, n each residue t mod mn has exactly one s = b*n + c*m
     (b < m, c < n), and s is t or t + mn (CRT; h[t] = 0 or 1).  So r = a*mn + s
@@ -447,22 +487,66 @@ def _key_blocks(p_g: int, m: int, n: int, rows, value):
 
 
 @lru_cache(maxsize=None)
-def _table_entries(p_g: int, m: int, n: int) -> tuple[tuple[int, int], ...]:
-    blocks = _key_blocks(p_g, m, n, range(p_g - 1, -1, -1), partial(comb, p_g - 1))
-    return tuple(chain.from_iterable(starmap(zip, blocks)))
+def _table_columns(p_g: int, m: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    keys: list[int] = []
+    values: list[int] = []
+    for run_keys, run_values in _key_blocks(
+        p_g, m, n, range(p_g - 1, -1, -1), partial(comb, p_g - 1)
+    ):
+        start = len(keys)
+        keys.extend(run_keys)
+        values.extend(islice(run_values, len(keys) - start))
+    return tuple(keys), tuple(values)
+
+
+class _Pairs(Sequence):
+    """The (key, value) pairs of two columns, as a read-only sequence view:
+    each pair is built when it is read.  It compares equal to, and reads
+    as, the tuple of its pairs."""
+
+    __slots__ = ("_keys", "_values")
+
+    def __init__(self, keys: tuple[int, ...], values: tuple[int, ...]):
+        self._keys, self._values = keys, values
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, index):
+        if type(index) is slice:
+            return tuple(zip(self._keys[index], self._values[index]))
+        return self._keys[index], self._values[index]
+
+    def __iter__(self):
+        return zip(self._keys, self._values)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, _Pairs)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 @record
 class BasicClassTable:
-    """|SW| values on the line of fiber multiples, keyed by the multiple."""
+    """|SW| values on the line of fiber multiples, as two columns: ``keys``,
+    the multiples ascending, and ``values``, the |SW| at each multiple.
+    ``entries`` is a sequence view of the (key, value) pairs."""
 
     p_g: int
     m: int
     n: int
-    entries: tuple[tuple[int, int], ...]
+    keys: tuple[int, ...]
+    values: tuple[int, ...]
+
+    @property
+    def entries(self) -> _Pairs:
+        return _Pairs(self.keys, self.values)
 
     def as_dict(self) -> dict[int, int]:
-        return dict(self.entries)
+        return dict(zip(self.keys, self.values))
 
     def value(self, multiple: int) -> int:
         """Exact |SW| value at a multiple; 0 when absent from the table."""
@@ -470,11 +554,11 @@ class BasicClassTable:
 
     @property
     def multiples(self) -> tuple[int, ...]:
-        return tuple(k for k, _ in self.entries)
+        return self.keys
 
     @property
     def max_multiple(self) -> int:
-        return self.entries[-1][0]
+        return self.keys[-1]
 
 
 def basic_class_table(p_g: int, m: int, n: int) -> BasicClassTable:
@@ -482,13 +566,14 @@ def basic_class_table(p_g: int, m: int, n: int) -> BasicClassTable:
 
     Contains exactly p_g * m * n distinct multiples with their |SW| values,
     value 1 at the largest multiple; symmetric under negation with equal
-    values (the signed values differ by (-1)^(p_g-1)).
+    values (the signed values differ by (-1)^(p_g-1)).  A table past
+    MAX_LISTING entries or MAX_LISTING_BITS bits of keys is refused unbuilt.
 
     >>> basic_class_table(3, 1, 1).entries
     ((-2, 1), (0, 2), (2, 1))
     """
-    _check_table_params(p_g, m, n)
-    return BasicClassTable(p_g, m, n, _table_entries(p_g, m, n))
+    _admit_table(p_g, m, n)
+    return BasicClassTable(p_g, m, n, *_table_columns(p_g, m, n))
 
 
 def _submasks(x: int):
@@ -513,14 +598,15 @@ def _odd_count(p_g: int, m: int, n: int) -> int:
 
 
 def recognizable_set(p_g: int, m: int, n: int) -> tuple[int, ...]:
-    """The multiples whose SW value is odd, sorted ascending.
+    """The multiples whose SW value is odd, sorted ascending; refused unbuilt,
+    as tables are, past MAX_LISTING entries or MAX_LISTING_BITS bits of keys.
 
     >>> recognizable_set(3, 1, 1)
     (-2, 2)
     >>> recognizable_set(1, 2, 3)
     (-7, -3, -1, 1, 3, 7)
     """
-    _check_table_params(p_g, m, n)
+    _admit_odd_set(p_g, m, n)
     return _recognizable(p_g, m, n)
 
 

@@ -20,7 +20,8 @@ import functools
 import sys
 
 from .blocks import MAX_SHOWN_BITS, NegativeDefinite, basic_class_table, recognizable_set
-from .blocks import _check_table_params, _odd_count
+# MAX_LISTING and MAX_LISTING_BITS, the listings' bounds, are named here too
+from .blocks import MAX_LISTING, MAX_LISTING_BITS, _admit, _admit_odd_set, _admit_table
 from .errors import InvalidParameters, SwStemError
 from .invariants import (
     InvariantClass,
@@ -34,9 +35,6 @@ from .invariants import (
 from .lattice import SpinC
 from .manifold_io import encode_basestring, json_text, load_manifold
 from .recognize import Pattern, distinguish, recognize, recognize_oracle
-
-#: the most entries basic-classes and recognizable list; more are refused unbuilt
-MAX_LISTING = 2_000_000
 
 # flags whose value may start with "-"; argparse reads a bare "-2,2" as an
 # option, so `--classes -2,2` must become `--classes=-2,2` before parsing
@@ -101,23 +99,18 @@ def _invariant_view(inv: InvariantClass) -> tuple[dict, list[str]]:
     return payload, [headline]
 
 
-def _admit(size: int, what: str) -> None:
-    if size > MAX_LISTING:
-        raise InvalidParameters(f"{what} would list more than {MAX_LISTING} entries")
-
-
 def _cmd_basic_classes(args):
-    _check_table_params(args.pg, args.m, args.n)
-    _admit(args.pg * args.m * args.n, "the table")
+    _admit_table(args.pg, args.m, args.n)  # before the values' width, unbuilt either way
     if args.pg - 1 > MAX_SHOWN_BITS:  # row p_g - 1's values stay below 2^(p_g - 1)
         raise InvalidParameters(f"the table's values may have more than {MAX_SHOWN_BITS} bits")
-    entries = basic_class_table(args.pg, args.m, args.n).entries
-    payload = {"entries": entries, "m": args.m, "n": args.n, "p_g": args.pg}
-    return payload, (f"{k}: {v}" for k, v in entries), ()
+    table = basic_class_table(args.pg, args.m, args.n)
+    # JSON takes the pairs as a list; the text zips the two columns
+    payload = {"entries": list(table.entries), "m": args.m, "n": args.n, "p_g": args.pg}
+    return payload, (f"{k}: {v}" for k, v in zip(table.keys, table.values)), ()
 
 
 def _cmd_recognizable(args):
-    _admit(_odd_count(args.pg, args.m, args.n), "the odd-SW set")
+    _admit_odd_set(args.pg, args.m, args.n)
     classes = recognizable_set(args.pg, args.m, args.n)
     payload = {"classes": classes, "m": args.m, "n": args.n, "p_g": args.pg}
     return payload, [",".join(str(c) for c in classes)], ()
@@ -193,7 +186,9 @@ def _cmd_distinguish(args):
 
 def _cmd_fingerprint(args):
     csum = load_manifold(args.file).to_connected_sum()
-    _admit(sum(s.block.odd_count() for s in csum.summands), "the odd-SW sets")
+    counts = [(s.block.odd_count(), s.block) for s in csum.summands]
+    bits = sum(count * block.odd_width() for count, block in counts)
+    _admit(sum(count for count, _ in counts), bits, "the odd-SW sets")
     sets = odd_basic_fingerprint(csum)
     return {"sets": sets}, [",".join(str(c) for c in s) for s in sets], ()
 

@@ -2,8 +2,9 @@
 
 Every error raised on purpose by this library derives from SwStemError, so
 callers (and the CLI) can map domain failures to a single exit code.
-``exact_int`` is the library's one test for an exact integer argument and
-``narrow_int`` the one for block integers and spin-c coordinates.
+``exact_int`` is the library's one test for an exact integer argument,
+``narrow_int`` the one for block integers and spin-c coordinates, and
+``as_tuple`` the one for an argument that lists integers.
 """
 
 from __future__ import annotations
@@ -39,6 +40,21 @@ def exact_int(value, what: str) -> int:
     if type(value) is not int:
         raise InvalidParameters(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def as_tuple(value, what: str) -> tuple:
+    """``value`` as a tuple (itself when it is one); InvalidParameters naming
+    ``what`` when it is not iterable.  Its items are the caller's to check.
+
+    >>> as_tuple([3, 1], "coordinates")
+    (3, 1)
+    """
+    if type(value) is tuple:
+        return value
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InvalidParameters(f"{what} must be iterable, got {type(value).__name__}") from None
 
 
 #: the widest block integer or spin-c coordinate: their sums and squares still print

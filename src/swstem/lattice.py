@@ -14,7 +14,7 @@ A stably almost complex structure is almost complex exactly when k = 0.
 from __future__ import annotations
 
 from ._record import record
-from .errors import IndexNotIntegral, InvalidParameters, exact_int, narrow_int
+from .errors import IndexNotIntegral, InvalidParameters, as_tuple, exact_int, narrow_int
 
 
 @record
@@ -50,7 +50,7 @@ class SpinC:
 
 def _odd_coordinates(raw) -> tuple[int, ...]:
     """The coordinates as a tuple, checked to be odd integers (not bools)."""
-    coords = tuple(raw)
+    coords = as_tuple(raw, "coordinates")
     for x in coords:
         if narrow_int(x, "coordinate") % 2 == 0:
             raise InvalidParameters(

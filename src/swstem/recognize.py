@@ -22,23 +22,29 @@ from typing import Iterable, Sequence
 from ._record import record
 from .blocks import BuildingBlock, EllipticSurface, _catalogued, recognizable_set
 from .blocks import _odd_count, max_multiple
-from .errors import InvalidParameters, NotAnEllipticPattern, exact_int
+from .errors import InvalidParameters, NotAnEllipticPattern, as_tuple, exact_int
 from .invariants import connected_sum, nonvanishing_criteria
 from .stems import TriState
 
 
 @record
 class Pattern:
-    """A nonempty, negation-symmetric set of multiples, sorted ascending."""
+    """A nonempty, negation-symmetric set of multiples, sorted ascending.
+
+    ``multiples`` may be any iterable of integers; it is stored as a tuple,
+    sorted and without repeats.  A tuple that already ascends strictly, as
+    every recognizable set does, is kept as given, neither copied nor sorted.
+    """
 
     multiples: tuple[int, ...]
 
     def __post_init__(self):
-        raw = self.multiples
-        if not set(map(type, raw)) <= {int}:
-            bad = next(x for x in raw if type(x) is not int)
+        items = as_tuple(self.multiples, "pattern multiples")
+        if not set(map(type, items)) <= {int}:
+            bad = next(x for x in items if type(x) is not int)
             raise InvalidParameters(f"pattern multiples must be integers, got {bad!r}")
-        items = tuple(sorted(set(raw)))
+        if not all(map(operator.lt, items, items[1:])):
+            items = tuple(sorted(set(items)))
         if not items:
             raise InvalidParameters("a pattern needs at least one multiple")
         object.__setattr__(self, "multiples", items)

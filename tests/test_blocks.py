@@ -87,6 +87,31 @@ def test_tables_match_oracle_on_grid():
         assert basic_class_table(p_g, m, n).as_dict() == table_oracle(p_g, m, n)
 
 
+def test_tables_are_two_columns_on_grid():
+    for p_g, m, n in coprime_grid():
+        table = basic_class_table(p_g, m, n)
+        keys, values = table.keys, table.values
+        assert type(keys) is tuple and type(values) is tuple
+        assert len(keys) == len(values) == p_g * m * n
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert table.entries == tuple(zip(keys, values))
+        assert table.as_dict() == table_oracle(p_g, m, n)
+        assert table.multiples is keys
+        assert table.max_multiple == keys[-1] == max_multiple(p_g, m, n)
+
+
+def test_entries_read_as_the_tuple_of_pairs():
+    entries = basic_class_table(3, 1, 1).entries
+    pairs = ((-2, 1), (0, 2), (2, 1))
+    assert entries == pairs and pairs == entries
+    assert entries != pairs[:2] and entries != list(pairs)
+    assert repr(entries) == repr(pairs)
+    assert (len(entries), entries[-1], entries[:2], list(entries)) == (
+        3, (2, 1), pairs[:2], list(pairs)
+    )
+    assert (0, 2) in entries and (0, 1) not in entries
+
+
 def test_recognizable_is_odd_fragment_of_table():
     for p_g, m, n in coprime_grid():
         odd = tuple(k for k, v in basic_class_table(p_g, m, n).entries if v % 2)
@@ -131,15 +156,43 @@ def test_table_value_defaults_to_zero_off_table():
     assert basic_class_table(3, 1, 1).value(100) == 0
 
 
-@pytest.mark.parametrize(
-    "block",
-    [K3, EllipticSurface(3, 1, 2), EllipticSurface(6, 2, 5), KaehlerGeneric(3, (0, 2)),
-     KaehlerGeneric(5), HomotopySphereLike(), NegativeDefinite(0)],
-    ids=repr,
-)
+ODD_DATA_BLOCKS = [
+    K3, EllipticSurface(3, 1, 2), EllipticSurface(6, 2, 5), KaehlerGeneric(3, (0, 2)),
+    KaehlerGeneric(5), HomotopySphereLike(), NegativeDefinite(0), KaehlerGeneric(3, (-9, 2)),
+]
+
+
+@pytest.mark.parametrize("block", ODD_DATA_BLOCKS, ids=repr)
 def test_odd_count_is_the_size_of_the_odd_set(block):
     expected = 0 if block.neutral else len(block.odd_classes())
     assert block.odd_count() == expected
+
+
+@pytest.mark.parametrize("block", ODD_DATA_BLOCKS, ids=repr)
+def test_odd_width_is_the_widest_odd_class(block):
+    classes = () if block.neutral else block.odd_classes()
+    assert block.odd_width() == max(map(abs, classes), default=0).bit_length()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: basic_class_table(2**6999, 1, 1), "the table would list more than 2000000 entries"),
+        (lambda: recognizable_set(2**6999, 1, 1), "the odd-SW set would list more than 2000000 entries"),
+        # 19,800 odd multiples of about 7,013 bits each
+        (
+            lambda: recognizable_set(2**6999 + 1, 99, 100),
+            "the odd-SW set would list more than 128000000 bits of keys",
+        ),
+    ],
+    ids=["table-entries", "odd-set-entries", "odd-set-bits"],
+)
+def test_listings_past_the_bounds_are_refused_unbuilt(build, message):
+    start = time.perf_counter()
+    with pytest.raises(InvalidParameters) as refused:
+        build()
+    assert str(refused.value) == message
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize(
@@ -235,7 +288,8 @@ def test_table_parameter_validation():
 
 def test_cached_entries_are_shared():
     assert basic_class_table(7, 2, 3) == basic_class_table(7, 2, 3)
-    assert basic_class_table(7, 2, 3).entries is basic_class_table(7, 2, 3).entries
+    assert basic_class_table(7, 2, 3).keys is basic_class_table(7, 2, 3).keys
+    assert basic_class_table(7, 2, 3).values is basic_class_table(7, 2, 3).values
 
 
 @given(

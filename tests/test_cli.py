@@ -1,5 +1,6 @@
 """End-to-end command line tests driving the installed entry point."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 
 from swstem import cli
 from swstem.blocks import MAX_SHOWN_BITS, basic_class_table
-from swstem.errors import MAX_INPUT_BITS
+from swstem.errors import MAX_INPUT_BITS, InvalidParameters
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -346,6 +347,68 @@ def test_fingerprints_over_the_limit_are_refused_unbuilt(
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: the odd-SW sets would list more than {cli.MAX_LISTING} entries\n"
+
+
+#: E(2^6999 + 1; 99, 100) has 19,800 odd multiples, far under MAX_LISTING,
+#: but each about 7,013 bits wide: about 139 million bits of keys
+_WIDE_KEYS = (2**6999 + 1, 99, 100)
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_an_odd_set_of_wide_keys_is_refused_unbuilt(json_flag, monkeypatch, capsys):
+    def unbuilt(*triple):
+        raise AssertionError(f"built a listing of {triple}")
+
+    monkeypatch.setattr(cli, "recognizable_set", unbuilt)
+    p_g, m, n = _WIDE_KEYS
+    argv = ["recognizable", "--pg", str(p_g), "--m", str(m), "--n", str(n), *json_flag]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: the odd-SW set would list more than {cli.MAX_LISTING_BITS} bits of keys\n"
+    )
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_a_fingerprint_of_wide_keys_is_refused_unbuilt(tmp_path, json_flag, monkeypatch, capsys):
+    def unbuilt(csum):
+        raise AssertionError("built the odd-SW sets")
+
+    monkeypatch.setattr(cli, "odd_basic_fingerprint", unbuilt)
+    p_g, m, n = _WIDE_KEYS
+    path = tmp_path / "wide-keys.json"
+    path.write_text(json.dumps({"summands": [{"type": "elliptic", "p_g": p_g, "m": m, "n": n}]}))
+    assert cli.main(["fingerprint", str(path), *json_flag]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: the odd-SW sets would list more than {cli.MAX_LISTING_BITS} bits of keys\n"
+    )
+
+
+def test_the_entry_bound_with_64_bit_keys_is_admitted():
+    cli._admit(cli.MAX_LISTING, 64 * cli.MAX_LISTING, "the listing")
+    with pytest.raises(InvalidParameters):
+        cli._admit(cli.MAX_LISTING, 64 * cli.MAX_LISTING + 1, "the listing")
+
+
+def test_a_wide_odd_set_of_narrow_keys_is_admitted(capsys):
+    # 2^3 * 89 * 90 = 64,080 odd multiples of at most 17 bits
+    assert cli.main(["recognizable", "--pg", "15", "--m", "89", "--n", "90"]) == 0
+    classes = capsys.readouterr().out.rstrip("\n").split(",")
+    assert len(classes) == 64_080
+    assert classes[-1] == str(14 * 89 * 90 + 88 * 90 + 89 * 89)
+
+
+def test_a_large_json_listing_is_pinned_byte_for_byte(capsys):
+    # 120,150 entries; the digest was taken before tables were stored as columns
+    assert cli.main(["basic-classes", "--pg", "15", "--m", "89", "--n", "90", "--json"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert len(out) == 4_386_562
+    assert hashlib.sha256(out).hexdigest() == (
+        "c52d89256a894553efee2ab9a7d28f618090e8cefb82dfdcf1def1cb410f349c"
+    )
 
 
 def test_fingerprint_of_neutral_summands_prints_nothing(tmp_path, capsys):

@@ -44,6 +44,34 @@ def test_pattern_normalizes():
     assert Pattern.of((0,)).multiples == (0,)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: [2, -2, 0],
+        lambda: {2, -2, 0},
+        lambda: (x for x in (0, 2, -2, 2)),
+        lambda: (2, 0, -2),
+        lambda: (-2, 0, 2, 2),
+    ],
+    ids=["list", "set", "generator", "unsorted-tuple", "repeats"],
+)
+def test_pattern_multiples_are_a_hashable_sorted_tuple(make):
+    pattern = Pattern(make())
+    assert type(pattern.multiples) is tuple and pattern.multiples == (-2, 0, 2)
+    assert hash(pattern) == hash(Pattern((-2, 0, 2)))
+
+
+def test_an_ascending_tuple_is_kept_as_given():
+    odd = recognizable_set(3, 2, 5)
+    assert Pattern(odd).multiples is odd
+
+
+@pytest.mark.parametrize("values", [5, None, 2.5])
+def test_pattern_refuses_what_is_not_iterable(values):
+    with pytest.raises(InvalidParameters, match="must be iterable"):
+        Pattern(values)
+
+
 def test_pattern_rejects_asymmetry_and_emptiness():
     with pytest.raises(InvalidParameters):
         Pattern.of([1, 2, -1])

@@ -96,11 +96,11 @@ RECORDS = [
     ),
     (
         BasicClassTable,
-        ("p_g", "m", "n", "entries"),
-        (3, 1, 1, ((-2, 1), (0, 2), (2, 1))),
-        (3, 1, 1, ((0, 2),)),
+        ("p_g", "m", "n", "keys", "values"),
+        (3, 1, 1, (-2, 0, 2), (1, 2, 1)),
+        (3, 1, 1, (0,), (2,)),
         {},
-        "BasicClassTable(p_g=3, m=1, n=1, entries=((-2, 1), (0, 2), (2, 1)))",
+        "BasicClassTable(p_g=3, m=1, n=1, keys=(-2, 0, 2), values=(1, 2, 1))",
     ),
     (
         Summand,
