@@ -21,12 +21,13 @@ absolute: the Fintushel-Stern product formula gives the signed value
 (-1)^a binomial(p_g-1, a), so SW(-k) = (-1)^(p_g-1) SW(k) and the table is
 symmetric under negation with equal values for |SW| only.
 
-A lookup at one multiple inverts the key map in O(1) (``_genus_index``);
-tables are built only for listing and recognition, straight into ascending
-key order by residue blocks (``_key_blocks``), with no sort.  A block's
-values are filled in by list slices, and an odd-SW set builds no values.
-A table is stored as two columns, its keys and its values, one tuple each:
-no (key, value) pair is built unless ``BasicClassTable.entries`` is read.
+A lookup at one multiple inverts the key map in O(1) (``_genus_index``).
+Tables are built only for listing and recognition, in ascending key order
+by residue blocks (``_key_blocks``) with no sort, as two tuples: the keys,
+and values sliced from one binomial row; an odd-SW set builds no values.
+Every listing (a table, an odd-SW set, a fingerprint's sets) is admitted
+here, once, before it is built.  ``BasicClassTable.entries`` builds each
+(key, value) pair only when it is read.
 """
 
 from __future__ import annotations
@@ -114,6 +115,12 @@ class _Block:
         except UnknownSW:
             return None
 
+    def sw_shown(self, class_key) -> tuple[bool, str] | None:
+        """Whether the integer SW value at ``class_key`` is nonzero, and how a
+        trace states it; None where the value is not an integer."""
+        value = self.sw_value(class_key)
+        return (value != 0, f"SW = {shown(value)}") if type(value) is int else None
+
     def odd_classes(self) -> tuple[int, ...]:
         raise UnknownSW(f"{self.label} does not declare a complete odd basic set")
 
@@ -196,6 +203,13 @@ class EllipticSurface(_Block):
         a = _genus_index(self.p_g, self.m, self.n, key)
         odd = a is not None and odd_binomial(self.p_g - 1, a)
         return Parity.ODD if odd else Parity.EVEN
+
+    def sw_shown(self, class_key) -> tuple[bool, str] | None:
+        if class_key is None or self.p_g - 1 <= MAX_SHOWN_BITS:
+            return super().sw_shown(class_key)
+        # a value may take p_g - 1 bits: whether the key is on the table decides it
+        on = _genus_index(self.p_g, self.m, self.n, class_key) is not None
+        return on, f"SW is nonzero and below 2^{self.p_g - 1}" if on else "SW = 0"
 
     def odd_count(self) -> int:
         if self.p_g < 1:
@@ -389,30 +403,19 @@ def _check_table_params(p_g: int, m: int, n: int) -> None:
     _check_multiplicities(m, n)
 
 
-#: the most entries a table or an odd-SW set lists, and the most bits of keys
-#: (MAX_LISTING keys of 64 bits); the table functions refuse more unbuilt
+#: the listing budget: the most entries, and the most bits (MAX_LISTING keys
+#: of 64 bits); a table also counts p_g bits per value, each below 2^(p_g - 1)
 MAX_LISTING = 2_000_000
 MAX_LISTING_BITS = 64 * MAX_LISTING
 
 
-def _admit(size: int, bits: int, what: str) -> None:
-    """Refuse a listing of ``size`` entries and ``bits`` bits of keys (its
-    size times its widest key's bit length) past either bound."""
+def _admit(size: int, bits: int, what: str, listed: str = "keys") -> None:
+    """Refuse a listing of ``size`` entries and ``bits`` bits of ``listed``
+    (its size times its widest entry's bit length) past either bound."""
     if size > MAX_LISTING:
         raise InvalidParameters(f"{what} would list more than {MAX_LISTING} entries")
     if bits > MAX_LISTING_BITS:
-        raise InvalidParameters(f"{what} would list more than {MAX_LISTING_BITS} bits of keys")
-
-
-def _admit_table(p_g: int, m: int, n: int) -> None:
-    _check_table_params(p_g, m, n)
-    size = p_g * m * n
-    _admit(size, size * max_multiple(p_g, m, n).bit_length(), "the table")
-
-
-def _admit_odd_set(p_g: int, m: int, n: int) -> None:
-    size = _odd_count(p_g, m, n)  # checks the parameters
-    _admit(size, size * max_multiple(p_g, m, n).bit_length(), "the odd-SW set")
+        raise InvalidParameters(f"{what} would list more than {MAX_LISTING_BITS} bits of {listed}")
 
 
 def max_multiple(p_g: int, m: int, n: int) -> int:
@@ -488,11 +491,12 @@ def _key_blocks(p_g: int, m: int, n: int, rows, value):
 
 @lru_cache(maxsize=None)
 def _table_columns(p_g: int, m: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    row = [1]  # binomial(p_g - 1, a) for 0 <= a <= p_g, each exact from the last
+    for a in range(p_g):
+        row.append(row[-1] * (p_g - 1 - a) // (a + 1))
     keys: list[int] = []
     values: list[int] = []
-    for run_keys, run_values in _key_blocks(
-        p_g, m, n, range(p_g - 1, -1, -1), partial(comb, p_g - 1)
-    ):
+    for run_keys, run_values in _key_blocks(p_g, m, n, range(p_g - 1, -1, -1), row.__getitem__):
         start = len(keys)
         keys.extend(run_keys)
         values.extend(islice(run_values, len(keys) - start))
@@ -552,14 +556,6 @@ class BasicClassTable:
         """Exact |SW| value at a multiple; 0 when absent from the table."""
         return _abs_sw(self.p_g, self.m, self.n, exact_int(multiple, "multiple"))
 
-    @property
-    def multiples(self) -> tuple[int, ...]:
-        return self.keys
-
-    @property
-    def max_multiple(self) -> int:
-        return self.keys[-1]
-
 
 def basic_class_table(p_g: int, m: int, n: int) -> BasicClassTable:
     """Full basic-class table of E(p_g; m, n), p_g >= 1, coprime m <= n.
@@ -567,12 +563,15 @@ def basic_class_table(p_g: int, m: int, n: int) -> BasicClassTable:
     Contains exactly p_g * m * n distinct multiples with their |SW| values,
     value 1 at the largest multiple; symmetric under negation with equal
     values (the signed values differ by (-1)^(p_g-1)).  A table past
-    MAX_LISTING entries or MAX_LISTING_BITS bits of keys is refused unbuilt.
+    MAX_LISTING entries or MAX_LISTING_BITS bits of keys and values is refused unbuilt.
 
     >>> basic_class_table(3, 1, 1).entries
     ((-2, 1), (0, 2), (2, 1))
     """
-    _admit_table(p_g, m, n)
+    _check_table_params(p_g, m, n)
+    size = p_g * m * n
+    bits = size * (max_multiple(p_g, m, n).bit_length() + p_g)
+    _admit(size, bits, "the table", "keys and values")
     return BasicClassTable(p_g, m, n, *_table_columns(p_g, m, n))
 
 
@@ -606,8 +605,19 @@ def recognizable_set(p_g: int, m: int, n: int) -> tuple[int, ...]:
     >>> recognizable_set(1, 2, 3)
     (-7, -3, -1, 1, 3, 7)
     """
-    _admit_odd_set(p_g, m, n)
+    size = _odd_count(p_g, m, n)  # checks the parameters
+    _admit(size, size * max_multiple(p_g, m, n).bit_length(), "the odd-SW set")
     return _recognizable(p_g, m, n)
+
+
+def odd_class_sets(blocks) -> list[tuple[int, ...]]:
+    """The odd-SW class sets of the blocks not neutral, in order, admitted
+    together as one listing before any is built."""
+    listed = [block for block in blocks if not block.neutral]
+    counts = [block.odd_count() for block in listed]  # refuses a block without odd data
+    bits = sum(count * block.odd_width() for count, block in zip(counts, listed))
+    _admit(sum(counts), bits, "the odd-SW sets")
+    return [block.odd_classes() for block in listed]
 
 
 def sw_value(block: BuildingBlock, class_key):

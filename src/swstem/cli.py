@@ -9,8 +9,8 @@ its answer as (JSON payload, text lines, rule trace) and prints nothing;
 one sorted-key JSON document under --json.  --trace exists on invariant,
 nonvanishing, blowup and split-check only: it appends the rule trace to the
 text, indented by two spaces, or adds it to the JSON document as "trace".
-An error is one ``error:`` line on stderr.  Exit codes: 0 ok, 1 domain
-error, 2 usage error.
+An error is one ``error:`` line on stderr, such as the library's refusal of a
+listing past its budget.  Exit codes: 0 ok, 1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -19,10 +19,8 @@ import argparse
 import functools
 import sys
 
-from .blocks import MAX_SHOWN_BITS, NegativeDefinite, basic_class_table, recognizable_set
-# MAX_LISTING and MAX_LISTING_BITS, the listings' bounds, are named here too
-from .blocks import MAX_LISTING, MAX_LISTING_BITS, _admit, _admit_odd_set, _admit_table
-from .errors import InvalidParameters, SwStemError
+from .blocks import NegativeDefinite, basic_class_table, recognizable_set
+from .errors import SwStemError
 from .invariants import (
     InvariantClass,
     SplitQuery,
@@ -100,17 +98,13 @@ def _invariant_view(inv: InvariantClass) -> tuple[dict, list[str]]:
 
 
 def _cmd_basic_classes(args):
-    _admit_table(args.pg, args.m, args.n)  # before the values' width, unbuilt either way
-    if args.pg - 1 > MAX_SHOWN_BITS:  # row p_g - 1's values stay below 2^(p_g - 1)
-        raise InvalidParameters(f"the table's values may have more than {MAX_SHOWN_BITS} bits")
     table = basic_class_table(args.pg, args.m, args.n)
-    # JSON takes the pairs as a list; the text zips the two columns
-    payload = {"entries": list(table.entries), "m": args.m, "n": args.n, "p_g": args.pg}
-    return payload, (f"{k}: {v}" for k, v in zip(table.keys, table.values)), ()
+    pairs = list(zip(table.keys, table.values))  # JSON renders each pair as a list
+    payload = {"entries": pairs, "m": args.m, "n": args.n, "p_g": args.pg}
+    return payload, (f"{k}: {v}" for k, v in pairs), ()
 
 
 def _cmd_recognizable(args):
-    _admit_odd_set(args.pg, args.m, args.n)
     classes = recognizable_set(args.pg, args.m, args.n)
     payload = {"classes": classes, "m": args.m, "n": args.n, "p_g": args.pg}
     return payload, [",".join(str(c) for c in classes)], ()
@@ -185,11 +179,7 @@ def _cmd_distinguish(args):
 
 
 def _cmd_fingerprint(args):
-    csum = load_manifold(args.file).to_connected_sum()
-    counts = [(s.block.odd_count(), s.block) for s in csum.summands]
-    bits = sum(count * block.odd_width() for count, block in counts)
-    _admit(sum(count for count, _ in counts), bits, "the odd-SW sets")
-    sets = odd_basic_fingerprint(csum)
+    sets = odd_basic_fingerprint(load_manifold(args.file).to_connected_sum())
     return {"sets": sets}, [",".join(str(c) for c in s) for s in sets], ()
 
 

@@ -22,7 +22,7 @@ and can never vanish equivariantly.
 ``invariant`` and ``nonvanishing_criteria`` make one pass over the summands,
 reading each almost complex block's SW parity once, and apply the same rules.
 They differ in one branch: on a lone almost complex summand ``invariant``
-answers from the exact SW value (the invariant is SW times a generator),
+answers from the SW value (the invariant is SW times a generator),
 while ``nonvanishing_criteria`` keeps the summand-count verdict.
 
 Verdicts outside the covered regime are UNKNOWN, never guesses; every
@@ -34,7 +34,7 @@ from __future__ import annotations
 import enum
 
 from ._record import record
-from .blocks import BuildingBlock, NegativeDefinite, Parity, _catalogued, shown
+from .blocks import BuildingBlock, NegativeDefinite, Parity, _catalogued, odd_class_sets, shown
 from .errors import InvalidParameters, PositiveIndexOnNegativeDefinite, PreconditionNotMet
 from .lattice import SpinC, dirac_index, expected_dimension
 from .stems import StemElement, StemKind, TriState, hopf_power, smash_all, unknown, zero
@@ -334,12 +334,11 @@ def invariant(csum: ConnectedSum) -> InvariantClass:
         if len(ac) == 1:
             (_, _, parity), (lone,) = ac[0], summands
             # a block without a parity has no value; a Kaehler block's is a Parity
-            sw = None if parity is None else lone.block.sw_value(lone.class_key)
-            if isinstance(sw, int):
-                equivariant = TriState.YES if sw != 0 else TriState.NO
-                trace.append(
-                    f"single summand: invariant is SW times a generator, SW = {shown(sw)}"
-                )
+            sw = None if parity is None else lone.block.sw_shown(lone.class_key)
+            if sw is not None:
+                nonzero, stated = sw
+                equivariant = TriState.YES if nonzero else TriState.NO
+                trace.append(f"single summand: invariant is SW times a generator, {stated}")
             elif parity is Parity.ODD:
                 equivariant = TriState.YES
                 trace.append("single summand: odd SW is in particular nonzero")
@@ -527,7 +526,7 @@ def odd_basic_fingerprint(csum: ConnectedSum) -> tuple[tuple[int, ...], ...]:
 
     Elliptic summands contribute their recognizable multiples, Kaehler
     summands their declared labels; neutral summands contribute nothing.
-    Blocks without complete parity data have no fingerprint.
+    Blocks without complete parity data have no fingerprint, and sets past
+    the listing bounds together are refused unbuilt (``odd_class_sets``).
     """
-    sets = [s.block.odd_classes() for s in csum.summands if not s.block.neutral]
-    return tuple(sorted(sets))
+    return tuple(sorted(odd_class_sets(s.block for s in csum.summands)))

@@ -106,7 +106,7 @@ def test_criterion_3_basic_class_structure():
             # entry count == number of (a, b, c) triples: the key map is injective
             assert len(entries) == p_g * m * n
             top = (p_g - 1) * m * n + (m - 1) * n + (n - 1) * m
-            assert table.max_multiple == top == max_multiple(p_g, m, n)
+            assert table.keys[-1] == top == max_multiple(p_g, m, n)
             assert entries[top] % 2 == 1
             for key, value in entries.items():
                 assert entries[-key] == value

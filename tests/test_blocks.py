@@ -10,6 +10,8 @@ from hypothesis import given, strategies as st
 from swstem.blocks import (
     CANONICAL,
     K3,
+    MAX_LISTING_BITS,
+    MAX_SHOWN_BITS,
     EllipticSurface,
     HomotopySphereLike,
     KaehlerGeneric,
@@ -17,6 +19,7 @@ from swstem.blocks import (
     Parity,
     SymplecticGeneric,
     _odd_count,
+    _table_columns,
     basic_class_table,
     max_multiple,
     odd_binomial,
@@ -96,8 +99,7 @@ def test_tables_are_two_columns_on_grid():
         assert all(a < b for a, b in zip(keys, keys[1:]))
         assert table.entries == tuple(zip(keys, values))
         assert table.as_dict() == table_oracle(p_g, m, n)
-        assert table.multiples is keys
-        assert table.max_multiple == keys[-1] == max_multiple(p_g, m, n)
+        assert keys[-1] == max_multiple(p_g, m, n)
 
 
 def test_entries_read_as_the_tuple_of_pairs():
@@ -110,6 +112,13 @@ def test_entries_read_as_the_tuple_of_pairs():
         3, (2, 1), pairs[:2], list(pairs)
     )
     assert (0, 2) in entries and (0, 1) not in entries
+
+
+def test_the_values_at_m_n_1_are_the_binomial_row():
+    # each value is one exact step from the last along row p_g - 1
+    for p_g in range(1, 80):
+        row = tuple(math.comb(p_g - 1, a) for a in range(p_g - 1, -1, -1))
+        assert _table_columns(p_g, 1, 1)[1] == row
 
 
 def test_recognizable_is_odd_fragment_of_table():
@@ -146,8 +155,8 @@ def test_table_structure_on_grid():
         table = basic_class_table(p_g, m, n)
         entries = table.as_dict()
         assert len(entries) == p_g * m * n
-        assert table.max_multiple == max_multiple(p_g, m, n)
-        assert entries[table.max_multiple] == 1
+        assert table.keys[-1] == max_multiple(p_g, m, n)
+        assert entries[table.keys[-1]] == 1
         for k, v in entries.items():
             assert entries[-k] == v
 
@@ -184,8 +193,13 @@ def test_odd_width_is_the_widest_odd_class(block):
             lambda: recognizable_set(2**6999 + 1, 99, 100),
             "the odd-SW set would list more than 128000000 bits of keys",
         ),
+        # 20,001 keys of 15 bits and values below 2^20,000
+        (
+            lambda: basic_class_table(20_001, 1, 1),
+            "the table would list more than 128000000 bits of keys and values",
+        ),
     ],
-    ids=["table-entries", "odd-set-entries", "odd-set-bits"],
+    ids=["table-entries", "odd-set-entries", "odd-set-bits", "table-bits"],
 )
 def test_listings_past_the_bounds_are_refused_unbuilt(build, message):
     start = time.perf_counter()
@@ -193,6 +207,17 @@ def test_listings_past_the_bounds_are_refused_unbuilt(build, message):
         build()
     assert str(refused.value) == message
     assert time.perf_counter() - start < 0.1
+
+
+def test_the_budget_admits_a_table_whose_every_value_prints():
+    # at m = n = 1, p_g = 11,306 is the budget's edge: p_g * (14 + p_g) bits
+    edge = 11_306
+    assert edge * (max_multiple(edge, 1, 1).bit_length() + edge) <= MAX_LISTING_BITS
+    table = basic_class_table(edge, 1, 1)
+    assert max(table.values).bit_length() <= MAX_SHOWN_BITS
+    assert table.values[edge // 2] == math.comb(edge - 1, edge // 2)
+    with pytest.raises(InvalidParameters, match="bits of keys and values"):
+        basic_class_table(edge + 1, 1, 1)
 
 
 @pytest.mark.parametrize(

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from swstem import cli
-from swstem.blocks import MAX_SHOWN_BITS, basic_class_table
+from swstem import blocks, cli
+from swstem.blocks import EllipticSurface
 from swstem.errors import MAX_INPUT_BITS, InvalidParameters
+from swstem.invariants import connected_sum, odd_basic_fingerprint
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -272,6 +273,11 @@ def test_domain_errors_exit_one():
     run_cli("split-check", sample("k3.json"), "--modulus", "3", "--residue", "1", expect=1)
 
 
+def unbuilt(*triple):
+    """A stand-in for the listing builders: a refused listing never reaches it."""
+    raise AssertionError(f"built a listing of {triple}")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -283,43 +289,43 @@ def test_domain_errors_exit_one():
     ids=["table-just-over", "table-huge", "odd-set-over", "odd-set-huge"],
 )
 def test_listings_over_the_limit_are_refused_unbuilt(argv, monkeypatch, capsys):
-    def unbuilt(*triple):
-        raise AssertionError(f"built a listing of {triple}")
-
-    monkeypatch.setattr(cli, "basic_class_table", unbuilt)
-    monkeypatch.setattr(cli, "recognizable_set", unbuilt)
+    monkeypatch.setattr(blocks, "_table_columns", unbuilt)
+    monkeypatch.setattr(blocks, "_recognizable", unbuilt)
     assert cli.main(list(argv)) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"{err.splitlines()[0]}\n"
-    assert err.startswith("error:") and f"more than {cli.MAX_LISTING} entries" in err
+    assert err.startswith("error:") and f"more than {blocks.MAX_LISTING} entries" in err
+
+
+#: the largest genus whose table at m = n = 1 fits the budget: 11,306 keys of
+#: 14 bits and values below 2^11,305, 127,983,920 bits in all
+_BUDGET_EDGE = 11_306
 
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
-def test_tables_whose_values_str_refuses_are_refused_unbuilt(json_flag, monkeypatch, capsys):
-    def unbuilt(*triple):
-        raise AssertionError(f"built a listing of {triple}")
-
-    monkeypatch.setattr(cli, "basic_class_table", unbuilt)
-    argv = ["basic-classes", "--pg", str(MAX_SHOWN_BITS + 2), "--m", "1", "--n", "1", *json_flag]
+def test_a_table_one_past_the_budget_is_refused_unbuilt(json_flag, monkeypatch, capsys):
+    monkeypatch.setattr(blocks, "_table_columns", unbuilt)
+    argv = ["basic-classes", "--pg", str(_BUDGET_EDGE + 1), "--m", "1", "--n", "1", *json_flag]
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"{err.splitlines()[0]}\n"
-    assert err.startswith("error:") and f"more than {MAX_SHOWN_BITS} bits" in err
+    assert err == (
+        f"error: the table would list more than {blocks.MAX_LISTING_BITS} bits of keys and values\n"
+    )
 
 
-def test_tables_at_the_value_bound_are_built(monkeypatch, capsys):
+def test_a_table_at_the_budget_is_built(monkeypatch, capsys):
     built = []
 
     def stub(*triple):
         built.append(triple)
-        return basic_class_table(1, 1, 1)
+        return (0,), (1,)
 
-    monkeypatch.setattr(cli, "basic_class_table", stub)
-    argv = ["basic-classes", "--pg", str(MAX_SHOWN_BITS + 1), "--m", "1", "--n", "1"]
+    monkeypatch.setattr(blocks, "_table_columns", stub)
+    argv = ["basic-classes", "--pg", str(_BUDGET_EDGE), "--m", "1", "--n", "1"]
     assert cli.main(argv) == 0
-    assert built == [(MAX_SHOWN_BITS + 1, 1, 1)]
+    assert built == [(_BUDGET_EDGE, 1, 1)]
     assert capsys.readouterr().out == "0: 1\n"
 
 
@@ -335,10 +341,7 @@ def test_tables_at_the_value_bound_are_built(monkeypatch, capsys):
 def test_fingerprints_over_the_limit_are_refused_unbuilt(
     tmp_path, summands, json_flag, monkeypatch, capsys
 ):
-    def unbuilt(csum):
-        raise AssertionError("built the odd-SW sets")
-
-    monkeypatch.setattr(cli, "odd_basic_fingerprint", unbuilt)
+    monkeypatch.setattr(blocks, "_recognizable", unbuilt)
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"summands": summands}))
     start = time.perf_counter()
@@ -346,7 +349,7 @@ def test_fingerprints_over_the_limit_are_refused_unbuilt(
     assert time.perf_counter() - start < 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: the odd-SW sets would list more than {cli.MAX_LISTING} entries\n"
+    assert err == f"error: the odd-SW sets would list more than {blocks.MAX_LISTING} entries\n"
 
 
 #: E(2^6999 + 1; 99, 100) has 19,800 odd multiples, far under MAX_LISTING,
@@ -356,26 +359,20 @@ _WIDE_KEYS = (2**6999 + 1, 99, 100)
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
 def test_an_odd_set_of_wide_keys_is_refused_unbuilt(json_flag, monkeypatch, capsys):
-    def unbuilt(*triple):
-        raise AssertionError(f"built a listing of {triple}")
-
-    monkeypatch.setattr(cli, "recognizable_set", unbuilt)
+    monkeypatch.setattr(blocks, "_recognizable", unbuilt)
     p_g, m, n = _WIDE_KEYS
     argv = ["recognizable", "--pg", str(p_g), "--m", str(m), "--n", str(n), *json_flag]
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (
-        f"error: the odd-SW set would list more than {cli.MAX_LISTING_BITS} bits of keys\n"
+        f"error: the odd-SW set would list more than {blocks.MAX_LISTING_BITS} bits of keys\n"
     )
 
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
 def test_a_fingerprint_of_wide_keys_is_refused_unbuilt(tmp_path, json_flag, monkeypatch, capsys):
-    def unbuilt(csum):
-        raise AssertionError("built the odd-SW sets")
-
-    monkeypatch.setattr(cli, "odd_basic_fingerprint", unbuilt)
+    monkeypatch.setattr(blocks, "_recognizable", unbuilt)
     p_g, m, n = _WIDE_KEYS
     path = tmp_path / "wide-keys.json"
     path.write_text(json.dumps({"summands": [{"type": "elliptic", "p_g": p_g, "m": m, "n": n}]}))
@@ -383,14 +380,54 @@ def test_a_fingerprint_of_wide_keys_is_refused_unbuilt(tmp_path, json_flag, monk
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (
-        f"error: the odd-SW sets would list more than {cli.MAX_LISTING_BITS} bits of keys\n"
+        f"error: the odd-SW sets would list more than {blocks.MAX_LISTING_BITS} bits of keys\n"
     )
 
 
 def test_the_entry_bound_with_64_bit_keys_is_admitted():
-    cli._admit(cli.MAX_LISTING, 64 * cli.MAX_LISTING, "the listing")
+    blocks._admit(blocks.MAX_LISTING, 64 * blocks.MAX_LISTING, "the listing")
     with pytest.raises(InvalidParameters):
-        cli._admit(cli.MAX_LISTING, 64 * cli.MAX_LISTING + 1, "the listing")
+        blocks._admit(blocks.MAX_LISTING, 64 * blocks.MAX_LISTING + 1, "the listing")
+
+
+def _fingerprint(*triples):
+    return odd_basic_fingerprint(connected_sum(*(EllipticSurface(*t) for t in triples)))
+
+
+#: listings past the budget: (command, its triples, the library call it makes)
+_REFUSED_LISTINGS = {
+    "table-wide-values": ("basic-classes", [(14_001, 11, 12)], blocks.basic_class_table),
+    "table-long-row": ("basic-classes", [(20_001, 1, 1)], blocks.basic_class_table),
+    "table-entries": ("basic-classes", [(1, 1, 2_000_001)], blocks.basic_class_table),
+    "table-huge": ("basic-classes", [(10**40, 2, 3)], blocks.basic_class_table),
+    "odd-set-entries": ("recognizable", [(2**20, 2, 3)], blocks.recognizable_set),
+    "odd-set-huge": ("recognizable", [(2**200, 1, 1)], blocks.recognizable_set),
+    "odd-set-bits": ("recognizable", [_WIDE_KEYS], blocks.recognizable_set),
+    "fingerprint-one-huge": ("fingerprint", [(2**30, 1, 1)], _fingerprint),
+    "fingerprint-two-halves": ("fingerprint", [(1, 1, 1_000_001)] * 2, _fingerprint),
+    "fingerprint-wide-keys": ("fingerprint", [_WIDE_KEYS], _fingerprint),
+}
+
+
+@pytest.mark.parametrize("case", _REFUSED_LISTINGS)
+def test_the_library_refuses_what_the_command_line_refuses(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(blocks, "_table_columns", unbuilt)
+    monkeypatch.setattr(blocks, "_recognizable", unbuilt)
+    command, triples, call = _REFUSED_LISTINGS[case]
+    if command == "fingerprint":
+        path = tmp_path / "sum.json"
+        summands = [{"type": "elliptic", "p_g": p, "m": m, "n": n} for p, m, n in triples]
+        path.write_text(json.dumps({"summands": summands}))
+        argv, args = [command, str(path)], triples
+    else:
+        args = triples[0]
+        argv = [command, *(f"--{flag}={value}" for flag, value in zip(("pg", "m", "n"), args))]
+    start = time.perf_counter()
+    with pytest.raises(InvalidParameters) as refused:
+        call(*args)
+    assert cli.main(argv) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", f"error: {refused.value}\n")
 
 
 def test_a_wide_odd_set_of_narrow_keys_is_admitted(capsys):

@@ -4,7 +4,7 @@ Every argv a user can type ends in exit 0, 1 or 2 (``SystemExit(2)`` from
 argparse), with at most one ``error:`` line on stderr, no other exception, no
 warning, and within a fixed deadline.  Integer flags are drawn small (at most
 50 in size) or huge (at least 10^7, up to past str()'s 4,300-digit limit), so
-a large listing is refused unbuilt by ``cli.MAX_LISTING`` instead of built.
+a large listing is refused unbuilt by ``blocks.MAX_LISTING`` instead of built.
 """
 
 import contextlib

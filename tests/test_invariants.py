@@ -10,6 +10,7 @@ from hypothesis import assume, given, strategies as st
 from swstem.blocks import (
     CANONICAL,
     K3,
+    MAX_SHOWN_BITS,
     EllipticSurface,
     HomotopySphereLike,
     KaehlerGeneric,
@@ -139,11 +140,30 @@ def test_a_huge_lone_sw_value_is_shown_by_its_bit_length():
     p_g = 10**5
     mid = Summand(EllipticSurface(p_g, 1, 1), class_key=max_multiple(p_g, 1, 1) - p_g)
     inv = invariant(connected_sum(mid))
-    bits = math.comb(p_g - 1, p_g // 2).bit_length()
     assert inv.equivariant_nonzero is TriState.YES
     assert inv.trace[-1] == (
-        f"single summand: invariant is SW times a generator, SW = a {bits}-bit integer"
+        f"single summand: invariant is SW times a generator, SW is nonzero and below 2^{p_g - 1}"
     )
+
+
+def test_a_lone_summand_of_a_huge_genus_answers_at_once():
+    # binomial(2**40, 2**39) would take 2**40 bits: its row index decides the verdict
+    block = EllipticSurface(2**40 + 1, 1, 1)
+    start = time.perf_counter()
+    on, off = (invariant(connected_sum(Summand(block, class_key=k))) for k in (0, 2**40 + 2))
+    assert time.perf_counter() - start < 1
+    assert on.equivariant_nonzero is TriState.YES
+    assert on.trace[-1].endswith("SW is nonzero and below 2^1099511627776")
+    assert off.equivariant_nonzero is TriState.NO
+    assert off.trace[-1].endswith("SW = 0")
+
+
+def test_a_lone_sw_value_within_the_shown_bound_is_printed():
+    # row MAX_SHOWN_BITS holds values of up to MAX_SHOWN_BITS bits, each printed
+    p_g = MAX_SHOWN_BITS + 1
+    mid = Summand(EllipticSurface(p_g, 1, 1), class_key=max_multiple(p_g, 1, 1) - p_g + 1)
+    inv = invariant(connected_sum(mid))
+    assert inv.trace[-1].endswith(f"SW = {math.comb(p_g - 1, p_g // 2)}")
 
 
 def test_rational_elliptic_block_is_unknown():

@@ -5,8 +5,8 @@ near and past ``MAX_INPUT_BITS``, bools, floats, strings, None, lists and
 tuples.  What comes out is the record (or listing) it builds or
 ``InvalidParameters``: no other exception and no warning, within a fixed
 deadline.  A table or odd-SW set past ``MAX_LISTING`` entries or
-``MAX_LISTING_BITS`` bits of keys is refused unbuilt, so a valid but huge
-triple ends at once.
+``MAX_LISTING_BITS`` bits (of keys, and of a table's values) is refused
+unbuilt, so a valid but huge triple ends at once.
 """
 
 import time
