@@ -6,7 +6,7 @@ and Kaehler blocks known through declared classes, negative definite
 diagonal blocks, and homotopy-sphere-like blocks.  Each kind is declared
 once, as its class: its label, b+ (for an almost complex kind), SW value
 and parity at a class key, odd-SW class set, whether it is neutral or almost
-complex, and its JSON tag and fields.  The module functions check once that
+complex, and its manifold-file ``tag``.  The module functions check once that
 they were given a catalogued block and then ask the block.  Constructors,
 class keys and the table functions take exact integers (``exact_int``);
 the formulas ``max_multiple`` and ``odd_binomial`` run on integers already
@@ -37,7 +37,6 @@ from collections.abc import Sequence
 from functools import lru_cache, partial
 from itertools import chain, compress, islice, repeat
 from math import comb, gcd
-from operator import itemgetter
 from typing import Union
 
 from ._record import record
@@ -94,15 +93,9 @@ class _Block:
     without SW data.
 
     ``class_key=None`` selects the block's distinguished class.  ``tag`` is
-    the JSON ``"type"``, ``fields`` the other JSON keys (by default the
-    integer record fields), ``required`` those that must be present;
-    ``from_json`` returns the block and the characteristic coordinates of
-    its spin-c structure (None for the default), and ``to_json`` takes
-    those coordinates back.
+    the ``"type"`` of a manifold file's summand.
     """
 
-    fields: tuple[str, ...] = ()
-    required: tuple[str, ...] = ()
     almost_complex = False
     neutral = False  # b1 = b2 = 0: the block contributes the identity to every sum
 
@@ -132,18 +125,6 @@ class _Block:
         """Bit length of the widest class ``odd_classes`` lists, 0 for none."""
         return 0 if self.neutral else max(map(abs, self.odd_classes()), default=0).bit_length()
 
-    def __init_subclass__(cls):
-        # one C call reads "type" twice, then the fields: a tuple even for one field or none
-        cls._values = itemgetter("type", "type", *cls.fields)
-
-    @classmethod
-    def from_json(cls, raw: dict):
-        # the constructors reject a value that is not an integer
-        return cls(*cls._values(raw)[2:]), None
-
-    def to_json(self, coords) -> dict:
-        return {"type": self.tag, **{key: getattr(self, key) for key in self.fields}}
-
 
 @record
 class EllipticSurface(_Block):
@@ -163,7 +144,6 @@ class EllipticSurface(_Block):
     n: int
 
     tag = "elliptic"
-    fields = required = ("p_g", "m", "n")
     almost_complex = True
 
     def __post_init__(self):
@@ -229,16 +209,6 @@ class EllipticSurface(_Block):
 K3 = EllipticSurface(1, 1, 1)
 
 
-class _K3Shorthand(_Block):
-    """The JSON tag ``k3``: K3 without fields.  K3 serializes as elliptic."""
-
-    tag = "k3"
-
-    @staticmethod
-    def from_json(raw: dict):
-        return K3, None
-
-
 @record
 class SymplecticGeneric(_Block):
     """Symplectic block with b1 = 0; only the canonical class, which is also
@@ -248,7 +218,6 @@ class SymplecticGeneric(_Block):
     b_plus: int
 
     tag = "symplectic"
-    fields = required = ("b_plus",)
     almost_complex = True
 
     def __post_init__(self):
@@ -277,8 +246,6 @@ class KaehlerGeneric(_Block):
     odd_basic: tuple[int, ...] = ()
 
     tag = "kaehler"
-    fields = ("b_plus", "odd_basic")
-    required = ("b_plus",)
     almost_complex = True
 
     def __post_init__(self):
@@ -302,13 +269,6 @@ class KaehlerGeneric(_Block):
     def odd_classes(self) -> tuple[int, ...]:
         return self.odd_basic
 
-    @classmethod
-    def from_json(cls, raw: dict):
-        labels = raw.get("odd_basic", [])
-        if not isinstance(labels, list):
-            raise InvalidParameters("odd_basic must be a list")
-        return cls(raw["b_plus"], labels), None
-
 
 @record
 class NegativeDefinite(_Block):
@@ -318,8 +278,6 @@ class NegativeDefinite(_Block):
     rank: int
 
     tag = "negative_definite"
-    fields = ("rank", "c")
-    required = ("rank",)
 
     def __post_init__(self):
         narrow_int(self.rank, "rank")
@@ -333,22 +291,6 @@ class NegativeDefinite(_Block):
     @property
     def neutral(self) -> bool:
         return self.rank == 0
-
-    @classmethod
-    def from_json(cls, raw: dict):
-        block = cls(raw["rank"])
-        if "c" not in raw:
-            return block, None
-        coords = raw["c"]
-        if not isinstance(coords, list):
-            raise InvalidParameters("c must be a list of integers")
-        return block, coords
-
-    def to_json(self, coords) -> dict:
-        out: dict = {"type": self.tag, "rank": self.rank}
-        if coords is not None:
-            out["c"] = list(coords)
-        return out
 
 
 @record
@@ -366,9 +308,6 @@ class HomotopySphereLike(_Block):
 BuildingBlock = Union[
     EllipticSurface, SymplecticGeneric, KaehlerGeneric, NegativeDefinite, HomotopySphereLike
 ]
-
-#: JSON tag -> the declaration that parses it
-JSON_KINDS = {kind.tag: kind for kind in (*BuildingBlock.__args__, _K3Shorthand)}
 
 
 def _catalogued(block) -> _Block:
@@ -443,8 +382,14 @@ def _genus_index(p_g: int, m: int, n: int, key: int) -> int | None:
 
 
 def _abs_sw(p_g: int, m: int, n: int, key: int) -> int:
-    """|SW| of E(p_g; m, n) at the multiple ``key``, 0 off the table."""
+    """|SW| of E(p_g; m, n) at the multiple ``key``, 0 off the table; past
+    p_g - 1 = MAX_SHOWN_BITS only the 1 at either end of the row is computed."""
     a = _genus_index(p_g, m, n, key)
+    if p_g - 1 > MAX_SHOWN_BITS and a is not None and 0 < a < p_g - 1:
+        raise InvalidParameters(
+            f"|SW| at multiple {shown(key)} is binomial(p_g - 1, {shown(a)}), "
+            f"not computed for p_g - 1 > {MAX_SHOWN_BITS}"
+        )
     return 0 if a is None else comb(p_g - 1, a)
 
 
@@ -553,7 +498,7 @@ class BasicClassTable:
         return dict(zip(self.keys, self.values))
 
     def value(self, multiple: int) -> int:
-        """Exact |SW| value at a multiple; 0 when absent from the table."""
+        """Exact |SW| value at a multiple, as ``sw_value`` (0 off the table)."""
         return _abs_sw(self.p_g, self.m, self.n, exact_int(multiple, "multiple"))
 
 
@@ -623,7 +568,8 @@ def odd_class_sets(blocks) -> list[tuple[int, ...]]:
 def sw_value(block: BuildingBlock, class_key):
     """Seiberg-Witten datum of a block at a chosen class (None: its
     distinguished class): an exact integer for elliptic blocks (0 off the
-    table) and symplectic blocks, a ``Parity`` for Kaehler blocks; UnknownSW
+    table; past p_g - 1 = MAX_SHOWN_BITS, only the 1 at either end of the
+    row) and symplectic blocks, a ``Parity`` for Kaehler blocks; UnknownSW
     where the block declares none."""
     return _catalogued(block).sw_value(class_key)
 

@@ -99,9 +99,10 @@ def _invariant_view(inv: InvariantClass) -> tuple[dict, list[str]]:
 
 def _cmd_basic_classes(args):
     table = basic_class_table(args.pg, args.m, args.n)
-    pairs = list(zip(table.keys, table.values))  # JSON renders each pair as a list
+    # JSON renders each pair as a list; the text reads the two columns
+    pairs = list(zip(table.keys, table.values)) if args.json else ()
     payload = {"entries": pairs, "m": args.m, "n": args.n, "p_g": args.pg}
-    return payload, (f"{k}: {v}" for k, v in pairs), ()
+    return payload, (f"{k}: {v}" for k, v in zip(table.keys, table.values)), ()
 
 
 def _cmd_recognizable(args):

@@ -15,16 +15,18 @@ A manifold file is a single JSON object::
       ]
     }
 
-Unknown and repeated keys are rejected everywhere, at top level and inside
-summands (json.loads alone would keep a repeated key's last value).
-``odd_basic`` (a list of c^2 labels) is optional and defaults to empty;
-``c`` (the characteristic coordinates of a negative definite block, one odd
-integer per rank) is optional and defaults to the unit vector.  Parsing is
+This module alone reads and writes the format.  A summand's ``type`` is its
+kind's ``tag``, its other keys the kind's record fields, optional where the
+class gives a default (``odd_basic``, a list of c^2 labels, defaults to
+empty).  ``k3`` is K3 and takes no key; a negative definite summand also
+takes ``c``, its characteristic coordinates (one odd integer per rank;
+default the unit vector).  Unknown and repeated keys are rejected everywhere
+(json.loads alone would keep a repeated key's last value).  Parsing is
 strict and total: malformed JSON raises ManifoldSyntaxError with line and
 column, a well-formed but invalid description raises ManifoldSemanticError
 with the offending summand's index.  ``json_text`` writes json.dumps' sorted
-indent-2 text, for files and the CLI's --json, without json.dumps' pure-Python
-encoder (a generator per nesting level before Python 3.13).
+indent-2 text, for files and the CLI's --json, without json.dumps'
+pure-Python encoder (a generator per nesting level before Python 3.13).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from collections import Counter
 from json.encoder import encode_basestring, encode_basestring_ascii  # the first for cli
 
 from ._record import record
-from .blocks import JSON_KINDS
+from .blocks import K3, BuildingBlock, NegativeDefinite
 from .errors import (
     InvalidParameters,
     ManifoldSemanticError,
@@ -44,6 +46,18 @@ from .invariants import ConnectedSum, Summand
 from .lattice import SpinC
 
 _TOP_KEYS = {"summands", "name", "notes"}
+
+
+def _kind_format(kind, *extra: str) -> tuple:
+    """(kind, its record fields then ``extra``, the fields without a class default)."""
+    fields = kind._record_fields
+    return kind, fields + extra, tuple(key for key in fields if key not in vars(kind))
+
+
+#: summand "type" -> (kind, keys, required keys)
+_KINDS = {kind.tag: _kind_format(kind) for kind in BuildingBlock.__args__}
+_KINDS[NegativeDefinite.tag] = _kind_format(NegativeDefinite, "c")
+_KINDS["k3"] = (lambda: K3), (), ()
 
 
 @record
@@ -93,27 +107,40 @@ def _parse_summand(raw: object, index: int) -> Summand:
             raise ManifoldSemanticError(f"repeated key {raw.key!r}", index)
         raise ManifoldSemanticError("summands must be JSON objects", index)
     tag = raw.get("type")
-    kind = JSON_KINDS.get(tag) if isinstance(tag, str) else None
-    if kind is None:
-        known = ", ".join(sorted(JSON_KINDS))
+    entry = _KINDS.get(tag) if isinstance(tag, str) else None
+    if entry is None:
+        known = ", ".join(sorted(_KINDS))
         raise ManifoldSemanticError(
             f"unknown summand type {tag!r}; expected one of: {known}", index
         )
+    kind, keys, required = entry
     for key in raw:
-        if key != "type" and key not in kind.fields:
+        if key != "type" and key not in keys:
             raise ManifoldSemanticError(
                 f"unknown key {key!r} on a {tag!r} summand", index
             )
-    # the keys are known, so with "type" and every field present none is missing
-    for key in kind.required if len(raw) <= len(kind.fields) else ():
+    # the keys are known, so with "type" and every key present none is missing
+    for key in required if len(raw) <= len(keys) else ():
         if key not in raw:
             raise ManifoldSemanticError(
                 f"missing key {key!r} on a {tag!r} summand", index
             )
     try:
-        block, coords = kind.from_json(raw)
-        spin_c = None if coords is None else SpinC.from_coords(coords)
-        return Summand(block, spin_c)
+        # the constructors reject a value that is not an integer
+        args = [*map(raw.__getitem__, required)]
+        if len(raw) == len(args) + 1:  # "type" and the required keys alone
+            return Summand(kind(*args))
+        for key in keys[len(required):]:
+            if key in raw and key != "c":  # a field with a tuple default
+                if type(raw[key]) is not list:
+                    raise InvalidParameters(f"{key} must be a list")
+                args.append(raw[key])
+        block = kind(*args)
+        if "c" not in raw:
+            return Summand(block)
+        if type(raw["c"]) is not list:
+            raise InvalidParameters("c must be a list of integers")
+        return Summand(block, SpinC.from_coords(raw["c"]))
     except InvalidParameters as exc:
         raise ManifoldSemanticError(str(exc), index) from exc
 
@@ -175,12 +202,22 @@ def json_text(value, quote, _newline: str = "\n") -> str:
     return quote(value) if type(value) is str else int.__repr__(value)
 
 
+def _summand_json(summand: Summand) -> dict:
+    """Its tag and record fields (K3 as elliptic), and ``c`` if it has coordinates."""
+    block = summand.block
+    raw = {key: getattr(block, key) for key in block._record_fields}
+    raw["type"] = block.tag
+    if summand.spin_c is not None and summand.spin_c.c_coords is not None:
+        raw["c"] = summand.spin_c.c_coords
+    return raw
+
+
 def serialize_manifold(doc: ManifoldDoc) -> str:
     """Canonical JSON text for a manifold description: json.dumps' sorted
     indent-2 text of its raw dict plus a newline, by ``json_text``.
     ``parse_manifold(serialize_manifold(doc))`` returns an equal document."""
     raw = {k: t for k, t in (("name", doc.name), ("notes", doc.notes)) if t is not None}
-    raw["summands"] = [s.block.to_json(s.spin_c and s.spin_c.c_coords) for s in doc.summands]
+    raw["summands"] = [_summand_json(s) for s in doc.summands]
     return json_text(raw, encode_basestring_ascii) + "\n"
 
 

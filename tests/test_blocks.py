@@ -7,11 +7,13 @@ import warnings
 import pytest
 from hypothesis import given, strategies as st
 
+from swstem import blocks
 from swstem.blocks import (
     CANONICAL,
     K3,
     MAX_LISTING_BITS,
     MAX_SHOWN_BITS,
+    BasicClassTable,
     EllipticSurface,
     HomotopySphereLike,
     KaehlerGeneric,
@@ -482,6 +484,49 @@ def test_sw_value_elliptic():
         sw_value(e, True)  # bools are not class keys
     with pytest.raises(UnknownSW):
         sw_value(EllipticSurface(0, 1, 1), 0)
+
+
+def test_sw_value_inside_a_row_past_the_shown_width_is_refused_at_once():
+    p_g = 2**20 + 1  # a mid-row binomial of about a million bits
+    block = EllipticSurface(p_g, 1, 1)
+    top = max_multiple(p_g, 1, 1)
+    start = time.perf_counter()
+    with pytest.raises(InvalidParameters) as refused:
+        sw_value(block, 0)
+    assert time.perf_counter() - start < 1
+    assert str(refused.value) == (
+        f"|SW| at multiple 0 is binomial(p_g - 1, {2**19}), "
+        f"not computed for p_g - 1 > {MAX_SHOWN_BITS}"
+    )
+    # the value 1 at either end of the row, and 0 off the table, are answered
+    assert sw_value(block, top) == sw_value(block, -top) == sw_value(block, None) == 1
+    assert sw_value(block, top + 2) == 0
+    # the parity and the trace's statement need no binomial
+    assert sw_parity(block, 0) is Parity.EVEN
+    assert block.sw_shown(0) == (True, f"SW is nonzero and below 2^{p_g - 1}")
+    # the budget refuses to build this table; a lookup reads none of its columns
+    table = BasicClassTable(p_g, 1, 1, (), ())
+    with pytest.raises(InvalidParameters, match="not computed"):
+        table.value(0)
+    assert table.value(top) == 1
+
+
+def test_every_value_of_the_largest_admitted_row_is_answered(monkeypatch):
+    # E(11,306; 1, 1) is the largest table the budget admits: p_g - 1 is
+    # within MAX_SHOWN_BITS, so no lookup on it is refused
+    edge = 11_306
+    assert edge - 1 <= MAX_SHOWN_BITS
+    table = basic_class_table(edge, 1, 1)
+    # one exact binomial of row 11,305 takes milliseconds: first record which
+    # binomial each lookup asks for, at every key, then compute some exactly
+    monkeypatch.setattr(blocks, "comb", lambda n, k: (n, k))
+    asked = [table.value(key) for key in table.keys]
+    assert asked == [(edge - 1, a) for a in range(edge - 1, -1, -1)]  # keys ascend
+    monkeypatch.undo()
+    for a in (0, 1, 2, edge // 2 - 1, edge // 2, edge - 2, edge - 1):
+        key = table.keys[edge - 1 - a]
+        assert table.value(key) == math.comb(edge - 1, a) == table.values[edge - 1 - a]
+        assert sw_value(EllipticSurface(edge, 1, 1), key) == math.comb(edge - 1, a)
 
 
 def test_sw_value_symplectic_and_kaehler():

@@ -6,10 +6,12 @@ stderr in a ``.err`` file next to it.  The subcommands that read flags
 rather than a sample, the errors of each command family and the usage errors
 are pinned under ``goldens/_flags/``; a usage error (exit 2) pins only its
 ``usage:`` line and any ``invalid choice`` line, which fix the order of the
-flags and of the subcommands.  All cases run with ``COLUMNS=200`` so that
-argparse does not wrap.  To rewrite the goldens after an intended output
-change, run ``PYTHONPATH=src python tests/test_goldens.py`` and review the
-diff.
+flags and of the subcommands.  Each sample's canonical text, as
+``serialize_manifold`` writes it, is pinned in
+``goldens/<sample>/serialized.json``.  All cases run with ``COLUMNS=200``
+so that argparse does not wrap.  To rewrite the goldens after an intended
+output change, run ``PYTHONPATH=src python tests/test_goldens.py`` and
+review the diff.
 """
 
 import contextlib
@@ -154,9 +156,13 @@ def test_usage_golden(name, argv):
     assert usage_lines(err) == (FLAGS / f"{name}.err").read_text(encoding="utf-8")
 
 
-def test_mixed_sample_serializes_canonically():
-    doc = load_manifold(str(SAMPLES / "mixed_all_kinds.json"))
-    golden = GOLDENS / "mixed_all_kinds" / "serialized.json"
+SAMPLE_STEMS = [path.stem for path in sorted(SAMPLES.glob("*.json"))]
+
+
+@pytest.mark.parametrize("stem", SAMPLE_STEMS)
+def test_sample_serializes_canonically(stem):
+    doc = load_manifold(sample(stem))
+    golden = GOLDENS / stem / "serialized.json"
     assert serialize_manifold(doc) == golden.read_text(encoding="utf-8")
 
 
@@ -174,10 +180,9 @@ def regenerate():
     for name, argv in USAGE_CASES.items():
         _, _, err = run(argv)
         (FLAGS / f"{name}.err").write_text(usage_lines(err), encoding="utf-8")
-    doc = load_manifold(str(SAMPLES / "mixed_all_kinds.json"))
-    (GOLDENS / "mixed_all_kinds" / "serialized.json").write_text(
-        serialize_manifold(doc), encoding="utf-8"
-    )
+    for stem in SAMPLE_STEMS:
+        text = serialize_manifold(load_manifold(sample(stem)))
+        (GOLDENS / stem / "serialized.json").write_text(text, encoding="utf-8")
 
 
 if __name__ == "__main__":

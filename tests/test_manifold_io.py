@@ -12,8 +12,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from swstem.blocks import (
     K3,
     EllipticSurface,
+    HomotopySphereLike,
     KaehlerGeneric,
     NegativeDefinite,
+    SymplecticGeneric,
     basic_class_table,
     recognizable_set,
 )
@@ -235,6 +237,56 @@ def test_rejected_documents(text):
         parse_manifold(text)
 
 
+@pytest.mark.parametrize(
+    "summand, message",
+    [
+        (
+            {"type": "negative_definite", "rank": -1, "c": "x"},
+            "rank must be >= 0, got -1",
+        ),
+        ({"type": "negative_definite", "rank": 1, "c": None}, "c must be a list of integers"),
+        ({"type": "kaehler", "b_plus": 2, "odd_basic": 5}, "odd_basic must be a list"),
+        ({"type": "kaehler", "b_plus": 3, "odd_basic": None}, "odd_basic must be a list"),
+        ({"type": "k3", "p_g": 1}, "unknown key 'p_g' on a 'k3' summand"),
+        ({"type": "elliptic", "p_g": 1, "m": 1}, "missing key 'n' on a 'elliptic' summand"),
+        ({"type": "negative_definite"}, "missing key 'rank' on a 'negative_definite' summand"),
+        ({"type": "s4", "rank": 0}, "unknown key 'rank' on a 's4' summand"),
+        (
+            {"type": "elliptic", "p_g": 1, "m": 1, "n": 1, "c": [1]},
+            "unknown key 'c' on a 'elliptic' summand",
+        ),
+        (
+            {"type": "negative_definite", "rank": 2, "c": [3]},
+            "1 coordinates given for a rank-2 block",
+        ),
+        (
+            {"type": 3},
+            "unknown summand type 3; expected one of: "
+            "elliptic, k3, kaehler, negative_definite, s4, symplectic",
+        ),
+    ],
+    ids=[
+        "rank-before-c",
+        "c-null",
+        "odd_basic-before-b_plus",
+        "odd_basic-null",
+        "key-on-k3",
+        "missing-n",
+        "missing-rank",
+        "rank-on-s4",
+        "c-on-elliptic",
+        "too-few-coordinates",
+        "type-not-a-string",
+    ],
+)
+def test_a_summand_is_refused_with_its_message(summand, message):
+    raw = {"summands": [{"type": "k3"}, summand]}
+    with pytest.raises(ManifoldSemanticError) as exc:
+        parse_manifold(json.dumps(raw))
+    assert exc.value.block_index == 1
+    assert str(exc.value) == f"summand 1: {message}"
+
+
 def test_samples_all_load():
     sample_files = sorted(SAMPLES.glob("*.json"))
     assert len(sample_files) >= 6
@@ -245,14 +297,29 @@ def test_samples_all_load():
         assert parse_manifold(serialize_manifold(doc)) == doc
 
 
+#: the README's format table: each kind's "type" and the keys it writes, in
+#: any order (K3 is written as elliptic, a Kaehler block's odd_basic always)
+_FORMAT_TABLE = {
+    EllipticSurface: ("elliptic", ("p_g", "m", "n")),
+    SymplecticGeneric: ("symplectic", ("b_plus",)),
+    KaehlerGeneric: ("kaehler", ("b_plus", "odd_basic")),
+    NegativeDefinite: ("negative_definite", ("rank",)),
+    HomotopySphereLike: ("s4", ()),
+}
+
+
+def _reference_summand(summand: Summand) -> dict:
+    tag, keys = _FORMAT_TABLE[type(summand.block)]
+    raw = {"type": tag, **{key: getattr(summand.block, key) for key in keys}}
+    if summand.spin_c is not None:
+        raw["c"] = list(summand.spin_c.c_coords)
+    return raw
+
+
 def _reference_text(doc: ManifoldDoc) -> str:
-    """The canonical text as the standard library writes it."""
-    raw: dict = {
-        "summands": [
-            s.block.to_json(None if s.spin_c is None else s.spin_c.c_coords)
-            for s in doc.summands
-        ]
-    }
+    """The canonical text as the standard library writes it, from the format
+    table alone."""
+    raw: dict = {"summands": [_reference_summand(s) for s in doc.summands]}
     if doc.name is not None:
         raw["name"] = doc.name
     if doc.notes is not None:
