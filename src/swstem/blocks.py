@@ -154,7 +154,7 @@ class EllipticSurface(_Block):
 
     @property
     def label(self) -> str:
-        if self == K3:
+        if self.p_g == self.m == self.n == 1:
             return "K3"
         return f"E(p_g={self.p_g},m={self.m},n={self.n})"
 
@@ -489,6 +489,11 @@ class BasicClassTable:
     n: int
     keys: tuple[int, ...]
     values: tuple[int, ...]
+
+    def __post_init__(self):
+        _check_table_params(self.p_g, self.m, self.n)
+        if not len(self.keys) == len(self.values) == self.p_g * self.m * self.n:
+            raise InvalidParameters("a table lists p_g*m*n keys and as many values")
 
     @property
     def entries(self) -> _Pairs:

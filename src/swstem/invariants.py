@@ -58,6 +58,8 @@ class Summand:
 
     def __post_init__(self):
         _catalogued(self.block)  # raises UncataloguedBlock on aliens
+        if self.spin_c is None and self.class_key is None:
+            return  # a block alone: every summand a file without c gives
         if isinstance(self.block, NegativeDefinite):
             if self.class_key is not None:
                 raise InvalidParameters(
@@ -217,8 +219,9 @@ def _digest(ac: list[Summand]) -> list[tuple]:
     ]
 
 
-def _parity_word(parity: Parity | None) -> str:
-    return "undetermined" if parity is None else str(parity)
+_PARITY_WORDS = {None: "undetermined", Parity.EVEN: "even", Parity.ODD: "odd"}
+# each degree-1 contribution with its trace text, built once
+_ZERO_1, _ETA_1, _UNKNOWN_1 = ((x, str(x)) for x in (zero(1), hopf_power(1), unknown(1)))
 
 
 def _criteria(ac: list[tuple], trace: list[str]) -> TriState:
@@ -296,13 +299,13 @@ def invariant(csum: ConnectedSum) -> InvariantClass:
         total_d += d
         total_b_plus += b_plus
         if b_plus % 4 == 1 or parity is Parity.EVEN:
-            piece = zero(1)
+            piece, shown_piece = _ZERO_1
         else:
-            piece = hopf_power(1) if parity is Parity.ODD else unknown(1)
+            piece, shown_piece = _ETA_1 if parity is Parity.ODD else _UNKNOWN_1
         contributions.append(piece)
         trace.append(
             f"{label}: b+ = {b_plus}, d = {d}, "
-            f"SW parity {_parity_word(parity)}, contributes {piece}"
+            f"SW parity {_PARITY_WORDS[parity]}, contributes {shown_piece}"
         )
 
     stem_degree = 2 * total_d - total_b_plus

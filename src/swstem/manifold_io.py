@@ -24,9 +24,11 @@ default the unit vector).  Unknown and repeated keys are rejected everywhere
 (json.loads alone would keep a repeated key's last value).  Parsing is
 strict and total: malformed JSON raises ManifoldSyntaxError with line and
 column, a well-formed but invalid description raises ManifoldSemanticError
-with the offending summand's index.  ``json_text`` writes json.dumps' sorted
-indent-2 text, for files and the CLI's --json, without json.dumps'
-pure-Python encoder (a generator per nesting level before Python 3.13).
+with the offending summand's index.  A file is written from each kind's
+text (json.dumps' sorted indent-2 text, a named slot per value), so a
+``ManifoldDoc`` holds no class key and no spin-c data but ``c``.
+``json_text`` writes that text of any value for the CLI's --json, without
+json.dumps' pure-Python encoder (a generator per level before Python 3.13).
 """
 
 from __future__ import annotations
@@ -48,16 +50,28 @@ from .lattice import SpinC
 _TOP_KEYS = {"summands", "name", "notes"}
 
 
+def _text(tag: str, keys: tuple, lists: tuple) -> str:
+    """A summand's text at its depth in a file, its keys and "type" sorted,
+    each value a slot: ``%(key)s`` for the text of a list, ``%(key)d`` else."""
+    lines = {key: f'"{key}": %({key}){"s" if key in lists else "d"}' for key in keys}
+    lines["type"] = f'"type": "{tag}"'
+    return "{\n      " + ",\n      ".join(map(lines.get, sorted(lines))) + "\n    }"
+
+
 def _kind_format(kind, *extra: str) -> tuple:
-    """(kind, its record fields then ``extra``, the fields without a class default)."""
+    """(kind, its fields without a class default, those with one, every key
+    admitted, its text, the same with ``extra``); the defaulted and ``extra`` are int lists."""
     fields = kind._record_fields
-    return kind, fields + extra, tuple(key for key in fields if key not in vars(kind))
+    lists = tuple(key for key in fields if key in vars(kind))
+    required = fields[: len(fields) - len(lists)]  # a record's defaults come last
+    text, text_extra = (_text(kind.tag, fields + more, lists + more) for more in ((), extra))
+    return kind, required, lists, frozenset((*fields, *extra, "type")), text, text_extra
 
 
-#: summand "type" -> (kind, keys, required keys)
+#: summand "type" -> (kind, required keys, list keys, keys admitted, text, text with c)
 _KINDS = {kind.tag: _kind_format(kind) for kind in BuildingBlock.__args__}
 _KINDS[NegativeDefinite.tag] = _kind_format(NegativeDefinite, "c")
-_KINDS["k3"] = (lambda: K3), (), ()
+_KINDS["k3"] = (lambda: K3), (), (), frozenset({"type"}), None, None
 
 
 @record
@@ -76,6 +90,9 @@ class ManifoldDoc:
             if not isinstance(getattr(self, field_name), (str, type(None))):
                 raise InvalidParameters(f"'{field_name}' must be a string or None")
         csum = ConnectedSum(self.summands)
+        for s in csum.summands:  # what serialize_manifold cannot write
+            if s.class_key is not None or s.spin_c is not None and s.spin_c.c_coords is None:
+                raise InvalidParameters("a file holds no class key and no spin-c data but c")
         object.__setattr__(self, "summands", csum.summands)
         object.__setattr__(self, "_csum", csum)
 
@@ -113,25 +130,22 @@ def _parse_summand(raw: object, index: int) -> Summand:
         raise ManifoldSemanticError(
             f"unknown summand type {tag!r}; expected one of: {known}", index
         )
-    kind, keys, required = entry
-    for key in raw:
-        if key != "type" and key not in keys:
-            raise ManifoldSemanticError(
-                f"unknown key {key!r} on a {tag!r} summand", index
-            )
-    # the keys are known, so with "type" and every key present none is missing
-    for key in required if len(raw) <= len(keys) else ():
-        if key not in raw:
-            raise ManifoldSemanticError(
-                f"missing key {key!r} on a {tag!r} summand", index
-            )
+    kind, required, lists, allowed, _, _ = entry
+    if not raw.keys() <= allowed:
+        key = next(key for key in raw if key not in allowed)  # the first in the file
+        raise ManifoldSemanticError(f"unknown key {key!r} on a {tag!r} summand", index)
+    try:
+        args = [*map(raw.__getitem__, required)]
+    except KeyError as exc:  # map stops at the first missing key, in field order
+        raise ManifoldSemanticError(
+            f"missing key {exc.args[0]!r} on a {tag!r} summand", index
+        ) from None
     try:
         # the constructors reject a value that is not an integer
-        args = [*map(raw.__getitem__, required)]
         if len(raw) == len(args) + 1:  # "type" and the required keys alone
             return Summand(kind(*args))
-        for key in keys[len(required):]:
-            if key in raw and key != "c":  # a field with a tuple default
+        for key in lists:
+            if key in raw:
                 if type(raw[key]) is not list:
                     raise InvalidParameters(f"{key} must be a list")
                 args.append(raw[key])
@@ -202,23 +216,31 @@ def json_text(value, quote, _newline: str = "\n") -> str:
     return quote(value) if type(value) is str else int.__repr__(value)
 
 
-def _summand_json(summand: Summand) -> dict:
-    """Its tag and record fields (K3 as elliptic), and ``c`` if it has coordinates."""
-    block = summand.block
-    raw = {key: getattr(block, key) for key in block._record_fields}
-    raw["type"] = block.tag
-    if summand.spin_c is not None and summand.spin_c.c_coords is not None:
-        raw["c"] = summand.spin_c.c_coords
-    return raw
+def _ints(values) -> str:
+    """A list of integers as json.dumps(indent=2) writes it as a summand's value."""
+    return "[\n        %s\n      ]" % ",\n        ".join(map(repr, values)) if values else "[]"
+
+
+def _summand_text(summand: Summand) -> str:
+    """A summand's text at its depth in a file, from its kind's text."""
+    block, spin_c = summand.block, summand.spin_c
+    _, _, lists, _, text, text_c = _KINDS[block.tag]
+    slots = vars(block)  # a record keeps its fields there, by name
+    if lists or spin_c is not None:
+        slots = {**slots, **{key: _ints(slots[key]) for key in lists}}
+        if spin_c is not None:  # ManifoldDoc admits it with coordinates only
+            text, slots["c"] = text_c, _ints(spin_c.c_coords)
+    return text % slots
 
 
 def serialize_manifold(doc: ManifoldDoc) -> str:
     """Canonical JSON text for a manifold description: json.dumps' sorted
-    indent-2 text of its raw dict plus a newline, by ``json_text``.
-    ``parse_manifold(serialize_manifold(doc))`` returns an equal document."""
-    raw = {k: t for k, t in (("name", doc.name), ("notes", doc.notes)) if t is not None}
-    raw["summands"] = [_summand_json(s) for s in doc.summands]
-    return json_text(raw, encode_basestring_ascii) + "\n"
+    indent-2 text of its raw dict plus a newline, written from each kind's
+    text.  ``parse_manifold(serialize_manifold(doc))`` returns an equal document."""
+    head = "".join(f'  "{key}": {encode_basestring_ascii(text)},\n'
+                   for key, text in (("name", doc.name), ("notes", doc.notes)) if text is not None)
+    body = ",\n    ".join(map(_summand_text, doc.summands))
+    return f'{{\n{head}  "summands": [\n    {body}\n  ]\n}}\n'
 
 
 def load_manifold(path: str) -> ManifoldDoc:

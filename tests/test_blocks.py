@@ -313,6 +313,23 @@ def test_table_parameter_validation():
         recognizable_set(1, 0, 1)
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((3.5, 1, 1, (), ()), "p_g must be an integer, got 3.5"),
+        ((0, 1, 1, (), ()), "basic-class data requires geometric genus >= 1, got p_g = 0"),
+        ((3, 2, 4, (1,), ()), "multiplicities must be coprime, got (2, 4)"),
+        ((3, 1, 1, (-2, 0, 2), (1, 2)), "a table lists p_g*m*n keys and as many values"),
+        ((3, 1, 1, (0,), (2,)), "a table lists p_g*m*n keys and as many values"),
+    ],
+    ids=["float-p_g", "p_g-0", "not-coprime", "short-values", "short-columns"],
+)
+def test_a_table_checks_its_fields(fields, message):
+    with pytest.raises(InvalidParameters) as refused:
+        BasicClassTable(*fields)
+    assert str(refused.value) == message
+
+
 def test_cached_entries_are_shared():
     assert basic_class_table(7, 2, 3) == basic_class_table(7, 2, 3)
     assert basic_class_table(7, 2, 3).keys is basic_class_table(7, 2, 3).keys
@@ -504,8 +521,9 @@ def test_sw_value_inside_a_row_past_the_shown_width_is_refused_at_once():
     # the parity and the trace's statement need no binomial
     assert sw_parity(block, 0) is Parity.EVEN
     assert block.sw_shown(0) == (True, f"SW is nonzero and below 2^{p_g - 1}")
-    # the budget refuses to build this table; a lookup reads none of its columns
-    table = BasicClassTable(p_g, 1, 1, (), ())
+    # the budget refuses to build this table; a lookup reads none of its
+    # columns, so columns of the right length holding only zeros serve
+    table = BasicClassTable(p_g, 1, 1, (0,) * p_g, (0,) * p_g)
     with pytest.raises(InvalidParameters, match="not computed"):
         table.value(0)
     assert table.value(top) == 1

@@ -318,15 +318,15 @@ def test_a_table_one_past_the_budget_is_refused_unbuilt(json_flag, monkeypatch, 
 def test_a_table_at_the_budget_is_built(monkeypatch, capsys):
     built = []
 
-    def stub(*triple):
+    def stub(*triple):  # columns of the table's length, one entry repeated
         built.append(triple)
-        return (0,), (1,)
+        return (0,) * _BUDGET_EDGE, (1,) * _BUDGET_EDGE
 
     monkeypatch.setattr(blocks, "_table_columns", stub)
     argv = ["basic-classes", "--pg", str(_BUDGET_EDGE), "--m", "1", "--n", "1"]
     assert cli.main(argv) == 0
     assert built == [(_BUDGET_EDGE, 1, 1)]
-    assert capsys.readouterr().out == "0: 1\n"
+    assert capsys.readouterr().out == "0: 1\n" * _BUDGET_EDGE
 
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])

@@ -21,6 +21,7 @@ from swstem.blocks import (
 )
 from swstem.errors import InvalidParameters, ManifoldSemanticError, ManifoldSyntaxError
 from swstem.invariants import Summand, invariant
+from swstem.lattice import SpinC
 from swstem.manifold_io import (
     ManifoldDoc,
     json_text,
@@ -264,6 +265,9 @@ def test_rejected_documents(text):
             "unknown summand type 3; expected one of: "
             "elliptic, k3, kaehler, negative_definite, s4, symplectic",
         ),
+        ({"type": "s4", "zeta": 1, "alpha": 2}, "unknown key 'zeta' on a 's4' summand"),
+        ({"type": "elliptic", "p_g": 3}, "missing key 'm' on a 'elliptic' summand"),
+        ({"type": "elliptic", "n": 1, "extra": 0}, "unknown key 'extra' on a 'elliptic' summand"),
     ],
     ids=[
         "rank-before-c",
@@ -277,6 +281,9 @@ def test_rejected_documents(text):
         "c-on-elliptic",
         "too-few-coordinates",
         "type-not-a-string",
+        "first-unknown-key-in-the-file",
+        "first-missing-key-in-field-order",
+        "unknown-before-missing",
     ],
 )
 def test_a_summand_is_refused_with_its_message(summand, message):
@@ -328,6 +335,9 @@ def _reference_text(doc: ManifoldDoc) -> str:
 
 
 _odd = st.integers(-(10**6), 10**6).map(lambda x: 2 * x + 1)
+# integers up to the 7,000-bit input limit, written by int.__repr__ like json.dumps
+_wide = st.integers(2**6990, 2**7000 - 1)
+_wide_odd = st.integers(2**6990, 2**6999 - 1).map(lambda x: 2 * x + 1)
 _coprime = st.tuples(st.integers(1, 12), st.integers(1, 12)).filter(
     lambda mn: gcd(*mn) == 1
 ).map(sorted)
@@ -354,14 +364,15 @@ _summand_json = st.one_of(
     st.just({"type": "s4"}),
     st.builds(
         lambda p_g, mn: {"type": "elliptic", "p_g": p_g, "m": mn[0], "n": mn[1]},
-        st.integers(0, 10**30),
+        st.integers(0, 10**30) | _wide,
         _coprime,
     ),
-    st.builds(lambda b: {"type": "symplectic", "b_plus": b}, _odd.map(abs)),
+    st.builds(lambda b: {"type": "symplectic", "b_plus": b}, _odd.map(abs) | _wide_odd),
     st.builds(
         _kaehler,
-        _odd.map(abs),
-        st.none() | st.lists(st.integers(-(10**20), 10**20), max_size=4),
+        _odd.map(abs) | _wide_odd,
+        st.none()
+        | st.lists(st.integers(-(10**20), 10**20) | _wide | _wide.map(int.__neg__), max_size=4),
     ),
     _negative_definite(),
 )
@@ -423,10 +434,20 @@ def test_serialize_escapes_names_like_the_stdlib(name):
     assert serialize_manifold(doc) == _reference_text(doc)
 
 
+_NOT_IN_A_FILE = "a file holds no class key and no spin-c data but c"
+
+
 @pytest.mark.parametrize(
     "summands, message",
-    [(["x"], "not a summand: 'x'"), ((), "a connected sum needs at least one summand")],
-    ids=["not-a-summand", "empty"],
+    [
+        (["x"], "not a summand: 'x'"),
+        ((), "a connected sum needs at least one summand"),
+        # data a file cannot hold, which the writer would drop: a class key,
+        # and c^2 = -9 without coordinates (a gamma factor the re-read sum lacks)
+        ([Summand(EllipticSurface(3, 1, 1), class_key=0)], _NOT_IN_A_FILE),
+        ([Summand(K3), Summand(NegativeDefinite(1), SpinC(-9))], _NOT_IN_A_FILE),
+    ],
+    ids=["not-a-summand", "empty", "class-key", "spin-c-without-coordinates"],
 )
 def test_manifold_doc_checks_its_summands(summands, message):
     with pytest.raises(InvalidParameters, match=f"^{message}$"):

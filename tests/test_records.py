@@ -98,7 +98,7 @@ RECORDS = [
         BasicClassTable,
         ("p_g", "m", "n", "keys", "values"),
         (3, 1, 1, (-2, 0, 2), (1, 2, 1)),
-        (3, 1, 1, (0,), (2,)),
+        (3, 1, 1, (-2, 0, 2), (1, 3, 1)),
         {},
         "BasicClassTable(p_g=3, m=1, n=1, keys=(-2, 0, 2), values=(1, 2, 1))",
     ),
