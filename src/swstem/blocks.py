@@ -40,8 +40,8 @@ from math import comb, gcd
 from typing import Union
 
 from ._record import record
-from .errors import MAX_INPUT_BITS, InvalidParameters, UncataloguedBlock, UnknownSW
-from .errors import as_tuple, exact_int, narrow_int
+from .errors import MAX_INPUT_BITS, MAX_SHOWN_BITS, InvalidParameters, UncataloguedBlock
+from .errors import UnknownSW, as_tuple, exact_int, narrow_int, shown
 
 #: class key selecting the canonical class of a symplectic block
 CANONICAL = "canonical"
@@ -51,25 +51,12 @@ class Parity(enum.Enum):
     EVEN = 0
     ODD = 1
 
-    def __str__(self) -> str:
-        return self.name.lower()
-
 
 def _triple_ints(p_g, m, n) -> None:
     # one type test and one width test pass valid arguments; a message only on failure
     if not (type(p_g) is type(m) is type(n) is int and not (p_g | m | n) >> MAX_INPUT_BITS):
         for value, what in zip((p_g, m, n), ("p_g", "m", "n")):
             narrow_int(value, what)
-
-
-#: the widest integer printed; str() refuses over 4,300 digits (14,284 bits)
-MAX_SHOWN_BITS = 14_000
-
-
-def shown(value) -> str:
-    """repr(value), but an integer wider than MAX_SHOWN_BITS by its bit length."""
-    bits = value.bit_length() if type(value) is int else 0
-    return repr(value) if bits <= MAX_SHOWN_BITS else f"a {bits}-bit integer"
 
 
 def _check_multiplicities(m: int, n: int) -> None:
@@ -117,13 +104,11 @@ class _Block:
     def odd_classes(self) -> tuple[int, ...]:
         raise UnknownSW(f"{self.label} does not declare a complete odd basic set")
 
-    def odd_count(self) -> int:
-        """How many classes ``odd_classes`` lists, 0 for a neutral block."""
-        return 0 if self.neutral else len(self.odd_classes())
-
-    def odd_width(self) -> int:
-        """Bit length of the widest class ``odd_classes`` lists, 0 for none."""
-        return 0 if self.neutral else max(map(abs, self.odd_classes()), default=0).bit_length()
+    def odd_size(self) -> tuple[int, int]:
+        """How many classes ``odd_classes`` lists, and the bit length of the
+        widest (0 for none); refused where ``odd_classes`` is."""
+        classes = self.odd_classes()
+        return len(classes), max(map(abs, classes), default=0).bit_length()
 
 
 @record
@@ -191,18 +176,15 @@ class EllipticSurface(_Block):
         on = _genus_index(self.p_g, self.m, self.n, class_key) is not None
         return on, f"SW is nonzero and below 2^{self.p_g - 1}" if on else "SW = 0"
 
-    def odd_count(self) -> int:
+    def odd_size(self) -> tuple[int, int]:
         if self.p_g < 1:
             raise UnknownSW(f"{self.label}: no declared odd basic data for p_g = 0")
-        return _odd_count(self.p_g, self.m, self.n)  # without building the set
-
-    def odd_width(self) -> int:
-        self.odd_count()  # refuses p_g = 0
-        # the set is symmetric under negation and holds the largest multiple
-        return max_multiple(self.p_g, self.m, self.n).bit_length()
+        # unbuilt: the set is symmetric under negation and holds the largest multiple
+        count = _odd_count(self.p_g, self.m, self.n)
+        return count, max_multiple(self.p_g, self.m, self.n).bit_length()
 
     def odd_classes(self) -> tuple[int, ...]:
-        self.odd_count()  # refuses p_g = 0
+        self.odd_size()  # refuses p_g = 0
         return recognizable_set(self.p_g, self.m, self.n)
 
 
@@ -251,7 +233,7 @@ class KaehlerGeneric(_Block):
     def __post_init__(self):
         _check_odd_b_plus(self.b_plus, "Kaehler")
         raw = as_tuple(self.odd_basic, "odd_basic")
-        labels = tuple(sorted({exact_int(x, "odd_basic entry") for x in raw}))
+        labels = tuple(sorted({narrow_int(x, "odd_basic entry") for x in raw}))
         object.__setattr__(self, "odd_basic", labels)
 
     @property
@@ -564,9 +546,9 @@ def odd_class_sets(blocks) -> list[tuple[int, ...]]:
     """The odd-SW class sets of the blocks not neutral, in order, admitted
     together as one listing before any is built."""
     listed = [block for block in blocks if not block.neutral]
-    counts = [block.odd_count() for block in listed]  # refuses a block without odd data
-    bits = sum(count * block.odd_width() for count, block in zip(counts, listed))
-    _admit(sum(counts), bits, "the odd-SW sets")
+    sizes = [block.odd_size() for block in listed]  # refuses a block without odd data
+    bits = sum(count * width for count, width in sizes)
+    _admit(sum(count for count, _ in sizes), bits, "the odd-SW sets")
     return [block.odd_classes() for block in listed]
 
 

@@ -6,9 +6,10 @@ invariant, nonvanishing, blowup, split-check and fingerprint read a manifold
 description file; distinguish reads two.  Each ``_cmd_*`` function returns
 its answer as (JSON payload, text lines, rule trace) and prints nothing;
 ``main`` renders it in one place.  Every command prints text by default and
-one sorted-key JSON document under --json.  --trace exists on invariant,
-nonvanishing, blowup and split-check only: it appends the rule trace to the
-text, indented by two spaces, or adds it to the JSON document as "trace".
+one sorted-key JSON document under --json, written by ``_json_text``.
+--trace exists on invariant, nonvanishing, blowup and split-check only: it
+appends the rule trace to the text, indented by two spaces, or adds it to
+the JSON document as "trace".
 An error is one ``error:`` line on stderr, such as the library's refusal of a
 listing past its budget.  Exit codes: 0 ok, 1 domain error, 2 usage error.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from json.encoder import encode_basestring
 
 from .blocks import NegativeDefinite, basic_class_table, recognizable_set
 from .errors import SwStemError
@@ -31,7 +33,7 @@ from .invariants import (
     split_verdict,
 )
 from .lattice import SpinC
-from .manifold_io import encode_basestring, json_text, load_manifold
+from .manifold_io import load_manifold
 from .recognize import Pattern, distinguish, recognize, recognize_oracle
 
 # flags whose value may start with "-"; argparse reads a bare "-2,2" as an
@@ -112,7 +114,7 @@ def _cmd_recognizable(args):
 
 
 def _cmd_recognize(args):
-    pattern = Pattern.of(args.classes)
+    pattern = Pattern(args.classes)
     if args.bounds is not None:
         matches = recognize_oracle(pattern, args.bounds)
         lines = [f"p_g={p_g} m={m} n={n}" for p_g, m, n in matches] or [
@@ -292,6 +294,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_text(value, _newline: str = "\n") -> str:
+    """``json.dumps(value, ensure_ascii=False, indent=2, sort_keys=True)`` byte
+    for byte for str-keyed dicts, lists, tuples, ints, strs and bools, without
+    json.dumps' pure-Python encoder (a generator per level before Python 3.13).
+    Only the recursion passes ``_newline``."""
+    inner = _newline + "  "
+    if type(value) is dict:
+        items = [
+            f"{encode_basestring(key)}: "
+            + (repr(v) if type(v) is int else encode_basestring(v) if type(v) is str
+               else _json_text(v, inner))
+            for key, v in sorted(value.items())
+        ]
+        return f"{{{inner}{(',' + inner).join(items)}{_newline}}}" if items else "{}"
+    if type(value) in (list, tuple):
+        items = [repr(v) if type(v) is int else _json_text(v, inner) for v in value]
+        return f"[{inner}{(',' + inner).join(items)}{_newline}]" if items else "[]"
+    if type(value) is bool:
+        return "true" if value else "false"
+    return encode_basestring(value) if type(value) is str else int.__repr__(value)
+
+
 # one parser per process: parsing leaves it unchanged, and argparse reads
 # COLUMNS anew each time it formats a usage or error message
 _parser = functools.cache(build_parser)
@@ -306,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.json:
             if args.trace:
                 payload["trace"] = trace
-            print(json_text(payload, encode_basestring))  # ensure_ascii=False
+            print(_json_text(payload))
             return 0
         # sys.stdout per call (callers redirect it); line by line, so a closed pipe raises
         sys.stdout.writelines(f"{line}\n" for line in lines)

@@ -4,7 +4,9 @@ Every error raised on purpose by this library derives from SwStemError, so
 callers (and the CLI) can map domain failures to a single exit code.
 ``exact_int`` is the library's one test for an exact integer argument,
 ``narrow_int`` the one for block integers and spin-c coordinates, and
-``as_tuple`` the one for an argument that lists integers.
+``as_tuple`` the one for an argument that lists integers.  A message names
+an integer through ``shown``, so that one too wide to print is named by its
+bit length.
 """
 
 from __future__ import annotations
@@ -26,6 +28,20 @@ class InvalidParameters(SwStemError):
     """Arguments violate a documented precondition (range, coprimality, order)."""
 
 
+#: the widest integer printed; str() refuses over 4,300 digits (14,284 bits)
+MAX_SHOWN_BITS = 14_000
+
+
+def shown(value) -> str:
+    """repr(value), but an integer wider than MAX_SHOWN_BITS by its bit length.
+
+    >>> shown(-7), shown(10**5000)
+    ('-7', 'a 16610-bit integer')
+    """
+    bits = value.bit_length() if isinstance(value, int) else 0
+    return repr(value) if bits <= MAX_SHOWN_BITS else f"a {bits}-bit integer"
+
+
 def exact_int(value, what: str) -> int:
     """``value`` when it is exactly an int; InvalidParameters naming ``what``
     otherwise.  Floats, strings and bools (an int subclass) are refused.
@@ -38,7 +54,7 @@ def exact_int(value, what: str) -> int:
     swstem.errors.InvalidParameters: rank must be an integer, ...
     """
     if type(value) is not int:
-        raise InvalidParameters(f"{what} must be an integer, got {value!r}")
+        raise InvalidParameters(f"{what} must be an integer, got {shown(value)}")
     return value
 
 

@@ -34,8 +34,8 @@ from __future__ import annotations
 import enum
 
 from ._record import record
-from .blocks import BuildingBlock, NegativeDefinite, Parity, _catalogued, odd_class_sets, shown
-from .errors import InvalidParameters, PositiveIndexOnNegativeDefinite, PreconditionNotMet
+from .blocks import BuildingBlock, NegativeDefinite, Parity, _catalogued, odd_class_sets
+from .errors import InvalidParameters, PositiveIndexOnNegativeDefinite, PreconditionNotMet, shown
 from .lattice import SpinC, dirac_index, expected_dimension
 from .stems import StemElement, StemKind, TriState, hopf_power, smash_all, unknown, zero
 
@@ -75,8 +75,6 @@ class Summand:
             raise InvalidParameters(
                 f"{self.block.label} takes a class key, not raw spin-c data"
             )
-        if self.class_key is None:
-            return
         # validates key type and, for elliptic blocks, characteristic parity
         if self.block.sw_parity(self.class_key) is None:
             raise InvalidParameters(
@@ -164,12 +162,12 @@ class SplitQuery:
     def __post_init__(self):
         for value in (self.modulus, self.residue):
             if type(value) is not int:
-                raise InvalidParameters(f"split queries take integers, got {value!r}")
+                raise InvalidParameters(f"split queries take integers, got {shown(value)}")
         if self.modulus not in (2, 4):
-            raise InvalidParameters(f"modulus must be 2 or 4, got {self.modulus}")
+            raise InvalidParameters(f"modulus must be 2 or 4, got {shown(self.modulus)}")
         if not 0 <= self.residue < self.modulus:
             raise InvalidParameters(
-                f"residue must lie in [0, {self.modulus}), got {self.residue}"
+                f"residue must lie in [0, {self.modulus}), got {shown(self.residue)}"
             )
 
 
@@ -504,10 +502,8 @@ def split_verdict(csum: ConnectedSum, query: SplitQuery) -> SplitVerdict:
             notes.append("forces b+(X2) = 0 (R4): the complement is negative definite")
         else:
             all_pin_complement = False
-        if notes:
-            trace.append(f"{head}: survives; " + "; ".join(notes))
-        else:
-            trace.append(f"{head}: survives without further constraint")
+        # j <= 3, so j1 or j2 is at most 1 and notes is never empty
+        trace.append(f"{head}: survives; " + "; ".join(notes))
 
     if survivors == 0:
         trace.append("every decomposition is contradicted: no such splitting exists")

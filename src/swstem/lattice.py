@@ -14,7 +14,7 @@ A stably almost complex structure is almost complex exactly when k = 0.
 from __future__ import annotations
 
 from ._record import record
-from .errors import IndexNotIntegral, InvalidParameters, as_tuple, exact_int, narrow_int
+from .errors import IndexNotIntegral, InvalidParameters, as_tuple, exact_int, narrow_int, shown
 
 
 @record
@@ -24,21 +24,23 @@ class SpinC:
     ``c_coords``, when present, are the coordinates of c in a diagonal basis
     of a negative definite form.  The characteristic condition c.x = x.x
     (mod 2) on the standard basis forces every coordinate to be odd, and then
-    c_square must equal minus the sum of squares.
+    c_square must equal minus the sum of squares.  Without coordinates,
+    c_square is refused past MAX_INPUT_BITS bits, as a block integer is.
     """
 
     c_square: int
     c_coords: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        exact_int(self.c_square, "c_square")
         if self.c_coords is None:
+            narrow_int(self.c_square, "c_square")
             return
+        exact_int(self.c_square, "c_square")
         coords = _odd_coordinates(self.c_coords)
         object.__setattr__(self, "c_coords", coords)
         if self.c_square != -sum(x * x for x in coords):
             raise InvalidParameters(
-                f"c_square = {self.c_square} does not match -sum of squared "
+                f"c_square = {shown(self.c_square)} does not match -sum of squared "
                 f"coordinates = {-sum(x * x for x in coords)}"
             )
 
@@ -73,11 +75,11 @@ def dirac_index(c_square: int, signature: int) -> int:
     """
     for value in (c_square, signature):
         if type(value) is not int:
-            raise InvalidParameters(f"the Dirac index takes integers, got {value!r}")
+            raise InvalidParameters(f"the Dirac index takes integers, got {shown(value)}")
     diff = c_square - signature
     if diff % 8 != 0:
         raise IndexNotIntegral(
-            f"c^2 - signature = {diff} is not divisible by 8; "
+            f"c^2 - signature = {shown(diff)} is not divisible by 8; "
             "no spin-c structure has this Chern class"
         )
     return diff // 8

@@ -27,15 +27,13 @@ column, a well-formed but invalid description raises ManifoldSemanticError
 with the offending summand's index.  A file is written from each kind's
 text (json.dumps' sorted indent-2 text, a named slot per value), so a
 ``ManifoldDoc`` holds no class key and no spin-c data but ``c``.
-``json_text`` writes that text of any value for the CLI's --json, without
-json.dumps' pure-Python encoder (a generator per level before Python 3.13).
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from json.encoder import encode_basestring, encode_basestring_ascii  # the first for cli
+from json.encoder import encode_basestring_ascii
 
 from ._record import record
 from .blocks import K3, BuildingBlock, NegativeDefinite
@@ -192,28 +190,6 @@ def parse_manifold(text: str) -> ManifoldDoc:
     # ManifoldDoc makes the list a tuple
     summands = [_parse_summand(entry, index) for index, entry in enumerate(summands_raw)]
     return ManifoldDoc(summands, raw.get("name"), raw.get("notes"))
-
-
-def json_text(value, quote, _newline: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` byte for byte for
-    str-keyed dicts, lists, tuples, ints, strs and bools; ``quote`` is
-    ``encode_basestring_ascii`` or, for ``ensure_ascii=False``,
-    ``encode_basestring``.  Only the recursion passes ``_newline``."""
-    inner = _newline + "  "
-    if type(value) is dict:
-        items = [
-            f"{quote(key)}: "
-            + (repr(v) if type(v) is int else quote(v) if type(v) is str
-               else json_text(v, quote, inner))
-            for key, v in sorted(value.items())
-        ]
-        return f"{{{inner}{(',' + inner).join(items)}{_newline}}}" if items else "{}"
-    if type(value) in (list, tuple):
-        items = [repr(v) if type(v) is int else json_text(v, quote, inner) for v in value]
-        return f"[{inner}{(',' + inner).join(items)}{_newline}]" if items else "[]"
-    if type(value) is bool:
-        return "true" if value else "false"
-    return quote(value) if type(value) is str else int.__repr__(value)
 
 
 def _ints(values) -> str:

@@ -17,12 +17,12 @@ import operator
 from bisect import bisect_left
 from itertools import count
 from math import gcd, isqrt
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ._record import record
 from .blocks import BuildingBlock, EllipticSurface, _catalogued, recognizable_set
 from .blocks import _odd_count, max_multiple
-from .errors import InvalidParameters, NotAnEllipticPattern, as_tuple, exact_int
+from .errors import InvalidParameters, NotAnEllipticPattern, as_tuple, exact_int, shown
 from .invariants import connected_sum, nonvanishing_criteria
 from .stems import TriState
 
@@ -42,7 +42,7 @@ class Pattern:
         items = as_tuple(self.multiples, "pattern multiples")
         if not set(map(type, items)) <= {int}:
             bad = next(x for x in items if type(x) is not int)
-            raise InvalidParameters(f"pattern multiples must be integers, got {bad!r}")
+            raise InvalidParameters(f"pattern multiples must be integers, got {shown(bad)}")
         if not all(map(operator.lt, items, items[1:])):
             items = tuple(sorted(set(items)))
         if not items:
@@ -53,12 +53,9 @@ class Pattern:
             present = set(items)
             x = next(x for x in items if -x not in present)
             raise InvalidParameters(
-                f"pattern is not symmetric under negation: {x} present, {-x} absent"
+                "pattern is not symmetric under negation: "
+                f"{shown(x)} present, {shown(-x)} absent"
             )
-
-    @classmethod
-    def of(cls, values: Iterable[int]) -> "Pattern":
-        return cls(tuple(values))
 
 
 @record
@@ -66,8 +63,8 @@ class RecognitionResult:
     """A candidate triple plus the outcome of regenerating its pattern.
 
     ``validated`` is true exactly when the candidate's recognizable set
-    equals the input pattern.  Diagnostics explain mismatches and flag
-    candidates outside the proven odd-genus regime.
+    equals the input pattern; a validated candidate has odd p_g, and only
+    an unvalidated one carries a diagnostic, which explains the mismatch.
     """
 
     p_g: int
@@ -95,7 +92,9 @@ def recognize(pattern: Pattern) -> RecognitionResult:
     family m = n = 1 with p_g = k + 1.  Either way the candidate is validated
     by comparing its odd count 2^popcount(p_g - 1) m n with the pattern's
     size, then its regenerated recognizable set; mismatches come back with
-    validated=False rather than a guess.
+    validated=False rather than a guess.  A validated candidate has odd p_g:
+    for even p_g, binomial(p_g - 1, 1) is odd, so its set holds k - 2mn (the
+    walk does not stop at n) and, when m = n = 1, k - 2 (which makes h = 1).
     """
     values = pattern.multiples
     if len(values) == 1:
@@ -107,7 +106,7 @@ def recognize(pattern: Pattern) -> RecognitionResult:
     if (k - second) % 2 != 0:
         raise NotAnEllipticPattern(
             "multiples in one pattern share a parity; "
-            f"{k} and {second} do not"
+            f"{shown(k)} and {shown(second)} do not"
         )
     h = (k - second) // 2
 
@@ -117,7 +116,8 @@ def recognize(pattern: Pattern) -> RecognitionResult:
         numerator = k - (m - 1) * n - (n - 1) * m
         if numerator % (m * n) != 0:
             raise NotAnEllipticPattern(
-                f"largest multiple {k} is incompatible with multiplicities ({m}, {n})"
+                f"largest multiple {shown(k)} is incompatible with "
+                f"multiplicities ({shown(m)}, {shown(n)})"
             )
         # _validated_result refuses p_g < 1 and unordered or non-coprime (m, n)
         return _validated_result(numerator // (m * n) + 1, m, n, pattern)
@@ -142,19 +142,14 @@ def _validated_result(p_g: int, m: int, n: int, pattern: Pattern) -> Recognition
         count = _odd_count(p_g, m, n)
     except InvalidParameters as exc:
         raise NotAnEllipticPattern(str(exc)) from exc
-    diagnostics: list[str] = []
-    validated = count == len(pattern.multiples) and (
-        recognizable_set(p_g, m, n) == pattern.multiples
+    if count == len(pattern.multiples) and recognizable_set(p_g, m, n) == pattern.multiples:
+        return RecognitionResult(p_g, m, n, True)  # p_g is odd: see recognize
+    # the largest multiple always has value 1, so it is always odd
+    diagnostic = (
+        f"candidate ({p_g}, {m}, {n}) regenerates {shown(count)} multiples "
+        f"with largest {shown(max_multiple(p_g, m, n))}, which differ from the input"
     )
-    if not validated:
-        # the largest multiple always has value 1, so it is always odd
-        diagnostics.append(
-            f"candidate ({p_g}, {m}, {n}) regenerates {count} multiples "
-            f"with largest {max_multiple(p_g, m, n)}, which differ from the input"
-        )
-    elif p_g % 2 == 0:
-        diagnostics.append("even geometric genus: outside the proven regime")
-    return RecognitionResult(p_g, m, n, validated, tuple(diagnostics))
+    return RecognitionResult(p_g, m, n, False, (diagnostic,))
 
 
 def recognize_oracle(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 
 from ._record import record
-from .errors import InvalidParameters, exact_int
+from .errors import InvalidParameters, exact_int, shown
 
 _SUPERSCRIPTS = {1: "η", 2: "η²", 3: "η³"}
 
@@ -81,8 +81,7 @@ class StemElement:
         return "unknown"
 
 
-# prebuilt values for the integers, Hopf powers and degrees sums usually reach
-_INTEGERS = {v: StemElement(_INTEGER, 0, v) for v in range(-64, 65)}
+# prebuilt values for the Hopf powers and the degrees sums usually reach
 _HOPFS = {j: StemElement(_HOPF, j) for j in (1, 2, 3)}
 _ZEROS = {d: StemElement(_ZERO, d) for d in range(-16, 17)}
 _UNKNOWNS = {d: StemElement(_UNKNOWN, d) for d in range(17)}
@@ -90,14 +89,14 @@ _UNKNOWNS = {d: StemElement(_UNKNOWN, d) for d in range(17)}
 
 def integer_class(value: int) -> StemElement:
     """An integer in the zeroth stem."""
-    exact_int(value, "integer class value")
-    return _INTEGERS.get(value) or StemElement(_INTEGER, 0, value)
+    return StemElement(_INTEGER, 0, value)  # checks the value
 
 
 def hopf_power(j: int) -> StemElement:
     """eta^j for j in {1, 2, 3}."""
     if type(j) is not int or j not in _HOPFS:
-        raise InvalidParameters(f"Hopf powers exist in degrees 1..3 only, got {j}")
+        got = shown(j) if type(j) is int else j
+        raise InvalidParameters(f"Hopf powers exist in degrees 1..3 only, got {got}")
     return _HOPFS[j]
 
 
@@ -175,5 +174,5 @@ def sq2_detects_hopf(d: int) -> bool:
     [False, True, False, True]
     """
     if exact_int(d, "d") < 1:
-        raise InvalidParameters(f"detection is defined for d >= 1, got {d}")
+        raise InvalidParameters(f"detection is defined for d >= 1, got {shown(d)}")
     return d % 2 == 0

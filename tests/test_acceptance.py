@@ -91,7 +91,7 @@ def test_criterion_1_k3_basic_set():
 def test_criterion_2_recognition_round_trip():
     with criterion(2, "recognition round trip and oracle agreement", budget_s=10.0):
         for p_g, m, n in grid_224():
-            pattern = Pattern.of(recognizable_set(p_g, m, n))
+            pattern = Pattern(recognizable_set(p_g, m, n))
             result = recognize(pattern)
             assert result.triple == (p_g, m, n), pattern
             assert result.validated, pattern

@@ -8,6 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from swstem import blocks, cli
 from swstem.blocks import EllipticSurface
@@ -228,6 +229,28 @@ def test_invariant_json_fields():
         run_cli("invariant", sample("k3x2.json"), "--json", "--trace").stdout
     )
     assert with_trace["trace"]
+
+
+# every type the command line writes; lone surrogates drawn on purpose (st.text skips them)
+_any_text = st.text(st.characters(exclude_categories=()) | st.characters(categories=["Cs"]))
+_writable = st.recursive(
+    st.integers()
+    | st.integers(2**64, 2**256)
+    | st.integers(-(2**256), -(2**64))
+    | st.booleans()
+    | _any_text,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_any_text, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(suppress_health_check=[HealthCheck.too_slow])
+@given(_writable)
+def test_json_text_is_the_stdlib_indent_2_text(value):
+    text = json.dumps(value, ensure_ascii=False, indent=2, sort_keys=True)
+    assert cli._json_text(value) == text
 
 
 def test_oracle_with_huge_bounds_returns_at_once():

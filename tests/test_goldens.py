@@ -69,6 +69,18 @@ FLAG_CASES = {
     # d = -1 blowups: past the dimension bound on K3, within it on four K3s
     "blowup-k3-c3": ("blowup", sample("k3"), "--rank", "1", "--c", "3", "--trace"),
     "blowup-k3x4-c3": ("blowup", sample("k3x4"), "--rank", "1", "--c", "3", "--trace"),
+    # on eta^2: b+(X1) = 2 (mod 4) refutes a degree-0 X1 by R4 and forces the
+    # complement; b+(X1) = 3 (mod 4) leaves (1, 1) to R3; b+(X1) even leaves
+    # (0, 2) to R4.  With the samples' queries they reach every split rule.
+    "split-check-k3x2-r4": (
+        "split-check", sample("k3x2"), "--modulus", "4", "--residue", "2", "--trace"
+    ),
+    "split-check-k3x2-r3": (
+        "split-check", sample("k3x2"), "--modulus", "4", "--residue", "3", "--trace"
+    ),
+    "split-check-k3x2-even": (
+        "split-check", sample("k3x2"), "--modulus", "2", "--residue", "0", "--trace"
+    ),
     # domain errors: one error line on stderr, exit 1
     "error-basic-classes": ("basic-classes", "--pg", "0", "--m", "1", "--n", "1"),
     "error-recognizable": ("recognizable", "--pg", "1", "--m", "2", "--n", "4"),
@@ -154,6 +166,32 @@ def test_usage_golden(name, argv):
     code, out, err = run(argv)
     assert (code, out) == (2, "")
     assert usage_lines(err) == (FLAGS / f"{name}.err").read_text(encoding="utf-8")
+
+
+#: a fragment of each line ``split_verdict`` can emit: a trace line or a refusal
+SPLIT_RULES = (
+    "is nonzero in stem",
+    "so both are nonzero (R2)",
+    "since negative stems vanish (R1)",
+    "contradicted, j1 has the parity of b+(X1)",
+    "(R3), incompatible with b+ = 1 (mod 4)",
+    "(R4), incompatible with b+ =",
+    "survives; X1 must be almost complex with b+ = 3 (mod 4), odd SW (R3)",
+    "survives; forces b+(X1) = 0 (R4)",
+    "X2 must be almost complex with b+ = 3 (mod 4), odd SW (R3)",
+    "forces b+(X2) = 0 (R4): the complement is negative definite",
+    "every decomposition is contradicted",
+    "every surviving decomposition pins b+(X2) = 0",
+    "some decomposition survives without constraint",
+    "splitting analysis needs a total class eta^2 or eta^3",
+    "the four-summand equivariant nonvanishing does not feed this obstruction",
+)
+
+
+def test_split_goldens_reach_every_rule():
+    paths = [*GOLDENS.glob("*/split-check.*"), *FLAGS.glob("split-check-*")]
+    text = "".join(path.read_text(encoding="utf-8") for path in paths)
+    assert [rule for rule in SPLIT_RULES if rule not in text] == []
 
 
 SAMPLE_STEMS = [path.stem for path in sorted(SAMPLES.glob("*.json"))]

@@ -10,7 +10,6 @@ from hypothesis import assume, given, strategies as st
 from swstem.blocks import (
     CANONICAL,
     K3,
-    MAX_SHOWN_BITS,
     EllipticSurface,
     HomotopySphereLike,
     KaehlerGeneric,
@@ -19,6 +18,8 @@ from swstem.blocks import (
     max_multiple,
 )
 from swstem.errors import (
+    MAX_INPUT_BITS,
+    MAX_SHOWN_BITS,
     InvalidParameters,
     PositiveIndexOnNegativeDefinite,
     PreconditionNotMet,
@@ -314,6 +315,29 @@ def test_blowup_requires_negative_definite():
     inv = invariant(connected_sum(K3))
     with pytest.raises(InvalidParameters):
         blowup(inv, K3)
+
+
+#: a c^2 of rank 1 (= -1 mod 8) at the input width, and one whose d = -10**5000
+#: a trace could not print
+EDGE_C_SQUARE, WIDE_C_SQUARE = -(2 ** (MAX_INPUT_BITS - 1) + 1), -(8 * 10**5000 + 1)
+EDGE_D = -(2 ** (MAX_INPUT_BITS - 4))
+_TOO_WIDE = f"^c_square has more than {MAX_INPUT_BITS} bits$"
+
+
+def test_invariant_refuses_a_c_square_past_the_input_width():
+    inv = invariant(connected_sum(K3, Summand(NegativeDefinite(1), SpinC(EDGE_C_SQUARE))))
+    assert (inv.total_d, inv.gamma_power) == (2 + EDGE_D, -EDGE_D)
+    assert f"negative-definite(rank=1): d = {EDGE_D}, contributes" in "\n".join(inv.trace)
+    with pytest.raises(InvalidParameters, match=_TOO_WIDE):
+        invariant(connected_sum(K3, Summand(NegativeDefinite(1), SpinC(WIDE_C_SQUARE))))
+
+
+def test_blowup_refuses_a_c_square_past_the_input_width():
+    inv = invariant(connected_sum(K3))
+    result = blowup(inv, NegativeDefinite(1), SpinC(EDGE_C_SQUARE))
+    assert f"negative-definite(rank=1): d = {EDGE_D}, adds" in "\n".join(result.invariant.trace)
+    with pytest.raises(InvalidParameters, match=_TOO_WIDE):
+        blowup(inv, NegativeDefinite(1), SpinC(WIDE_C_SQUARE))
 
 
 def test_split_query_validation():

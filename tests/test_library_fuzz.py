@@ -6,7 +6,8 @@ tuples.  What comes out is the record (or listing) it builds or
 ``InvalidParameters``: no other exception and no warning, within a fixed
 deadline.  A table or odd-SW set past ``MAX_LISTING`` entries or
 ``MAX_LISTING_BITS`` bits (of keys, and of a table's values) is refused
-unbuilt, so a valid but huge triple ends at once.
+unbuilt, so a valid but huge triple ends at once.  An error message names
+an integer too wide to print by its bit length.
 """
 
 import time
@@ -24,9 +25,11 @@ from swstem.blocks import (
     basic_class_table,
     recognizable_set,
 )
-from swstem.errors import MAX_INPUT_BITS, InvalidParameters
-from swstem.lattice import SpinC
-from swstem.recognize import Pattern
+from swstem.errors import MAX_INPUT_BITS, InvalidParameters, SwStemError
+from swstem.invariants import SplitQuery
+from swstem.lattice import SpinC, dirac_index
+from swstem.recognize import Pattern, recognize
+from swstem.stems import hopf_power, sq2_detects_hopf
 
 #: seconds one call may take; the largest drawn table holds 50^3 entries
 DEADLINE_S = 5
@@ -92,3 +95,23 @@ def test_a_constructor_builds_or_refuses(call, returns, strategies, data):
     assert out is None or type(out) is returns, (args, out)
     assert [str(w.message) for w in caught] == []
     assert elapsed < DEADLINE_S, (args, elapsed)
+
+
+K = 10**5000  # 16,610 bits: str() refuses it
+ECHOES = {
+    "pattern-asymmetric": lambda: Pattern((K, 1, -1)),
+    "recognize-parity": lambda: recognize(Pattern((-K, -(K - 1), K - 1, K))),
+    "recognize-multiplicities": lambda: recognize(Pattern((-K, -(K - 2), K - 2, K))),
+    "spin-c-mismatch": lambda: SpinC(-K, (1,)),
+    "dirac-index": lambda: dirac_index(K + 1, 0),
+    "split-modulus": lambda: SplitQuery(K, 1),
+    "split-residue": lambda: SplitQuery(4, K),
+    "hopf-power": lambda: hopf_power(K),
+    "sq2-detects-hopf": lambda: sq2_detects_hopf(-K),
+}
+
+
+@pytest.mark.parametrize("call", ECHOES.values(), ids=list(ECHOES))
+def test_an_echoed_integer_too_wide_to_print_is_named_by_its_bit_length(call):
+    with pytest.raises(SwStemError, match="a 16610-bit integer"):
+        call()

@@ -40,8 +40,8 @@ def odd_coprime_grid(p_g_max=7, n_max=5):
 
 
 def test_pattern_normalizes():
-    assert Pattern.of([2, -2, 2]).multiples == (-2, 2)
-    assert Pattern.of((0,)).multiples == (0,)
+    assert Pattern([2, -2, 2]).multiples == (-2, 2)
+    assert Pattern((0,)).multiples == (0,)
 
 
 @pytest.mark.parametrize(
@@ -74,55 +74,55 @@ def test_pattern_refuses_what_is_not_iterable(values):
 
 def test_pattern_rejects_asymmetry_and_emptiness():
     with pytest.raises(InvalidParameters):
-        Pattern.of([1, 2, -1])
+        Pattern([1, 2, -1])
     with pytest.raises(InvalidParameters):
-        Pattern.of([])
+        Pattern([])
 
 
 def test_pattern_asymmetry_names_the_smallest_unmatched_multiple():
     with pytest.raises(InvalidParameters, match="-5 present, 5 absent"):
-        Pattern.of([-5, -3, 1, 3])
+        Pattern([-5, -3, 1, 3])
 
 
 @pytest.mark.parametrize("values", [[2.5, -2.5], [True, -1], [0, 1.0, -1]])
 def test_pattern_rejects_non_integers(values):
     with pytest.raises(InvalidParameters, match="must be integers"):
-        Pattern.of(values)
+        Pattern(values)
 
 
 def test_recognize_k3():
-    result = recognize(Pattern.of([0]))
+    result = recognize(Pattern([0]))
     assert result.triple == (1, 1, 1)
     assert result.validated
 
 
 def test_recognize_e3():
-    result = recognize(Pattern.of([-2, 2]))
+    result = recognize(Pattern([-2, 2]))
     assert result.triple == (3, 1, 1)
     assert result.validated
     assert result.diagnostics == ()
 
 
 def test_recognize_small_log_transforms():
-    assert recognize(Pattern.of([-1, 1])).triple == (1, 1, 2)
-    assert recognize(Pattern.of([-2, 0, 2])).triple == (1, 1, 3)
-    assert recognize(Pattern.of([-7, -3, -1, 1, 3, 7])).triple == (1, 2, 3)
+    assert recognize(Pattern([-1, 1])).triple == (1, 1, 2)
+    assert recognize(Pattern([-2, 0, 2])).triple == (1, 1, 3)
+    assert recognize(Pattern([-7, -3, -1, 1, 3, 7])).triple == (1, 2, 3)
 
 
 def test_recognize_rejects_mixed_parity():
     with pytest.raises(NotAnEllipticPattern):
-        recognize(Pattern.of([-2, -1, 1, 2]))
+        recognize(Pattern([-2, -1, 1, 2]))
 
 
 def test_recognize_refuses_unordered_derived_multiplicities():
     # the top gap derives m = 3 and the walk n = 2: the table check refuses m > n
     with pytest.raises(NotAnEllipticPattern, match=r"m <= n, got \(3, 2\)"):
-        recognize(Pattern.of([-7, -1, 1, 7]))
+        recognize(Pattern([-7, -1, 1, 7]))
 
 
 def test_recognize_unvalidated_candidate():
     # (-3, 3) derives the candidate (4, 1, 1), whose table disagrees
-    result = recognize(Pattern.of([-3, 3]))
+    result = recognize(Pattern([-3, 3]))
     assert not result.validated
     assert result.diagnostics
 
@@ -130,7 +130,7 @@ def test_recognize_unvalidated_candidate():
 def test_recognize_refuses_a_huge_pair_by_its_count():
     # {-K, K} with odd K leads to (K + 1, 1, 1); its odd count is not 2
     k = 10**23 + 1
-    result = recognize(Pattern.of([-k, k]))
+    result = recognize(Pattern([-k, k]))
     assert result.triple == (k + 1, 1, 1)
     assert not result.validated
     count = 2 ** bin(k).count("1")
@@ -142,7 +142,7 @@ def test_recognize_refuses_a_huge_pair_by_its_count():
 
 def test_recognize_validates_a_huge_pair_with_two_odd_rows():
     # row 2**80 of Pascal's triangle has two odd entries, at 0 and 2**80
-    result = recognize(Pattern.of([-(2**80), 2**80]))
+    result = recognize(Pattern([-(2**80), 2**80]))
     assert result.triple == (2**80 + 1, 1, 1)
     assert result.validated
     assert result.diagnostics == ()
@@ -151,7 +151,7 @@ def test_recognize_validates_a_huge_pair_with_two_odd_rows():
 def test_round_trip_on_grid():
     # and m = 1 with a long fiber walk
     for p_g, m, n in (*odd_coprime_grid(), (13, 1, 600), (1, 1, 1000), (5, 1, 2048)):
-        pattern = Pattern.of(recognizable_set(p_g, m, n))
+        pattern = Pattern(recognizable_set(p_g, m, n))
         result = recognize(pattern)
         assert result.triple == (p_g, m, n)
         assert result.validated
@@ -190,7 +190,7 @@ def test_fiber_walk_matches_the_set_walk_on_hostile_patterns(values, monkeypatch
     k = values[-1]
     for m in range(1, 2 * k + 2):
         assert _detect_larger_multiplicity(values, k, m) == set_walk(values, k, m)
-    pattern = Pattern.of(values)
+    pattern = Pattern(values)
     walked = recognize_outcome(pattern)
     monkeypatch.setattr(RECOGNIZE, "_detect_larger_multiplicity", set_walk)
     assert recognize_outcome(pattern) == walked
@@ -206,20 +206,35 @@ def test_fiber_walk_matches_the_set_walk(halves, m):
 def test_even_genus_patterns_collapse_to_odd_representatives():
     # even-genus tables repeat odd-genus fingerprints; recognition lands on
     # the odd representative and validates
-    assert recognize(Pattern.of(recognizable_set(2, 1, 1))).triple == (1, 1, 2)
-    assert recognize(Pattern.of(recognizable_set(4, 1, 1))).triple == (1, 1, 4)
-    assert recognize(Pattern.of(recognizable_set(6, 1, 1))).triple == (3, 1, 2)
+    assert recognize(Pattern(recognizable_set(2, 1, 1))).triple == (1, 1, 2)
+    assert recognize(Pattern(recognizable_set(4, 1, 1))).triple == (1, 1, 4)
+    assert recognize(Pattern(recognizable_set(6, 1, 1))).triple == (3, 1, 2)
+
+
+def test_a_validated_result_has_odd_genus_on_the_coprime_grid():
+    # every genus, even included (their sets are refused or read as an odd alias)
+    for p_g in range(1, 70):
+        for n in range(1, 13):
+            for m in range(1, n + 1):
+                if math.gcd(m, n) != 1 or p_g * m * n > 20_000:
+                    continue
+                try:
+                    result = recognize(Pattern(recognizable_set(p_g, m, n)))
+                except NotAnEllipticPattern:
+                    assert p_g % 2 == 0, (p_g, m, n)
+                    continue
+                assert result.p_g % 2 == 1 or not result.validated, (p_g, m, n)
 
 
 def test_oracle_agrees_on_grid():
     for p_g, m, n in odd_coprime_grid():
-        pattern = Pattern.of(recognizable_set(p_g, m, n))
+        pattern = Pattern(recognizable_set(p_g, m, n))
         assert recognize_oracle(pattern, (7, 5)) == ((p_g, m, n),)
 
 
 def test_oracle_default_bounds_contain_the_generator():
-    assert recognize_oracle(Pattern.of([-2, 2])) == ((3, 1, 1),)
-    assert recognize_oracle(Pattern.of([0])) == ((1, 1, 1),)
+    assert recognize_oracle(Pattern([-2, 2])) == ((3, 1, 1),)
+    assert recognize_oracle(Pattern([0])) == ((1, 1, 1),)
 
 
 def test_oracle_matches_a_plain_enumeration():
@@ -246,7 +261,7 @@ def test_oracle_matches_a_plain_enumeration():
 def test_oracle_default_bounds_on_a_large_pattern():
     # default bounds (1136, 1137): only the generator passes the odd-count
     # and largest-multiple gates, so the oracle builds no other set
-    pattern = Pattern.of(recognizable_set(15, 8, 9))
+    pattern = Pattern(recognizable_set(15, 8, 9))
     before = _recognizable.cache_info()
     start = time.perf_counter()
     assert recognize_oracle(pattern) == ((15, 8, 9),)
@@ -260,7 +275,7 @@ def test_oracle_work_does_not_grow_with_the_top_multiple():
     # |P| = 2 are tried, so the call returns at once
     code = (
         "from swstem.recognize import Pattern, recognize_oracle; "
-        "print(recognize_oracle(Pattern.of([-(10**23 + 1), 10**23 + 1])))"
+        "print(recognize_oracle(Pattern([-(10**23 + 1), 10**23 + 1])))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=5
@@ -270,13 +285,13 @@ def test_oracle_work_does_not_grow_with_the_top_multiple():
 
 
 def test_oracle_empty_for_non_elliptic_pattern():
-    assert recognize_oracle(Pattern.of([-3, 3]), (9, 5)) == ()
+    assert recognize_oracle(Pattern([-3, 3]), (9, 5)) == ()
 
 
 def test_oracle_bounds_validation():
     for bounds in [(0, 5), 5, (1, 2, 3), (4,)]:
         with pytest.raises(InvalidParameters):
-            recognize_oracle(Pattern.of([0]), bounds)
+            recognize_oracle(Pattern([0]), bounds)
 
 
 @given(
@@ -288,7 +303,7 @@ def test_fuzz_soundness(halves, include_zero):
     values = {x for h in halves for x in (h, -h)}
     if include_zero or not values:
         values.add(0)
-    pattern = Pattern.of(values)
+    pattern = Pattern(values)
     try:
         result = recognize(pattern)
     except NotAnEllipticPattern:
