@@ -24,6 +24,7 @@ from swstem.blocks import (
     basic_class_table,
     max_multiple,
     odd_binomial,
+    odd_class_sets,
     recognizable_set,
     sw_parity,
     sw_value,
@@ -168,20 +169,24 @@ def test_table_value_defaults_to_zero_off_table():
 
 ODD_DATA_BLOCKS = [
     K3, EllipticSurface(3, 1, 2), EllipticSurface(6, 2, 5), KaehlerGeneric(3, (0, 2)),
-    KaehlerGeneric(5), KaehlerGeneric(3, (-9, 2)),
+    KaehlerGeneric(5), HomotopySphereLike(), NegativeDefinite(0), KaehlerGeneric(3, (-9, 2)),
 ]
+
+
+# the size odd_class_sets admits a block at: a neutral block, skipped, lists none
 
 
 @pytest.mark.parametrize("block", ODD_DATA_BLOCKS, ids=repr)
 def test_odd_count_is_the_size_of_the_odd_set(block):
-    count, _ = block.odd_size()
-    assert count == len(block.odd_classes())
+    count = 0 if block.neutral else block.odd_size()[0]
+    assert count == sum(map(len, odd_class_sets([block])))
 
 
 @pytest.mark.parametrize("block", ODD_DATA_BLOCKS, ids=repr)
 def test_odd_width_is_the_widest_odd_class(block):
-    _, width = block.odd_size()
-    assert width == max(map(abs, block.odd_classes()), default=0).bit_length()
+    width = 0 if block.neutral else block.odd_size()[1]
+    listed = [x for classes in odd_class_sets([block]) for x in classes]
+    assert width == max(map(abs, listed), default=0).bit_length()
 
 
 @pytest.mark.parametrize(
