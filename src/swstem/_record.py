@@ -9,7 +9,9 @@ into an immutable value type that behaves like a frozen dataclass:
   ``object.__setattr__``;
 * ``==`` and ``hash`` compare the fields not named in ``uncompared``, and
   only between instances of the same class;
-* ``repr`` reads ``Name(field=value, ...)``;
+* ``repr`` reads ``Name(field=value, ...)``, an int field or an int in a
+  tuple field named through ``errors.shown`` (so one too wide to print is
+  named by its bit length);
 * assignment and deletion raise ``FrozenInstanceError``, an
   ``AttributeError``.
 
@@ -19,6 +21,8 @@ was about a third of the start-up of every ``swstem`` call.  Here one small
 source per class is compiled once, for ``__init__``, ``__eq__`` and
 ``__hash__``: the same code a dataclass generates, so they run as fast.
 """
+
+from .errors import shown
 
 
 class FrozenInstanceError(AttributeError):
@@ -33,8 +37,16 @@ def _delattr(self, name):
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+def _shown(value) -> str:
+    """``repr(value)``, with every int in it, at any depth of tuples, ``shown``."""
+    if type(value) is not tuple:
+        return shown(value)
+    items = ", ".join(map(_shown, value))
+    return f"({items},)" if len(value) == 1 else f"({items})"
+
+
 def _repr(self) -> str:
-    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._record_fields)
+    fields = ", ".join(f"{name}={_shown(getattr(self, name))}" for name in self._record_fields)
     return f"{type(self).__qualname__}({fields})"
 
 

@@ -516,10 +516,17 @@ def _submasks(x: int):
     yield 0
 
 
+#: every odd-SW set ``_recognizable`` built, by id; ``recognize.Pattern`` admits
+#: these unchecked.  An entry holds its set, so no other object takes its id
+_LISTED: dict[int, tuple[int, ...]] = {}
+
+
 @lru_cache(maxsize=None)
 def _recognizable(p_g: int, m: int, n: int) -> tuple[int, ...]:
     blocks = _key_blocks(p_g, m, n, _submasks(p_g - 1), partial(odd_binomial, p_g - 1))
-    return tuple(chain.from_iterable(keys for keys, _ in blocks))
+    odd = tuple(chain.from_iterable(keys for keys, _ in blocks))
+    _LISTED[id(odd)] = odd
+    return odd
 
 
 def _odd_count(p_g: int, m: int, n: int) -> int:

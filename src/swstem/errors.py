@@ -102,7 +102,7 @@ class PreconditionNotMet(SwStemError):
 
 
 class NotAnEllipticPattern(SwStemError):
-    """The multiple pattern cannot be produced by any surface in the catalogue."""
+    """The multiple pattern is not the odd-SW set of any odd-genus elliptic surface."""
 
 
 class ManifoldSyntaxError(SwStemError):

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from ._record import record
 from .blocks import BuildingBlock, EllipticSurface, _catalogued, recognizable_set
-from .blocks import _odd_count, max_multiple
+from .blocks import _LISTED, _odd_count, max_multiple
 from .errors import InvalidParameters, NotAnEllipticPattern, as_tuple, exact_int, shown
 from .invariants import connected_sum, nonvanishing_criteria
 from .stems import TriState
@@ -32,13 +32,16 @@ class Pattern:
     """A nonempty, negation-symmetric set of multiples, sorted ascending.
 
     ``multiples`` may be any iterable of integers; it is stored as a tuple,
-    sorted and without repeats.  A tuple that already ascends strictly, as
-    every recognizable set does, is kept as given, neither copied nor sorted.
+    sorted and without repeats.  A tuple that already ascends strictly is
+    kept as given, neither copied nor sorted.  A set ``recognizable_set``
+    listed is admitted as it stands; any other input is checked.
     """
 
     multiples: tuple[int, ...]
 
     def __post_init__(self):
+        if id(self.multiples) in _LISTED:
+            return  # built ascending, symmetric and of exact ints
         items = as_tuple(self.multiples, "pattern multiples")
         if not set(map(type, items)) <= {int}:
             bad = next(x for x in items if type(x) is not int)
@@ -95,6 +98,9 @@ def recognize(pattern: Pattern) -> RecognitionResult:
     validated=False rather than a guess.  A validated candidate has odd p_g:
     for even p_g, binomial(p_g - 1, 1) is odd, so its set holds k - 2mn (the
     walk does not stop at n) and, when m = n = 1, k - 2 (which makes h = 1).
+    So an even-genus surface's set is refused (NotAnEllipticPattern, or
+    validated=False), or read as the odd-genus surface with the same set:
+    E(2; 1, 1)'s set (-1, 1) gives (1, 1, 2).
     """
     values = pattern.multiples
     if len(values) == 1:
@@ -104,7 +110,7 @@ def recognize(pattern: Pattern) -> RecognitionResult:
     k = values[-1]
     second = values[-2]
     if (k - second) % 2 != 0:
-        raise NotAnEllipticPattern(
+        raise _not_elliptic(
             "multiples in one pattern share a parity; "
             f"{shown(k)} and {shown(second)} do not"
         )
@@ -115,7 +121,7 @@ def recognize(pattern: Pattern) -> RecognitionResult:
         n = _detect_larger_multiplicity(values, k, m)
         numerator = k - (m - 1) * n - (n - 1) * m
         if numerator % (m * n) != 0:
-            raise NotAnEllipticPattern(
+            raise _not_elliptic(
                 f"largest multiple {shown(k)} is incompatible with "
                 f"multiplicities ({shown(m)}, {shown(n)})"
             )
@@ -124,6 +130,10 @@ def recognize(pattern: Pattern) -> RecognitionResult:
 
     # h and k share a factor: the m = n = 1 family, or no surface at all
     return _validated_result(k + 1, 1, 1, pattern)
+
+
+def _not_elliptic(detail: str) -> NotAnEllipticPattern:
+    return NotAnEllipticPattern(f"not the odd-SW set of an odd-genus elliptic surface: {detail}")
 
 
 def _detect_larger_multiplicity(values: tuple[int, ...], k: int, m: int) -> int:
@@ -137,12 +147,17 @@ def _detect_larger_multiplicity(values: tuple[int, ...], k: int, m: int) -> int:
             return lam
 
 
+def _same(regenerated: tuple[int, ...], pattern: Pattern) -> bool:
+    # tuple == walks every item even when both sides are one object
+    return regenerated is pattern.multiples or regenerated == pattern.multiples
+
+
 def _validated_result(p_g: int, m: int, n: int, pattern: Pattern) -> RecognitionResult:
     try:
         count = _odd_count(p_g, m, n)
     except InvalidParameters as exc:
-        raise NotAnEllipticPattern(str(exc)) from exc
-    if count == len(pattern.multiples) and recognizable_set(p_g, m, n) == pattern.multiples:
+        raise _not_elliptic(str(exc)) from exc
+    if count == len(pattern.multiples) and _same(recognizable_set(p_g, m, n), pattern):
         return RecognitionResult(p_g, m, n, True)  # p_g is odd: see recognize
     # the largest multiple always has value 1, so it is always odd
     diagnostic = (
@@ -190,7 +205,7 @@ def recognize_oracle(
             p_g = q + 1
             if rest or p_g % 2 == 0 or not 1 <= p_g <= p_g_max or q.bit_count() != j:
                 continue
-            if recognizable_set(p_g, m, n) == pattern.multiples:
+            if _same(recognizable_set(p_g, m, n), pattern):
                 matches.append((p_g, m, n))
     return tuple(sorted(matches))
 

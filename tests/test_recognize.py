@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import re
 import subprocess
 import sys
 import time
@@ -39,6 +40,19 @@ def odd_coprime_grid(p_g_max=7, n_max=5):
                     yield p_g, m, n
 
 
+def coprime_grid():
+    """Every genus, even included: p_g <= 69, coprime m <= n <= 12, p_g m n <= 20,000."""
+    for p_g in range(1, 70):
+        for n in range(1, 13):
+            for m in range(1, n + 1):
+                if math.gcd(m, n) == 1 and p_g * m * n <= 20_000:
+                    yield p_g, m, n
+
+
+#: the message every refusal of recognize starts with
+NOT_ODD_GENUS = "not the odd-SW set of an odd-genus elliptic surface: "
+
+
 def test_pattern_normalizes():
     assert Pattern([2, -2, 2]).multiples == (-2, 2)
     assert Pattern((0,)).multiples == (0,)
@@ -66,6 +80,44 @@ def test_an_ascending_tuple_is_kept_as_given():
     assert Pattern(odd).multiples is odd
 
 
+def test_a_listed_set_is_admitted_unchecked(monkeypatch):
+    odd = recognizable_set(5, 3, 4)
+
+    def refuse(*args):
+        raise AssertionError("a listed set was checked")
+
+    monkeypatch.setattr(RECOGNIZE, "as_tuple", refuse)
+    assert Pattern(odd).multiples is odd
+
+
+def test_an_equal_copy_of_a_listed_set_is_checked_and_kept(monkeypatch):
+    odd = recognizable_set(5, 3, 4)
+    copy = tuple(list(odd))
+    assert copy is not odd
+    checked = []
+    monkeypatch.setattr(RECOGNIZE, "as_tuple", lambda value, what: checked.append(value) or value)
+    pattern = Pattern(copy)
+    assert checked == [copy] and pattern.multiples is copy
+    assert pattern == Pattern(odd) and hash(pattern) == hash(Pattern(odd))
+
+
+def test_a_listed_set_checked_in_full_is_itself_on_the_coprime_grid():
+    # a list is never admitted unchecked: the full checks pass every listed set
+    for p_g, m, n in coprime_grid():
+        odd = recognizable_set(p_g, m, n)
+        assert Pattern(list(odd)).multiples == odd, (p_g, m, n)
+
+
+@given(
+    st.tuples(st.integers(1, 300), st.integers(1, 12), st.integers(1, 12))
+    .map(lambda t: (t[0], min(t[1:]), max(t[1:])))
+    .filter(lambda t: math.gcd(t[1], t[2]) == 1)
+)
+def test_a_listed_set_is_the_pattern_of_its_list(triple):
+    odd = recognizable_set(*triple)
+    assert Pattern(list(odd)) == Pattern(odd)
+
+
 @pytest.mark.parametrize("values", [5, None, 2.5])
 def test_pattern_refuses_what_is_not_iterable(values):
     with pytest.raises(InvalidParameters, match="must be iterable"):
@@ -77,6 +129,8 @@ def test_pattern_rejects_asymmetry_and_emptiness():
         Pattern([1, 2, -1])
     with pytest.raises(InvalidParameters):
         Pattern([])
+    with pytest.raises(InvalidParameters, match="at least one multiple"):
+        Pattern(())
 
 
 def test_pattern_asymmetry_names_the_smallest_unmatched_multiple():
@@ -110,14 +164,15 @@ def test_recognize_small_log_transforms():
 
 
 def test_recognize_rejects_mixed_parity():
-    with pytest.raises(NotAnEllipticPattern):
+    with pytest.raises(NotAnEllipticPattern, match="^" + re.escape(NOT_ODD_GENUS)):
         recognize(Pattern([-2, -1, 1, 2]))
 
 
 def test_recognize_refuses_unordered_derived_multiplicities():
     # the top gap derives m = 3 and the walk n = 2: the table check refuses m > n
-    with pytest.raises(NotAnEllipticPattern, match=r"m <= n, got \(3, 2\)"):
+    with pytest.raises(NotAnEllipticPattern, match=r"m <= n, got \(3, 2\)") as caught:
         recognize(Pattern([-7, -1, 1, 7]))
+    assert str(caught.value).startswith(NOT_ODD_GENUS)
 
 
 def test_recognize_unvalidated_candidate():
@@ -212,18 +267,22 @@ def test_even_genus_patterns_collapse_to_odd_representatives():
 
 
 def test_a_validated_result_has_odd_genus_on_the_coprime_grid():
-    # every genus, even included (their sets are refused or read as an odd alias)
-    for p_g in range(1, 70):
-        for n in range(1, 13):
-            for m in range(1, n + 1):
-                if math.gcd(m, n) != 1 or p_g * m * n > 20_000:
-                    continue
-                try:
-                    result = recognize(Pattern(recognizable_set(p_g, m, n)))
-                except NotAnEllipticPattern:
-                    assert p_g % 2 == 0, (p_g, m, n)
-                    continue
-                assert result.p_g % 2 == 1 or not result.validated, (p_g, m, n)
+    # even-genus sets are refused as not odd-genus ones, or read as an odd alias
+    for p_g, m, n in coprime_grid():
+        try:
+            result = recognize(Pattern(recognizable_set(p_g, m, n)))
+        except NotAnEllipticPattern as exc:
+            assert p_g % 2 == 0 and str(exc).startswith(NOT_ODD_GENUS), (p_g, m, n)
+            continue
+        assert result.p_g % 2 == 1 or not result.validated, (p_g, m, n)
+
+
+def test_an_even_genus_set_is_refused_as_not_odd_genus():
+    with pytest.raises(NotAnEllipticPattern) as caught:
+        recognize(Pattern(recognizable_set(2, 2, 3)))
+    assert str(caught.value) == (
+        NOT_ODD_GENUS + "largest multiple 13 is incompatible with multiplicities (2, 6)"
+    )
 
 
 def test_oracle_agrees_on_grid():

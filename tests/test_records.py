@@ -12,6 +12,7 @@ from swstem.blocks import (
     NegativeDefinite,
     SymplecticGeneric,
 )
+from swstem.errors import InvalidParameters, UncataloguedBlock
 from swstem.invariants import (
     BlowupResult,
     ConnectedSum,
@@ -21,6 +22,7 @@ from swstem.invariants import (
     SplitQuery,
     SplitVerdict,
     Summand,
+    connected_sum,
 )
 from swstem.lattice import SpinC
 from swstem.manifold_io import ManifoldDoc
@@ -261,3 +263,30 @@ def test_invariant_class_trace_is_not_compared():
     assert a == b
     assert hash(a) == hash(b)
     assert a != InvariantClass(2, 3, 1, ETA, TriState.YES, 1, ("one",))
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        KaehlerGeneric(3),  # an empty tuple field
+        KaehlerGeneric(3, (0,)),  # a 1-tuple field
+        CriteriaResult(TriState.NO, ()),
+        ConnectedSum((Summand(NegativeDefinite(2), SpinC(-2, (1, 1))), Summand(K3))),  # nested
+        ManifoldDoc((Summand(EllipticSurface(3, 2, 5)), Summand(KaehlerGeneric(3))), "e", None),
+        BasicClassTable(3, 1, 1, (-2, 0, 2), (1, 2, 1)),
+        Pattern((-(2**64), 0, 2**64)),
+    ],
+    ids=["empty", "one-tuple", "empty-trace", "nested", "doc", "table", "pattern"],
+)
+def test_repr_is_the_fields_repr(record):
+    fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in record._record_fields)
+    assert repr(record) == f"{type(record).__qualname__}({fields})"
+
+
+def test_a_wide_integer_is_named_by_its_bits_in_a_repr_and_a_message():
+    wide = Pattern((-(10**5000), 10**5000))  # 16,610 bits: str() refuses them
+    assert repr(wide) == "Pattern(multiples=(a 16610-bit integer, a 16610-bit integer))"
+    with pytest.raises(UncataloguedBlock, match="a 16610-bit integer"):
+        connected_sum(wide)
+    with pytest.raises(InvalidParameters, match="a 16610-bit integer"):
+        ConnectedSum((wide,))
