@@ -95,9 +95,15 @@ class _Block:
         except UnknownSW:
             return None
 
+    def sw_nonzero(self, class_key) -> bool | None:
+        """Whether the integer SW value at ``class_key`` is nonzero; None where
+        the value is not an integer."""
+        value = self.sw_value(class_key)
+        return value != 0 if type(value) is int else None
+
     def sw_shown(self, class_key) -> tuple[bool, str] | None:
-        """Whether the integer SW value at ``class_key`` is nonzero, and how a
-        trace states it; None where the value is not an integer."""
+        """``sw_nonzero``, and how a trace states the value; None where the
+        value is not an integer."""
         value = self.sw_value(class_key)
         return (value != 0, f"SW = {shown(value)}") if type(value) is int else None
 
@@ -169,11 +175,17 @@ class EllipticSurface(_Block):
         odd = a is not None and odd_binomial(self.p_g - 1, a)
         return Parity.ODD if odd else Parity.EVEN
 
+    def sw_nonzero(self, class_key) -> bool:
+        if self.p_g < 1 or class_key is None:
+            return super().sw_nonzero(class_key)  # refuses p_g = 0
+        # no binomial of the row is zero: whether the key is on the table decides it
+        return _genus_index(self.p_g, self.m, self.n, class_key) is not None
+
     def sw_shown(self, class_key) -> tuple[bool, str] | None:
         if class_key is None or self.p_g - 1 <= MAX_SHOWN_BITS:
             return super().sw_shown(class_key)
-        # a value may take p_g - 1 bits: whether the key is on the table decides it
-        on = _genus_index(self.p_g, self.m, self.n, class_key) is not None
+        # a value may take p_g - 1 bits: state its bound instead
+        on = self.sw_nonzero(class_key)
         return on, f"SW is nonzero and below 2^{self.p_g - 1}" if on else "SW = 0"
 
     def odd_size(self) -> tuple[int, int]:

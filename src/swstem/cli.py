@@ -328,8 +328,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         payload, lines, trace = args.func(args)
         if args.json:
-            if args.trace:
-                payload["trace"] = trace
+            if args.trace:  # a Trace renders here; _json_text writes exact tuples
+                payload["trace"] = tuple(trace)
             print(_json_text(payload))
             return 0
         # sys.stdout per call (callers redirect it); line by line, so a closed pipe raises

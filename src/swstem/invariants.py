@@ -26,7 +26,12 @@ answers from the SW value (the invariant is SW times a generator),
 while ``nonvanishing_criteria`` keeps the summand-count verdict.
 
 Verdicts outside the covered regime are UNKNOWN, never guesses; every
-engine answer carries a human-readable trace of the rules applied.
+engine answer carries a trace of the rules applied.  Each ``Rule`` is
+declared once in ``RULES``, with the fact it rests on and its text.  The
+engine records a step per rule applied, the rule and its data (a block, not
+its label), and formats no text: a ``Trace`` renders its lines on their
+first read and from then on reads, compares and hashes as the tuple of
+them.
 """
 
 from __future__ import annotations
@@ -38,6 +43,237 @@ from .blocks import BuildingBlock, NegativeDefinite, Parity, _catalogued, odd_cl
 from .errors import InvalidParameters, PositiveIndexOnNegativeDefinite, PreconditionNotMet, shown
 from .lattice import SpinC, dirac_index, expected_dimension
 from .stems import StemElement, StemKind, TriState, hopf_power, smash_all, unknown, zero
+
+#: every rule of the engine's traces, by id
+RULES: dict[str, Rule] = {}
+
+
+class Rule:
+    """A trace rule: its ``id``, the ``fact`` it rests on, and its ``text``, a
+    ``str.format`` template over a step's data (mapped by ``args`` first,
+    where the text needs more than the data's fields)."""
+
+    __slots__ = ("id", "fact", "text", "args")
+
+    def __init__(self, id: str, fact: str, text: str, args=None):
+        self.id, self.fact, self.text, self.args = id, fact, text, args
+        RULES[id] = self
+
+    def render(self, data: tuple) -> str:
+        return self.text.format(*(data if self.args is None else self.args(*data)))
+
+
+class Trace:
+    """The rule trace of an engine answer: ``steps``, each a (rule, *data)
+    tuple, rendered to lines of text on the first read.  It reads as, compares
+    equal to and hashes like the tuple of its lines; ``+`` joins two traces'
+    steps unrendered, and a trace and a tuple into a tuple."""
+
+    __slots__ = ("steps", "_lines")
+
+    def __init__(self, steps: tuple):
+        self.steps, self._lines = steps, None
+
+    def lines(self) -> tuple[str, ...]:
+        if self._lines is None:
+            self._lines = tuple(step[0].render(step[1:]) for step in self.steps)
+        return self._lines
+
+    def __len__(self) -> int:
+        return len(self.steps)
+
+    def __getitem__(self, index):
+        return self.lines()[index]
+
+    def __iter__(self):
+        return iter(self.lines())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Trace):
+            other = other.lines()
+        return self.lines() == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.lines())
+
+    def __repr__(self) -> str:
+        return repr(self.lines())
+
+    def __add__(self, other):
+        if isinstance(other, Trace):
+            return Trace(self.steps + other.steps)
+        return self.lines() + other
+
+    def __radd__(self, other):
+        return other + self.lines()
+
+
+_COUNT = (
+    "summand-count theorem: 2-4 almost complex summands give a nonzero class iff "
+    "each has b+ = 3 (mod 4) and odd SW, four also need total b+ = 4 (mod 8); "
+    "five or more always vanish"
+)
+_LONE = "a lone almost complex summand's invariant is its SW value times a generator"
+_FIXED = "with no almost complex part the map has degree one on the fixed locus"
+_GAMMA = "a negative definite summand of Dirac index d <= 0 gives |d| smash factors of gamma"
+_HEAD = "decomposition (j1, j2) = ({0}, {1}): "
+_PARITY_WORDS = {None: "undetermined", Parity.EVEN: "even", Parity.ODD: "odd"}
+
+# invariant and nonvanishing_criteria
+_NEUTRAL = Rule(
+    "neutral-summand", "a summand with b1 = b2 = 0 contributes the identity",
+    "dropped {0.label} (neutral summand)",
+)
+_GAMMA_FACTORS = Rule(
+    "gamma-factors", _GAMMA, "{0.label}: d = {1}, contributes {2} gamma factor(s)"
+)
+_CONTRIBUTES = Rule(
+    "stem-1-contribution",
+    "an almost complex summand with b1 = 0 contributes eta when b+ = 3 (mod 4) and SW "
+    "is odd, and zero in stem 1 when b+ = 1 (mod 4) or SW is even",
+    "{0.label}: b+ = {1}, d = {2}, SW parity {3}, contributes {4}",
+    lambda block, b_plus, d, parity, piece: (block, b_plus, d, _PARITY_WORDS[parity], piece),
+)
+_SMASH = Rule(
+    "smash-product",
+    "the invariant of a connected sum is the smash product of its summands' invariants; "
+    "eta has order 2 and eta^4 = 0",
+    "nonequivariant class: smash product = {0}",
+)
+_NEGATIVE_STEM = Rule(
+    "negative-stem", "negative stems vanish",
+    "gamma power {0} pushes the class into stem {1} < 0, which vanishes",
+)
+_GAMMA_OPEN = Rule(
+    "gamma-nonequivariant-open", "no formula gives the class past gamma factors in a stem >= 0",
+    "gamma power {0} > 0: no nonequivariant formula applies, class undetermined",
+)
+_FIXED_LOCUS = Rule(
+    "fixed-locus-degree-one", _FIXED,
+    "no almost complex part: the map has degree one on the fixed locus, "
+    "so the equivariant class is nonzero",
+)
+_NO_AC = Rule(
+    "no-almost-complex", _FIXED, "no almost complex summands: the identity class remains"
+)
+_B_PLUS_1 = Rule("b-plus-1-mod-4", _COUNT, "{0.label}: b+ = {1} = 1 (mod 4), condition fails")
+_HOLDS = Rule(
+    "condition-holds", _COUNT, "{0.label}: b+ = {1} = 3 (mod 4) and SW odd, condition holds"
+)
+_SW_EVEN = Rule("sw-even", _COUNT, "{0.label}: SW parity even, condition fails")
+_SW_OPEN = Rule("sw-parity-undetermined", _COUNT, "{0.label}: SW parity undetermined")
+_FIVE = Rule("five-or-more", _COUNT, "{0} >= 5 almost complex summands: the class always vanishes")
+_FAILS = Rule("condition-fails", _COUNT, "a summand fails its condition, so the class vanishes")
+_UNDECIDED = Rule(
+    "parity-load-bearing", _COUNT, "undecided parities are load-bearing, verdict unknown"
+)
+_ALL_HOLD = Rule("all-hold", _COUNT, "all {0} summands satisfy the condition: nonzero")
+_FOUR_READING = Rule(
+    "four-summand-reading", _COUNT,
+    "four-summand rule uses total b+ = 4 (mod 8); the index-divisibility "
+    "reading (d divisible by 8) would demand b+ = 12 (mod 16) instead",
+)
+_FOUR_NONZERO = Rule("four-summand-nonzero", _COUNT, "total b+ = {0} = 4 (mod 8): nonzero")
+_FOUR_VANISHES = Rule(
+    "four-summand-vanishes", _COUNT, "total b+ = {0} is not 4 (mod 8): the class vanishes"
+)
+_LONE_SW = Rule(
+    "lone-sw", _LONE, "single summand: invariant is SW times a generator, {0}",
+    lambda block, class_key: (block.sw_shown(class_key)[1],),
+)
+_LONE_ODD = Rule("lone-odd-sw", _LONE, "single summand: odd SW is in particular nonzero")
+_LONE_OPEN = Rule(
+    "lone-sw-undetermined", _LONE,
+    "single summand: SW value undetermined beyond parity, equivariant verdict unknown",
+)
+_VANISHING_FACTOR = Rule(
+    "vanishing-factor", "a smash product with a vanishing factor vanishes",
+    "a vanishing factor makes the whole smash product vanish",
+)
+_GAMMA_KILLS = Rule(
+    "gamma-equivariant-open", "no rule says when gamma factors kill an equivariant class",
+    "gamma factors may or may not kill the class: equivariant verdict unknown",
+)
+_OUTSIDE = Rule(
+    "outside-criteria", _COUNT, "not almost complex: {0}; criteria do not apply",
+    lambda *negdef: (", ".join(s.block.label for s in negdef),),
+)
+# blowup
+_BLOWUP_NEUTRAL = Rule(
+    "blowup-d-zero", _GAMMA, "{0.label}: d = 0, zero gamma factors, class unchanged"
+)
+_BLOWUP_GAMMA = Rule(
+    "blowup-gamma-factors", _GAMMA, "{0.label}: d = {1}, adds {2} gamma factor(s)"
+)
+_BLOWUP_FORMULA = (
+    "blowup formula: SW invariants are preserved when b+ > 1 and 2|d| is at most "
+    "the expected dimension k of the original sum"
+)
+_SW_AGREE = Rule(
+    "sw-preserved", _BLOWUP_FORMULA, "2|d| = {0} <= k = {1} and b+ > 1: SW invariants agree"
+)
+_SW_UNSURE = Rule(
+    "sw-preservation-open", _BLOWUP_FORMULA,
+    "2|d| = {0} exceeds k = {1} or b+ <= 1: SW preservation unknown",
+)
+# split_verdict
+_R1 = "(R1) negative stems vanish"
+_R2 = "(R2) a smash product is nonzero only if each factor is"
+_R3 = "(R3) a nonzero stem-1 factor is almost complex with b+ = 3 (mod 4) and odd SW"
+_R4 = "(R4) positive b+ makes the mapping degree zero, so a nonzero stem-0 factor has b+ = 0"
+_QUERY = Rule(
+    "split-query", "the total class is a nonzero eta^j, j = 2 or 3",
+    "total class {0} is nonzero in stem {1}; query: b+(X1) = {2} (mod {3})",
+)
+_BOTH_NONZERO = Rule(
+    "factors-nonzero", _R2, "the factors smash to a nonzero class, so both are nonzero (R2)"
+)
+_STEMS_ADD = Rule(
+    "stem-decompositions", _R1,
+    "stem degrees satisfy j1 + j2 = {0} with j1, j2 >= 0, since negative stems vanish (R1)",
+)
+_PARITY_CONTRADICTS = Rule(
+    "stem-parity", "with b1 = 0 the stem degree 2d - b+ has the parity of b+",
+    _HEAD + "contradicted, j1 has the parity of b+(X1) but {0} and {2} differ mod 2",
+)
+_R3_CONTRADICTS = Rule(
+    "r3-contradiction", _R3,
+    _HEAD + "contradicted, a nonzero degree-1 factor is almost complex "
+    "with b+ = 3 (mod 4) (R3), incompatible with b+ = 1 (mod 4)",
+)
+_R4_CONTRADICTS = Rule(
+    "r4-contradiction", _R4,
+    _HEAD + "contradicted, a nonzero degree-0 factor forces b+(X1) = 0 "
+    "(R4), incompatible with b+ = {2} (mod {3})",
+)
+
+
+def _survival_notes(j1: int, j2: int) -> tuple:
+    """What a surviving decomposition forces; j <= 3, so j1 or j2 is at most
+    1 and there is always a note."""
+    notes = (
+        "X1 must be almost complex with b+ = 3 (mod 4), odd SW (R3)" if j1 == 1 else "",
+        "forces b+(X1) = 0 (R4)" if j1 == 0 else "",
+        "X2 must be almost complex with b+ = 3 (mod 4), odd SW (R3)" if j2 == 1 else "",
+        "forces b+(X2) = 0 (R4): the complement is negative definite" if j2 == 0 else "",
+    )
+    return j1, j2, "; ".join(filter(None, notes))
+
+
+_SURVIVES = Rule(
+    "decomposition-survives", _R3 + "; " + _R4, _HEAD + "survives; {2}", _survival_notes
+)
+_IMPOSSIBLE = Rule(
+    "split-impossible", _R2, "every decomposition is contradicted: no such splitting exists"
+)
+_FORCED = Rule(
+    "complement-negative-definite", _R4,
+    "every surviving decomposition pins b+(X2) = 0: such a splitting "
+    "forces a negative definite complement",
+)
+_NO_OBSTRUCTION = Rule(
+    "no-obstruction", _R2, "some decomposition survives without constraint: no obstruction found"
+)
 
 
 @record
@@ -123,7 +359,7 @@ class InvariantClass:
     nonequiv_class: StemElement
     equivariant_nonzero: TriState
     gamma_power: int
-    trace: tuple[str, ...] = ()
+    trace: Trace | tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.stem_degree != 2 * self.total_d - self.total_b_plus:
@@ -135,7 +371,7 @@ class InvariantClass:
 @record
 class CriteriaResult:
     verdict: TriState
-    trace: tuple[str, ...]
+    trace: Trace | tuple[str, ...]
 
 
 @record
@@ -174,7 +410,7 @@ class SplitQuery:
 @record
 class SplitVerdict:
     kind: SplitKind
-    trace: tuple[str, ...]
+    trace: Trace | tuple[str, ...]
 
     def __post_init__(self):
         if not self.trace:
@@ -193,7 +429,7 @@ def _negdef_index(block: NegativeDefinite, spin_c: SpinC | None) -> int:
     return d
 
 
-def _walk(csum: ConnectedSum, trace: list[str]) -> tuple[list[Summand], list[Summand]]:
+def _walk(csum: ConnectedSum, steps: list) -> tuple[list[Summand], list[Summand]]:
     """One pass over the summands: drop neutral (b1 = b2 = 0) blocks and
     return the negative definite and the almost complex summands."""
     negdef, ac = [], []
@@ -202,69 +438,60 @@ def _walk(csum: ConnectedSum, trace: list[str]) -> tuple[list[Summand], list[Sum
         if block.almost_complex:  # b+ >= 1, so never neutral
             ac.append(s)
         elif block.neutral:
-            trace.append(f"dropped {block.label} (neutral summand)")
+            steps.append((_NEUTRAL, block))
         else:
             negdef.append(s)
     return negdef, ac
 
 
 def _digest(ac: list[Summand]) -> list[tuple]:
-    """(label, b+, SW parity) of each summand: b+ is every almost complex
+    """(block, b+, SW parity) of each summand: b+ is every almost complex
     block's own ``b_plus``, the parity a Lucas bit test."""
-    return [
-        (s.block.label, s.block.b_plus, s.block.sw_parity(s.class_key))
-        for s in ac
-    ]
+    return [(s.block, s.block.b_plus, s.block.sw_parity(s.class_key)) for s in ac]
 
 
-_PARITY_WORDS = {None: "undetermined", Parity.EVEN: "even", Parity.ODD: "odd"}
-# each degree-1 contribution with its trace text, built once
-_ZERO_1, _ETA_1, _UNKNOWN_1 = ((x, str(x)) for x in (zero(1), hopf_power(1), unknown(1)))
+# each degree-1 contribution, built once
+_ZERO_1, _ETA_1, _UNKNOWN_1 = zero(1), hopf_power(1), unknown(1)
 
 
-def _criteria(ac: list[tuple], trace: list[str]) -> TriState:
+def _criteria(ac: list[tuple], steps: list) -> TriState:
     """The summand-count verdict on the almost complex summands; its rule
-    lines go to ``trace``."""
+    steps go to ``steps``."""
     n = len(ac)
     if n == 0:
-        trace.append("no almost complex summands: the identity class remains")
+        steps.append((_NO_AC,))
         return TriState.YES
     violated = undecided = False
-    for label, b_plus, parity in ac:
+    for block, b_plus, parity in ac:
         if b_plus % 4 == 1:
             violated = True
-            trace.append(f"{label}: b+ = {b_plus} = 1 (mod 4), condition fails")
+            steps.append((_B_PLUS_1, block, b_plus))
         elif parity is Parity.ODD:
-            trace.append(
-                f"{label}: b+ = {b_plus} = 3 (mod 4) and SW odd, condition holds"
-            )
+            steps.append((_HOLDS, block, b_plus))
         elif parity is Parity.EVEN:
             violated = True
-            trace.append(f"{label}: SW parity even, condition fails")
+            steps.append((_SW_EVEN, block))
         else:
             undecided = True
-            trace.append(f"{label}: SW parity undetermined")
+            steps.append((_SW_OPEN, block))
     if n >= 5:
-        trace.append(f"{n} >= 5 almost complex summands: the class always vanishes")
+        steps.append((_FIVE, n))
         return TriState.NO
     if violated:
-        trace.append("a summand fails its condition, so the class vanishes")
+        steps.append((_FAILS,))
         return TriState.NO
     if undecided:
-        trace.append("undecided parities are load-bearing, verdict unknown")
+        steps.append((_UNDECIDED,))
         return TriState.UNKNOWN
     if n <= 3:
-        trace.append(f"all {n} summands satisfy the condition: nonzero")
+        steps.append((_ALL_HOLD, n))
         return TriState.YES
     total = sum(b_plus for _, b_plus, _ in ac)
-    trace.append(
-        "four-summand rule uses total b+ = 4 (mod 8); the index-divisibility "
-        "reading (d divisible by 8) would demand b+ = 12 (mod 16) instead"
-    )
+    steps.append((_FOUR_READING,))
     if total % 8 == 4:
-        trace.append(f"total b+ = {total} = 4 (mod 8): nonzero")
+        steps.append((_FOUR_NONZERO, total))
         return TriState.YES
-    trace.append(f"total b+ = {total} is not 4 (mod 8): the class vanishes")
+    steps.append((_FOUR_VANISHES, total))
     return TriState.NO
 
 
@@ -276,8 +503,8 @@ def invariant(csum: ConnectedSum) -> InvariantClass:
     nonequivariant class undetermined except where the stem degree is
     negative (negative stems vanish).
     """
-    trace: list[str] = []
-    negdef, summands = _walk(csum, trace)
+    steps: list = []
+    negdef, summands = _walk(csum, steps)
     ac = _digest(summands)
 
     total_d = 0
@@ -287,75 +514,55 @@ def invariant(csum: ConnectedSum) -> InvariantClass:
         d = _negdef_index(s.block, s.spin_c)
         total_d += d
         gamma_power -= d
-        trace.append(
-            f"{s.block.label}: d = {d}, contributes {-d} gamma factor(s)"
-        )
+        steps.append((_GAMMA_FACTORS, s.block, d, -d))
 
     contributions = []
-    for label, b_plus, parity in ac:
+    for block, b_plus, parity in ac:
         d = (b_plus + 1) // 2  # expected dimension zero pins 2d = b+ + 1
         total_d += d
         total_b_plus += b_plus
         if b_plus % 4 == 1 or parity is Parity.EVEN:
-            piece, shown_piece = _ZERO_1
+            piece = _ZERO_1
         else:
-            piece, shown_piece = _ETA_1 if parity is Parity.ODD else _UNKNOWN_1
+            piece = _ETA_1 if parity is Parity.ODD else _UNKNOWN_1
         contributions.append(piece)
-        trace.append(
-            f"{label}: b+ = {b_plus}, d = {d}, "
-            f"SW parity {_PARITY_WORDS[parity]}, contributes {shown_piece}"
-        )
+        steps.append((_CONTRIBUTES, block, b_plus, d, parity, piece))
 
     stem_degree = 2 * total_d - total_b_plus
 
     if gamma_power == 0:
         nonequiv = smash_all(contributions)
-        trace.append(f"nonequivariant class: smash product = {nonequiv}")
+        steps.append((_SMASH, nonequiv))
     elif stem_degree < 0:
         nonequiv = zero(stem_degree)
-        trace.append(
-            f"gamma power {gamma_power} pushes the class into stem {stem_degree} < 0, "
-            "which vanishes"
-        )
+        steps.append((_NEGATIVE_STEM, gamma_power, stem_degree))
     else:
         nonequiv = unknown(stem_degree)
-        trace.append(
-            f"gamma power {gamma_power} > 0: no nonequivariant formula applies, "
-            "class undetermined"
-        )
+        steps.append((_GAMMA_OPEN, gamma_power))
 
     if not ac:
         equivariant = TriState.YES
-        trace.append(
-            "no almost complex part: the map has degree one on the fixed locus, "
-            "so the equivariant class is nonzero"
-        )
+        steps.append((_FIXED_LOCUS,))
     else:
-        equivariant = _criteria(ac, trace)
+        equivariant = _criteria(ac, steps)
         if len(ac) == 1:
             (_, _, parity), (lone,) = ac[0], summands
             # a block without a parity has no value; a Kaehler block's is a Parity
-            sw = None if parity is None else lone.block.sw_shown(lone.class_key)
-            if sw is not None:
-                nonzero, stated = sw
+            nonzero = None if parity is None else lone.block.sw_nonzero(lone.class_key)
+            if nonzero is not None:
                 equivariant = TriState.YES if nonzero else TriState.NO
-                trace.append(f"single summand: invariant is SW times a generator, {stated}")
+                steps.append((_LONE_SW, lone.block, lone.class_key))
             elif parity is Parity.ODD:
                 equivariant = TriState.YES
-                trace.append("single summand: odd SW is in particular nonzero")
+                steps.append((_LONE_ODD,))
             else:
                 equivariant = TriState.UNKNOWN
-                trace.append(
-                    "single summand: SW value undetermined beyond parity, "
-                    "equivariant verdict unknown"
-                )
+                steps.append((_LONE_OPEN,))
         if gamma_power and equivariant is TriState.NO:
-            trace.append("a vanishing factor makes the whole smash product vanish")
+            steps.append((_VANISHING_FACTOR,))
         elif gamma_power:
             equivariant = TriState.UNKNOWN
-            trace.append(
-                "gamma factors may or may not kill the class: equivariant verdict unknown"
-            )
+            steps.append((_GAMMA_KILLS,))
 
     return InvariantClass(
         total_d=total_d,
@@ -364,7 +571,7 @@ def invariant(csum: ConnectedSum) -> InvariantClass:
         nonequiv_class=nonequiv,
         equivariant_nonzero=equivariant,
         gamma_power=gamma_power,
-        trace=tuple(trace),
+        trace=Trace(tuple(steps)),
     )
 
 
@@ -375,14 +582,13 @@ def nonvanishing_criteria(csum: ConnectedSum) -> CriteriaResult:
     almost complex puts the sum outside the criteria's regime: the verdict is
     UNKNOWN, never a guess.
     """
-    trace: list[str] = []
-    negdef, ac = _walk(csum, trace)
+    steps: list = []
+    negdef, ac = _walk(csum, steps)
     if negdef:
-        labels = ", ".join(s.block.label for s in negdef)
-        trace.append(f"not almost complex: {labels}; criteria do not apply")
-        return CriteriaResult(TriState.UNKNOWN, tuple(trace))
-    verdict = _criteria(_digest(ac), trace)
-    return CriteriaResult(verdict, tuple(trace))
+        steps.append((_OUTSIDE, *negdef))
+        return CriteriaResult(TriState.UNKNOWN, Trace(tuple(steps)))
+    verdict = _criteria(_digest(ac), steps)
+    return CriteriaResult(verdict, Trace(tuple(steps)))
 
 
 def blowup(
@@ -404,19 +610,17 @@ def blowup(
     nonequiv, equivariant = inv.nonequiv_class, inv.equivariant_nonzero
     if d == 0:
         preserved = TriState.YES
-        notes = (f"{block.label}: d = 0, zero gamma factors, class unchanged",)
+        steps = ((_BLOWUP_NEUTRAL, block),)
     else:
         nonequiv = unknown(stem_degree)  # zero in a negative stem
         # a pure negative definite sum (b+ = 0) keeps fixed-locus degree one
         if inv.total_b_plus and equivariant is not TriState.NO:
             equivariant = TriState.UNKNOWN
         if inv.total_b_plus > 1 and 2 * (-d) <= k:
-            preserved = TriState.YES
-            note = f"2|d| = {2 * (-d)} <= k = {k} and b+ > 1: SW invariants agree"
+            preserved, rule = TriState.YES, _SW_AGREE
         else:
-            preserved = TriState.UNKNOWN
-            note = f"2|d| = {2 * (-d)} exceeds k = {k} or b+ <= 1: SW preservation unknown"
-        notes = (f"{block.label}: d = {d}, adds {-d} gamma factor(s)", note)
+            preserved, rule = TriState.UNKNOWN, _SW_UNSURE
+        steps = ((_BLOWUP_GAMMA, block, d, -d), (rule, 2 * (-d), k))
     new_inv = InvariantClass(
         total_d=inv.total_d + d,
         total_b_plus=inv.total_b_plus,
@@ -424,7 +628,7 @@ def blowup(
         nonequiv_class=nonequiv,
         equivariant_nonzero=equivariant,
         gamma_power=inv.gamma_power - d,
-        trace=inv.trace + notes,
+        trace=inv.trace + Trace(steps),  # a tuple trace (one built by hand) stays a tuple
     )
     return BlowupResult(new_inv, preserved)
 
@@ -447,77 +651,41 @@ def split_verdict(csum: ConnectedSum, query: SplitQuery) -> SplitVerdict:
     inv = invariant(csum)
     cls = inv.nonequiv_class
     if cls.kind is not StemKind.HOPF or cls.degree not in (2, 3):
-        message = (
+        four = inv.stem_degree == 4 and inv.equivariant_nonzero is TriState.YES
+        raise PreconditionNotMet(
             f"splitting analysis needs a total class eta^2 or eta^3, got {cls} "
             f"in stem {inv.stem_degree}"
+            + ("; the four-summand equivariant nonvanishing does not feed "
+               "this obstruction" if four else "")
         )
-        if inv.stem_degree == 4 and inv.equivariant_nonzero is TriState.YES:
-            message += (
-                "; the four-summand equivariant nonvanishing does not feed "
-                "this obstruction"
-            )
-        raise PreconditionNotMet(message)
 
     j = cls.degree
     mod, res = query.modulus, query.residue
-    trace: list[str] = [
-        f"total class {cls} is nonzero in stem {j}; query: b+(X1) = {res} (mod {mod})",
-        "the factors smash to a nonzero class, so both are nonzero (R2)",
-        "stem degrees satisfy j1 + j2 = "
-        f"{j} with j1, j2 >= 0, since negative stems vanish (R1)",
-    ]
+    steps: list = [(_QUERY, cls, j, res, mod), (_BOTH_NONZERO,), (_STEMS_ADD, j)]
     survivors = 0
     all_pin_complement = True
     for j1 in range(j + 1):
         j2 = j - j1
-        head = f"decomposition (j1, j2) = ({j1}, {j2})"
         # b1 = 0 on both parts, so j_i = 2 d_i - b+(X_i) has the parity of b+(X_i)
         if j1 % 2 != res % 2:
-            trace.append(
-                f"{head}: contradicted, j1 has the parity of b+(X1) "
-                f"but {j1} and {res} differ mod 2"
-            )
-            continue
-        if j1 == 1 and mod == 4 and res == 1:
-            trace.append(
-                f"{head}: contradicted, a nonzero degree-1 factor is almost complex "
-                "with b+ = 3 (mod 4) (R3), incompatible with b+ = 1 (mod 4)"
-            )
-            continue
-        if j1 == 0 and res != 0:
-            trace.append(
-                f"{head}: contradicted, a nonzero degree-0 factor forces b+(X1) = 0 "
-                f"(R4), incompatible with b+ = {res} (mod {mod})"
-            )
-            continue
-        survivors += 1
-        notes = []
-        if j1 == 1:
-            notes.append("X1 must be almost complex with b+ = 3 (mod 4), odd SW (R3)")
-        if j1 == 0:
-            notes.append("forces b+(X1) = 0 (R4)")
-        if j2 == 1:
-            notes.append("X2 must be almost complex with b+ = 3 (mod 4), odd SW (R3)")
-        if j2 == 0:
-            notes.append("forces b+(X2) = 0 (R4): the complement is negative definite")
+            steps.append((_PARITY_CONTRADICTS, j1, j2, res))
+        elif j1 == 1 and mod == 4 and res == 1:
+            steps.append((_R3_CONTRADICTS, j1, j2))
+        elif j1 == 0 and res != 0:
+            steps.append((_R4_CONTRADICTS, j1, j2, res, mod))
         else:
-            all_pin_complement = False
-        # j <= 3, so j1 or j2 is at most 1 and notes is never empty
-        trace.append(f"{head}: survives; " + "; ".join(notes))
+            survivors += 1
+            all_pin_complement &= j2 == 0
+            steps.append((_SURVIVES, j1, j2))
 
     if survivors == 0:
-        trace.append("every decomposition is contradicted: no such splitting exists")
-        return SplitVerdict(SplitKind.IMPOSSIBLE, tuple(trace))
-    if all_pin_complement:
-        trace.append(
-            "every surviving decomposition pins b+(X2) = 0: such a splitting "
-            "forces a negative definite complement"
-        )
-        return SplitVerdict(
-            SplitKind.FORCES_NEGATIVE_DEFINITE_COMPLEMENT, tuple(trace)
-        )
-    trace.append("some decomposition survives without constraint: no obstruction found")
-    return SplitVerdict(SplitKind.UNKNOWN, tuple(trace))
+        kind, last = SplitKind.IMPOSSIBLE, _IMPOSSIBLE
+    elif all_pin_complement:
+        kind, last = SplitKind.FORCES_NEGATIVE_DEFINITE_COMPLEMENT, _FORCED
+    else:
+        kind, last = SplitKind.UNKNOWN, _NO_OBSTRUCTION
+    steps.append((last,))
+    return SplitVerdict(kind, Trace(tuple(steps)))
 
 
 def odd_basic_fingerprint(csum: ConnectedSum) -> tuple[tuple[int, ...], ...]:

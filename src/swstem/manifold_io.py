@@ -18,7 +18,8 @@ A manifold file is a single JSON object::
 This module alone reads and writes the format.  A summand's ``type`` is its
 kind's ``tag``, its other keys the kind's record fields, optional where the
 class gives a default (``odd_basic``, a list of c^2 labels, defaults to
-empty).  ``k3`` is K3 and takes no key; a negative definite summand also
+empty).  ``k3`` is K3 and takes no key, as ``s4`` takes none; each parses
+to one shared, frozen ``Summand``.  A negative definite summand also
 takes ``c``, its characteristic coordinates (one odd integer per rank;
 default the unit vector).  Unknown and repeated keys are rejected everywhere
 (json.loads alone would keep a repeated key's last value).  Parsing is
@@ -36,7 +37,7 @@ from collections import Counter
 from json.encoder import encode_basestring_ascii
 
 from ._record import record
-from .blocks import K3, BuildingBlock, NegativeDefinite
+from .blocks import K3, BuildingBlock, HomotopySphereLike, NegativeDefinite
 from .errors import (
     InvalidParameters,
     ManifoldSemanticError,
@@ -69,7 +70,9 @@ def _kind_format(kind, *extra: str) -> tuple:
 #: summand "type" -> (kind, required keys, list keys, keys admitted, text, text with c)
 _KINDS = {kind.tag: _kind_format(kind) for kind in BuildingBlock.__args__}
 _KINDS[NegativeDefinite.tag] = _kind_format(NegativeDefinite, "c")
-_KINDS["k3"] = (lambda: K3), (), (), frozenset({"type"}), None, None
+_KINDS["k3"] = None, (), (), frozenset({"type"}), None, None  # read as _FIELDLESS["k3"]
+#: the summand of each kind without fields, built once and shared by every file
+_FIELDLESS = {"k3": Summand(K3), HomotopySphereLike.tag: Summand(HomotopySphereLike())}
 
 
 @record
@@ -128,6 +131,8 @@ def _parse_summand(raw: object, index: int) -> Summand:
         raise ManifoldSemanticError(
             f"unknown summand type {tag!r}; expected one of: {known}", index
         )
+    if len(raw) == 1 and tag in _FIELDLESS:  # "type" alone
+        return _FIELDLESS[tag]
     kind, required, lists, allowed, _, _ = entry
     if not raw.keys() <= allowed:
         key = next(key for key in raw if key not in allowed)  # the first in the file

@@ -530,12 +530,29 @@ def test_sw_value_inside_a_row_past_the_shown_width_is_refused_at_once():
     # the parity and the trace's statement need no binomial
     assert sw_parity(block, 0) is Parity.EVEN
     assert block.sw_shown(0) == (True, f"SW is nonzero and below 2^{p_g - 1}")
+    assert block.sw_nonzero(0) and not block.sw_nonzero(top + 2)
     # the budget refuses to build this table; a lookup reads none of its
     # columns, so columns of the right length holding only zeros serve
     table = BasicClassTable(p_g, 1, 1, (0,) * p_g, (0,) * p_g)
     with pytest.raises(InvalidParameters, match="not computed"):
         table.value(0)
     assert table.value(top) == 1
+
+
+@pytest.mark.parametrize(
+    "block, keys",
+    [
+        (EllipticSurface(4, 2, 3), [None, *range(-max_multiple(4, 2, 3) - 2, 24, 2)]),
+        (EllipticSurface(5, 1, 1), [None, *range(-10, 11, 2)]),
+        (SymplecticGeneric(3), [None, CANONICAL]),
+        (KaehlerGeneric(3, (0,)), [None, 0, 2]),
+    ],
+    ids=["E(4;2,3)", "E(5;1,1)", "symplectic", "kaehler"],
+)
+def test_sw_nonzero_is_the_verdict_sw_shown_states(block, keys):
+    for key in keys:
+        shown = block.sw_shown(key)
+        assert block.sw_nonzero(key) == (None if shown is None else shown[0])
 
 
 def test_every_value_of_the_largest_admitted_row_is_answered(monkeypatch):

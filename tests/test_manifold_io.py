@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from swstem._record import FrozenInstanceError
 from swstem.blocks import (
     K3,
     EllipticSurface,
@@ -295,6 +296,17 @@ def test_a_summand_is_refused_with_its_message(summand, message):
         parse_manifold(json.dumps(raw))
     assert exc.value.block_index == 1
     assert str(exc.value) == f"summand 1: {message}"
+
+
+def test_fieldless_summands_are_shared_values():
+    text = '{"summands": [{"type": "k3"}, {"type": "s4"}, {"type": "k3"}, {"type": "s4"}]}'
+    k3, s4, k3_again, s4_again = parse_manifold(text).summands
+    assert k3 is k3_again is parse_manifold(text).summands[0]
+    assert s4 is s4_again
+    for shared, fresh in ((k3, Summand(K3)), (s4, Summand(HomotopySphereLike()))):
+        assert shared == fresh and hash(shared) == hash(fresh)
+        with pytest.raises(FrozenInstanceError):
+            shared.block = fresh.block
 
 
 def test_a_kaehler_label_past_the_input_width_is_refused():
