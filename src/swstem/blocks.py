@@ -52,6 +52,9 @@ class Parity(enum.Enum):
     ODD = 1
 
 
+_PARITIES = _EVEN, _ODD = tuple(Parity)  # bound once: an enum lookup on its class is slow
+
+
 def _triple_ints(p_g, m, n) -> None:
     # one type test and one width test pass valid arguments; a message only on failure
     if not (type(p_g) is type(m) is type(n) is int and not (p_g | m | n) >> MAX_INPUT_BITS):
@@ -91,7 +94,7 @@ class _Block:
 
     def sw_parity(self, class_key=None) -> Parity | None:
         try:
-            return Parity(self.sw_value(class_key) % 2)
+            return _PARITIES[self.sw_value(class_key) % 2]
         except UnknownSW:
             return None
 
@@ -164,7 +167,7 @@ class EllipticSurface(_Block):
         if self.p_g < 1:
             return None
         if class_key is None:
-            return Parity.ODD
+            return _ODD
         key = exact_int(class_key, "elliptic class key")
         if (key - max_multiple(self.p_g, self.m, self.n)) % 2 != 0:
             raise InvalidParameters(
@@ -173,13 +176,14 @@ class EllipticSurface(_Block):
             )
         a = _genus_index(self.p_g, self.m, self.n, key)
         odd = a is not None and odd_binomial(self.p_g - 1, a)
-        return Parity.ODD if odd else Parity.EVEN
+        return _ODD if odd else _EVEN
 
     def sw_nonzero(self, class_key) -> bool:
         if self.p_g < 1 or class_key is None:
             return super().sw_nonzero(class_key)  # refuses p_g = 0
         # no binomial of the row is zero: whether the key is on the table decides it
-        return _genus_index(self.p_g, self.m, self.n, class_key) is not None
+        key = exact_int(class_key, "elliptic class key")
+        return _genus_index(self.p_g, self.m, self.n, key) is not None
 
     def sw_shown(self, class_key) -> tuple[bool, str] | None:
         if class_key is None or self.p_g - 1 <= MAX_SHOWN_BITS:
@@ -255,8 +259,8 @@ class KaehlerGeneric(_Block):
     def sw_parity(self, class_key=None) -> Parity | None:
         if class_key is not None:
             key = exact_int(class_key, "Kaehler class key")
-            return Parity.ODD if key in self.odd_basic else Parity.EVEN
-        return Parity.ODD if self.odd_basic else Parity.EVEN
+            return _ODD if key in self.odd_basic else _EVEN
+        return _ODD if self.odd_basic else _EVEN
 
     sw_value = sw_parity
 

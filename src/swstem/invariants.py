@@ -19,11 +19,11 @@ additionally be congruent 4 mod 8; five or more summands always vanish.
 Sums with no almost complex part restrict with degree one to the fixed locus
 and can never vanish equivariantly.
 
-``invariant`` and ``nonvanishing_criteria`` make one pass over the summands,
-reading each almost complex block's SW parity once, and apply the same rules.
-They differ in one branch: on a lone almost complex summand ``invariant``
-answers from the SW value (the invariant is SW times a generator),
-while ``nonvanishing_criteria`` keeps the summand-count verdict.
+A sum is sorted once, when it is built, and each almost complex block's SW
+parity read then; ``invariant`` and ``nonvanishing_criteria`` apply the same
+rules to that, and ``invariant`` counts the degree-1 product, not folds it.
+On a lone almost complex summand ``invariant`` answers from the SW value (SW
+times a generator); ``nonvanishing_criteria`` keeps the summand-count verdict.
 
 Verdicts outside the covered regime are UNKNOWN, never guesses; every
 engine answer carries a trace of the rules applied.  Each ``Rule`` is
@@ -39,10 +39,12 @@ from __future__ import annotations
 import enum
 
 from ._record import record
-from .blocks import BuildingBlock, NegativeDefinite, Parity, _catalogued, odd_class_sets
+from .blocks import _EVEN, _ODD, BuildingBlock, NegativeDefinite, _catalogued, odd_class_sets
 from .errors import InvalidParameters, PositiveIndexOnNegativeDefinite, PreconditionNotMet, shown
 from .lattice import SpinC, dirac_index, expected_dimension
-from .stems import StemElement, StemKind, TriState, hopf_power, smash_all, unknown, zero
+from .stems import StemElement, StemKind, TriState, hopf_power, smash_degree_one, unknown, zero
+
+_YES, _NO, _UNKNOWN = TriState  # bound once: an enum lookup on its class is slow
 
 #: every rule of the engine's traces, by id
 RULES: dict[str, Rule] = {}
@@ -117,7 +119,7 @@ _LONE = "a lone almost complex summand's invariant is its SW value times a gener
 _FIXED = "with no almost complex part the map has degree one on the fixed locus"
 _GAMMA = "a negative definite summand of Dirac index d <= 0 gives |d| smash factors of gamma"
 _HEAD = "decomposition (j1, j2) = ({0}, {1}): "
-_PARITY_WORDS = {None: "undetermined", Parity.EVEN: "even", Parity.ODD: "odd"}
+_PARITY_WORDS = {None: "undetermined", _EVEN: "even", _ODD: "odd"}
 
 # invariant and nonvanishing_criteria
 _NEUTRAL = Rule(
@@ -320,7 +322,8 @@ class Summand:
 
 @record
 class ConnectedSum:
-    """A nonempty formal connected sum of summands."""
+    """A nonempty formal connected sum.  Its check sorts the summands once, in order, into
+    ``_neutral``, ``_negdef`` and ``_ac``; ``_digest`` is each ``_ac``'s (block, b+, SW parity)."""
 
     summands: tuple[Summand, ...]
 
@@ -328,18 +331,26 @@ class ConnectedSum:
         items = tuple(self.summands)
         if not items:
             raise InvalidParameters("a connected sum needs at least one summand")
+        parts = neutral, negdef, ac, digest = [], [], [], []
         for s in items:
             if not isinstance(s, Summand):
                 raise InvalidParameters(f"not a summand: {s!r}")
+            block = s.block
+            if block.almost_complex:  # b+ >= 1, so never neutral
+                ac.append(s)
+                digest.append((block, block.b_plus, block.sw_parity(s.class_key)))
+            elif block.neutral:
+                neutral.append(s)
+            else:
+                negdef.append(s)
         object.__setattr__(self, "summands", items)
+        for name, part in zip(("_neutral", "_negdef", "_ac", "_digest"), parts):
+            object.__setattr__(self, name, tuple(part))
 
 
 def connected_sum(*parts) -> ConnectedSum:
     """Convenience constructor accepting bare blocks or prepared summands."""
-    out = []
-    for p in parts:
-        out.append(p if isinstance(p, Summand) else Summand(p))
-    return ConnectedSum(tuple(out))
+    return ConnectedSum(tuple(p if isinstance(p, Summand) else Summand(p) for p in parts))
 
 
 @record(uncompared=("trace",))
@@ -429,46 +440,25 @@ def _negdef_index(block: NegativeDefinite, spin_c: SpinC | None) -> int:
     return d
 
 
-def _walk(csum: ConnectedSum, steps: list) -> tuple[list[Summand], list[Summand]]:
-    """One pass over the summands: drop neutral (b1 = b2 = 0) blocks and
-    return the negative definite and the almost complex summands."""
-    negdef, ac = [], []
-    for s in csum.summands:
-        block = s.block
-        if block.almost_complex:  # b+ >= 1, so never neutral
-            ac.append(s)
-        elif block.neutral:
-            steps.append((_NEUTRAL, block))
-        else:
-            negdef.append(s)
-    return negdef, ac
-
-
-def _digest(ac: list[Summand]) -> list[tuple]:
-    """(block, b+, SW parity) of each summand: b+ is every almost complex
-    block's own ``b_plus``, the parity a Lucas bit test."""
-    return [(s.block, s.block.b_plus, s.block.sw_parity(s.class_key)) for s in ac]
-
-
 # each degree-1 contribution, built once
 _ZERO_1, _ETA_1, _UNKNOWN_1 = zero(1), hopf_power(1), unknown(1)
 
 
-def _criteria(ac: list[tuple], steps: list) -> TriState:
+def _criteria(ac: tuple[tuple, ...], steps: list) -> TriState:
     """The summand-count verdict on the almost complex summands; its rule
     steps go to ``steps``."""
     n = len(ac)
     if n == 0:
         steps.append((_NO_AC,))
-        return TriState.YES
+        return _YES
     violated = undecided = False
     for block, b_plus, parity in ac:
         if b_plus % 4 == 1:
             violated = True
             steps.append((_B_PLUS_1, block, b_plus))
-        elif parity is Parity.ODD:
+        elif parity is _ODD:
             steps.append((_HOLDS, block, b_plus))
-        elif parity is Parity.EVEN:
+        elif parity is _EVEN:
             violated = True
             steps.append((_SW_EVEN, block))
         else:
@@ -476,23 +466,23 @@ def _criteria(ac: list[tuple], steps: list) -> TriState:
             steps.append((_SW_OPEN, block))
     if n >= 5:
         steps.append((_FIVE, n))
-        return TriState.NO
+        return _NO
     if violated:
         steps.append((_FAILS,))
-        return TriState.NO
+        return _NO
     if undecided:
         steps.append((_UNDECIDED,))
-        return TriState.UNKNOWN
+        return _UNKNOWN
     if n <= 3:
         steps.append((_ALL_HOLD, n))
-        return TriState.YES
+        return _YES
     total = sum(b_plus for _, b_plus, _ in ac)
     steps.append((_FOUR_READING,))
     if total % 8 == 4:
         steps.append((_FOUR_NONZERO, total))
-        return TriState.YES
+        return _YES
     steps.append((_FOUR_VANISHES, total))
-    return TriState.NO
+    return _NO
 
 
 def invariant(csum: ConnectedSum) -> InvariantClass:
@@ -503,35 +493,35 @@ def invariant(csum: ConnectedSum) -> InvariantClass:
     nonequivariant class undetermined except where the stem degree is
     negative (negative stems vanish).
     """
-    steps: list = []
-    negdef, summands = _walk(csum, steps)
-    ac = _digest(summands)
+    steps = [(_NEUTRAL, s.block) for s in csum._neutral]
+    ac = csum._digest
 
-    total_d = 0
-    total_b_plus = 0
-    gamma_power = 0
-    for s in negdef:
+    total_d = total_b_plus = gamma_power = 0
+    for s in csum._negdef:
         d = _negdef_index(s.block, s.spin_c)
         total_d += d
         gamma_power -= d
         steps.append((_GAMMA_FACTORS, s.block, d, -d))
 
-    contributions = []
+    zeros = unknowns = 0
     for block, b_plus, parity in ac:
         d = (b_plus + 1) // 2  # expected dimension zero pins 2d = b+ + 1
         total_d += d
         total_b_plus += b_plus
-        if b_plus % 4 == 1 or parity is Parity.EVEN:
+        if b_plus % 4 == 1 or parity is _EVEN:
             piece = _ZERO_1
+            zeros += 1
+        elif parity is _ODD:
+            piece = _ETA_1
         else:
-            piece = _ETA_1 if parity is Parity.ODD else _UNKNOWN_1
-        contributions.append(piece)
+            piece = _UNKNOWN_1
+            unknowns += 1
         steps.append((_CONTRIBUTES, block, b_plus, d, parity, piece))
 
     stem_degree = 2 * total_d - total_b_plus
 
     if gamma_power == 0:
-        nonequiv = smash_all(contributions)
+        nonequiv = smash_degree_one(len(ac), zeros, unknowns)
         steps.append((_SMASH, nonequiv))
     elif stem_degree < 0:
         nonequiv = zero(stem_degree)
@@ -541,27 +531,27 @@ def invariant(csum: ConnectedSum) -> InvariantClass:
         steps.append((_GAMMA_OPEN, gamma_power))
 
     if not ac:
-        equivariant = TriState.YES
+        equivariant = _YES
         steps.append((_FIXED_LOCUS,))
     else:
         equivariant = _criteria(ac, steps)
         if len(ac) == 1:
-            (_, _, parity), (lone,) = ac[0], summands
+            (_, _, parity), (lone,) = ac[0], csum._ac
             # a block without a parity has no value; a Kaehler block's is a Parity
             nonzero = None if parity is None else lone.block.sw_nonzero(lone.class_key)
             if nonzero is not None:
-                equivariant = TriState.YES if nonzero else TriState.NO
+                equivariant = _YES if nonzero else _NO
                 steps.append((_LONE_SW, lone.block, lone.class_key))
-            elif parity is Parity.ODD:
-                equivariant = TriState.YES
+            elif parity is _ODD:
+                equivariant = _YES
                 steps.append((_LONE_ODD,))
             else:
-                equivariant = TriState.UNKNOWN
+                equivariant = _UNKNOWN
                 steps.append((_LONE_OPEN,))
-        if gamma_power and equivariant is TriState.NO:
+        if gamma_power and equivariant is _NO:
             steps.append((_VANISHING_FACTOR,))
         elif gamma_power:
-            equivariant = TriState.UNKNOWN
+            equivariant = _UNKNOWN
             steps.append((_GAMMA_KILLS,))
 
     return InvariantClass(
@@ -582,12 +572,11 @@ def nonvanishing_criteria(csum: ConnectedSum) -> CriteriaResult:
     almost complex puts the sum outside the criteria's regime: the verdict is
     UNKNOWN, never a guess.
     """
-    steps: list = []
-    negdef, ac = _walk(csum, steps)
-    if negdef:
-        steps.append((_OUTSIDE, *negdef))
-        return CriteriaResult(TriState.UNKNOWN, Trace(tuple(steps)))
-    verdict = _criteria(_digest(ac), steps)
+    steps = [(_NEUTRAL, s.block) for s in csum._neutral]
+    if csum._negdef:
+        steps.append((_OUTSIDE, *csum._negdef))
+        return CriteriaResult(_UNKNOWN, Trace(tuple(steps)))
+    verdict = _criteria(csum._digest, steps)
     return CriteriaResult(verdict, Trace(tuple(steps)))
 
 
@@ -609,17 +598,17 @@ def blowup(
     stem_degree = inv.stem_degree + 2 * d
     nonequiv, equivariant = inv.nonequiv_class, inv.equivariant_nonzero
     if d == 0:
-        preserved = TriState.YES
+        preserved = _YES
         steps = ((_BLOWUP_NEUTRAL, block),)
     else:
         nonequiv = unknown(stem_degree)  # zero in a negative stem
         # a pure negative definite sum (b+ = 0) keeps fixed-locus degree one
-        if inv.total_b_plus and equivariant is not TriState.NO:
-            equivariant = TriState.UNKNOWN
+        if inv.total_b_plus and equivariant is not _NO:
+            equivariant = _UNKNOWN
         if inv.total_b_plus > 1 and 2 * (-d) <= k:
-            preserved, rule = TriState.YES, _SW_AGREE
+            preserved, rule = _YES, _SW_AGREE
         else:
-            preserved, rule = TriState.UNKNOWN, _SW_UNSURE
+            preserved, rule = _UNKNOWN, _SW_UNSURE
         steps = ((_BLOWUP_GAMMA, block, d, -d), (rule, 2 * (-d), k))
     new_inv = InvariantClass(
         total_d=inv.total_d + d,
@@ -651,7 +640,7 @@ def split_verdict(csum: ConnectedSum, query: SplitQuery) -> SplitVerdict:
     inv = invariant(csum)
     cls = inv.nonequiv_class
     if cls.kind is not StemKind.HOPF or cls.degree not in (2, 3):
-        four = inv.stem_degree == 4 and inv.equivariant_nonzero is TriState.YES
+        four = inv.stem_degree == 4 and inv.equivariant_nonzero is _YES
         raise PreconditionNotMet(
             f"splitting analysis needs a total class eta^2 or eta^3, got {cls} "
             f"in stem {inv.stem_degree}"

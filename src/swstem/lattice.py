@@ -16,6 +16,9 @@ from __future__ import annotations
 from ._record import record
 from .errors import IndexNotIntegral, InvalidParameters, as_tuple, exact_int, narrow_int, shown
 
+#: the c_square ``from_coords`` passes: the constructor derives it from the coordinates
+_FROM_COORDS = object()
+
 
 @record
 class SpinC:
@@ -32,22 +35,27 @@ class SpinC:
     c_coords: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.c_coords is None:
+        derived = self.c_square is _FROM_COORDS
+        if self.c_coords is None and not derived:
             narrow_int(self.c_square, "c_square")
             return
-        exact_int(self.c_square, "c_square")
+        if not derived:
+            exact_int(self.c_square, "c_square")
         coords = _odd_coordinates(self.c_coords)
         object.__setattr__(self, "c_coords", coords)
-        if self.c_square != -sum(x * x for x in coords):
+        square = -sum(x * x for x in coords)
+        if derived:
+            object.__setattr__(self, "c_square", square)
+        elif self.c_square != square:
             raise InvalidParameters(
                 f"c_square = {shown(self.c_square)} does not match -sum of squared "
-                f"coordinates = {-sum(x * x for x in coords)}"
+                f"coordinates = {square}"
             )
 
     @classmethod
     def from_coords(cls, coords) -> "SpinC":
-        coords = _odd_coordinates(coords)
-        return cls(c_square=-sum(x * x for x in coords), c_coords=coords)
+        """c^2 from the coordinates; the constructor checks them once."""
+        return cls(c_square=_FROM_COORDS, c_coords=coords)
 
 
 def _odd_coordinates(raw) -> tuple[int, ...]:

@@ -116,6 +116,7 @@ def unknown(degree: int) -> StemElement:
 
 ETA = hopf_power(1)
 ONE = integer_class(1)
+_ETA_POWERS = ONE, ETA, _HOPFS[2], _HOPFS[3]  # eta^n, n <= 3
 
 
 def smash(x: StemElement, y: StemElement) -> StemElement:
@@ -152,6 +153,14 @@ def smash_all(elements) -> StemElement:
     for el in elements:
         out = smash(out, el)
     return out
+
+
+def smash_degree_one(n: int, zeros: int, unknowns: int) -> StemElement:
+    """``smash_all`` of n degree-1 elements, ``zeros`` zero and ``unknowns``
+    unknown, the rest eta, counted: unknown absorbs, then zero; eta^4 = 0."""
+    if unknowns:
+        return unknown(n)
+    return zero(n) if zeros or n > 3 else _ETA_POWERS[n]
 
 
 def is_nonzero(x: StemElement) -> TriState:

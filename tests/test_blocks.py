@@ -555,6 +555,30 @@ def test_sw_nonzero_is_the_verdict_sw_shown_states(block, keys):
         assert block.sw_nonzero(key) == (None if shown is None else shown[0])
 
 
+@pytest.mark.parametrize("block", [K3, EllipticSurface(3, 2, 3)], ids=["K3", "E(3;2,3)"])
+@pytest.mark.parametrize("key", [0, 1, -3, 13, True, False, 1.5, 2.0, "x", None], ids=repr)
+def test_sw_nonzero_refuses_exactly_the_keys_sw_value_refuses(block, key):
+    try:
+        value = block.sw_value(key)
+    except InvalidParameters as exc:
+        with pytest.raises(InvalidParameters) as refused:
+            block.sw_nonzero(key)
+        assert str(refused.value) == str(exc)
+    else:
+        assert block.sw_nonzero(key) is (value != 0)
+
+
+@pytest.mark.parametrize("key", [True, 1.5, "x"], ids=repr)
+def test_sw_shown_past_the_shown_bound_refuses_a_key_sw_value_refuses(key):
+    block = EllipticSurface(MAX_SHOWN_BITS + 2, 1, 1)  # sw_shown asks sw_nonzero
+    messages = []
+    for ask in (block.sw_shown, block.sw_value):
+        with pytest.raises(InvalidParameters) as refused:
+            ask(key)
+        messages.append(str(refused.value))
+    assert messages == [f"elliptic class key must be an integer, got {key!r}"] * 2
+
+
 def test_every_value_of_the_largest_admitted_row_is_answered(monkeypatch):
     # E(11,306; 1, 1) is the largest table the budget admits: p_g - 1 is
     # within MAX_SHOWN_BITS, so no lookup on it is refused

@@ -16,6 +16,7 @@ from swstem.blocks import (
     NegativeDefinite,
     SymplecticGeneric,
     max_multiple,
+    sw_parity,
 )
 from swstem.errors import (
     MAX_INPUT_BITS,
@@ -26,6 +27,7 @@ from swstem.errors import (
     UnknownSW,
 )
 from swstem.invariants import (
+    RULES,
     ConnectedSum,
     InvariantClass,
     SplitKind,
@@ -39,7 +41,7 @@ from swstem.invariants import (
     split_verdict,
 )
 from swstem.lattice import SpinC
-from swstem.stems import ONE, StemKind, TriState, hopf_power, unknown, zero
+from swstem.stems import ONE, StemKind, TriState, hopf_power, smash_all, unknown, zero
 
 E3 = EllipticSurface(3, 1, 1)
 SPHERE = HomotopySphereLike()
@@ -465,3 +467,69 @@ def test_criteria_agree_with_invariant_off_one_summand(parts):
     assume(sum(b.almost_complex for b in blocks) != 1)
     verdict = nonvanishing_criteria(csum).verdict
     assert verdict is invariant(csum).equivariant_nonzero
+
+
+# One walk: a sum is sorted and digested once, by ConnectedSum's check, and
+# the degree-1 product is counted, not folded.
+
+no_gamma_summand = st.one_of(
+    summand_strategy.filter(lambda part: getattr(part, "spin_c", None) is None),
+    st.builds(NegativeDefinite, st.integers(0, 3)),  # the unit vector: d = 0
+)
+
+
+@given(st.lists(no_gamma_summand, min_size=1, max_size=12))
+def test_the_counted_product_is_the_smash_of_the_contributions(parts):
+    inv = invariant(connected_sum(*parts))
+    assert inv.gamma_power == 0
+    contributes = RULES["stem-1-contribution"]
+    pieces = [step[5] for step in inv.trace.steps if step[0] is contributes]
+    assert inv.nonequiv_class == smash_all(pieces)
+
+
+@given(st.lists(summand_strategy, min_size=1, max_size=12))
+def test_a_sum_sorts_its_summands_once_in_order(parts):
+    csum = connected_sum(*parts)
+    groups = [list(csum._neutral), list(csum._negdef), list(csum._ac)]
+    assert all(s.block.neutral for s in groups[0])
+    assert not any(s.block.neutral or s.block.almost_complex for s in groups[1])
+    assert all(s.block.almost_complex for s in groups[2])
+    # the parts interleave back into the summands: equal summands share a part
+    for s in csum.summands:
+        (group,) = [group for group in groups if group and group[0] == s]
+        assert group.pop(0) is s
+    assert groups == [[], [], []]
+    assert csum._digest == tuple(
+        (s.block, s.block.b_plus, sw_parity(s.block, s.class_key)) for s in csum._ac
+    )
+    # none of it is a field: equality, hash and repr read the summands alone
+    twin = connected_sum(*parts)
+    assert twin == csum and hash(twin) == hash(csum)
+    assert repr(csum) == f"ConnectedSum(summands={csum.summands!r})"
+    assert ConnectedSum._record_fields == ("summands",)
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        (K3, SPHERE, Summand(E3, class_key=0), NegativeDefinite(2), SymplecticGeneric(5)),
+        (K3, K3, KaehlerGeneric(7, (0,)), SPHERE),
+        (Summand(E3, class_key=4), NegativeDefinite(0)),  # a lone almost complex summand
+        (SPHERE, NegativeDefinite(1)),
+    ],
+    ids=["mixed", "no-negdef", "lone", "no-almost-complex"],
+)
+def test_each_parity_is_read_once_per_summand(parts, monkeypatch):
+    summands = [p if isinstance(p, Summand) else Summand(p) for p in parts]
+    asked = []
+    for kind in (EllipticSurface, SymplecticGeneric, KaehlerGeneric):
+
+        def counted(block, class_key=None, _read=kind.sw_parity):
+            asked.append(block)
+            return _read(block, class_key)
+
+        monkeypatch.setattr(kind, "sw_parity", counted)
+    csum = ConnectedSum(tuple(summands))
+    invariant(csum)
+    nonvanishing_criteria(csum)
+    assert asked == [s.block for s in summands if s.block.almost_complex]

@@ -88,3 +88,25 @@ def test_characteristic_index_never_positive(coords):
     # d = (-sum x_i^2 + rank) / 8 <= 0 since each x_i^2 >= 1
     s = SpinC.from_coords(coords)
     assert dirac_index(s.c_square, -len(coords)) <= 0
+
+
+
+def test_from_coords_checks_the_coordinates_once_in_the_constructor(monkeypatch):
+    from swstem import lattice
+
+    checked, built = [], []
+    check, init = lattice._odd_coordinates, SpinC.__init__
+
+    def counted_check(raw):
+        checked.append(raw)
+        return check(raw)
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(lattice, "_odd_coordinates", counted_check)
+    monkeypatch.setattr(SpinC, "__init__", counted_init)
+    spin_c = SpinC.from_coords([3, 1])
+    assert checked == [[3, 1]] and built == [spin_c]
+    assert spin_c.c_square == -10 and spin_c.c_coords == (3, 1)

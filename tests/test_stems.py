@@ -16,6 +16,7 @@ from swstem.stems import (
     is_nonzero,
     smash,
     smash_all,
+    smash_degree_one,
     sq2_detects_hopf,
     unknown,
     zero,
@@ -103,6 +104,18 @@ def test_smash_all():
     assert smash_all([ETA, ETA, ETA]) == hopf_power(3)
     assert smash_all([ETA] * 4) == zero(4)
     assert smash_all([integer_class(5), unknown(0)]) == unknown(0)
+
+
+def test_the_degree_one_product_counted_is_the_product_folded():
+    # every sequence of zero(1), eta and unknown(1) of length 0-8: 9,841 of them
+    pieces = (zero(1), ETA, unknown(1))
+    seen = 0
+    for n in range(9):
+        for seq in itertools.product(pieces, repeat=n):
+            counted = smash_degree_one(n, seq.count(pieces[0]), seq.count(pieces[2]))
+            assert counted == smash_all(seq), seq
+            seen += 1
+    assert seen == 9841
 
 
 def test_is_nonzero():
