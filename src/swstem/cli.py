@@ -167,17 +167,17 @@ def _cmd_split_check(args):
     return payload, [f"verdict: {kind}"], verdict.trace
 
 
-def _blocks_of(path: str) -> list:
-    """The blocks of a manifold file; a parse or semantic error names the file
+def _summands_of(path: str) -> tuple:
+    """The summands of a manifold file; a parse or semantic error names the file
     (an OSError names it already)."""
     try:
-        return [s.block for s in load_manifold(path).summands]
+        return load_manifold(path).summands
     except SwStemError as exc:
         raise SwStemError(f"{path}: {exc}") from exc
 
 
 def _cmd_distinguish(args):
-    verdict = distinguish(_blocks_of(args.file_a), _blocks_of(args.file_b)).value
+    verdict = distinguish(_summands_of(args.file_a), _summands_of(args.file_b)).value
     return {"verdict": verdict}, [f"verdict: {verdict}"], ()
 
 

@@ -19,9 +19,10 @@ additionally be congruent 4 mod 8; five or more summands always vanish.
 Sums with no almost complex part restrict with degree one to the fixed locus
 and can never vanish equivariantly.
 
-A sum is sorted once, when it is built, and each almost complex block's SW
-parity read then; ``invariant`` and ``nonvanishing_criteria`` apply the same
-rules to that, and ``invariant`` counts the degree-1 product, not folds it.
+Each summand's SW parity is read once, by the summand's own check, and a sum
+is sorted once, when it is built, reading those; ``invariant`` and
+``nonvanishing_criteria`` apply the same rules to that, and ``invariant``
+counts the degree-1 product, not folds it.
 On a lone almost complex summand ``invariant`` answers from the SW value (SW
 times a generator); ``nonvanishing_criteria`` keeps the summand-count verdict.
 
@@ -287,7 +288,9 @@ class Summand:
     ``class_key`` selects a basic class on the other blocks: a fiber
     multiple for elliptic surfaces, a declared c^2 label for Kaehler blocks,
     or ``CANONICAL`` for symplectic blocks; None means the distinguished
-    class.
+    class.  The check of an almost complex summand reads its block's SW
+    parity at that class, the one read of it, and keeps it as ``_parity``,
+    not a field.
     """
 
     block: BuildingBlock
@@ -297,16 +300,23 @@ class Summand:
     def __post_init__(self):
         _catalogued(self.block)  # raises UncataloguedBlock on aliens
         if self.spin_c is None and self.class_key is None:
+            if self.block.almost_complex:
+                object.__setattr__(self, "_parity", self.block.sw_parity())
             return  # a block alone: every summand a file without c gives
         if isinstance(self.block, NegativeDefinite):
             if self.class_key is not None:
                 raise InvalidParameters(
                     "negative definite summands take spin-c data, not a class key"
                 )
-            coords = None if self.spin_c is None else self.spin_c.c_coords
+            coords = self.spin_c.c_coords  # past the early return, no key means spin-c data
             if coords is not None and len(coords) != self.block.rank:
                 raise InvalidParameters(
                     f"{len(coords)} coordinates given for a rank-{self.block.rank} block"
+                )
+            if not self.block.rank and self.spin_c.c_square:
+                raise InvalidParameters(
+                    f"c^2 = {shown(self.spin_c.c_square)} on a rank-0 block, whose only "
+                    "characteristic class is c = 0"
                 )
             return
         if self.spin_c is not None:
@@ -314,16 +324,19 @@ class Summand:
                 f"{self.block.label} takes a class key, not raw spin-c data"
             )
         # validates key type and, for elliptic blocks, characteristic parity
-        if self.block.sw_parity(self.class_key) is None:
+        parity = self.block.sw_parity(self.class_key)
+        if parity is None:
             raise InvalidParameters(
                 f"{self.block.label} declares no SW data at class {shown(self.class_key)}"
             )
+        object.__setattr__(self, "_parity", parity)
 
 
 @record
 class ConnectedSum:
     """A nonempty formal connected sum.  Its check sorts the summands once, in order, into
-    ``_neutral``, ``_negdef`` and ``_ac``; ``_digest`` is each ``_ac``'s (block, b+, SW parity)."""
+    ``_neutral``, ``_negdef`` and ``_ac``; ``_digest`` is each ``_ac``'s (block, b+, SW parity),
+    the parity its ``Summand`` read."""
 
     summands: tuple[Summand, ...]
 
@@ -338,7 +351,7 @@ class ConnectedSum:
             block = s.block
             if block.almost_complex:  # b+ >= 1, so never neutral
                 ac.append(s)
-                digest.append((block, block.b_plus, block.sw_parity(s.class_key)))
+                digest.append((block, block.b_plus, s._parity))
             elif block.neutral:
                 neutral.append(s)
             else:

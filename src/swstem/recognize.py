@@ -6,8 +6,9 @@ leaves a fingerprint: the set of fiber multiples carrying odd SW values.
 ``recognize_oracle`` does the same by enumeration of the triples whose odd
 count matches and is the cross-check used in the test suite.  ``distinguish``
 applies the resulting classification to decide whether two small connected
-sums of elliptic surfaces are built from the same pieces; its regime is
-asked of the summand-count verdict in ``invariants``, not recoded here.
+sums of elliptic surfaces are built from the same pieces.  It reads each
+side's one ``ConnectedSum``: its sorted parts and its summand-count verdict
+in ``invariants``, not recoded here.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ import operator
 from bisect import bisect_left
 from itertools import count
 from math import gcd, isqrt
-from typing import Sequence
+from typing import Iterable
 
 from ._record import record
-from .blocks import BuildingBlock, EllipticSurface, _catalogued, recognizable_set
+from .blocks import EllipticSurface, HomotopySphereLike, recognizable_set
 from .blocks import _LISTED, _odd_count, max_multiple
 from .errors import InvalidParameters, NotAnEllipticPattern, as_tuple, exact_int, shown
 from .invariants import connected_sum, nonvanishing_criteria
@@ -216,45 +217,26 @@ class DistinctionVerdict(enum.Enum):
     OUT_OF_REGIME = "out_of_regime"
 
 
-def _elliptic_parts(blocks: Sequence[BuildingBlock]) -> list[EllipticSurface] | None:
-    """Elliptic summands after dropping neutral blocks; None if anything else
-    appears."""
-    out: list[EllipticSurface] = []
-    for block in blocks:
-        _catalogued(block)  # raises UncataloguedBlock on aliens
-        if block.neutral:
-            continue
-        if block.tag != EllipticSurface.tag:
-            return None
-        out.append(block)
-    return out
-
-
-def _in_regime(parts: list[EllipticSurface]) -> bool:
-    """The summand-count verdict of the side is YES; an empty side is in regime."""
-    return not parts or nonvanishing_criteria(connected_sum(*parts)).verdict is TriState.YES
-
-
-def distinguish(
-    sum_a: Sequence[BuildingBlock], sum_b: Sequence[BuildingBlock]
-) -> DistinctionVerdict:
+def distinguish(sum_a: Iterable, sum_b: Iterable) -> DistinctionVerdict:
     """Decide whether two connected sums of elliptic surfaces are built from
     the same summands, which settles their diffeomorphism type.
 
-    Neutral blocks are dropped first.  The classification applies when the
-    summand-count verdict (``nonvanishing_criteria``) of at least one side is
-    YES, that is at most three odd-genus surfaces or exactly four with total
-    b+ congruent 4 mod 8; the other side may be any sum of elliptic surfaces.
-    Everything else is OUT_OF_REGIME.
+    A side is blocks or summands, as ``connected_sum`` takes them, and may be
+    empty.  Neutral summands are dropped first.  The classification applies
+    when the summand-count verdict (``nonvanishing_criteria``) of at least
+    one side is YES, that is at most three odd-genus surfaces or exactly four
+    with total b+ congruent 4 mod 8; the other side may be any sum of
+    elliptic surfaces.  Everything else is OUT_OF_REGIME.
     """
-    parts_a = _elliptic_parts(sum_a)
-    parts_b = _elliptic_parts(sum_b)
-    if parts_a is None or parts_b is None:
+    # one sum per side; an empty side is S^4, the unit of the sum
+    sums = [connected_sum(*(tuple(side) or (HomotopySphereLike(),))) for side in (sum_a, sum_b)]
+    bags = []
+    for csum in sums:
+        if csum._negdef or any(s.block.tag != EllipticSurface.tag for s in csum._ac):
+            return DistinctionVerdict.OUT_OF_REGIME
+        bags.append(sorted((s.block.p_g, s.block.m, s.block.n) for s in csum._ac))
+    if not any(nonvanishing_criteria(csum).verdict is TriState.YES for csum in sums):
         return DistinctionVerdict.OUT_OF_REGIME
-    if not (_in_regime(parts_a) or _in_regime(parts_b)):
-        return DistinctionVerdict.OUT_OF_REGIME
-    bag_a = sorted((b.p_g, b.m, b.n) for b in parts_a)
-    bag_b = sorted((b.p_g, b.m, b.n) for b in parts_b)
-    if bag_a == bag_b:
+    if bags[0] == bags[1]:
         return DistinctionVerdict.SAME_SUMMANDS
     return DistinctionVerdict.DIFFERENT_SUMMANDS

@@ -246,6 +246,7 @@ _writable = st.recursive(
 )
 
 
+@pytest.mark.deep
 @settings(suppress_health_check=[HealthCheck.too_slow])
 @given(_writable)
 def test_json_text_is_the_stdlib_indent_2_text(value):

@@ -1,12 +1,15 @@
 """Connected-sum engine: invariant classes, criteria, blowups, splittings."""
 
 import itertools
+import json
 import math
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from swstem import cli
 from swstem.blocks import (
     CANONICAL,
     K3,
@@ -448,15 +451,39 @@ summand_strategy = st.one_of(
 @st.composite
 def negative_definite_choice(draw):
     rank = draw(st.integers(0, 3))
-    coords = draw(st.none() | st.lists(odd_coordinate, min_size=rank, max_size=rank))
-    return NegativeDefinite(rank), None if coords is None else SpinC.from_coords(coords)
+    coords = st.lists(odd_coordinate, min_size=rank, max_size=rank).map(SpinC.from_coords)
+    # c^2 alone, without coordinates: characteristic at rank >= 1, and c = 0 alone at rank 0
+    bare = st.integers(0, 3).map(lambda k: SpinC(-rank - 8 * k))
+    return NegativeDefinite(rank), draw(st.none() | coords | bare)
 
 
+def _refusal_or(call):
+    """What ``call()`` returns, or the message of the InvalidParameters it raises."""
+    try:
+        return call()
+    except InvalidParameters as exc:
+        return str(exc)
+
+
+@pytest.mark.deep
 @given(st.lists(summand_strategy, min_size=1, max_size=5), negative_definite_choice())
 def test_blowup_agrees_with_summing_the_block(parts, choice):
     block, spin_c = choice
-    blown = blowup(invariant(connected_sum(*parts)), block, spin_c).invariant
-    assert blown == invariant(connected_sum(*parts, Summand(block, spin_c)))
+    blown = _refusal_or(lambda: blowup(invariant(connected_sum(*parts)), block, spin_c).invariant)
+    summed = _refusal_or(lambda: invariant(connected_sum(*parts, Summand(block, spin_c))))
+    assert blown == summed
+
+
+def test_a_rank_zero_block_takes_c_zero_alone():
+    inv = invariant(connected_sum(K3, K3))
+    refusal = "c^2 = -8 on a rank-0 block, whose only characteristic class is c = 0"
+    assert _refusal_or(lambda: blowup(inv, NegativeDefinite(0), SpinC(-8))) == refusal
+    assert _refusal_or(lambda: Summand(NegativeDefinite(0), SpinC(-8))) == refusal
+    for spin_c in (SpinC(0), SpinC.from_coords(())):
+        blown = blowup(inv, NegativeDefinite(0), spin_c)
+        assert blown.sw_preserved is TriState.YES
+        summed = invariant(connected_sum(K3, K3, Summand(NegativeDefinite(0), spin_c)))
+        assert blown.invariant == summed == inv
 
 
 @given(st.lists(summand_strategy, min_size=1, max_size=6))
@@ -478,6 +505,7 @@ no_gamma_summand = st.one_of(
 )
 
 
+@pytest.mark.deep
 @given(st.lists(no_gamma_summand, min_size=1, max_size=12))
 def test_the_counted_product_is_the_smash_of_the_contributions(parts):
     inv = invariant(connected_sum(*parts))
@@ -487,6 +515,7 @@ def test_the_counted_product_is_the_smash_of_the_contributions(parts):
     assert inv.nonequiv_class == smash_all(pieces)
 
 
+@pytest.mark.deep
 @given(st.lists(summand_strategy, min_size=1, max_size=12))
 def test_a_sum_sorts_its_summands_once_in_order(parts):
     csum = connected_sum(*parts)
@@ -509,18 +538,9 @@ def test_a_sum_sorts_its_summands_once_in_order(parts):
     assert ConnectedSum._record_fields == ("summands",)
 
 
-@pytest.mark.parametrize(
-    "parts",
-    [
-        (K3, SPHERE, Summand(E3, class_key=0), NegativeDefinite(2), SymplecticGeneric(5)),
-        (K3, K3, KaehlerGeneric(7, (0,)), SPHERE),
-        (Summand(E3, class_key=4), NegativeDefinite(0)),  # a lone almost complex summand
-        (SPHERE, NegativeDefinite(1)),
-    ],
-    ids=["mixed", "no-negdef", "lone", "no-almost-complex"],
-)
-def test_each_parity_is_read_once_per_summand(parts, monkeypatch):
-    summands = [p if isinstance(p, Summand) else Summand(p) for p in parts]
+@pytest.fixture
+def parity_reads(monkeypatch):
+    """The blocks whose ``sw_parity`` is read from here on, in order."""
     asked = []
     for kind in (EllipticSurface, SymplecticGeneric, KaehlerGeneric):
 
@@ -529,7 +549,36 @@ def test_each_parity_is_read_once_per_summand(parts, monkeypatch):
             return _read(block, class_key)
 
         monkeypatch.setattr(kind, "sw_parity", counted)
+    return asked
+
+
+# each case builds its summands, keyed ones too, once the reads are counted
+@pytest.mark.parametrize(
+    "parts",
+    [
+        lambda: (K3, SPHERE, Summand(E3, class_key=0), NegativeDefinite(2), SymplecticGeneric(5)),
+        lambda: (K3, K3, KaehlerGeneric(7, (0,)), SPHERE),
+        lambda: (Summand(E3, class_key=4), NegativeDefinite(0)),  # a lone almost complex summand
+        lambda: (SPHERE, NegativeDefinite(1)),
+    ],
+    ids=["mixed", "no-negdef", "lone", "no-almost-complex"],
+)
+def test_each_parity_is_read_once_per_summand(parts, parity_reads):
+    summands = [p if isinstance(p, Summand) else Summand(p) for p in parts()]
     csum = ConnectedSum(tuple(summands))
     invariant(csum)
     nonvanishing_criteria(csum)
-    assert asked == [s.block for s in summands if s.block.almost_complex]
+    # the lambda builds its keyed summands before the comprehension wraps the blocks
+    assert Counter(parity_reads) == Counter(s.block for s in summands if s.block.almost_complex)
+
+
+def test_each_parity_is_read_once_per_summand_of_two_files(tmp_path, parity_reads, capsys):
+    e3 = {"type": "elliptic", "p_g": 3, "m": 1, "n": 1}
+    e523 = {"type": "elliptic", "p_g": 5, "m": 2, "n": 3}
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    paths[0].write_text(json.dumps({"summands": [e3, {"type": "s4"}, e523]}))
+    paths[1].write_text(json.dumps({"summands": [e523, e3]}))
+    assert cli.main(["distinguish", *map(str, paths)]) == 0
+    assert capsys.readouterr().out == "verdict: same_summands\n"
+    # each file's almost complex summands, read as they are parsed; distinguish reads none
+    assert parity_reads == [E3, EllipticSurface(5, 2, 3), EllipticSurface(5, 2, 3), E3]

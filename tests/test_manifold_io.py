@@ -34,6 +34,9 @@ from swstem.manifold_io import (
     serialize_manifold,
 )
 
+# every test of the reader and writer also runs under the ci profile
+pytestmark = pytest.mark.deep
+
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 FULL_DOC = """

@@ -14,11 +14,15 @@ from swstem.blocks import (
     K3,
     EllipticSurface,
     HomotopySphereLike,
+    KaehlerGeneric,
+    NegativeDefinite,
     SymplecticGeneric,
     _recognizable,
     recognizable_set,
 )
 from swstem.errors import InvalidParameters, NotAnEllipticPattern, UncataloguedBlock
+from swstem.invariants import Summand, connected_sum, nonvanishing_criteria
+from swstem.lattice import SpinC
 from swstem.recognize import (
     DistinctionVerdict,
     Pattern,
@@ -27,6 +31,7 @@ from swstem.recognize import (
     recognize,
     recognize_oracle,
 )
+from swstem.stems import TriState
 
 # the package exports the function ``recognize`` under the module's name
 RECOGNIZE = importlib.import_module("swstem.recognize")
@@ -108,6 +113,7 @@ def test_a_listed_set_checked_in_full_is_itself_on_the_coprime_grid():
         assert Pattern(list(odd)).multiples == odd, (p_g, m, n)
 
 
+@pytest.mark.deep
 @given(
     st.tuples(st.integers(1, 300), st.integers(1, 12), st.integers(1, 12))
     .map(lambda t: (t[0], min(t[1:]), max(t[1:])))
@@ -427,3 +433,93 @@ def test_distinguish_out_of_regime():
         distinguish([SymplecticGeneric(3)], [K3])
         is DistinctionVerdict.OUT_OF_REGIME
     )
+
+
+def test_distinguish_refuses_an_alien_after_a_non_elliptic_block():
+    # a side is one sum, built whole: an alien anywhere in it is refused
+    with pytest.raises(UncataloguedBlock, match="not a catalogued building block"):
+        distinguish([SymplecticGeneric(3), object()], [K3])
+
+
+def test_distinguish_takes_summands_as_connected_sum_does():
+    assert distinguish([Summand(K3), Summand(E3, class_key=2)], [E3, K3]) is (
+        DistinctionVerdict.SAME_SUMMANDS
+    )
+    # at class 0, E(3) has even SW: the summand-count verdict of either side is NO
+    keyed = [Summand(E3, class_key=0)]
+    assert distinguish(keyed, keyed) is DistinctionVerdict.OUT_OF_REGIME
+
+
+def _reference_parts(side):
+    """Elliptic summands after dropping neutral ones; None if anything else
+    appears.  The reading of a side before it was one ``ConnectedSum``,
+    taking summands too."""
+    out = []
+    for part in side:
+        summand = part if isinstance(part, Summand) else Summand(part)
+        if summand.block.neutral:
+            continue
+        if summand.block.tag != EllipticSurface.tag:
+            return None
+        out.append(summand)
+    return out
+
+
+def _reference_in_regime(parts):
+    """The summand-count verdict of the side is YES; an empty side is in regime."""
+    return not parts or nonvanishing_criteria(connected_sum(*parts)).verdict is TriState.YES
+
+
+def reference_distinguish(sum_a, sum_b):
+    parts_a, parts_b = _reference_parts(sum_a), _reference_parts(sum_b)
+    if parts_a is None or parts_b is None:
+        return DistinctionVerdict.OUT_OF_REGIME
+    if not (_reference_in_regime(parts_a) or _reference_in_regime(parts_b)):
+        return DistinctionVerdict.OUT_OF_REGIME
+    bag_a, bag_b = (
+        sorted((s.block.p_g, s.block.m, s.block.n) for s in parts) for parts in (parts_a, parts_b)
+    )
+    if bag_a == bag_b:
+        return DistinctionVerdict.SAME_SUMMANDS
+    return DistinctionVerdict.DIFFERENT_SUMMANDS
+
+
+side_item = st.one_of(
+    st.just(K3),
+    # odd and even genus, p_g = 0 (no SW data) included
+    st.builds(
+        lambda p_g, mn: EllipticSurface(p_g, *mn),
+        st.integers(0, 6),
+        st.sampled_from([(1, 1), (1, 2), (2, 3)]),
+    ),
+    st.sampled_from([SymplecticGeneric(3), KaehlerGeneric(3), KaehlerGeneric(7, (0,))]),
+    st.builds(NegativeDefinite, st.integers(0, 2)),
+    st.just(HomotopySphereLike()),
+    st.sampled_from(
+        [
+            Summand(K3, class_key=0),
+            Summand(E3, class_key=0),  # even SW
+            Summand(E3, class_key=2),  # odd SW
+            Summand(NegativeDefinite(0), SpinC.from_coords(())),
+            Summand(NegativeDefinite(1), SpinC.from_coords((3,))),
+        ]
+    ),
+)
+sides = st.lists(side_item, max_size=4)
+
+
+@st.composite
+def side_pair(draw):
+    side_a = draw(sides)
+    # the other side is often a reordering, so that equal bags are drawn too
+    return side_a, draw(sides | st.permutations(side_a))
+
+
+@pytest.mark.deep
+@given(side_pair(), st.booleans(), st.booleans())
+def test_distinguish_answers_as_the_reference_does(pair, lazy_a, lazy_b):
+    sum_a, sum_b = pair
+    # a side may be any iterable: a generator, an empty one too, is read once
+    given_a = (part for part in sum_a) if lazy_a else sum_a
+    given_b = (part for part in sum_b) if lazy_b else sum_b
+    assert distinguish(given_a, given_b) is reference_distinguish(sum_a, sum_b)

@@ -5,6 +5,7 @@ compare exactly as their verdicts and rendered text do."""
 import ast
 from pathlib import Path
 
+import pytest
 from hypothesis import given, strategies as st
 
 from swstem import invariants
@@ -180,6 +181,7 @@ def _agree(x, y, answer: str) -> None:
         assert hash(x) == hash(y)
 
 
+@pytest.mark.deep
 @given(
     st.lists(_slot(), min_size=1, max_size=6),
     st.sampled_from(((2, 0), (2, 1), (4, 1), (4, 3))),
