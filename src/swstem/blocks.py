@@ -23,19 +23,21 @@ symmetric under negation with equal values for |SW| only.
 
 A lookup at one multiple inverts the key map in O(1) (``_genus_index``).
 Tables are built only for listing and recognition, in ascending key order
-by residue blocks (``_key_blocks``) with no sort, as two tuples: the keys,
-and values sliced from one binomial row; an odd-SW set builds no values.
-Every listing (a table, an odd-SW set, a fingerprint's sets) is admitted
-here, once, before it is built.  ``BasicClassTable.entries`` builds each
-(key, value) pair only when it is read.
+by residue blocks (``_residue_masks``) with no sort, as two tuples held in
+``_TABLES``: the keys, and values from one binomial row.  An odd-SW set
+builds no values and walks only the odd rows' blocks, sliced off a held
+table's key column (sharing its int objects) or else their ranges.  Every
+listing (a table, an odd-SW set, a fingerprint's sets) is admitted here,
+once, before it is built.  ``BasicClassTable.entries`` builds each (key,
+value) pair only when it is read.
 """
 
 from __future__ import annotations
 
 import enum
 from collections.abc import Sequence
-from functools import lru_cache, partial
-from itertools import chain, compress, islice, repeat
+from functools import lru_cache
+from itertools import chain, compress, repeat
 from math import comb, gcd
 from typing import Union
 
@@ -391,59 +393,59 @@ def _abs_sw(p_g: int, m: int, n: int, key: int) -> int:
     return 0 if a is None else comb(p_g - 1, a)
 
 
-def _key_blocks(p_g: int, m: int, n: int, rows, value):
-    """The listing in ascending key order, as (keys, values) runs, one per
-    block: an iterable of keys and an iterator yielding at least as many values.
+def _residue_masks(m: int, n: int):
+    """How a residue block of the listing splits between two rows.
 
     For coprime m, n each residue t mod mn has exactly one s = b*n + c*m
     (b < m, c < n), and s is t or t + mn (CRT; h[t] = 0 or 1).  So r = a*mn + s
     sits in block j = a + h[t] at position t, and the key top - 2r ascends as
-    (j, t) descends.  ``rows`` are the wanted a, descending; ``value(a)``,
-    asked for 0 <= a <= p_g only, is row a's value, falsy for a row left out.
-    A block with two distinct values fills them in by the slices that build h;
-    one with a single value, or two equal ones (odd sets'), repeats it.
+    (j, t) descends: block j is the keys from top - 2(j*mn + mn - 1) up in
+    steps of 2, its position i holding t = mn - 1 - i.  Returns ``wraps``,
+    the slices of t where h[t] = 1 with their lengths, and the masks of the
+    positions of row j - 1 (``high``, h = 1) and of row j (``low``, h = 0).
     """
-    mn = m * n
     # the c >= ceil((m - b) n / m) wrap past mn: h[t] = 1 on these slices
     wraps = [(slice(b * n % m, b * n, m), b * n // m) for b in range(1, m)]
-    h = bytearray(mn)
+    h = bytearray(m * n)
     for span, count in wraps:
         h[span] = b"\x01" * count
-    high = h[::-1]  # block position i holds t = mn - 1 - i
-    low = high.translate(bytes.maketrans(b"\0\1", b"\1\0"))
-    top = max_multiple(p_g, m, n)
-    last = None
-    for a in rows:
-        for j in (a,) if a + 1 == last else (a + 1, a):
-            start = top - 2 * (j * mn + mn - 1)
-            keys = range(start, start + 2 * mn, 2)
-            v_low, v_high = value(j), j and value(j - 1)
-            if not v_low:
-                yield compress(keys, high), repeat(v_high)
-            elif not v_high:
-                yield compress(keys, low), repeat(v_low)
-            elif v_low == v_high:
-                yield keys, repeat(v_low)
-            else:
-                values = [v_low] * mn
-                for span, count in wraps:
-                    values[span] = [v_high] * count
-                yield keys, reversed(values)
-        last = a
+    high = h[::-1]
+    return wraps, high, high.translate(bytes.maketrans(b"\0\1", b"\1\0"))
 
 
-@lru_cache(maxsize=None)
+#: every table ``_table_columns`` built, by triple, unbounded; ``_recognizable``
+#: reads the keys of a held table instead of building its own
+_TABLES: dict[tuple[int, int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+
+
 def _table_columns(p_g: int, m: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    row = [1]  # binomial(p_g - 1, a) for 0 <= a <= p_g, each exact from the last
-    for a in range(p_g):
+    """The table's columns, built once and held in ``_TABLES``, by blocks p_g
+    down to 0: block p_g holds row p_g - 1 at its high positions only, block
+    0 row 0 at its low positions only, and each block between all mn."""
+    held = _TABLES.get((p_g, m, n))
+    if held is not None:
+        return held
+    row = [1]  # binomial(p_g - 1, a) for 0 <= a < p_g, each exact from the last
+    for a in range(p_g - 1):
         row.append(row[-1] * (p_g - 1 - a) // (a + 1))
+    wraps, high, low = _residue_masks(m, n)
+    mn, top = m * n, max_multiple(p_g, m, n)
     keys: list[int] = []
     values: list[int] = []
-    for run_keys, run_values in _key_blocks(p_g, m, n, range(p_g - 1, -1, -1), row.__getitem__):
-        start = len(keys)
-        keys.extend(run_keys)
-        values.extend(islice(run_values, len(keys) - start))
-    return tuple(keys), tuple(values)
+    for j in range(p_g, -1, -1):
+        start = top - 2 * (j * mn + mn - 1)
+        block = range(start, start + 2 * mn, 2)
+        if j == p_g or j == 0:  # the two ends of the row, each 1
+            keys.extend(compress(block, high if j else low))
+            values.extend(repeat(1, len(keys) - len(values)))
+            continue
+        keys.extend(block)
+        run = [row[j]] * mn  # row j - 1 where h = 1
+        for span, count in wraps:
+            run[span] = [row[j - 1]] * count
+        values.extend(reversed(run))
+    held = _TABLES[p_g, m, n] = tuple(keys), tuple(values)
+    return held
 
 
 class _Pairs(Sequence):
@@ -539,8 +541,30 @@ _LISTED: dict[int, tuple[int, ...]] = {}
 
 @lru_cache(maxsize=None)
 def _recognizable(p_g: int, m: int, n: int) -> tuple[int, ...]:
-    blocks = _key_blocks(p_g, m, n, _submasks(p_g - 1), partial(odd_binomial, p_g - 1))
-    odd = tuple(chain.from_iterable(keys for keys, _ in blocks))
+    """The odd-SW set, by the blocks of the odd rows (``_submasks``): each
+    block's keys are sliced off a held table's key column, whose int objects
+    the set shares, or are the block's range; a row's mask selects them."""
+    _, high, low = _residue_masks(m, n)
+    mn, top, held = m * n, max_multiple(p_g, m, n), _TABLES.get((p_g, m, n))
+    if held is not None:
+        column, edge = held[0], high.count(1)  # block p_g's length in the table
+    runs = []
+    last = None
+    for a in _submasks(p_g - 1):  # row a lies in blocks a + 1 and a
+        for j in (a,) if a + 1 == last else (a + 1, a):  # block a + 1 came with row a + 1
+            if held is None:
+                start = top - 2 * (j * mn + mn - 1)
+                keys = range(start, start + 2 * mn, 2)
+            else:
+                end = edge + (p_g - j) * mn
+                keys = column[max(end - mn, 0):end]
+                if j == p_g or j == 0:  # the table holds only the odd row of these
+                    runs.append(keys)
+                    continue
+            odd_low, odd_high = odd_binomial(p_g - 1, j), odd_binomial(p_g - 1, j - 1)
+            runs.append(keys if odd_low and odd_high else compress(keys, low if odd_low else high))
+        last = a
+    odd = tuple(chain.from_iterable(runs))
     _LISTED[id(odd)] = odd
     return odd
 

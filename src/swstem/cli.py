@@ -24,6 +24,7 @@ from json.encoder import encode_basestring
 from .blocks import NegativeDefinite, basic_class_table, recognizable_set
 from .errors import SwStemError
 from .invariants import (
+    ConnectedSum,
     InvariantClass,
     SplitQuery,
     blowup,
@@ -167,17 +168,17 @@ def _cmd_split_check(args):
     return payload, [f"verdict: {kind}"], verdict.trace
 
 
-def _summands_of(path: str) -> tuple:
-    """The summands of a manifold file; a parse or semantic error names the file
-    (an OSError names it already)."""
+def _sum_of(path: str) -> ConnectedSum:
+    """The connected sum of a manifold file; a parse or semantic error names the
+    file (an OSError names it already)."""
     try:
-        return load_manifold(path).summands
+        return load_manifold(path).to_connected_sum()
     except SwStemError as exc:
         raise SwStemError(f"{path}: {exc}") from exc
 
 
 def _cmd_distinguish(args):
-    verdict = distinguish(_summands_of(args.file_a), _summands_of(args.file_b)).value
+    verdict = distinguish(_sum_of(args.file_a), _sum_of(args.file_b)).value
     return {"verdict": verdict}, [f"verdict: {verdict}"], ()
 
 
@@ -277,13 +278,20 @@ _SUBCOMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = frozenset(name for name, *_ in _SUBCOMMANDS)
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the subcommand ``only`` alone: each
+    subcommand's help and usage errors read the same under both."""
     parser = argparse.ArgumentParser(
         prog="swstem",
         description="Exact invariant arithmetic for connected sums of 4-manifolds.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     for name, help_text, command, arguments, traced in _SUBCOMMANDS:
+        if only is not None and name != only:
+            continue
         p = sub.add_parser(name, help=help_text)
         for flag, options in arguments:
             p.add_argument(flag, **options)
@@ -316,15 +324,19 @@ def _json_text(value, _newline: str = "\n") -> str:
     return encode_basestring(value) if type(value) is str else int.__repr__(value)
 
 
-# one parser per process: parsing leaves it unchanged, and argparse reads
-# COLUMNS anew each time it formats a usage or error message
+# one parser per process and invoked subcommand: parsing leaves it unchanged,
+# and argparse reads COLUMNS anew each time it formats a usage or error message
 _parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _parser().parse_args(_normalize_argv(list(argv)))
+    argv = list(argv)
+    # a named subcommand needs no other; anything else (help, an unknown
+    # command, none) is answered by the parser of all nine
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _parser(only).parse_args(_normalize_argv(argv))
     try:
         payload, lines, trace = args.func(args)
         if args.json:

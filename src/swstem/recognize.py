@@ -24,7 +24,7 @@ from ._record import record
 from .blocks import EllipticSurface, HomotopySphereLike, recognizable_set
 from .blocks import _LISTED, _odd_count, max_multiple
 from .errors import InvalidParameters, NotAnEllipticPattern, as_tuple, exact_int, shown
-from .invariants import connected_sum, nonvanishing_criteria
+from .invariants import ConnectedSum, connected_sum, nonvanishing_criteria
 from .stems import TriState
 
 
@@ -217,19 +217,26 @@ class DistinctionVerdict(enum.Enum):
     OUT_OF_REGIME = "out_of_regime"
 
 
-def distinguish(sum_a: Iterable, sum_b: Iterable) -> DistinctionVerdict:
+def distinguish(
+    sum_a: ConnectedSum | Iterable, sum_b: ConnectedSum | Iterable
+) -> DistinctionVerdict:
     """Decide whether two connected sums of elliptic surfaces are built from
     the same summands, which settles their diffeomorphism type.
 
-    A side is blocks or summands, as ``connected_sum`` takes them, and may be
-    empty.  Neutral summands are dropped first.  The classification applies
-    when the summand-count verdict (``nonvanishing_criteria``) of at least
-    one side is YES, that is at most three odd-genus surfaces or exactly four
-    with total b+ congruent 4 mod 8; the other side may be any sum of
-    elliptic surfaces.  Everything else is OUT_OF_REGIME.
+    A side is a ``ConnectedSum``, read as it stands, or blocks or summands,
+    as ``connected_sum`` takes them, and may be empty.  Neutral summands are
+    dropped first.  The classification applies when the summand-count
+    verdict (``nonvanishing_criteria``) of at least one side is YES, that is
+    at most three odd-genus surfaces or exactly four with total b+
+    congruent 4 mod 8; the other side may be any sum of elliptic surfaces.
+    Everything else is OUT_OF_REGIME.
     """
     # one sum per side; an empty side is S^4, the unit of the sum
-    sums = [connected_sum(*(tuple(side) or (HomotopySphereLike(),))) for side in (sum_a, sum_b)]
+    sums = [
+        side if isinstance(side, ConnectedSum)
+        else connected_sum(*(tuple(side) or (HomotopySphereLike(),)))
+        for side in (sum_a, sum_b)
+    ]
     bags = []
     for csum in sums:
         if csum._negdef or any(s.block.tag != EllipticSurface.tag for s in csum._ac):

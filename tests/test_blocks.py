@@ -123,10 +123,39 @@ def test_the_values_at_m_n_1_are_the_binomial_row():
         assert _table_columns(p_g, 1, 1)[1] == row
 
 
-def test_recognizable_is_odd_fragment_of_table():
-    for p_g, m, n in coprime_grid():
-        odd = tuple(k for k, v in basic_class_table(p_g, m, n).entries if v % 2)
-        assert recognizable_set(p_g, m, n) == odd
+@pytest.fixture
+def emptied(monkeypatch):
+    """Empties the held tables and the cached odd-SW sets now and whenever
+    called; the tables held before the test are held again after it."""
+    monkeypatch.setattr(blocks, "_TABLES", {})
+
+    def empty():
+        blocks._TABLES.clear()
+        blocks._recognizable.cache_clear()
+
+    empty()
+    yield empty
+    blocks._recognizable.cache_clear()  # its sets may hold keys of the tables dropped
+
+
+def odd_sets(triples, empty):
+    """(p_g, m, n, its odd-SW set) for each triple, read off the table
+    built just before it (held) and, after ``empty``, walked from ranges with
+    no table held."""
+    triples = list(triples)
+    for held in (True, False):
+        empty()
+        for p_g, m, n in triples:
+            if held:
+                basic_class_table(p_g, m, n)
+            odd = recognizable_set(p_g, m, n)
+            assert ((p_g, m, n) in blocks._TABLES) is held
+            yield p_g, m, n, odd
+
+
+def test_recognizable_is_odd_fragment_of_table(emptied):
+    for p_g, m, n, odd in odd_sets(coprime_grid(), emptied):
+        assert odd == tuple(k for k, v in basic_class_table(p_g, m, n).entries if v % 2)
 
 
 #: wide m, and m = 1 with a long row; (2, 29, 31) has two equal values in
@@ -134,22 +163,31 @@ def test_recognizable_is_odd_fragment_of_table():
 WIDE_TRIPLES = ((1, 89, 90), (3, 40, 41), (5, 30, 59), (2, 29, 31), (13, 1, 600))
 
 
-def test_listings_match_a_dict_and_sort_enumeration():
-    # both listings against every (a, b, c) keyed into a dict, then sorted
-    for p_g, m, n in (*coprime_grid(17, 11), *WIDE_TRIPLES):
+def test_listings_match_a_dict_and_sort_enumeration(emptied):
+    # both listings against every (a, b, c) keyed into a dict, then sorted; the
+    # grid holds m = 1 and even p_g, whose odd rows are adjacent: a block
+    # between two of them is taken whole
+    for p_g, m, n, odd in odd_sets((*coprime_grid(17, 11), *WIDE_TRIPLES), emptied):
         expected = tuple(sorted(table_oracle(p_g, m, n).items()))
         assert basic_class_table(p_g, m, n).entries == expected
-        odd = recognizable_set(p_g, m, n)
         assert odd == tuple(k for k, v in expected if v % 2)
         assert len(odd) == 2 ** bin(p_g - 1).count("1") * m * n
 
 
+def test_an_odd_set_of_a_held_table_holds_the_table_keys(emptied):
+    for p_g, m, n in (*coprime_grid(), *WIDE_TRIPLES):
+        keys = {key: key for key in basic_class_table(p_g, m, n).keys}
+        assert all(key is keys[key] for key in recognizable_set(p_g, m, n))
+
+
 def test_recognizable_set_walks_only_the_odd_rows():
     # row 2**80 has two odd entries: the set is (-2**80, 2**80), built at once
+    tables = dict(blocks._TABLES)
     start = time.perf_counter()
     assert recognizable_set(2**80 + 1, 1, 1) == (-(2**80), 2**80)
     assert recognizable_set(2**80 + 1, 2, 3)[-1] == max_multiple(2**80 + 1, 2, 3)
     assert time.perf_counter() - start < 0.1
+    assert blocks._TABLES == tables  # and builds no table
 
 
 def test_table_structure_on_grid():

@@ -290,6 +290,24 @@ def test_usage_errors_exit_two():
     run_cli("invariant", expect=2)  # missing file
 
 
+def _parsed(parser, argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        parser.parse_args(argv)
+    return (stop.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+def test_a_parser_of_one_subcommand_reads_as_the_full_one(name, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    alone, full = cli.build_parser(name), cli.build_parser()
+    # its help, and the usage error of a missing argument (every subcommand takes one)
+    for argv in ([name, "-h"], [name]):
+        assert _parsed(alone, argv, capsys) == _parsed(full, argv, capsys)
+    assert _parsed(full, [name], capsys)[0] == 2
+    other = min(cli._COMMANDS - {name})
+    assert "invalid choice" in _parsed(alone, [other], capsys)[2]
+
+
 def test_domain_errors_exit_one():
     run_cli("basic-classes", "--pg", "0", "--m", "1", "--n", "1", expect=1)
     run_cli("recognize", "--classes", "1,2", expect=1)

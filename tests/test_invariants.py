@@ -582,3 +582,21 @@ def test_each_parity_is_read_once_per_summand_of_two_files(tmp_path, parity_read
     assert capsys.readouterr().out == "verdict: same_summands\n"
     # each file's almost complex summands, read as they are parsed; distinguish reads none
     assert parity_reads == [E3, EllipticSurface(5, 2, 3), EllipticSurface(5, 2, 3), E3]
+
+
+def test_each_file_of_two_is_summed_once(tmp_path, monkeypatch, capsys):
+    built = []
+    check = ConnectedSum.__post_init__
+
+    def counted(csum):
+        built.append(csum)
+        check(csum)
+
+    monkeypatch.setattr(ConnectedSum, "__post_init__", counted)
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    paths[0].write_text(json.dumps({"summands": [{"type": "k3"}, {"type": "s4"}]}))
+    paths[1].write_text(json.dumps({"summands": [{"type": "elliptic", "p_g": 3, "m": 1, "n": 1}]}))
+    assert cli.main(["distinguish", *map(str, paths)]) == 0
+    assert capsys.readouterr().out == "verdict: different_summands\n"
+    # the sum each file's check built is the one distinguish reads
+    assert len(built) == 2

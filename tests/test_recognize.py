@@ -515,11 +515,22 @@ def side_pair(draw):
     return side_a, draw(sides | st.permutations(side_a))
 
 
+def _given_as(side, form):
+    """A side as a list, a generator (read once, an empty one too) or its
+    ``ConnectedSum`` (an empty side is S^4, the unit of the sum)."""
+    if form == "generator":
+        return (part for part in side)
+    if form == "sum":
+        return connected_sum(*(side or [HomotopySphereLike()]))
+    return side
+
+
+side_form = st.sampled_from(("list", "generator", "sum"))
+
+
 @pytest.mark.deep
-@given(side_pair(), st.booleans(), st.booleans())
-def test_distinguish_answers_as_the_reference_does(pair, lazy_a, lazy_b):
+@given(side_pair(), side_form, side_form)
+def test_distinguish_answers_as_the_reference_does(pair, form_a, form_b):
     sum_a, sum_b = pair
-    # a side may be any iterable: a generator, an empty one too, is read once
-    given_a = (part for part in sum_a) if lazy_a else sum_a
-    given_b = (part for part in sum_b) if lazy_b else sum_b
+    given_a, given_b = _given_as(sum_a, form_a), _given_as(sum_b, form_b)
     assert distinguish(given_a, given_b) is reference_distinguish(sum_a, sum_b)
