@@ -23,13 +23,14 @@ symmetric under negation with equal values for |SW| only.
 
 A lookup at one multiple inverts the key map in O(1) (``_genus_index``).
 Tables are built only for listing and recognition, in ascending key order
-by residue blocks (``_residue_masks``) with no sort, as two tuples held in
-``_TABLES``: the keys, and values from one binomial row.  An odd-SW set
-builds no values and walks only the odd rows' blocks, sliced off a held
-table's key column (sharing its int objects) or else their ranges.  Every
-listing (a table, an odd-SW set, a fingerprint's sets) is admitted here,
-once, before it is built.  ``BasicClassTable.entries`` builds each (key,
-value) pair only when it is read.
+by residue blocks (``_residue_masks``) with no sort, each held in ``_TABLES``
+as one ``BasicClassTable`` of two tuples: the keys, and values from one
+binomial row.  An odd-SW set builds no values and walks only the odd rows'
+blocks, sliced off a held table's key column (sharing its int objects) or
+else their ranges.  A table and an odd-SW set are each admitted here before
+they are built; a fingerprint's sets together first (``odd_class_sets``),
+then each elliptic set again as it is built.  ``BasicClassTable.entries``
+builds each (key, value) pair only when it is read.
 """
 
 from __future__ import annotations
@@ -413,13 +414,13 @@ def _residue_masks(m: int, n: int):
     return wraps, high, high.translate(bytes.maketrans(b"\0\1", b"\1\0"))
 
 
-#: every table ``_table_columns`` built, by triple, unbounded; ``_recognizable``
+#: every table ``_table`` built, by triple, unbounded; ``_recognizable``
 #: reads the keys of a held table instead of building its own
-_TABLES: dict[tuple[int, int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+_TABLES: dict[tuple[int, int, int], BasicClassTable] = {}
 
 
-def _table_columns(p_g: int, m: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The table's columns, built once and held in ``_TABLES``, by blocks p_g
+def _table(p_g: int, m: int, n: int) -> BasicClassTable:
+    """The table, built once and held in ``_TABLES``; its columns by blocks p_g
     down to 0: block p_g holds row p_g - 1 at its high positions only, block
     0 row 0 at its low positions only, and each block between all mn."""
     held = _TABLES.get((p_g, m, n))
@@ -444,7 +445,7 @@ def _table_columns(p_g: int, m: int, n: int) -> tuple[tuple[int, ...], tuple[int
         for span, count in wraps:
             run[span] = [row[j - 1]] * count
         values.extend(reversed(run))
-    held = _TABLES[p_g, m, n] = tuple(keys), tuple(values)
+    held = _TABLES[p_g, m, n] = BasicClassTable(p_g, m, n, tuple(keys), tuple(values))
     return held
 
 
@@ -522,7 +523,7 @@ def basic_class_table(p_g: int, m: int, n: int) -> BasicClassTable:
     size = p_g * m * n
     bits = size * (max_multiple(p_g, m, n).bit_length() + p_g)
     _admit(size, bits, "the table", "keys and values")
-    return BasicClassTable(p_g, m, n, *_table_columns(p_g, m, n))
+    return _table(p_g, m, n)
 
 
 def _submasks(x: int):
@@ -547,7 +548,7 @@ def _recognizable(p_g: int, m: int, n: int) -> tuple[int, ...]:
     _, high, low = _residue_masks(m, n)
     mn, top, held = m * n, max_multiple(p_g, m, n), _TABLES.get((p_g, m, n))
     if held is not None:
-        column, edge = held[0], high.count(1)  # block p_g's length in the table
+        column, edge = held.keys, high.count(1)  # block p_g's length in the table
     runs = []
     last = None
     for a in _submasks(p_g - 1):  # row a lies in blocks a + 1 and a

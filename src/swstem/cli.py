@@ -28,6 +28,7 @@ from .invariants import (
     InvariantClass,
     SplitQuery,
     blowup,
+    distinguish,
     invariant,
     nonvanishing_criteria,
     odd_basic_fingerprint,
@@ -35,7 +36,7 @@ from .invariants import (
 )
 from .lattice import SpinC
 from .manifold_io import load_manifold
-from .recognize import Pattern, distinguish, recognize, recognize_oracle
+from .recognize import Pattern, recognize, recognize_oracle
 
 # flags whose value may start with "-"; argparse reads a bare "-2,2" as an
 # option, so `--classes -2,2` must become `--classes=-2,2` before parsing

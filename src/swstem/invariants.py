@@ -17,7 +17,8 @@ two or three almost complex summands the class is nonzero iff every summand
 has b+ congruent 3 mod 4 with odd SW; for four summands the total b+ must
 additionally be congruent 4 mod 8; five or more summands always vanish.
 Sums with no almost complex part restrict with degree one to the fixed locus
-and can never vanish equivariantly.
+and can never vanish equivariantly.  ``distinguish`` reads this verdict and
+each side's sorted summands to tell two sums of elliptic surfaces apart.
 
 Each summand's SW parity is read once, by the summand's own check, and a sum
 is sorted once, when it is built, reading those; ``invariant`` and
@@ -38,9 +39,11 @@ them.
 from __future__ import annotations
 
 import enum
+from typing import Iterable
 
 from ._record import record
-from .blocks import _EVEN, _ODD, BuildingBlock, NegativeDefinite, _catalogued, odd_class_sets
+from .blocks import _EVEN, _ODD, BuildingBlock, EllipticSurface, HomotopySphereLike
+from .blocks import NegativeDefinite, _catalogued, odd_class_sets
 from .errors import InvalidParameters, PositiveIndexOnNegativeDefinite, PreconditionNotMet, shown
 from .lattice import SpinC, dirac_index, expected_dimension
 from .stems import StemElement, StemKind, TriState, hopf_power, smash_degree_one, unknown, zero
@@ -699,3 +702,42 @@ def odd_basic_fingerprint(csum: ConnectedSum) -> tuple[tuple[int, ...], ...]:
     the listing bounds together are refused unbuilt (``odd_class_sets``).
     """
     return tuple(sorted(odd_class_sets(s.block for s in csum.summands)))
+
+
+class DistinctionVerdict(enum.Enum):
+    SAME_SUMMANDS = "same_summands"
+    DIFFERENT_SUMMANDS = "different_summands"
+    OUT_OF_REGIME = "out_of_regime"
+
+
+def distinguish(
+    sum_a: ConnectedSum | Iterable, sum_b: ConnectedSum | Iterable
+) -> DistinctionVerdict:
+    """Decide whether two connected sums of elliptic surfaces are built from
+    the same summands, which settles their diffeomorphism type.
+
+    A side is a ``ConnectedSum``, read as it stands, or blocks or summands,
+    as ``connected_sum`` takes them, and may be empty.  Neutral summands are
+    dropped first.  The classification applies when the summand-count
+    verdict (``nonvanishing_criteria``'s) of at least one side is YES, that is
+    at most three odd-genus surfaces or exactly four with total b+
+    congruent 4 mod 8; the other side may be any sum of elliptic surfaces.
+    Everything else is OUT_OF_REGIME.
+    """
+    # one sum per side; an empty side is S^4, the unit of the sum
+    sums = [
+        side if isinstance(side, ConnectedSum)
+        else connected_sum(*(tuple(side) or (HomotopySphereLike(),)))
+        for side in (sum_a, sum_b)
+    ]
+    bags = []
+    for csum in sums:
+        if csum._negdef or any(s.block.tag != EllipticSurface.tag for s in csum._ac):
+            return DistinctionVerdict.OUT_OF_REGIME
+        bags.append(sorted((s.block.p_g, s.block.m, s.block.n) for s in csum._ac))
+    # no side has a negative definite part: this is nonvanishing_criteria's verdict
+    if not any(_criteria(csum._digest, []) is _YES for csum in sums):
+        return DistinctionVerdict.OUT_OF_REGIME
+    if bags[0] == bags[1]:
+        return DistinctionVerdict.SAME_SUMMANDS
+    return DistinctionVerdict.DIFFERENT_SUMMANDS

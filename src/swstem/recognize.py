@@ -4,28 +4,19 @@ Every simply connected minimal elliptic surface E(p_g; m, n) with odd p_g
 leaves a fingerprint: the set of fiber multiples carrying odd SW values.
 ``recognize`` inverts that map using only integer arithmetic on the pattern;
 ``recognize_oracle`` does the same by enumeration of the triples whose odd
-count matches and is the cross-check used in the test suite.  ``distinguish``
-applies the resulting classification to decide whether two small connected
-sums of elliptic surfaces are built from the same pieces.  It reads each
-side's one ``ConnectedSum``: its sorted parts and its summand-count verdict
-in ``invariants``, not recoded here.
+count matches and is the cross-check used in the test suite.
 """
 
 from __future__ import annotations
 
-import enum
 import operator
 from bisect import bisect_left
 from itertools import count
 from math import gcd, isqrt
-from typing import Iterable
 
 from ._record import record
-from .blocks import EllipticSurface, HomotopySphereLike, recognizable_set
-from .blocks import _LISTED, _odd_count, max_multiple
+from .blocks import _LISTED, _odd_count, max_multiple, recognizable_set
 from .errors import InvalidParameters, NotAnEllipticPattern, as_tuple, exact_int, shown
-from .invariants import ConnectedSum, connected_sum, nonvanishing_criteria
-from .stems import TriState
 
 
 @record
@@ -209,41 +200,3 @@ def recognize_oracle(
             if _same(recognizable_set(p_g, m, n), pattern):
                 matches.append((p_g, m, n))
     return tuple(sorted(matches))
-
-
-class DistinctionVerdict(enum.Enum):
-    SAME_SUMMANDS = "same_summands"
-    DIFFERENT_SUMMANDS = "different_summands"
-    OUT_OF_REGIME = "out_of_regime"
-
-
-def distinguish(
-    sum_a: ConnectedSum | Iterable, sum_b: ConnectedSum | Iterable
-) -> DistinctionVerdict:
-    """Decide whether two connected sums of elliptic surfaces are built from
-    the same summands, which settles their diffeomorphism type.
-
-    A side is a ``ConnectedSum``, read as it stands, or blocks or summands,
-    as ``connected_sum`` takes them, and may be empty.  Neutral summands are
-    dropped first.  The classification applies when the summand-count
-    verdict (``nonvanishing_criteria``) of at least one side is YES, that is
-    at most three odd-genus surfaces or exactly four with total b+
-    congruent 4 mod 8; the other side may be any sum of elliptic surfaces.
-    Everything else is OUT_OF_REGIME.
-    """
-    # one sum per side; an empty side is S^4, the unit of the sum
-    sums = [
-        side if isinstance(side, ConnectedSum)
-        else connected_sum(*(tuple(side) or (HomotopySphereLike(),)))
-        for side in (sum_a, sum_b)
-    ]
-    bags = []
-    for csum in sums:
-        if csum._negdef or any(s.block.tag != EllipticSurface.tag for s in csum._ac):
-            return DistinctionVerdict.OUT_OF_REGIME
-        bags.append(sorted((s.block.p_g, s.block.m, s.block.n) for s in csum._ac))
-    if not any(nonvanishing_criteria(csum).verdict is TriState.YES for csum in sums):
-        return DistinctionVerdict.OUT_OF_REGIME
-    if bags[0] == bags[1]:
-        return DistinctionVerdict.SAME_SUMMANDS
-    return DistinctionVerdict.DIFFERENT_SUMMANDS

@@ -20,7 +20,7 @@ from swstem.blocks import (
     Parity,
     SymplecticGeneric,
     _odd_count,
-    _table_columns,
+    _table,
     basic_class_table,
     max_multiple,
     odd_binomial,
@@ -120,22 +120,40 @@ def test_the_values_at_m_n_1_are_the_binomial_row():
     # each value is one exact step from the last along row p_g - 1
     for p_g in range(1, 80):
         row = tuple(math.comb(p_g - 1, a) for a in range(p_g - 1, -1, -1))
-        assert _table_columns(p_g, 1, 1)[1] == row
+        assert _table(p_g, 1, 1).values == row
+
+
+def test_a_repeated_table_is_the_held_record(emptied, monkeypatch):
+    checked = []
+    check = BasicClassTable.__post_init__
+
+    def counted(table):
+        checked.append((table.p_g, table.m, table.n))
+        check(table)
+
+    monkeypatch.setattr(BasicClassTable, "__post_init__", counted)
+    first = basic_class_table(5, 2, 3)
+    assert basic_class_table(5, 2, 3) is first and blocks._TABLES[5, 2, 3] is first
+    assert checked == [(5, 2, 3)]
 
 
 @pytest.fixture
 def emptied(monkeypatch):
-    """Empties the held tables and the cached odd-SW sets now and whenever
-    called; the tables held before the test are held again after it."""
+    """Empties the held tables, the cached odd-SW sets and their listing now
+    and whenever called; the tables held before the test are held again
+    after it."""
     monkeypatch.setattr(blocks, "_TABLES", {})
 
     def empty():
         blocks._TABLES.clear()
         blocks._recognizable.cache_clear()
+        blocks._LISTED.clear()
 
     empty()
     yield empty
-    blocks._recognizable.cache_clear()  # its sets may hold keys of the tables dropped
+    # its sets may hold keys of the tables dropped, and the listing holds its sets
+    blocks._recognizable.cache_clear()
+    blocks._LISTED.clear()
 
 
 def odd_sets(triples, empty):

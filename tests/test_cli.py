@@ -331,7 +331,7 @@ def unbuilt(*triple):
     ids=["table-just-over", "table-huge", "odd-set-over", "odd-set-huge"],
 )
 def test_listings_over_the_limit_are_refused_unbuilt(argv, monkeypatch, capsys):
-    monkeypatch.setattr(blocks, "_table_columns", unbuilt)
+    monkeypatch.setattr(blocks, "_table", unbuilt)
     monkeypatch.setattr(blocks, "_recognizable", unbuilt)
     assert cli.main(list(argv)) == 1
     out, err = capsys.readouterr()
@@ -347,7 +347,7 @@ _BUDGET_EDGE = 11_306
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
 def test_a_table_one_past_the_budget_is_refused_unbuilt(json_flag, monkeypatch, capsys):
-    monkeypatch.setattr(blocks, "_table_columns", unbuilt)
+    monkeypatch.setattr(blocks, "_table", unbuilt)
     argv = ["basic-classes", "--pg", str(_BUDGET_EDGE + 1), "--m", "1", "--n", "1", *json_flag]
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()
@@ -360,11 +360,11 @@ def test_a_table_one_past_the_budget_is_refused_unbuilt(json_flag, monkeypatch, 
 def test_a_table_at_the_budget_is_built(monkeypatch, capsys):
     built = []
 
-    def stub(*triple):  # columns of the table's length, one entry repeated
+    def stub(*triple):  # a table of the right length, one entry repeated
         built.append(triple)
-        return (0,) * _BUDGET_EDGE, (1,) * _BUDGET_EDGE
+        return blocks.BasicClassTable(*triple, (0,) * _BUDGET_EDGE, (1,) * _BUDGET_EDGE)
 
-    monkeypatch.setattr(blocks, "_table_columns", stub)
+    monkeypatch.setattr(blocks, "_table", stub)
     argv = ["basic-classes", "--pg", str(_BUDGET_EDGE), "--m", "1", "--n", "1"]
     assert cli.main(argv) == 0
     assert built == [(_BUDGET_EDGE, 1, 1)]
@@ -453,7 +453,7 @@ _REFUSED_LISTINGS = {
 
 @pytest.mark.parametrize("case", _REFUSED_LISTINGS)
 def test_the_library_refuses_what_the_command_line_refuses(case, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(blocks, "_table_columns", unbuilt)
+    monkeypatch.setattr(blocks, "_table", unbuilt)
     monkeypatch.setattr(blocks, "_recognizable", unbuilt)
     command, triples, call = _REFUSED_LISTINGS[case]
     if command == "fingerprint":

@@ -1,0 +1,60 @@
+"""The package's module graph, read from the source with ``ast``."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import swstem
+from swstem import invariants
+
+SOURCE = Path(swstem.__file__).parent
+
+#: each module's ``from .x import`` targets; ``recognize`` inverts patterns over
+#: ``blocks`` alone, and reading a connected sum is the engine's
+GRAPH = {
+    "__init__": {"blocks", "errors", "invariants", "lattice", "manifold_io", "recognize", "stems"},
+    "__main__": {"cli"},
+    "_record": {"errors"},
+    "blocks": {"_record", "errors"},
+    "cli": {"blocks", "errors", "invariants", "lattice", "manifold_io", "recognize"},
+    "errors": set(),
+    "invariants": {"_record", "blocks", "errors", "lattice", "stems"},
+    "lattice": {"_record", "errors"},
+    "manifold_io": {"_record", "blocks", "errors", "invariants", "lattice"},
+    "recognize": {"_record", "blocks", "errors"},
+    "stems": {"_record", "errors"},
+}
+
+#: ``ConnectedSum``'s sorted parts, built by its check
+SUM_PARTS = {"_neutral", "_negdef", "_ac", "_digest"}
+
+
+def parsed():
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SOURCE.glob("*.py"))}
+
+
+def test_each_module_imports_the_pinned_modules():
+    graph = {}
+    for name, tree in parsed().items():
+        froms = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+        assert all(node.level == 1 and node.module for node in froms), name
+        graph[name] = {node.module for node in froms}
+    assert graph == GRAPH
+
+
+def test_only_the_engine_reads_the_parts_of_a_connected_sum():
+    readers = {
+        name
+        for name, tree in parsed().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in SUM_PARTS
+    }
+    assert readers == {"invariants"}
+
+
+def test_the_package_exports_the_engines_distinction():
+    assert swstem.distinguish is invariants.distinguish
+    assert swstem.DistinctionVerdict is invariants.DistinctionVerdict
+    # the package exports the function ``recognize`` under the module's name
+    recognize_module = importlib.import_module("swstem.recognize")
+    assert not {"distinguish", "DistinctionVerdict"} & set(vars(recognize_module))

@@ -21,13 +21,17 @@ from swstem.blocks import (
     recognizable_set,
 )
 from swstem.errors import InvalidParameters, NotAnEllipticPattern, UncataloguedBlock
-from swstem.invariants import Summand, connected_sum, nonvanishing_criteria
+from swstem.invariants import (
+    DistinctionVerdict,
+    Summand,
+    connected_sum,
+    distinguish,
+    nonvanishing_criteria,
+)
 from swstem.lattice import SpinC
 from swstem.recognize import (
-    DistinctionVerdict,
     Pattern,
     _detect_larger_multiplicity,
-    distinguish,
     recognize,
     recognize_oracle,
 )
