@@ -18,26 +18,35 @@ A manifold file is a single JSON object::
 This module alone reads and writes the format.  A summand's ``type`` is its
 kind's ``tag``, its other keys the kind's record fields, optional where the
 class gives a default (``odd_basic``, a list of c^2 labels, defaults to
-empty).  ``k3`` is K3 and takes no key, as ``s4`` takes none; each parses
-to one shared, frozen ``Summand``.  A negative definite summand also
-takes ``c``, its characteristic coordinates (one odd integer per rank;
-default the unit vector).  Unknown and repeated keys are rejected everywhere
-(json.loads alone would keep a repeated key's last value).  Parsing is
-strict and total: malformed JSON raises ManifoldSyntaxError with line and
-column, a well-formed but invalid description raises ManifoldSemanticError
-with the offending summand's index.  A file is written from each kind's
-text (json.dumps' sorted indent-2 text, a named slot per value), so a
-``ManifoldDoc`` holds no class key and no spin-c data but ``c``.
+empty).  ``k3`` is K3 and takes no key, as ``s4`` takes none.  A negative
+definite summand also takes ``c``, its characteristic coordinates (one odd
+integer per rank; default the unit vector).  Unknown and repeated keys are
+rejected everywhere (json.loads alone would keep a repeated key's last
+value).  Parsing is strict and total: malformed JSON raises
+ManifoldSyntaxError with line and column, a well-formed but invalid
+description raises ManifoldSemanticError with the offending summand's index.
+A file is written from each kind's text (json.dumps' sorted indent-2 text, a
+named slot per value), so a ``ManifoldDoc`` holds no class key and no spin-c
+data but ``c``.
+
+A summand object whose values are exact ints or lists of them is interned:
+its first parse runs every check, and every later equal object, in any file
+of the process, parses to the same shared, frozen ``Summand``, held with its
+text.  Any other object (a bool, a float, a nested list, ...) is checked as
+it stands, so every refusal reads as it would with nothing held.  The table
+is bounded by the summands it holds and the length of their texts, and drops
+its oldest entry first; a parsed ``ManifoldDoc`` keeps its summands' texts,
+which ``serialize_manifold`` joins.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, OrderedDict
 from json.encoder import encode_basestring_ascii
 
 from ._record import record
-from .blocks import K3, BuildingBlock, HomotopySphereLike, NegativeDefinite
+from .blocks import K3, BuildingBlock, NegativeDefinite
 from .errors import (
     InvalidParameters,
     ManifoldSemanticError,
@@ -70,9 +79,9 @@ def _kind_format(kind, *extra: str) -> tuple:
 #: summand "type" -> (kind, required keys, list keys, keys admitted, text, text with c)
 _KINDS = {kind.tag: _kind_format(kind) for kind in BuildingBlock.__args__}
 _KINDS[NegativeDefinite.tag] = _kind_format(NegativeDefinite, "c")
-_KINDS["k3"] = None, (), (), frozenset({"type"}), None, None  # read as _FIELDLESS["k3"]
-#: the summand of each kind without fields, built once and shared by every file
-_FIELDLESS = {"k3": Summand(K3), HomotopySphereLike.tag: Summand(HomotopySphereLike())}
+# K3 is a block, not a kind: its "constructor" takes no key and returns it; it
+# is written as the elliptic block it is
+_KINDS["k3"] = (lambda: K3), (), (), frozenset({"type"}), None, None
 
 
 @record
@@ -80,11 +89,15 @@ class ManifoldDoc:
     """A parsed manifold description; ``name`` and ``notes`` are strings or
     None (absent).  ``summands`` pass ``ConnectedSum``'s check (nonempty,
     every entry a ``Summand``) and become a tuple; the checked sum is kept
-    for ``to_connected_sum``, so every record has a canonical text."""
+    for ``to_connected_sum``, so every record has a canonical text.  A
+    document ``parse_manifold`` returns also keeps each summand's text, held
+    with it, as ``_texts`` (not a field); one built by hand keeps none."""
 
     summands: tuple[Summand, ...]
     name: str | None = None
     notes: str | None = None
+
+    _texts = None
 
     def __post_init__(self):
         for field_name in ("name", "notes"):
@@ -119,6 +132,69 @@ def _object(pairs: list) -> dict:
 _decode = json.JSONDecoder(object_pairs_hook=_object).decode
 
 
+#: the intern table's bounds: summands held, and characters of their text held
+#: (each int held is written there with its digits, so this also bounds the
+#: ints held and their width); a summand whose text is longer than
+#: _HELD_TEXT_EACH is parsed and not held
+_HELD_SUMMANDS = 1024
+_HELD_TEXT = 1 << 18
+_HELD_TEXT_EACH = 1 << 12
+_SCALARS = {int, str}
+_INTS = {int}
+
+
+def _key(raw: object) -> frozenset | None:
+    """A summand object's key in the intern table, or None: its (key, value)
+    pairs, a list value as a tuple.  Every value is an exact int, a string or
+    a list of exact ints, so an equal key is an equal object of the same types
+    (an int equals a bool or a float that no kind admits).  A string anywhere
+    but "type" never parses, so no such key is ever held."""
+    if type(raw) is not dict:  # a _Repeats too
+        return None
+    if _SCALARS.issuperset(map(type, raw.values())):
+        return frozenset(raw.items())
+    items = []
+    for name, value in raw.items():
+        if type(value) is list:
+            # an int takes a character of text at least
+            if len(value) > _HELD_TEXT_EACH or not _INTS.issuperset(map(type, value)):
+                return None
+            value = (*value,)
+        elif type(value) not in _SCALARS:
+            return None
+        items.append((name, value))
+    return frozenset(items)
+
+
+class _Held(OrderedDict):
+    """The intern table: a summand object's key -> (its ``Summand``, its
+    text), oldest first; ``chars`` is the length of the texts held."""
+
+    chars = 0
+
+    def parse(self, key: frozenset | None, raw: object, index: int) -> tuple:
+        """(summand, text) of a summand object not held: checked as it stands,
+        then held if it has a key and a short enough text (no text if no key)."""
+        summand = _parse_summand(raw, index)
+        if key is None:
+            return summand, None
+        entry = summand, _summand_text(summand)
+        size = len(entry[1])
+        if size <= _HELD_TEXT_EACH:
+            while len(self) >= _HELD_SUMMANDS or self.chars + size > _HELD_TEXT:
+                self.chars -= len(self.popitem(last=False)[1][1])
+            self[key] = entry
+            self.chars += size
+        return entry
+
+    def clear(self) -> None:
+        super().clear()
+        self.chars = 0
+
+
+_HELD = _Held()
+
+
 def _parse_summand(raw: object, index: int) -> Summand:
     if type(raw) is not dict:  # _object builds every JSON object
         if type(raw) is _Repeats:
@@ -131,8 +207,6 @@ def _parse_summand(raw: object, index: int) -> Summand:
         raise ManifoldSemanticError(
             f"unknown summand type {tag!r}; expected one of: {known}", index
         )
-    if len(raw) == 1 and tag in _FIELDLESS:  # "type" alone
-        return _FIELDLESS[tag]
     kind, required, lists, allowed, _, _ = entry
     if not raw.keys() <= allowed:
         key = next(key for key in raw if key not in allowed)  # the first in the file
@@ -192,9 +266,15 @@ def parse_manifold(text: str) -> ManifoldDoc:
     for field_name in ("name", "notes"):
         if field_name in raw and not isinstance(raw[field_name], str):
             raise ManifoldSemanticError(f"'{field_name}' must be a string")
-    # ManifoldDoc makes the list a tuple
-    summands = [_parse_summand(entry, index) for index, entry in enumerate(summands_raw)]
-    return ManifoldDoc(summands, raw.get("name"), raw.get("notes"))
+    held = [  # each summand's (summand, text): held, or parsed now and held if it can be
+        _HELD.get(key := _key(entry)) or _HELD.parse(key, entry, index)
+        for index, entry in enumerate(summands_raw)
+    ]
+    summands, texts = zip(*held)
+    doc = ManifoldDoc(summands, raw.get("name"), raw.get("notes"))
+    if None not in texts:
+        object.__setattr__(doc, "_texts", texts)
+    return doc
 
 
 def _ints(values) -> str:
@@ -220,7 +300,7 @@ def serialize_manifold(doc: ManifoldDoc) -> str:
     text.  ``parse_manifold(serialize_manifold(doc))`` returns an equal document."""
     head = "".join(f'  "{key}": {encode_basestring_ascii(text)},\n'
                    for key, text in (("name", doc.name), ("notes", doc.notes)) if text is not None)
-    body = ",\n    ".join(map(_summand_text, doc.summands))
+    body = ",\n    ".join(doc._texts or map(_summand_text, doc.summands))
     return f'{{\n{head}  "summands": [\n    {body}\n  ]\n}}\n'
 
 

@@ -1,11 +1,23 @@
-"""Shared test settings.
+"""Shared test settings and fixtures.
 
 ``--hypothesis-profile=ci`` runs every property test at 2,000 examples, a
 deeper pass than the default 100 (a test's own ``@settings`` still wins for
 what it sets).  Without that flag the default profile applies.
 """
 
+import pytest
 from hypothesis import settings
+
+from swstem import manifold_io
 
 # no per-example deadline: at 2,000 examples a stray slow example is not a failure
 settings.register_profile("ci", max_examples=2000, deadline=None)
+
+
+@pytest.fixture
+def no_summand_held():
+    """``manifold_io``'s intern table of parsed summands, emptied before and
+    after the test, so that every summand a file holds is parsed afresh."""
+    manifold_io._HELD.clear()
+    yield manifold_io._HELD
+    manifold_io._HELD.clear()

@@ -44,6 +44,7 @@ from swstem.invariants import (
     split_verdict,
 )
 from swstem.lattice import SpinC
+from swstem.manifold_io import parse_manifold
 from swstem.stems import ONE, StemKind, TriState, hopf_power, smash_all, unknown, zero
 
 E3 = EllipticSurface(3, 1, 1)
@@ -572,16 +573,36 @@ def test_each_parity_is_read_once_per_summand(parts, parity_reads):
     assert Counter(parity_reads) == Counter(s.block for s in summands if s.block.almost_complex)
 
 
-def test_each_parity_is_read_once_per_summand_of_two_files(tmp_path, parity_reads, capsys):
+def test_each_parity_is_read_once_per_summand_of_two_files(
+    tmp_path, no_summand_held, parity_reads, capsys
+):
     e3 = {"type": "elliptic", "p_g": 3, "m": 1, "n": 1}
     e523 = {"type": "elliptic", "p_g": 5, "m": 2, "n": 3}
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     paths[0].write_text(json.dumps({"summands": [e3, {"type": "s4"}, e523]}))
     paths[1].write_text(json.dumps({"summands": [e523, e3]}))
-    assert cli.main(["distinguish", *map(str, paths)]) == 0
-    assert capsys.readouterr().out == "verdict: same_summands\n"
-    # each file's almost complex summands, read as they are parsed; distinguish reads none
-    assert parity_reads == [E3, EllipticSurface(5, 2, 3), EllipticSurface(5, 2, 3), E3]
+    for _ in range(2):
+        assert cli.main(["distinguish", *map(str, paths)]) == 0
+        assert capsys.readouterr().out == "verdict: same_summands\n"
+    # each distinct almost complex summand, read as it is first parsed: the
+    # second file and the second call hold both; distinguish reads none
+    assert parity_reads == [E3, EllipticSurface(5, 2, 3)]
+
+
+def test_a_repeated_summand_of_a_file_is_built_once(no_summand_held, monkeypatch):
+    built = []
+    check = EllipticSurface.__post_init__
+
+    def counted(block):
+        built.append(block)
+        check(block)
+
+    monkeypatch.setattr(EllipticSurface, "__post_init__", counted)
+    e312 = {"type": "elliptic", "p_g": 3, "m": 1, "n": 2}
+    doc = parse_manifold(json.dumps({"summands": [e312] * 32}))
+    assert len(built) == 1  # not one per copy: the first copy is held
+    assert len(set(map(id, doc.summands))) == 1
+    assert doc.summands[0] == Summand(EllipticSurface(3, 1, 2))
 
 
 def test_each_file_of_two_is_summed_once(tmp_path, monkeypatch, capsys):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from swstem import manifold_io
 from swstem._record import FrozenInstanceError
 from swstem.blocks import (
     K3,
@@ -312,6 +313,126 @@ def test_fieldless_summands_are_shared_values():
             shared.block = fresh.block
 
 
+# the intern table: a summand object equal to a held one, in the Python sense
+# (True == 1.0 == 1), is refused as it would be with nothing held
+_WIDE = 2**MAX_INPUT_BITS
+
+
+@pytest.mark.parametrize(
+    "valid, near_miss, message",
+    [
+        (
+            '{"type": "elliptic", "p_g": 1, "m": 1, "n": 1}',
+            '{"type": "elliptic", "p_g": true, "m": 1, "n": 1}',
+            "p_g must be an integer, got True",
+        ),
+        (
+            '{"type": "elliptic", "p_g": 1, "m": 1, "n": 1}',
+            '{"type": "elliptic", "p_g": 1.0, "m": 1, "n": 1}',
+            "p_g must be an integer, got 1.0",
+        ),
+        (
+            '{"type": "kaehler", "b_plus": 3, "odd_basic": [1]}',
+            '{"type": "kaehler", "b_plus": 3, "odd_basic": [true]}',
+            "odd_basic entry must be an integer, got True",
+        ),
+        (
+            '{"type": "kaehler", "b_plus": 3, "odd_basic": [1]}',
+            '{"type": "kaehler", "b_plus": 3, "odd_basic": [[1]]}',
+            "odd_basic entry must be an integer, got [1]",
+        ),
+        (
+            '{"type": "kaehler", "b_plus": 3, "odd_basic": [5]}',
+            '{"type": "kaehler", "b_plus": 3, "odd_basic": 5}',
+            "odd_basic must be a list",
+        ),
+        (
+            '{"type": "negative_definite", "rank": 1, "c": [1]}',
+            '{"type": "negative_definite", "rank": 1, "c": [true]}',
+            "coordinate must be an integer, got True",
+        ),
+        (
+            f'{{"type": "elliptic", "p_g": {_WIDE - 1}, "m": 1, "n": 1}}',
+            f'{{"type": "elliptic", "p_g": {_WIDE}, "m": 1, "n": 1}}',
+            f"p_g has more than {MAX_INPUT_BITS} bits",
+        ),
+        ('{"type": "k3"}', '{"type": "k3", "type": "k3"}', "repeated key 'type'"),
+    ],
+    ids=["bool", "float", "bool-in-list", "nested-list", "int-for-list", "bool-coordinate",
+         "too-wide", "repeated-type"],
+)
+def test_a_near_miss_of_a_held_summand_is_refused_as_before(valid, near_miss, message):
+    warm = parse_manifold(f'{{"summands": [{valid}]}}').summands[0]
+    assert parse_manifold(f'{{"summands": [{valid}]}}').summands[0] is warm  # held
+    with pytest.raises(ManifoldSemanticError) as exc:
+        parse_manifold(f'{{"summands": [{valid}, {near_miss}]}}')
+    assert exc.value.block_index == 1
+    assert str(exc.value) == f"summand 1: {message}"
+
+
+def _elliptic(p_g: int) -> dict:
+    return {"type": "elliptic", "p_g": p_g, "m": 1, "n": 1}
+
+
+def test_a_held_summand_is_the_same_object_in_every_file(no_summand_held):
+    text = json.dumps({"summands": [_elliptic(3), {"type": "s4"}, _elliptic(3)]})
+    first, second = parse_manifold(text), parse_manifold(text)
+    assert all(a is b for a, b in zip(first.summands, second.summands))
+    assert first.summands[0] is first.summands[2]
+    # an equal object with its keys in another order is the same summand
+    reordered = {"n": 1, "m": 1, "type": "elliptic", "p_g": 3}
+    assert parse_manifold(json.dumps({"summands": [reordered]})).summands[0] is first.summands[0]
+    assert len(no_summand_held) == 2
+
+
+def _check_accounts(held) -> None:
+    """The table's bounds hold, and so does its count of characters: the
+    length of the texts held, which every int held is written in."""
+    assert len(held) <= manifold_io._HELD_SUMMANDS
+    chars = sum(len(text) for _, text in held.values())
+    assert held.chars == chars <= manifold_io._HELD_TEXT
+    ints = [v for key in held for _, v in key if type(v) is int]
+    ints += [x for key in held for _, v in key if type(v) is tuple for x in v]
+    assert sum(len(str(x)) for x in ints) < chars
+
+
+def test_the_table_holds_no_more_summands_than_its_bound(no_summand_held):
+    bound = manifold_io._HELD_SUMMANDS
+    docs = [[_elliptic(p_g) for p_g in range(start, start + 300)] for start in range(0, 2 * bound, 300)]
+    for summands in docs:
+        doc = parse_manifold(json.dumps({"summands": summands}))
+        assert doc.summands == tuple(Summand(EllipticSurface(s["p_g"], 1, 1)) for s in summands)
+        _check_accounts(no_summand_held)
+    assert len(no_summand_held) == bound  # the newest, the oldest dropped first
+    assert frozenset(docs[-1][-1].items()) in no_summand_held
+    assert frozenset(_elliptic(0).items()) not in no_summand_held
+
+
+def test_the_table_holds_no_more_text_than_its_bound(no_summand_held):
+    # a 7,000-bit label is 2,108 digits: the bound on text binds first
+    wide = [{"type": "kaehler", "b_plus": 3, "odd_basic": [_WIDE - 1 - 2 * i]} for i in range(200)]
+    for start in range(0, 200, 50):
+        doc = parse_manifold(json.dumps({"summands": wide[start:start + 50]}))
+        assert serialize_manifold(doc) == _reference_text(doc)
+        _check_accounts(no_summand_held)
+    size = len(no_summand_held[frozenset({("type", "kaehler"), ("b_plus", 3), ("odd_basic", (_WIDE - 399,))})][1])
+    assert len(no_summand_held) == manifold_io._HELD_TEXT // size < 200
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [list(range(-2500, 2501)), list(range(-300, 301)), [_WIDE - 1, 1 - _WIDE]],
+    ids=["past-the-text-in-ints", "long-text", "wide-ints"],
+)
+def test_a_summand_past_the_text_of_an_entry_is_parsed_and_not_held(no_summand_held, labels):
+    text = json.dumps({"summands": [{"type": "kaehler", "b_plus": 3, "odd_basic": labels}]})
+    doc = parse_manifold(text)
+    assert doc.summands == (Summand(KaehlerGeneric(3, tuple(labels))),)
+    assert serialize_manifold(doc) == _reference_text(doc)
+    assert len(no_summand_held) == no_summand_held.chars == 0
+    assert parse_manifold(text).summands[0] is not doc.summands[0]
+
+
 def test_a_kaehler_label_past_the_input_width_is_refused():
     edge = -(2**MAX_INPUT_BITS - 1)
     doc = ManifoldDoc([Summand(KaehlerGeneric(3, (edge,)))])
@@ -519,3 +640,59 @@ def test_parse_arbitrary_json_raises_only_manifold_errors(value):
 @given(st.lists(_near_valid_summand(), min_size=1, max_size=3))
 def test_parse_near_valid_summands_raises_only_manifold_errors(summands):
     _parses_or_refuses(json.dumps({"summands": summands}))
+
+
+def _equal_value(value):
+    """A value equal to ``value`` in Python (so hashed alike) but of another
+    type: a float or a bool for an int, such items for a list's first ones
+    (and a bool for an int too wide for a float, which nothing equals)."""
+    if type(value) is list:
+        if not value:
+            return st.just(value)
+        return st.integers(1, len(value)).flatmap(
+            lambda k: st.tuples(*map(_equal_value, value[:k])).map(lambda head: [*head, *value[k:]])
+        )
+    if type(value) is int and abs(value) < 2**53:
+        return st.sampled_from([float(value), *([bool(value)] if value in (0, 1) else [])])
+    return st.just(True)
+
+
+@st.composite
+def _near_miss(draw):
+    """A valid summand object, and one near it: some of its values swapped for
+    an equal value of another type or a bad scalar, or a key repeated."""
+    valid = draw(_summand_json)
+    raw = dict(valid)
+    keys = sorted(key for key in raw if key != "type")
+    for key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=len(keys))) if keys else ():
+        raw[key] = draw(_equal_value(raw[key]) | _equal_value(raw[key]) | _bad_scalars)
+    text = json.dumps(raw)
+    if not keys or draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(raw)))
+        text = f'{text[:-1]}, {json.dumps(key)}: {json.dumps(raw[key])}}}'
+    return json.dumps(valid), text
+
+
+def _outcome(text: str):
+    """The document a text parses to, or the refusal's class, text and index."""
+    try:
+        return parse_manifold(text)
+    except (ManifoldSyntaxError, ManifoldSemanticError) as exc:
+        return type(exc), str(exc), getattr(exc, "block_index", None)
+
+
+@_text_settings
+@given(st.lists(_near_miss(), min_size=1, max_size=4), st.randoms(use_true_random=False))
+def test_a_warm_table_parses_as_an_empty_one(pairs, rng):
+    valid = [v for v, _ in pairs]
+    entries = [*valid, *(t for _, t in pairs)]
+    rng.shuffle(entries)
+    text = '{"summands": [%s]}' % ", ".join(entries)
+    manifold_io._HELD.clear()
+    cold = _outcome(text)
+    manifold_io._HELD.clear()
+    _outcome('{"summands": [%s]}' % ", ".join(valid))  # every valid summand held
+    warm = _outcome(text)
+    assert warm == cold
+    if isinstance(cold, ManifoldDoc):
+        assert serialize_manifold(warm) == serialize_manifold(cold) == _reference_text(cold)
