@@ -31,12 +31,13 @@ data but ``c``.
 
 A summand object whose values are exact ints or lists of them is interned:
 its first parse runs every check, and every later equal object, in any file
-of the process, parses to the same shared, frozen ``Summand``, held with its
-text.  Any other object (a bool, a float, a nested list, ...) is checked as
-it stands, so every refusal reads as it would with nothing held.  The table
-is bounded by the summands it holds and the length of their texts, and drops
-its oldest entry first; a parsed ``ManifoldDoc`` keeps its summands' texts,
-which ``serialize_manifold`` joins.
+of the process, parses to the same shared, frozen ``Summand``.  Any other
+object (a bool, a float, a nested list, ...) is checked as it stands, so
+every refusal reads as it would with nothing held.  The table is bounded by
+the summands it holds and the ints their keys hold, and drops its oldest
+entry first.  A parsed ``ManifoldDoc`` keeps its summands' entries; the
+first file written that holds one writes its text into it, and every later
+one joins that text.
 """
 
 from __future__ import annotations
@@ -90,14 +91,15 @@ class ManifoldDoc:
     None (absent).  ``summands`` pass ``ConnectedSum``'s check (nonempty,
     every entry a ``Summand``) and become a tuple; the checked sum is kept
     for ``to_connected_sum``, so every record has a canonical text.  A
-    document ``parse_manifold`` returns also keeps each summand's text, held
-    with it, as ``_texts`` (not a field); one built by hand keeps none."""
+    document ``parse_manifold`` returns also keeps each summand's entry of
+    the intern table, which holds its text once written, as ``_entries``
+    (not a field); one built by hand keeps none."""
 
     summands: tuple[Summand, ...]
     name: str | None = None
     notes: str | None = None
 
-    _texts = None
+    _entries = None
 
     def __post_init__(self):
         for field_name in ("name", "notes"):
@@ -132,13 +134,14 @@ def _object(pairs: list) -> dict:
 _decode = json.JSONDecoder(object_pairs_hook=_object).decode
 
 
-#: the intern table's bounds: summands held, and characters of their text held
-#: (each int held is written there with its digits, so this also bounds the
-#: ints held and their width); a summand whose text is longer than
-#: _HELD_TEXT_EACH is parsed and not held
+#: the intern table's bounds: summands held, and the weight of the ints their
+#: keys hold, in 64-bit words (``_words``); a summand whose key weighs more
+#: than _HELD_WORDS_EACH is parsed and not held.  An entry's text writes no
+#: int but its key's (and K3's three), so it is at most 128 characters and 32
+#: a word
 _HELD_SUMMANDS = 1024
-_HELD_TEXT = 1 << 18
-_HELD_TEXT_EACH = 1 << 12
+_HELD_WORDS = 1 << 14
+_HELD_WORDS_EACH = 1 << 9
 _SCALARS = {int, str}
 _INTS = {int}
 
@@ -151,13 +154,11 @@ def _key(raw: object) -> frozenset | None:
     but "type" never parses, so no such key is ever held."""
     if type(raw) is not dict:  # a _Repeats too
         return None
-    if _SCALARS.issuperset(map(type, raw.values())):
-        return frozenset(raw.items())
     items = []
     for name, value in raw.items():
         if type(value) is list:
-            # an int takes a character of text at least
-            if len(value) > _HELD_TEXT_EACH or not _INTS.issuperset(map(type, value)):
+            # an int weighs a word at least
+            if len(value) > _HELD_WORDS_EACH or not _INTS.issuperset(map(type, value)):
                 return None
             value = (*value,)
         elif type(value) not in _SCALARS:
@@ -166,30 +167,37 @@ def _key(raw: object) -> frozenset | None:
     return frozenset(items)
 
 
+def _words(key: frozenset) -> int:
+    """The weight of the ints a key holds, in 64-bit words: one for each
+    scalar and each 64 bits of its width, one for each int of a list and each
+    64 bits of their widths' sum."""
+    words = 0
+    for _, value in key:
+        if type(value) is tuple:
+            words += len(value) + sum(map(int.bit_length, value)) // 64
+        elif type(value) is int:
+            words += 1 + value.bit_length() // 64
+    return words
+
+
 class _Held(OrderedDict):
-    """The intern table: a summand object's key -> (its ``Summand``, its
-    text), oldest first; ``chars`` is the length of the texts held."""
+    """The intern table: a summand object's key -> [its ``Summand``, its text
+    (None until a file holding it is written), its key's words], oldest
+    first; ``words`` is the weight of the keys held."""
 
-    chars = 0
+    words = 0
 
-    def parse(self, key: frozenset | None, raw: object, index: int) -> tuple:
-        """(summand, text) of a summand object not held: checked as it stands,
-        then held if it has a key and a short enough text (no text if no key)."""
+    def parse(self, key: frozenset | None, raw: object, index: int) -> list:
+        """The entry of a summand object not held: checked as it stands, then
+        held if it has a key of few enough words."""
         summand = _parse_summand(raw, index)
-        if key is None:
-            return summand, None
-        entry = summand, _summand_text(summand)
-        size = len(entry[1])
-        if size <= _HELD_TEXT_EACH:
-            while len(self) >= _HELD_SUMMANDS or self.chars + size > _HELD_TEXT:
-                self.chars -= len(self.popitem(last=False)[1][1])
-            self[key] = entry
-            self.chars += size
+        if key is None or (words := _words(key)) > _HELD_WORDS_EACH:
+            return [summand, None, 0]
+        while len(self) >= _HELD_SUMMANDS or self.words + words > _HELD_WORDS:
+            self.words -= self.popitem(last=False)[1][2]
+        self[key] = entry = [summand, None, words]
+        self.words += words
         return entry
-
-    def clear(self) -> None:
-        super().clear()
-        self.chars = 0
 
 
 _HELD = _Held()
@@ -266,14 +274,12 @@ def parse_manifold(text: str) -> ManifoldDoc:
     for field_name in ("name", "notes"):
         if field_name in raw and not isinstance(raw[field_name], str):
             raise ManifoldSemanticError(f"'{field_name}' must be a string")
-    held = [  # each summand's (summand, text): held, or parsed now and held if it can be
-        _HELD.get(key := _key(entry)) or _HELD.parse(key, entry, index)
-        for index, entry in enumerate(summands_raw)
+    entries = [  # each summand's entry: held, or parsed now and held if it can be
+        _HELD.get(key := _key(obj)) or _HELD.parse(key, obj, index)
+        for index, obj in enumerate(summands_raw)
     ]
-    summands, texts = zip(*held)
-    doc = ManifoldDoc(summands, raw.get("name"), raw.get("notes"))
-    if None not in texts:
-        object.__setattr__(doc, "_texts", texts)
+    doc = ManifoldDoc([entry[0] for entry in entries], raw.get("name"), raw.get("notes"))
+    object.__setattr__(doc, "_entries", entries)
     return doc
 
 
@@ -294,13 +300,21 @@ def _summand_text(summand: Summand) -> str:
     return text % slots
 
 
+def _write(entry: list) -> str:
+    """An entry's text, kept in it."""
+    entry[1] = _summand_text(entry[0])
+    return entry[1]
+
+
 def serialize_manifold(doc: ManifoldDoc) -> str:
     """Canonical JSON text for a manifold description: json.dumps' sorted
     indent-2 text of its raw dict plus a newline, written from each kind's
     text.  ``parse_manifold(serialize_manifold(doc))`` returns an equal document."""
     head = "".join(f'  "{key}": {encode_basestring_ascii(text)},\n'
                    for key, text in (("name", doc.name), ("notes", doc.notes)) if text is not None)
-    body = ",\n    ".join(doc._texts or map(_summand_text, doc.summands))
+    # a held entry's text is written once, by the first file written that holds it
+    entries = doc._entries or [[summand, None] for summand in doc.summands]
+    body = ",\n    ".join([entry[1] or _write(entry) for entry in entries])
     return f'{{\n{head}  "summands": [\n    {body}\n  ]\n}}\n'
 
 

@@ -15,9 +15,8 @@ settings.register_profile("ci", max_examples=2000, deadline=None)
 
 
 @pytest.fixture
-def no_summand_held():
-    """``manifold_io``'s intern table of parsed summands, emptied before and
-    after the test, so that every summand a file holds is parsed afresh."""
-    manifold_io._HELD.clear()
-    yield manifold_io._HELD
-    manifold_io._HELD.clear()
+def no_summand_held(monkeypatch):
+    """An empty intern table of parsed summands in place of ``manifold_io``'s
+    for the test, so that every summand a file holds is parsed afresh."""
+    monkeypatch.setattr(manifold_io, "_HELD", manifold_io._Held())
+    return manifold_io._HELD

@@ -386,14 +386,16 @@ def test_a_held_summand_is_the_same_object_in_every_file(no_summand_held):
 
 
 def _check_accounts(held) -> None:
-    """The table's bounds hold, and so does its count of characters: the
-    length of the texts held, which every int held is written in."""
+    """The table's bounds hold, and so does its count of words: each entry
+    weighs at least its key's ints (a word each, and one more for each 64 bits
+    of each), and a text written in an entry is short for its weight."""
     assert len(held) <= manifold_io._HELD_SUMMANDS
-    chars = sum(len(text) for _, text in held.values())
-    assert held.chars == chars <= manifold_io._HELD_TEXT
-    ints = [v for key in held for _, v in key if type(v) is int]
-    ints += [x for key in held for _, v in key if type(v) is tuple for x in v]
-    assert sum(len(str(x)) for x in ints) < chars
+    for key, (_, text, words) in held.items():
+        ints = [v for _, v in key if type(v) is int]
+        ints += [x for _, v in key if type(v) is tuple for x in v]
+        assert words >= sum(1 + x.bit_length() // 64 for x in ints)
+        assert text is None or len(text) <= 128 + 32 * words
+    assert held.words == sum(words for _, _, words in held.values()) <= manifold_io._HELD_WORDS
 
 
 def test_the_table_holds_no_more_summands_than_its_bound(no_summand_held):
@@ -402,35 +404,57 @@ def test_the_table_holds_no_more_summands_than_its_bound(no_summand_held):
     for summands in docs:
         doc = parse_manifold(json.dumps({"summands": summands}))
         assert doc.summands == tuple(Summand(EllipticSurface(s["p_g"], 1, 1)) for s in summands)
+        assert serialize_manifold(doc) == _reference_text(doc)
         _check_accounts(no_summand_held)
     assert len(no_summand_held) == bound  # the newest, the oldest dropped first
     assert frozenset(docs[-1][-1].items()) in no_summand_held
     assert frozenset(_elliptic(0).items()) not in no_summand_held
 
 
-def test_the_table_holds_no_more_text_than_its_bound(no_summand_held):
-    # a 7,000-bit label is 2,108 digits: the bound on text binds first
-    wide = [{"type": "kaehler", "b_plus": 3, "odd_basic": [_WIDE - 1 - 2 * i]} for i in range(200)]
+@pytest.mark.parametrize(
+    "labels, words",
+    [
+        # a list weighs 1 word an int and 1 for each 64 bits of them all; b_plus 1 word
+        ([_WIDE - 1], 111),  # 7,000 bits: 1 + 109, and 1
+        ([1] * 400, 407),  # a label repeated is held as often as the file writes it: 400 + 6, and 1
+        ([_WIDE - 1] * 4, 442),  # 4 + 437, and 1
+    ],
+    ids=["wide", "repeated", "repeated-wide"],
+)
+def test_the_table_holds_no_more_words_than_its_bound(no_summand_held, labels, words):
+    held = [{"type": "kaehler", "b_plus": 2 * i + 1, "odd_basic": labels} for i in range(200)]
     for start in range(0, 200, 50):
-        doc = parse_manifold(json.dumps({"summands": wide[start:start + 50]}))
+        doc = parse_manifold(json.dumps({"summands": held[start:start + 50]}))
+        assert doc.summands[0] == Summand(KaehlerGeneric(2 * start + 1, tuple(labels)))
         assert serialize_manifold(doc) == _reference_text(doc)
         _check_accounts(no_summand_held)
-    size = len(no_summand_held[frozenset({("type", "kaehler"), ("b_plus", 3), ("odd_basic", (_WIDE - 399,))})][1])
-    assert len(no_summand_held) == manifold_io._HELD_TEXT // size < 200
+    assert {words for _, _, words in no_summand_held.values()} == {words}
+    assert len(no_summand_held) == manifold_io._HELD_WORDS // words < 200
 
 
 @pytest.mark.parametrize(
     "labels",
-    [list(range(-2500, 2501)), list(range(-300, 301)), [_WIDE - 1, 1 - _WIDE]],
-    ids=["past-the-text-in-ints", "long-text", "wide-ints"],
+    [list(range(-2500, 2501)), [1] * 513, [_WIDE - 1 - 2 * i for i in range(5)], [_WIDE - 1] * 4096],
+    ids=["many", "repeated", "wide", "repeated-wide"],
 )
-def test_a_summand_past_the_text_of_an_entry_is_parsed_and_not_held(no_summand_held, labels):
+def test_a_summand_past_the_words_of_an_entry_is_parsed_and_not_held(no_summand_held, labels):
     text = json.dumps({"summands": [{"type": "kaehler", "b_plus": 3, "odd_basic": labels}]})
     doc = parse_manifold(text)
     assert doc.summands == (Summand(KaehlerGeneric(3, tuple(labels))),)
     assert serialize_manifold(doc) == _reference_text(doc)
-    assert len(no_summand_held) == no_summand_held.chars == 0
+    assert len(no_summand_held) == no_summand_held.words == 0
     assert parse_manifold(text).summands[0] is not doc.summands[0]
+
+
+def test_a_held_text_is_written_once_by_the_first_file_written(no_summand_held):
+    text = json.dumps({"summands": [_elliptic(3), {"type": "k3"}]})
+    first = parse_manifold(text)
+    assert [entry[1] for entry in no_summand_held.values()] == [None, None]  # parsing writes none
+    written = serialize_manifold(first)
+    assert written == _reference_text(first)
+    texts = [entry[1] for entry in no_summand_held.values()]
+    assert serialize_manifold(parse_manifold(text)) == written
+    assert all(a is b for a, b in zip(texts, (entry[1] for entry in no_summand_held.values())))
 
 
 def test_a_kaehler_label_past_the_input_width_is_refused():
@@ -688,11 +712,12 @@ def test_a_warm_table_parses_as_an_empty_one(pairs, rng):
     entries = [*valid, *(t for _, t in pairs)]
     rng.shuffle(entries)
     text = '{"summands": [%s]}' % ", ".join(entries)
-    manifold_io._HELD.clear()
-    cold = _outcome(text)
-    manifold_io._HELD.clear()
-    _outcome('{"summands": [%s]}' % ", ".join(valid))  # every valid summand held
-    warm = _outcome(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(manifold_io, "_HELD", manifold_io._Held())
+        cold = _outcome(text)
+        patch.setattr(manifold_io, "_HELD", manifold_io._Held())
+        _outcome('{"summands": [%s]}' % ", ".join(valid))  # every valid summand held
+        warm = _outcome(text)
     assert warm == cold
     if isinstance(cold, ManifoldDoc):
         assert serialize_manifold(warm) == serialize_manifold(cold) == _reference_text(cold)
