@@ -6,7 +6,9 @@ invariant, nonvanishing, blowup, split-check and fingerprint read a manifold
 description file; distinguish reads two.  Each ``_cmd_*`` function returns
 its answer as (JSON payload, text lines, rule trace) and prints nothing;
 ``main`` renders it in one place.  Every command prints text by default and
-one sorted-key JSON document under --json, written by ``_json_text``.
+one sorted-key JSON document under --json, written by ``json_text``, the
+package's one JSON writer, which writes manifold files too.  Flags take their
+full spelling only (no argparse abbreviation).
 --trace exists on invariant, nonvanishing, blowup and split-check only: it
 appends the rule trace to the text, indented by two spaces, or adds it to
 the JSON document as "trace".
@@ -19,8 +21,8 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from json.encoder import encode_basestring
 
+from ._json_text import json_text
 from .blocks import NegativeDefinite, basic_class_table, recognizable_set
 from .errors import SwStemError
 from .invariants import (
@@ -288,12 +290,13 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swstem",
         description="Exact invariant arithmetic for connected sums of 4-manifolds.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     for name, help_text, command, arguments, traced in _SUBCOMMANDS:
         if only is not None and name != only:
             continue
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for flag, options in arguments:
             p.add_argument(flag, **options)
         p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -301,28 +304,6 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
             p.add_argument("--trace", action="store_true", help="include the rule trace")
         p.set_defaults(func=command, trace=False)
     return parser
-
-
-def _json_text(value, _newline: str = "\n") -> str:
-    """``json.dumps(value, ensure_ascii=False, indent=2, sort_keys=True)`` byte
-    for byte for str-keyed dicts, lists, tuples, ints, strs and bools, without
-    json.dumps' pure-Python encoder (a generator per level before Python 3.13).
-    Only the recursion passes ``_newline``."""
-    inner = _newline + "  "
-    if type(value) is dict:
-        items = [
-            f"{encode_basestring(key)}: "
-            + (repr(v) if type(v) is int else encode_basestring(v) if type(v) is str
-               else _json_text(v, inner))
-            for key, v in sorted(value.items())
-        ]
-        return f"{{{inner}{(',' + inner).join(items)}{_newline}}}" if items else "{}"
-    if type(value) in (list, tuple):
-        items = [repr(v) if type(v) is int else _json_text(v, inner) for v in value]
-        return f"[{inner}{(',' + inner).join(items)}{_newline}]" if items else "[]"
-    if type(value) is bool:
-        return "true" if value else "false"
-    return encode_basestring(value) if type(value) is str else int.__repr__(value)
 
 
 # one parser per process and invoked subcommand: parsing leaves it unchanged,
@@ -341,9 +322,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         payload, lines, trace = args.func(args)
         if args.json:
-            if args.trace:  # a Trace renders here; _json_text writes exact tuples
+            if args.trace:  # a Trace renders here; json_text writes exact tuples
                 payload["trace"] = tuple(trace)
-            print(_json_text(payload))
+            print(json_text(payload))
             return 0
         # sys.stdout per call (callers redirect it); line by line, so a closed pipe raises
         sys.stdout.writelines(f"{line}\n" for line in lines)

@@ -25,9 +25,9 @@ rejected everywhere (json.loads alone would keep a repeated key's last
 value).  Parsing is strict and total: malformed JSON raises
 ManifoldSyntaxError with line and column, a well-formed but invalid
 description raises ManifoldSemanticError with the offending summand's index.
-A file is written from each kind's text (json.dumps' sorted indent-2 text, a
-named slot per value), so a ``ManifoldDoc`` holds no class key and no spin-c
-data but ``c``.
+A file is written by ``json_text``, the package's one JSON writer, from each
+summand's record fields, "type" and ``c``, so a ``ManifoldDoc`` holds no class
+key and no spin-c data but ``c``.
 
 A summand object whose values are exact ints or lists of them is interned:
 its first parse runs every check, and every later equal object, in any file
@@ -46,6 +46,7 @@ import json
 from collections import Counter, OrderedDict
 from json.encoder import encode_basestring_ascii
 
+from ._json_text import json_text
 from ._record import record
 from .blocks import K3, BuildingBlock, NegativeDefinite
 from .errors import (
@@ -59,30 +60,21 @@ from .lattice import SpinC
 _TOP_KEYS = {"summands", "name", "notes"}
 
 
-def _text(tag: str, keys: tuple, lists: tuple) -> str:
-    """A summand's text at its depth in a file, its keys and "type" sorted,
-    each value a slot: ``%(key)s`` for the text of a list, ``%(key)d`` else."""
-    lines = {key: f'"{key}": %({key}){"s" if key in lists else "d"}' for key in keys}
-    lines["type"] = f'"type": "{tag}"'
-    return "{\n      " + ",\n      ".join(map(lines.get, sorted(lines))) + "\n    }"
-
-
 def _kind_format(kind, *extra: str) -> tuple:
     """(kind, its fields without a class default, those with one, every key
-    admitted, its text, the same with ``extra``); the defaulted and ``extra`` are int lists."""
+    admitted); the defaulted and ``extra`` are int lists."""
     fields = kind._record_fields
     lists = tuple(key for key in fields if key in vars(kind))
     required = fields[: len(fields) - len(lists)]  # a record's defaults come last
-    text, text_extra = (_text(kind.tag, fields + more, lists + more) for more in ((), extra))
-    return kind, required, lists, frozenset((*fields, *extra, "type")), text, text_extra
+    return kind, required, lists, frozenset((*fields, *extra, "type"))
 
 
-#: summand "type" -> (kind, required keys, list keys, keys admitted, text, text with c)
+#: summand "type" -> (kind, required keys, list keys, keys admitted)
 _KINDS = {kind.tag: _kind_format(kind) for kind in BuildingBlock.__args__}
 _KINDS[NegativeDefinite.tag] = _kind_format(NegativeDefinite, "c")
 # K3 is a block, not a kind: its "constructor" takes no key and returns it; it
 # is written as the elliptic block it is
-_KINDS["k3"] = (lambda: K3), (), (), frozenset({"type"}), None, None
+_KINDS["k3"] = (lambda: K3), (), (), frozenset({"type"})
 
 
 @record
@@ -215,7 +207,7 @@ def _parse_summand(raw: object, index: int) -> Summand:
         raise ManifoldSemanticError(
             f"unknown summand type {tag!r}; expected one of: {known}", index
         )
-    kind, required, lists, allowed, _, _ = entry
+    kind, required, lists, allowed = entry
     if not raw.keys() <= allowed:
         key = next(key for key in raw if key not in allowed)  # the first in the file
         raise ManifoldSemanticError(f"unknown key {key!r} on a {tag!r} summand", index)
@@ -227,8 +219,6 @@ def _parse_summand(raw: object, index: int) -> Summand:
         ) from None
     try:
         # the constructors reject a value that is not an integer
-        if len(raw) == len(args) + 1:  # "type" and the required keys alone
-            return Summand(kind(*args))
         for key in lists:
             if key in raw:
                 if type(raw[key]) is not list:
@@ -283,21 +273,15 @@ def parse_manifold(text: str) -> ManifoldDoc:
     return doc
 
 
-def _ints(values) -> str:
-    """A list of integers as json.dumps(indent=2) writes it as a summand's value."""
-    return "[\n        %s\n      ]" % ",\n        ".join(map(repr, values)) if values else "[]"
-
-
 def _summand_text(summand: Summand) -> str:
-    """A summand's text at its depth in a file, from its kind's text."""
+    """A summand's text at its depth in a file: its record fields, "type" and
+    ``c``.  Every key and tag is ASCII, so json_text writes them as
+    encode_basestring_ascii would."""
     block, spin_c = summand.block, summand.spin_c
-    _, _, lists, _, text, text_c = _KINDS[block.tag]
-    slots = vars(block)  # a record keeps its fields there, by name
-    if lists or spin_c is not None:
-        slots = {**slots, **{key: _ints(slots[key]) for key in lists}}
-        if spin_c is not None:  # ManifoldDoc admits it with coordinates only
-            text, slots["c"] = text_c, _ints(spin_c.c_coords)
-    return text % slots
+    raw = {**vars(block), "type": block.tag}  # a record keeps its fields there, by name
+    if spin_c is not None:  # ManifoldDoc admits it with coordinates only
+        raw["c"] = spin_c.c_coords
+    return json_text(raw, "\n    ")
 
 
 def _write(entry: list) -> str:
@@ -308,8 +292,8 @@ def _write(entry: list) -> str:
 
 def serialize_manifold(doc: ManifoldDoc) -> str:
     """Canonical JSON text for a manifold description: json.dumps' sorted
-    indent-2 text of its raw dict plus a newline, written from each kind's
-    text.  ``parse_manifold(serialize_manifold(doc))`` returns an equal document."""
+    indent-2 text of its raw dict plus a newline, each summand's text written
+    by json_text.  ``parse_manifold(serialize_manifold(doc))`` returns an equal document."""
     head = "".join(f'  "{key}": {encode_basestring_ascii(text)},\n'
                    for key, text in (("name", doc.name), ("notes", doc.notes)) if text is not None)
     # a held entry's text is written once, by the first file written that holds it

@@ -8,7 +8,6 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
 
 from swstem import blocks, cli
 from swstem.blocks import EllipticSurface
@@ -231,29 +230,6 @@ def test_invariant_json_fields():
     assert with_trace["trace"]
 
 
-# every type the command line writes; lone surrogates drawn on purpose (st.text skips them)
-_any_text = st.text(st.characters(exclude_categories=()) | st.characters(categories=["Cs"]))
-_writable = st.recursive(
-    st.integers()
-    | st.integers(2**64, 2**256)
-    | st.integers(-(2**256), -(2**64))
-    | st.booleans()
-    | _any_text,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(_any_text, inner, max_size=4),
-    max_leaves=20,
-)
-
-
-@pytest.mark.deep
-@settings(suppress_health_check=[HealthCheck.too_slow])
-@given(_writable)
-def test_json_text_is_the_stdlib_indent_2_text(value):
-    text = json.dumps(value, ensure_ascii=False, indent=2, sort_keys=True)
-    assert cli._json_text(value) == text
-
-
 def test_oracle_with_huge_bounds_returns_at_once():
     huge = "100000000000000000000001"
     proc = run_cli(
@@ -288,6 +264,33 @@ def test_usage_errors_exit_two():
     run_cli("recognize", "--classes", "one,two", expect=2)
     run_cli("recognize", "--classes", "-2,2", "--bounds", "15", expect=2)
     run_cli("invariant", expect=2)  # missing file
+
+
+@pytest.mark.parametrize(
+    "abbreviated, full",
+    [
+        (("recognize", "--class", "-2,2"), ("recognize", "--classes", "-2,2")),
+        (("recognize", "--class=-2,2"), ("recognize", "--classes=-2,2")),
+        (
+            ("recognize", "--classes=-2,2", "--bound", "5,5"),
+            ("recognize", "--classes=-2,2", "--bounds", "5,5"),
+        ),
+        (
+            ("recognizable", "--p", "3", "--m", "1", "--n", "1"),
+            ("recognizable", "--pg", "3", "--m", "1", "--n", "1"),
+        ),
+        (
+            ("split-check", sample("k3x2.json"), "--mod", "2", "--residue", "1"),
+            ("split-check", sample("k3x2.json"), "--modulus", "2", "--residue", "1"),
+        ),
+    ],
+)
+def test_a_flag_has_its_full_spelling_only(abbreviated, full):
+    # argparse would read "--class" as "--classes" but leave its "-2,2" a flag
+    stderr = run_cli(*abbreviated, expect=2).stderr
+    assert stderr.startswith("usage: swstem") and "Traceback" not in stderr
+    assert sum(": error: " in line for line in stderr.splitlines()) == 1
+    assert run_cli(*full).stdout
 
 
 def _parsed(parser, argv, capsys):

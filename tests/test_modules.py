@@ -14,13 +14,14 @@ SOURCE = Path(swstem.__file__).parent
 GRAPH = {
     "__init__": {"blocks", "errors", "invariants", "lattice", "manifold_io", "recognize", "stems"},
     "__main__": {"cli"},
+    "_json_text": set(),
     "_record": {"errors"},
     "blocks": {"_record", "errors"},
-    "cli": {"blocks", "errors", "invariants", "lattice", "manifold_io", "recognize"},
+    "cli": {"_json_text", "blocks", "errors", "invariants", "lattice", "manifold_io", "recognize"},
     "errors": set(),
     "invariants": {"_record", "blocks", "errors", "lattice", "stems"},
     "lattice": {"_record", "errors"},
-    "manifold_io": {"_record", "blocks", "errors", "invariants", "lattice"},
+    "manifold_io": {"_json_text", "_record", "blocks", "errors", "invariants", "lattice"},
     "recognize": {"_record", "blocks", "errors"},
     "stems": {"_record", "errors"},
 }
