@@ -284,6 +284,7 @@ def test_usage_errors_exit_two():
             ("split-check", sample("k3x2.json"), "--modulus", "2", "--residue", "1"),
         ),
     ],
+    ids=["class", "class=", "bound", "p", "mod"],
 )
 def test_a_flag_has_its_full_spelling_only(abbreviated, full):
     # argparse would read "--class" as "--classes" but leave its "-2,2" a flag

@@ -10,7 +10,8 @@ from swstem import invariants
 SOURCE = Path(swstem.__file__).parent
 
 #: each module's ``from .x import`` targets; ``recognize`` inverts patterns over
-#: ``blocks`` alone, and reading a connected sum is the engine's
+#: ``blocks`` alone, reading a connected sum is the engine's, and ``_json_text``,
+#: the one JSON writer, imports no module of the package
 GRAPH = {
     "__init__": {"blocks", "errors", "invariants", "lattice", "manifold_io", "recognize", "stems"},
     "__main__": {"cli"},
