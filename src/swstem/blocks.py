@@ -26,11 +26,16 @@ Tables are built only for listing and recognition, in ascending key order
 by residue blocks (``_residue_masks``) with no sort, each held in ``_TABLES``
 as one ``BasicClassTable`` of two tuples: the keys, and values from one
 binomial row.  An odd-SW set builds no values and walks only the odd rows'
-blocks, sliced off a held table's key column (sharing its int objects) or
-else their ranges.  A table and an odd-SW set are each admitted here before
-they are built; a fingerprint's sets together first (``odd_class_sets``),
-then each elliptic set again as it is built.  ``BasicClassTable.entries``
-builds each (key, value) pair only when it is read.
+blocks, sliced off a held table's key column (sharing its int objects).
+Any other block's keys within 2^15 of 0 (``_SHARED``) are a slice of one
+window of shared ints (``_keys``), grown as wider keys are asked for but
+never past 2^16 + 1 ints (about 2.6 MB); a block past it is its range.  So
+every table and odd-SW set inside the window holds one object per key
+value, whichever is built first.  A table and an odd-SW set are each
+admitted here before they are built; a fingerprint's sets together first
+(``odd_class_sets``), then each elliptic set again as it is built.
+``BasicClassTable.entries`` builds each (key, value) pair only when it is
+read.
 """
 
 from __future__ import annotations
@@ -415,8 +420,34 @@ def _residue_masks(m: int, n: int):
 
 
 #: every table ``_table`` built, by triple, unbounded; ``_recognizable``
-#: reads the keys of a held table instead of building its own
+#: reads the keys of a held table instead of building its own.  Both take
+#: the key ints of a block within ``_SHARED`` of 0 from ``_window``, which is
+#: bounded, and build only the ints of a block past it
 _TABLES: dict[tuple[int, int, int], BasicClassTable] = {}
+
+#: how far from 0 ``_window`` may reach: it never holds more than
+#: 2 * _SHARED + 1 ints (about 2.6 MB)
+_SHARED = 2**15
+#: every int in [-reach, reach] once, reach = len // 2: the one object of each
+#: key value in every table and odd-SW set, whichever of them is built first
+_window: tuple[int, ...] = (0,)
+
+
+def _keys(start: int, stop: int):
+    """``range(start, stop, 2)``, a non-empty block of keys: a slice of
+    ``_window``, grown to reach the block (at least doubled, its objects
+    kept), or the range itself where the block reaches past ``_SHARED``."""
+    global _window
+    last = stop - 2
+    if start < -_SHARED or last > _SHARED:
+        return range(start, stop, 2)
+    window = _window  # sliced at its own reach, whatever another caller grows
+    reach = len(window) // 2
+    if max(-start, last) > reach:
+        grown = min(max(-start, last, 2 * reach), _SHARED)
+        window = _window = (*range(-grown, -reach), *window, *range(reach + 1, grown + 1))
+        reach = grown
+    return window[start + reach:stop + reach:2]
 
 
 def _table(p_g: int, m: int, n: int) -> BasicClassTable:
@@ -435,7 +466,7 @@ def _table(p_g: int, m: int, n: int) -> BasicClassTable:
     values: list[int] = []
     for j in range(p_g, -1, -1):
         start = top - 2 * (j * mn + mn - 1)
-        block = range(start, start + 2 * mn, 2)
+        block = _keys(start, start + 2 * mn)
         if j == p_g or j == 0:  # the two ends of the row, each 1
             keys.extend(compress(block, high if j else low))
             values.extend(repeat(1, len(keys) - len(values)))
@@ -544,7 +575,7 @@ _LISTED: dict[int, tuple[int, ...]] = {}
 def _recognizable(p_g: int, m: int, n: int) -> tuple[int, ...]:
     """The odd-SW set, by the blocks of the odd rows (``_submasks``): each
     block's keys are sliced off a held table's key column, whose int objects
-    the set shares, or are the block's range; a row's mask selects them."""
+    the set shares, or else taken from ``_keys``; a row's mask selects them."""
     _, high, low = _residue_masks(m, n)
     mn, top, held = m * n, max_multiple(p_g, m, n), _TABLES.get((p_g, m, n))
     if held is not None:
@@ -555,7 +586,7 @@ def _recognizable(p_g: int, m: int, n: int) -> tuple[int, ...]:
         for j in (a,) if a + 1 == last else (a + 1, a):  # block a + 1 came with row a + 1
             if held is None:
                 start = top - 2 * (j * mn + mn - 1)
-                keys = range(start, start + 2 * mn, 2)
+                keys = _keys(start, start + 2 * mn)
             else:
                 end = edge + (p_g - j) * mn
                 keys = column[max(end - mn, 0):end]

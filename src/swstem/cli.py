@@ -13,7 +13,8 @@ full spelling only (no argparse abbreviation).
 appends the rule trace to the text, indented by two spaces, or adds it to
 the JSON document as "trace".
 An error is one ``error:`` line on stderr, such as the library's refusal of a
-listing past its budget.  Exit codes: 0 ok, 1 domain error, 2 usage error.
+listing past its budget.  Exit codes: 0 ok, 1 domain error, 2 usage error;
+a usage error after a subcommand, an unknown flag too, prints its usage.
 """
 
 from __future__ import annotations
@@ -302,7 +303,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if traced:
             p.add_argument("--trace", action="store_true", help="include the rule trace")
-        p.set_defaults(func=command, trace=False)
+        p.set_defaults(func=command, trace=False, parser=p)
     return parser
 
 
@@ -318,7 +319,12 @@ def main(argv: list[str] | None = None) -> int:
     # a named subcommand needs no other; anything else (help, an unknown
     # command, none) is answered by the parser of all nine
     only = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = _parser(only).parse_args(_normalize_argv(argv))
+    parser = _parser(only)
+    args, extras = parser.parse_known_args(_normalize_argv(argv))
+    if extras:  # as parse_args reports them, but with a named subcommand's usage
+        (parser if only is None else args.parser).error(
+            f"unrecognized arguments: {' '.join(extras)}"
+        )
     try:
         payload, lines, trace = args.func(args)
         if args.json:

@@ -158,8 +158,8 @@ def emptied(monkeypatch):
 
 def odd_sets(triples, empty):
     """(p_g, m, n, its odd-SW set) for each triple, read off the table
-    built just before it (held) and, after ``empty``, walked from ranges with
-    no table held."""
+    built just before it (held) and, after ``empty``, walked from its blocks'
+    keys with no table held."""
     triples = list(triples)
     for held in (True, False):
         empty()
@@ -196,6 +196,76 @@ def test_an_odd_set_of_a_held_table_holds_the_table_keys(emptied):
     for p_g, m, n in (*coprime_grid(), *WIDE_TRIPLES):
         keys = {key: key for key in basic_class_table(p_g, m, n).keys}
         assert all(key is keys[key] for key in recognizable_set(p_g, m, n))
+
+
+@pytest.fixture
+def unwindowed(monkeypatch, emptied):
+    """``emptied``, and a window of key ints holding only 0, as at import; the
+    window held before the test is held again after it."""
+    monkeypatch.setattr(blocks, "_window", (0,))
+
+
+def by_value(window):
+    """The window's objects by their values."""
+    reach = len(window) // 2
+    return lambda key: window[key + reach] if -reach <= key <= reach else None
+
+
+def test_overlapping_tables_hold_one_object_per_key(unwindowed):
+    first, second = basic_class_table(9, 5, 7).keys, basic_class_table(5, 7, 9).keys
+    shared = set(first) & set(second)
+    assert max(shared) > 256  # past the ints CPython holds once anyway
+    objects = {key: key for key in first}
+    assert all(key is objects[key] for key in second if key in shared)
+
+
+def test_an_odd_set_built_before_its_table_holds_the_table_keys(unwindowed):
+    for p_g, m, n in (*coprime_grid(), *WIDE_TRIPLES):
+        odd = recognizable_set(p_g, m, n)
+        assert (p_g, m, n) not in blocks._TABLES
+        keys = {key: key for key in basic_class_table(p_g, m, n).keys}
+        assert all(key is keys[key] for key in odd)
+
+
+def test_a_table_past_the_window_builds_its_outer_blocks_from_ranges(unwindowed):
+    # E(3; 100, 163) has top 64,937: its blocks are the keys from -65,461,
+    # -32,861, -261 and 32,339 up, of which only block 1 lies in the window
+    table = basic_class_table(3, 100, 163)
+    assert table.entries == tuple(sorted(table_oracle(3, 100, 163).items()))
+    held = by_value(blocks._window)
+    assert len(blocks._window) == 2 * 32_337 + 1
+    assert all((key is held(key)) == (-261 <= key <= 32_337) for key in table.keys)
+    odd = recognizable_set(3, 100, 163)
+    assert odd == tuple(key for key, value in table.entries if value % 2)
+
+
+def test_the_window_grows_keeping_its_objects_up_to_its_bound(unwindowed):
+    keys = blocks._keys
+    assert keys(-3, 5) == (-3, -1, 1, 3) and len(blocks._window) == 7
+    small = blocks._window
+    assert keys(-1001, -997) == (-1001, -999)  # grown to what the block asks
+    assert len(blocks._window) == 2 * 1001 + 1
+    assert keys(1500, 1504) == (1500, 1502)  # doubled, past what it asks
+    assert len(blocks._window) == 2 * 2002 + 1
+    held = by_value(blocks._window)
+    assert all(held(key) is key for key in small)
+    bound = blocks._SHARED
+    assert keys(-bound, bound + 2) == tuple(range(-bound, bound + 1, 2))
+    assert len(blocks._window) == 2 * bound + 1
+    full = blocks._window
+    assert all(by_value(full)(key) is key for key in small)
+    # a block reaching past the bound is its range, and the window stays
+    assert keys(-bound - 2, 0) == range(-bound - 2, 0, 2)
+    assert keys(0, bound + 4) == range(0, bound + 4, 2)
+    assert blocks._window is full
+
+
+def test_a_small_table_builds_a_small_window(unwindowed):
+    keys = basic_class_table(3, 9, 10).keys
+    # its widest block reaches 2mn - 2 past its widest key at most
+    assert len(blocks._window) // 2 <= max(keys) + 2 * 9 * 10
+    held = by_value(blocks._window)
+    assert all(held(key) is key for key in keys)
 
 
 def test_recognizable_set_walks_only_the_odd_rows():

@@ -294,6 +294,23 @@ def test_a_flag_has_its_full_spelling_only(abbreviated, full):
     assert run_cli(*full).stdout
 
 
+@pytest.mark.parametrize(
+    "argv, extras",
+    [
+        (("recognize", "--classes=-2,2", "--bound", "5,5"), "--bound 5,5"),
+        (("basic-classes", "--pg", "3", "--m", "1", "--n", "1", "extra"), "extra"),
+        (("fingerprint", sample("k3.json"), "--trace"), "--trace"),
+    ],
+    ids=["bound", "positional", "trace"],
+)
+def test_an_unknown_flag_is_reported_with_its_subcommands_usage(argv, extras):
+    # the usage a missing argument of the same subcommand prints
+    usage = run_cli(argv[0], expect=2).stderr.split(f"swstem {argv[0]}: error: ")[0]
+    assert usage.startswith(f"usage: swstem {argv[0]} [-h] ")
+    stderr = run_cli(*argv, expect=2).stderr
+    assert stderr == f"{usage}swstem {argv[0]}: error: unrecognized arguments: {extras}\n"
+
+
 def _parsed(parser, argv, capsys):
     with pytest.raises(SystemExit) as stop:
         parser.parse_args(argv)
