@@ -26,14 +26,14 @@ Tables are built only for listing and recognition, in ascending key order
 by residue blocks (``_residue_masks``) with no sort, each held in ``_TABLES``
 as one ``BasicClassTable`` of two tuples: the keys, and values from one
 binomial row.  An odd-SW set builds no values and walks only the odd rows'
-blocks, sliced off a held table's key column (sharing its int objects).
-Any other block's keys within 2^15 of 0 (``_SHARED``) are a slice of one
-window of shared ints (``_keys``), grown as wider keys are asked for but
-never past 2^16 + 1 ints (about 2.6 MB); a block past it is its range.  So
-every table and odd-SW set inside the window holds one object per key
-value, whichever is built first.  A table and an odd-SW set are each
-admitted here before they are built; a fingerprint's sets together first
-(``odd_class_sets``), then each elliptic set again as it is built.
+blocks.  Key ints are shared by one rule, in either build order: a block's
+keys within 2^15 of 0 (``_SHARED``) are a slice of one window of shared
+ints (``_keys``), grown as wider keys are asked for but never past
+2^16 + 1 ints (about 2.6 MB); where row p_g - 1 is all odd (p_g a power of
+two), the table's key column is its odd-SW set, one tuple; past the
+window, any other row builds its own ints.  A table and an odd-SW set are
+each admitted here before they are built; a fingerprint's sets together
+first (``odd_class_sets``), then each elliptic set again as it is built.
 ``BasicClassTable.entries`` builds each (key, value) pair only when it is
 read.
 """
@@ -419,10 +419,10 @@ def _residue_masks(m: int, n: int):
     return wraps, high, high.translate(bytes.maketrans(b"\0\1", b"\1\0"))
 
 
-#: every table ``_table`` built, by triple, unbounded; ``_recognizable``
-#: reads the keys of a held table instead of building its own.  Both take
-#: the key ints of a block within ``_SHARED`` of 0 from ``_window``, which is
-#: bounded, and build only the ints of a block past it
+#: every table ``_table`` built, by triple, unbounded.  A table and an odd-SW
+#: set take the key ints of a block within ``_SHARED`` of 0 from ``_window``,
+#: which is bounded; an all-odd row's table holds its odd-SW set as its keys;
+#: past the window, any other row builds its own ints
 _TABLES: dict[tuple[int, int, int], BasicClassTable] = {}
 
 #: how far from 0 ``_window`` may reach: it never holds more than
@@ -461,22 +461,26 @@ def _table(p_g: int, m: int, n: int) -> BasicClassTable:
     for a in range(p_g - 1):
         row.append(row[-1] * (p_g - 1 - a) // (a + 1))
     wraps, high, low = _residue_masks(m, n)
-    mn, top = m * n, max_multiple(p_g, m, n)
+    mn, top, edge = m * n, max_multiple(p_g, m, n), high.count(1)
+    # row p_g - 1 is all odd (Lucas): the keys are the odd-SW set, admitted
+    # with the table (as many entries, fewer bits)
+    all_odd = not p_g & (p_g - 1)
     keys: list[int] = []
     values: list[int] = []
     for j in range(p_g, -1, -1):
         start = top - 2 * (j * mn + mn - 1)
-        block = _keys(start, start + 2 * mn)
+        block = () if all_odd else _keys(start, start + 2 * mn)
         if j == p_g or j == 0:  # the two ends of the row, each 1
             keys.extend(compress(block, high if j else low))
-            values.extend(repeat(1, len(keys) - len(values)))
+            values.extend(repeat(1, edge if j else mn - edge))
             continue
         keys.extend(block)
         run = [row[j]] * mn  # row j - 1 where h = 1
         for span, count in wraps:
             run[span] = [row[j - 1]] * count
         values.extend(reversed(run))
-    held = _TABLES[p_g, m, n] = BasicClassTable(p_g, m, n, tuple(keys), tuple(values))
+    column = _recognizable(p_g, m, n) if all_odd else tuple(keys)
+    held = _TABLES[p_g, m, n] = BasicClassTable(p_g, m, n, column, tuple(values))
     return held
 
 
@@ -524,6 +528,8 @@ class BasicClassTable:
 
     def __post_init__(self):
         _check_table_params(self.p_g, self.m, self.n)
+        object.__setattr__(self, "keys", as_tuple(self.keys, "keys"))  # a tuple is kept, not copied
+        object.__setattr__(self, "values", as_tuple(self.values, "values"))
         if not len(self.keys) == len(self.values) == self.p_g * self.m * self.n:
             raise InvalidParameters("a table lists p_g*m*n keys and as many values")
 
@@ -573,26 +579,18 @@ _LISTED: dict[int, tuple[int, ...]] = {}
 
 @lru_cache(maxsize=None)
 def _recognizable(p_g: int, m: int, n: int) -> tuple[int, ...]:
-    """The odd-SW set, by the blocks of the odd rows (``_submasks``): each
-    block's keys are sliced off a held table's key column, whose int objects
-    the set shares, or else taken from ``_keys``; a row's mask selects them."""
+    """The odd-SW set, by the blocks of the odd rows (``_submasks``), a row's
+    mask selecting each block's odd keys.  Its keys come from ``_keys`` alone:
+    the shared window within 2^15 of 0, else the block's own ints; an
+    all-odd row's table takes this tuple as its key column."""
     _, high, low = _residue_masks(m, n)
-    mn, top, held = m * n, max_multiple(p_g, m, n), _TABLES.get((p_g, m, n))
-    if held is not None:
-        column, edge = held.keys, high.count(1)  # block p_g's length in the table
+    mn, top = m * n, max_multiple(p_g, m, n)
     runs = []
     last = None
     for a in _submasks(p_g - 1):  # row a lies in blocks a + 1 and a
         for j in (a,) if a + 1 == last else (a + 1, a):  # block a + 1 came with row a + 1
-            if held is None:
-                start = top - 2 * (j * mn + mn - 1)
-                keys = _keys(start, start + 2 * mn)
-            else:
-                end = edge + (p_g - j) * mn
-                keys = column[max(end - mn, 0):end]
-                if j == p_g or j == 0:  # the table holds only the odd row of these
-                    runs.append(keys)
-                    continue
+            start = top - 2 * (j * mn + mn - 1)
+            keys = _keys(start, start + 2 * mn)
             odd_low, odd_high = odd_binomial(p_g - 1, j), odd_binomial(p_g - 1, j - 1)
             runs.append(keys if odd_low and odd_high else compress(keys, low if odd_low else high))
         last = a

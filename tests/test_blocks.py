@@ -157,9 +157,8 @@ def emptied(monkeypatch):
 
 
 def odd_sets(triples, empty):
-    """(p_g, m, n, its odd-SW set) for each triple, read off the table
-    built just before it (held) and, after ``empty``, walked from its blocks'
-    keys with no table held."""
+    """(p_g, m, n, its odd-SW set) for each triple, built just after its
+    table (held) and, after ``empty``, with no table held."""
     triples = list(triples)
     for held in (True, False):
         empty()
@@ -227,16 +226,41 @@ def test_an_odd_set_built_before_its_table_holds_the_table_keys(unwindowed):
         assert all(key is keys[key] for key in odd)
 
 
-def test_a_table_past_the_window_builds_its_outer_blocks_from_ranges(unwindowed):
+def test_a_table_past_the_window_builds_its_outer_blocks_from_ranges(emptied, monkeypatch):
     # E(3; 100, 163) has top 64,937: its blocks are the keys from -65,461,
-    # -32,861, -261 and 32,339 up, of which only block 1 lies in the window
-    table = basic_class_table(3, 100, 163)
-    assert table.entries == tuple(sorted(table_oracle(3, 100, 163).items()))
-    held = by_value(blocks._window)
-    assert len(blocks._window) == 2 * 32_337 + 1
-    assert all((key is held(key)) == (-261 <= key <= 32_337) for key in table.keys)
-    odd = recognizable_set(3, 100, 163)
-    assert odd == tuple(key for key, value in table.entries if value % 2)
+    # -32,861, -261 and 32,339 up, of which only block 1 lies in the window;
+    # the odd rows 0 and 2 of row 2 = (1, 2, 1) walk all four blocks
+    for set_first in (False, True):
+        emptied()
+        monkeypatch.setattr(blocks, "_window", (0,))
+        if set_first:
+            recognizable_set(3, 100, 163)
+        table = basic_class_table(3, 100, 163)
+        assert table.entries == tuple(sorted(table_oracle(3, 100, 163).items()))
+        held = by_value(blocks._window)
+        assert len(blocks._window) == 2 * 32_337 + 1
+        assert all((key is held(key)) == (-261 <= key <= 32_337) for key in table.keys)
+        odd = recognizable_set(3, 100, 163)
+        assert odd == tuple(key for key, value in table.entries if value % 2)
+
+
+#: p_g a power of two, so row p_g - 1 is all odd; E(1; 200, 201) reaches
+#: +-79,999, past the window
+ALL_ODD_TRIPLES = ((1, 1, 1), (1, 2, 3), (2, 5, 7), (4, 3, 4), (8, 1, 9), (1, 200, 201))
+
+
+def test_an_all_odd_rows_table_keys_are_its_odd_set_in_either_order(emptied):
+    for p_g, m, n in ALL_ODD_TRIPLES:
+        for set_first in (False, True):
+            emptied()
+            if set_first:
+                odd = recognizable_set(p_g, m, n)
+                table = basic_class_table(p_g, m, n)
+            else:
+                table = basic_class_table(p_g, m, n)
+                odd = recognizable_set(p_g, m, n)
+            assert table.keys is odd
+            assert table.entries == tuple(sorted(table_oracle(p_g, m, n).items()))
 
 
 def test_the_window_grows_keeping_its_objects_up_to_its_bound(unwindowed):
@@ -463,6 +487,16 @@ def test_a_table_checks_its_fields(fields, message):
     with pytest.raises(InvalidParameters) as refused:
         BasicClassTable(*fields)
     assert str(refused.value) == message
+
+
+def test_a_table_given_lists_holds_tuples():
+    table = BasicClassTable(3, 1, 1, [-2, 0, 2], [1, 2, 1])
+    assert type(table.keys) is tuple and type(table.values) is tuple
+    assert table == basic_class_table(3, 1, 1)
+    assert hash(table) == hash(basic_class_table(3, 1, 1))
+    keys, values = (-2, 0, 2), (1, 2, 1)
+    given = BasicClassTable(3, 1, 1, keys, values)
+    assert given.keys is keys and given.values is values
 
 
 def test_cached_entries_are_shared():
