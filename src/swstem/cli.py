@@ -13,14 +13,18 @@ full spelling only (no argparse abbreviation).
 appends the rule trace to the text, indented by two spaces, or adds it to
 the JSON document as "trace".
 An error is one ``error:`` line on stderr, such as the library's refusal of a
-listing past its budget.  Exit codes: 0 ok, 1 domain error, 2 usage error;
-a usage error after a subcommand, an unknown flag too, prints its usage.
+listing past its budget, or an answer meeting a closed pipe.  Exit codes: 0
+ok, 1 domain error, 2 usage error; a usage error after a subcommand, an
+unknown flag too, prints its usage.  ``run`` is the program; ``main`` answers
+in process and leaves the caller's garbage collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
+import os
 import sys
 
 from ._json_text import json_text
@@ -331,16 +335,32 @@ def main(argv: list[str] | None = None) -> int:
             if args.trace:  # a Trace renders here; json_text writes exact tuples
                 payload["trace"] = tuple(trace)
             print(json_text(payload))
-            return 0
-        # sys.stdout per call (callers redirect it); line by line, so a closed pipe raises
-        sys.stdout.writelines(f"{line}\n" for line in lines)
-        if args.trace:
-            sys.stdout.writelines(f"  {line}\n" for line in trace)
+        else:
+            # sys.stdout per call (callers redirect it); line by line, so a closed pipe raises
+            sys.stdout.writelines(f"{line}\n" for line in lines)
+            if args.trace:
+                sys.stdout.writelines(f"  {line}\n" for line in trace)
+        sys.stdout.flush()  # a closed pipe fails here, not in the exit flush
         return 0
     except (SwStemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
+def run() -> None:
+    """The program: ``main``, then exit with its heap frozen, left to the OS."""
+    if sys.stdout is None:  # fd 1 closed at start: the answer goes nowhere
+        sys.stdout = open(os.devnull, "w")
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+        try:
+            sys.stdout.flush()
+        except OSError:  # the pipe closed: the exit flush writes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,7 +1,11 @@
-"""End-to-end command line tests driving the installed entry point."""
+"""End-to-end command line tests: child processes of ``python -m swstem``, the
+program ``cli.run``, and ``cli.main`` called in process."""
 
+import gc
 import hashlib
 import json
+import os
+import re
 import subprocess
 import sys
 import time
@@ -14,7 +18,8 @@ from swstem.blocks import EllipticSurface
 from swstem.errors import MAX_INPUT_BITS, InvalidParameters
 from swstem.invariants import connected_sum, odd_basic_fingerprint
 
-SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLES = ROOT / "samples"
 
 
 def run_cli(*args, expect=0, timeout=None):
@@ -644,3 +649,88 @@ def test_broken_pipe_ends_in_one_error_line():
     assert "Traceback" not in stderr
     assert stderr.startswith("error:")
     assert sum(line.startswith("error:") for line in stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_a_closed_pipe_ends_in_one_error_line_with_a_buffered_stdout(flags):
+    # the answer fits stdout's buffer, so unflushed it would fail in the
+    # interpreter's exit flush (exit 120, no error line); the child's stdout
+    # is buffered whatever the environment running the tests sets
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "swstem", "invariant", sample("k3x2.json"), *flags],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_a_closed_stdout_takes_the_answer_to_nowhere(flags):
+    # fd 1 closed before the child starts: Python gives it no sys.stdout
+    proc = subprocess.run(
+        [sys.executable, "-m", "swstem", "invariant", sample("k3x2.json"), *flags],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def _scripts_target():
+    """The console script's module and function, from pyproject.toml (3.10 has
+    no tomllib)."""
+    text = (ROOT / "pyproject.toml").read_text()
+    return re.search(r'^swstem = "([\w.]+):(\w+)"$', text, re.MULTILINE).groups()
+
+
+#: one call each that exits 0, 1 and 2
+ENTRY_CALLS = (
+    ("invariant", sample("k3x2.json")),
+    ("invariant", "/no/such/file.json"),
+    ("invariant",),
+)
+
+
+@pytest.mark.parametrize("argv", ENTRY_CALLS, ids=["ok", "domain-error", "usage-error"])
+def test_every_way_of_running_swstem_answers_alike(argv):
+    module, function = _scripts_target()
+    assert (module, function) == ("swstem.cli", "run")
+    script = f"import sys; from {module} import {function}; sys.exit({function}())"
+    answers = [
+        subprocess.run([sys.executable, *entry, *argv], capture_output=True, text=True)
+        for entry in (["-m", "swstem"], ["-m", "swstem.cli"], ["-c", script])
+    ]
+    assert len({(p.stdout, p.stderr, p.returncode) for p in answers}) == 1
+    assert answers[0].returncode == ENTRY_CALLS.index(argv)
+
+
+def test_the_program_leaves_its_heap_frozen_at_exit():
+    # run_module with alter_sys runs the package as `python -m swstem` does
+    hook = (
+        "import atexit, gc, runpy, sys; "
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr)); "
+        "runpy.run_module('swstem', run_name='__main__', alter_sys=True)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", hook, *ENTRY_CALLS[0]], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stderr) == (0, "True\n")
+
+
+@pytest.mark.parametrize("argv", ENTRY_CALLS, ids=["ok", "domain-error", "usage-error"])
+def test_main_leaves_the_callers_collector_alone(argv, capsys):
+    frozen = gc.get_freeze_count()
+    try:
+        cli.main(list(argv))
+    except SystemExit:
+        pass
+    assert gc.get_freeze_count() == frozen
