@@ -112,11 +112,10 @@ class _Block:
         value = self.sw_value(class_key)
         return value != 0 if type(value) is int else None
 
-    def sw_shown(self, class_key) -> tuple[bool, str] | None:
-        """``sw_nonzero``, and how a trace states the value; None where the
-        value is not an integer."""
+    def sw_shown(self, class_key) -> str | None:
+        """How a trace states the SW value; None where it is not an integer."""
         value = self.sw_value(class_key)
-        return (value != 0, f"SW = {shown(value)}") if type(value) is int else None
+        return f"SW = {shown(value)}" if type(value) is int else None
 
     def odd_classes(self) -> tuple[int, ...]:
         raise UnknownSW(f"{self.label} does not declare a complete odd basic set")
@@ -193,12 +192,12 @@ class EllipticSurface(_Block):
         key = exact_int(class_key, "elliptic class key")
         return _genus_index(self.p_g, self.m, self.n, key) is not None
 
-    def sw_shown(self, class_key) -> tuple[bool, str] | None:
+    def sw_shown(self, class_key) -> str | None:
         if class_key is None or self.p_g - 1 <= MAX_SHOWN_BITS:
             return super().sw_shown(class_key)
         # a value may take p_g - 1 bits: state its bound instead
         on = self.sw_nonzero(class_key)
-        return on, f"SW is nonzero and below 2^{self.p_g - 1}" if on else "SW = 0"
+        return f"SW is nonzero and below 2^{self.p_g - 1}" if on else "SW = 0"
 
     def odd_size(self) -> tuple[int, int]:
         if self.p_g < 1:

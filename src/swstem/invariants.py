@@ -21,11 +21,11 @@ and can never vanish equivariantly.  ``distinguish`` reads this verdict and
 each side's sorted summands to tell two sums of elliptic surfaces apart.
 
 Each summand's SW parity is read once, by the summand's own check, and a sum
-is sorted once, when it is built, reading those; ``invariant`` and
-``nonvanishing_criteria`` apply the same rules to that, and ``invariant``
-counts the degree-1 product, not folds it.
-On a lone almost complex summand ``invariant`` answers from the SW value (SW
-times a generator); ``nonvanishing_criteria`` keeps the summand-count verdict.
+is sorted once, when it is built, reading those; ``invariant`` counts the
+degree-1 product, not folds it.  ``invariant`` applies the summand-count
+rules to two or more almost complex summands and answers a lone one from its
+SW value alone (SW times a generator); ``nonvanishing_criteria`` still gives
+a lone summand the summand-count verdict.
 
 Verdicts outside the covered regime are UNKNOWN, never guesses; every
 engine answer carries a trace of the rules applied.  Each ``Rule`` is
@@ -185,7 +185,7 @@ _FOUR_VANISHES = Rule(
 )
 _LONE_SW = Rule(
     "lone-sw", _LONE, "single summand: invariant is SW times a generator, {0}",
-    lambda block, class_key: (block.sw_shown(class_key)[1],),
+    lambda block, class_key: (block.sw_shown(class_key),),
 )
 _LONE_ODD = Rule("lone-odd-sw", _LONE, "single summand: odd SW is in particular nonzero")
 _LONE_OPEN = Rule(
@@ -550,15 +550,16 @@ def invariant(csum: ConnectedSum) -> InvariantClass:
         equivariant = _YES
         steps.append((_FIXED_LOCUS,))
     else:
-        equivariant = _criteria(ac, steps)
-        if len(ac) == 1:
-            (_, _, parity), (lone,) = ac[0], csum._ac
+        if len(ac) > 1:
+            equivariant = _criteria(ac, steps)
+        else:  # SW times a generator: the summand-count rules start at two
+            (lone,) = csum._ac
             # a block without a parity has no value; a Kaehler block's is a Parity
-            nonzero = None if parity is None else lone.block.sw_nonzero(lone.class_key)
+            nonzero = None if lone._parity is None else lone.block.sw_nonzero(lone.class_key)
             if nonzero is not None:
                 equivariant = _YES if nonzero else _NO
                 steps.append((_LONE_SW, lone.block, lone.class_key))
-            elif parity is _ODD:
+            elif lone._parity is _ODD:
                 equivariant = _YES
                 steps.append((_LONE_ODD,))
             else:

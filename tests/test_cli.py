@@ -634,21 +634,27 @@ def test_a_file_with_a_repeated_key_is_refused(tmp_path):
 
 
 def test_broken_pipe_ends_in_one_error_line():
-    # a 543k-line table overflows the pipe, which closes after 10 bytes
+    # a 543k-line table overflows the pipe, which closes after 10 bytes; the
+    # child runs with stdout buffered and unbuffered, whatever the environment
+    # running the tests sets
     argv = ["basic-classes", "--pg", "201", "--m", "51", "--n", "53"]
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "swstem", *argv],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-    )
-    proc.stdout.read(10)
-    proc.stdout.close()
-    stderr = proc.stderr.read().decode("utf-8")
-    proc.stderr.close()
-    assert proc.wait() == 1
-    assert "Traceback" not in stderr
-    assert stderr.startswith("error:")
-    assert sum(line.startswith("error:") for line in stderr.splitlines()) == 1
+    buffered = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for env in (buffered, {**buffered, "PYTHONUNBUFFERED": "1"}):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "swstem", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.read(10)
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode("utf-8")
+        proc.stderr.close()
+        stdout = "unbuffered" if "PYTHONUNBUFFERED" in env else "buffered"
+        assert proc.wait() == 1, stdout
+        assert "Traceback" not in stderr, stdout
+        assert stderr.startswith("error:"), stdout
+        assert sum(line.startswith("error:") for line in stderr.splitlines()) == 1, stdout
 
 
 @pytest.mark.parametrize("flags", [(), ("--json",)])

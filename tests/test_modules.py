@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import types
 from pathlib import Path
 
 import swstem
@@ -60,3 +61,12 @@ def test_the_package_exports_the_engines_distinction():
     # the package exports the function ``recognize`` under the module's name
     recognize_module = importlib.import_module("swstem.recognize")
     assert not {"distinguish", "DistinctionVerdict"} & set(vars(recognize_module))
+
+
+def test_the_package_exports_exactly_the_public_names_it_binds():
+    bound = (
+        name
+        for name, value in vars(swstem).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert swstem.__all__ == sorted(bound)

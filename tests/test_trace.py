@@ -6,7 +6,7 @@ import ast
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from swstem import invariants
 from swstem.blocks import (
@@ -194,3 +194,35 @@ def test_results_are_equal_exactly_when_verdict_and_text_are(slots, query):
     except PreconditionNotMet:
         return
     _agree(split_a, split_b, "kind")
+
+
+# The property: invariant applies the summand-count theorem exactly to two or
+# more almost complex summands, and answers a lone one by one lone rule alone.
+
+_COUNT_FACT = RULES["five-or-more"].fact
+_LONE_RULES = {RULES[rule_id] for rule_id in ("lone-sw", "lone-odd-sw", "lone-sw-undetermined")}
+
+_SUMS = st.lists(
+    st.builds(_summand, _BLOCKS, st.booleans(), st.integers(0, 4)), min_size=1, max_size=6
+).map(lambda summands: connected_sum(*summands))
+
+
+def _examples(values):
+    """Hypothesis's ``example`` for each of ``values``."""
+
+    def decorate(test):
+        for value in values:
+            test = example(value)(test)
+        return test
+
+    return decorate
+
+
+@pytest.mark.deep
+@_examples(CORPUS.values())  # every golden sum, besides the drawn ones
+@given(_SUMS)
+def test_the_count_rules_apply_from_two_summands_and_a_lone_one_takes_one_lone_rule(csum):
+    almost_complex = sum(s.block.almost_complex for s in csum.summands)
+    rules = [step[0] for step in invariant(csum).trace.steps]
+    assert any(rule.fact == _COUNT_FACT for rule in rules) is (almost_complex >= 2)
+    assert sum(rule in _LONE_RULES for rule in rules) == (almost_complex == 1)
