@@ -35,9 +35,9 @@ of the process, parses to the same shared, frozen ``Summand``.  Any other
 object (a bool, a float, a nested list, ...) is checked as it stands, so
 every refusal reads as it would with nothing held.  The table is bounded by
 the summands it holds and the ints their keys hold, and drops its oldest
-entry first.  A parsed ``ManifoldDoc`` keeps its summands' entries; the
-first file written that holds one writes its text into it, and every later
-one joins that text.
+entry first.  A written summand keeps its own text: the first file written
+that holds a summand, parsed or built by hand, writes its text once, and
+every later file joins that text.
 """
 
 from __future__ import annotations
@@ -82,16 +82,11 @@ class ManifoldDoc:
     """A parsed manifold description; ``name`` and ``notes`` are strings or
     None (absent).  ``summands`` pass ``ConnectedSum``'s check (nonempty,
     every entry a ``Summand``) and become a tuple; the checked sum is kept
-    for ``to_connected_sum``, so every record has a canonical text.  A
-    document ``parse_manifold`` returns also keeps each summand's entry of
-    the intern table, which holds its text once written, as ``_entries``
-    (not a field); one built by hand keeps none."""
+    for ``to_connected_sum``, so every record has a canonical text."""
 
     summands: tuple[Summand, ...]
     name: str | None = None
     notes: str | None = None
-
-    _entries = None
 
     def __post_init__(self):
         for field_name in ("name", "notes"):
@@ -128,9 +123,9 @@ _decode = json.JSONDecoder(object_pairs_hook=_object).decode
 
 #: the intern table's bounds: summands held, and the weight of the ints their
 #: keys hold, in 64-bit words (``_words``); a summand whose key weighs more
-#: than _HELD_WORDS_EACH is parsed and not held.  An entry's text writes no
-#: int but its key's (and K3's three), so it is at most 128 characters and 32
-#: a word
+#: than _HELD_WORDS_EACH is parsed and not held.  A held summand's text writes
+#: no int but its key's (and K3's three), so it is at most 128 characters and
+#: 32 a word
 _HELD_SUMMANDS = 1024
 _HELD_WORDS = 1 << 14
 _HELD_WORDS_EACH = 1 << 9
@@ -173,23 +168,22 @@ def _words(key: frozenset) -> int:
 
 
 class _Held(OrderedDict):
-    """The intern table: a summand object's key -> [its ``Summand``, its text
-    (None until a file holding it is written), its key's words], oldest
+    """The intern table: a summand object's key -> its ``Summand``, oldest
     first; ``words`` is the weight of the keys held."""
 
     words = 0
 
-    def parse(self, key: frozenset | None, raw: object, index: int) -> list:
-        """The entry of a summand object not held: checked as it stands, then
-        held if it has a key of few enough words."""
+    def parse(self, key: frozenset | None, raw: object, index: int) -> Summand:
+        """A summand object not held: checked as it stands, then held if it
+        has a key of few enough words."""
         summand = _parse_summand(raw, index)
         if key is None or (words := _words(key)) > _HELD_WORDS_EACH:
-            return [summand, None, 0]
+            return summand
         while len(self) >= _HELD_SUMMANDS or self.words + words > _HELD_WORDS:
-            self.words -= self.popitem(last=False)[1][2]
-        self[key] = entry = [summand, None, words]
+            self.words -= _words(self.popitem(last=False)[0])
+        self[key] = summand
         self.words += words
-        return entry
+        return summand
 
 
 _HELD = _Held()
@@ -264,30 +258,24 @@ def parse_manifold(text: str) -> ManifoldDoc:
     for field_name in ("name", "notes"):
         if field_name in raw and not isinstance(raw[field_name], str):
             raise ManifoldSemanticError(f"'{field_name}' must be a string")
-    entries = [  # each summand's entry: held, or parsed now and held if it can be
+    summands = [  # held, or parsed now and held if it can be
         _HELD.get(key := _key(obj)) or _HELD.parse(key, obj, index)
         for index, obj in enumerate(summands_raw)
     ]
-    doc = ManifoldDoc([entry[0] for entry in entries], raw.get("name"), raw.get("notes"))
-    object.__setattr__(doc, "_entries", entries)
-    return doc
+    return ManifoldDoc(summands, raw.get("name"), raw.get("notes"))
 
 
 def _summand_text(summand: Summand) -> str:
-    """A summand's text at its depth in a file: its record fields, "type" and
-    ``c``.  Every key and tag is ASCII, so json_text writes them as
-    encode_basestring_ascii would."""
+    """A summand's text at its depth in a file, kept on it as ``_text``: its
+    record fields, "type" and ``c``.  Every key and tag is ASCII, so json_text
+    writes them as encode_basestring_ascii would."""
     block, spin_c = summand.block, summand.spin_c
     raw = {**vars(block), "type": block.tag}  # a record keeps its fields there, by name
     if spin_c is not None:  # ManifoldDoc admits it with coordinates only
         raw["c"] = spin_c.c_coords
-    return json_text(raw, "\n    ")
-
-
-def _write(entry: list) -> str:
-    """An entry's text, kept in it."""
-    entry[1] = _summand_text(entry[0])
-    return entry[1]
+    text = json_text(raw, "\n    ")
+    object.__setattr__(summand, "_text", text)  # as Summand keeps _parity
+    return text
 
 
 def serialize_manifold(doc: ManifoldDoc) -> str:
@@ -296,9 +284,8 @@ def serialize_manifold(doc: ManifoldDoc) -> str:
     by json_text.  ``parse_manifold(serialize_manifold(doc))`` returns an equal document."""
     head = "".join(f'  "{key}": {encode_basestring_ascii(text)},\n'
                    for key, text in (("name", doc.name), ("notes", doc.notes)) if text is not None)
-    # a held entry's text is written once, by the first file written that holds it
-    entries = doc._entries or [[summand, None] for summand in doc.summands]
-    body = ",\n    ".join([entry[1] or _write(entry) for entry in entries])
+    # a summand's text is written once, by the first file written that holds it
+    body = ",\n    ".join([getattr(s, "_text", None) or _summand_text(s) for s in doc.summands])
     return f'{{\n{head}  "summands": [\n    {body}\n  ]\n}}\n'
 
 

@@ -45,6 +45,7 @@ from swstem.stems import (
     unknown,
     zero,
 )
+from conftest import child_env
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -245,6 +246,7 @@ def _run(*args):
         capture_output=True,
         text=True,
         encoding="utf-8",
+        env=child_env(),
     )
     assert proc.returncode == 0, (args, proc.stderr)
     return proc.stdout

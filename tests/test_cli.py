@@ -17,6 +17,7 @@ from swstem import blocks, cli
 from swstem.blocks import EllipticSurface
 from swstem.errors import MAX_INPUT_BITS, InvalidParameters
 from swstem.invariants import connected_sum, odd_basic_fingerprint
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "samples"
@@ -29,6 +30,7 @@ def run_cli(*args, expect=0, timeout=None):
         text=True,
         encoding="utf-8",
         timeout=timeout,
+        env=child_env(),
     )
     assert proc.returncode == expect, (proc.stdout, proc.stderr)
     return proc
@@ -249,13 +251,18 @@ def test_import_loads_no_dataclasses_and_every_library_module():
     # (inspect, ast, dis, tokenize) cost about a third of every call's start
     listing = "import sys; print(' '.join(sys.modules))"
     bare = subprocess.run(
-        [sys.executable, "-c", listing], capture_output=True, text=True, check=True
+        [sys.executable, "-c", listing],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=child_env(),
     )
     loaded = subprocess.run(
         [sys.executable, "-c", "import swstem.cli; " + listing],
         capture_output=True,
         text=True,
         check=True,
+        env=child_env(),
     )
     added = set(loaded.stdout.split()) - set(bare.stdout.split())
     assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
@@ -638,7 +645,7 @@ def test_broken_pipe_ends_in_one_error_line():
     # child runs with stdout buffered and unbuffered, whatever the environment
     # running the tests sets
     argv = ["basic-classes", "--pg", "201", "--m", "51", "--n", "53"]
-    buffered = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    buffered = child_env()
     for env in (buffered, {**buffered, "PYTHONUNBUFFERED": "1"}):
         proc = subprocess.Popen(
             [sys.executable, "-m", "swstem", *argv],
@@ -662,7 +669,6 @@ def test_a_closed_pipe_ends_in_one_error_line_with_a_buffered_stdout(flags):
     # the answer fits stdout's buffer, so unflushed it would fail in the
     # interpreter's exit flush (exit 120, no error line); the child's stdout
     # is buffered whatever the environment running the tests sets
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     read_end, write_end = os.pipe()
     os.close(read_end)  # closed before the child writes
     try:
@@ -670,7 +676,7 @@ def test_a_closed_pipe_ends_in_one_error_line_with_a_buffered_stdout(flags):
             [sys.executable, "-m", "swstem", "invariant", sample("k3x2.json"), *flags],
             stdout=write_end,
             stderr=subprocess.PIPE,
-            env=env,
+            env=child_env(),
             text=True,
         )
     finally:
@@ -687,6 +693,7 @@ def test_a_closed_stdout_takes_the_answer_to_nowhere(flags):
         stderr=subprocess.PIPE,
         text=True,
         preexec_fn=lambda: os.close(1),
+        env=child_env(),
     )
     assert (proc.returncode, proc.stderr) == (0, "")
 
@@ -712,7 +719,9 @@ def test_every_way_of_running_swstem_answers_alike(argv):
     assert (module, function) == ("swstem.cli", "run")
     script = f"import sys; from {module} import {function}; sys.exit({function}())"
     answers = [
-        subprocess.run([sys.executable, *entry, *argv], capture_output=True, text=True)
+        subprocess.run(
+            [sys.executable, *entry, *argv], capture_output=True, text=True, env=child_env()
+        )
         for entry in (["-m", "swstem"], ["-m", "swstem.cli"], ["-c", script])
     ]
     assert len({(p.stdout, p.stderr, p.returncode) for p in answers}) == 1
@@ -727,7 +736,10 @@ def test_the_program_leaves_its_heap_frozen_at_exit():
         "runpy.run_module('swstem', run_name='__main__', alter_sys=True)"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", hook, *ENTRY_CALLS[0]], capture_output=True, text=True
+        [sys.executable, "-c", hook, *ENTRY_CALLS[0]],
+        capture_output=True,
+        text=True,
+        env=child_env(),
     )
     assert (proc.returncode, proc.stderr) == (0, "True\n")
 

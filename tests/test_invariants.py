@@ -35,6 +35,7 @@ from swstem.invariants import (
     InvariantClass,
     SplitKind,
     SplitQuery,
+    SplitVerdict,
     Summand,
     blowup,
     connected_sum,
@@ -394,6 +395,11 @@ def test_split_pair_odd_residue_mod_two_unconstrained():
 def test_split_pair_even_residue_mod_two():
     verdict = split_verdict(connected_sum(K3, K3), SplitQuery(2, 0))
     assert verdict.kind is SplitKind.UNKNOWN
+
+
+def test_a_split_verdict_without_a_trace_is_refused():
+    with pytest.raises(InvalidParameters, match="^split verdicts must carry a reasoning trace$"):
+        SplitVerdict(SplitKind.UNKNOWN, ())
 
 
 def test_fingerprint():

@@ -387,16 +387,18 @@ def test_a_held_summand_is_the_same_object_in_every_file(no_summand_held):
 
 
 def _check_accounts(held) -> None:
-    """The table's bounds hold, and so does its count of words: each entry
-    weighs at least its key's ints (a word each, and one more for each 64 bits
-    of each), and a text written in an entry is short for its weight."""
+    """The table's bounds hold, and so does its count of words: each key
+    weighs at least its ints (a word each, and one more for each 64 bits of
+    each), and a text written on a held summand is short for its weight."""
     assert len(held) <= manifold_io._HELD_SUMMANDS
-    for key, (_, text, words) in held.items():
+    for key, summand in held.items():
+        words = manifold_io._words(key)
         ints = [v for _, v in key if type(v) is int]
         ints += [x for _, v in key if type(v) is tuple for x in v]
         assert words >= sum(1 + x.bit_length() // 64 for x in ints)
+        text = getattr(summand, "_text", None)
         assert text is None or len(text) <= 128 + 32 * words
-    assert held.words == sum(words for _, _, words in held.values()) <= manifold_io._HELD_WORDS
+    assert held.words == sum(map(manifold_io._words, held)) <= manifold_io._HELD_WORDS
 
 
 def test_the_table_holds_no_more_summands_than_its_bound(no_summand_held):
@@ -429,7 +431,7 @@ def test_the_table_holds_no_more_words_than_its_bound(no_summand_held, labels, w
         assert doc.summands[0] == Summand(KaehlerGeneric(2 * start + 1, tuple(labels)))
         assert serialize_manifold(doc) == _reference_text(doc)
         _check_accounts(no_summand_held)
-    assert {words for _, _, words in no_summand_held.values()} == {words}
+    assert set(map(manifold_io._words, no_summand_held)) == {words}
     assert len(no_summand_held) == manifold_io._HELD_WORDS // words < 200
 
 
@@ -450,12 +452,40 @@ def test_a_summand_past_the_words_of_an_entry_is_parsed_and_not_held(no_summand_
 def test_a_held_text_is_written_once_by_the_first_file_written(no_summand_held):
     text = json.dumps({"summands": [_elliptic(3), {"type": "k3"}]})
     first = parse_manifold(text)
-    assert [entry[1] for entry in no_summand_held.values()] == [None, None]  # parsing writes none
+    held = [*no_summand_held.values()]
+    assert held == [*first.summands]
+    assert [getattr(s, "_text", None) for s in held] == [None, None]  # parsing writes none
     written = serialize_manifold(first)
     assert written == _reference_text(first)
-    texts = [entry[1] for entry in no_summand_held.values()]
+    texts = [s._text for s in held]
     assert serialize_manifold(parse_manifold(text)) == written
-    assert all(a is b for a, b in zip(texts, (entry[1] for entry in no_summand_held.values())))
+    assert all(a is b for a, b in zip(held, no_summand_held.values()))
+    assert all(a is b._text for a, b in zip(texts, no_summand_held.values()))
+
+
+def test_a_summand_text_is_written_once_whoever_built_the_document(no_summand_held, monkeypatch):
+    written = []
+
+    def counted(value, *args):
+        written.append(value["type"])
+        return json_text(value, *args)
+
+    monkeypatch.setattr(manifold_io, "json_text", counted)
+    e3, k3 = Summand(EllipticSurface(3, 1, 1)), Summand(K3)
+    by_hand = ManifoldDoc([e3, k3, e3], name="by hand")
+    first = serialize_manifold(by_hand)
+    assert serialize_manifold(by_hand) == first == _reference_text(by_hand)
+    assert written == ["elliptic", "elliptic"]  # one text each for e3 and k3, the first write
+    # a parsed summand and a hand-built document holding it share one text
+    parsed = parse_manifold(json.dumps({"summands": [_elliptic(5), {"type": "s4"}]}))
+    shared = ManifoldDoc([Summand(SymplecticGeneric(7)), parsed.summands[0]])
+    assert serialize_manifold(shared) == _reference_text(shared)
+    text = parsed.summands[0]._text
+    assert serialize_manifold(parsed) == _reference_text(parsed)
+    assert shared.summands[1]._text is text is parsed.summands[0]._text
+    assert written == ["elliptic", "elliptic", "symplectic", "elliptic", "s4"]
+    serialize_manifold(shared), serialize_manifold(parsed), serialize_manifold(by_hand)
+    assert len(written) == 5
 
 
 def test_a_kaehler_label_past_the_input_width_is_refused():

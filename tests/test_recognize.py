@@ -36,6 +36,7 @@ from swstem.recognize import (
     recognize_oracle,
 )
 from swstem.stems import TriState
+from conftest import child_env
 
 # the package exports the function ``recognize`` under the module's name
 RECOGNIZE = importlib.import_module("swstem.recognize")
@@ -347,7 +348,7 @@ def test_oracle_work_does_not_grow_with_the_top_multiple():
         "print(recognize_oracle(Pattern([-(10**23 + 1), 10**23 + 1])))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=5
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=5, env=child_env()
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "()\n"

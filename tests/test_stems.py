@@ -139,6 +139,12 @@ def test_payload_validation():
         StemElement(StemKind.ZERO, 0, 3)
 
 
+@pytest.mark.parametrize("degree, value", [(4, None), (0, None), (2, 1)])
+def test_a_hopf_element_lives_in_degrees_one_to_three_and_carries_no_value(degree, value):
+    with pytest.raises(InvalidParameters, match=r"^Hopf powers exist in degrees 1\.\.3 only$"):
+        StemElement(StemKind.HOPF, degree, value)
+
+
 @pytest.mark.parametrize(
     "build",
     [
