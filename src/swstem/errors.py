@@ -6,7 +6,7 @@ callers (and the CLI) can map domain failures to a single exit code.
 ``narrow_int`` the one for block integers and spin-c coordinates, and
 ``as_tuple`` the one for an argument that lists integers.  A message names
 an integer through ``shown``, so that one too wide to print is named by its
-bit length.
+bit length, and a value nested too deeply to print by its type.
 """
 
 from __future__ import annotations
@@ -33,13 +33,19 @@ MAX_SHOWN_BITS = 14_000
 
 
 def shown(value) -> str:
-    """repr(value), but an integer wider than MAX_SHOWN_BITS by its bit length.
+    """repr(value), but an integer wider than MAX_SHOWN_BITS by its bit length,
+    and a value nested too deeply for repr by its type.
 
     >>> shown(-7), shown(10**5000)
     ('-7', 'a 16610-bit integer')
     """
     bits = value.bit_length() if isinstance(value, int) else 0
-    return repr(value) if bits <= MAX_SHOWN_BITS else f"a {bits}-bit integer"
+    if bits > MAX_SHOWN_BITS:
+        return f"a {bits}-bit integer"
+    try:
+        return repr(value)
+    except RecursionError:  # a list nested about as deep as the JSON decoder admits
+        return f"a {type(value).__name__} nested too deeply to show"
 
 
 def exact_int(value, what: str) -> int:

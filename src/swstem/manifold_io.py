@@ -33,8 +33,8 @@ A summand object whose values are exact ints or lists of them is interned:
 its first parse runs every check, and every later equal object, in any file
 of the process, parses to the same shared, frozen ``Summand``.  Any other
 object (a bool, a float, a nested list, ...) is checked as it stands, so
-every refusal reads as it would with nothing held.  The table is bounded by
-the summands it holds and the ints their keys hold, and drops its oldest
+every refusal reads as it would with nothing held.  The table holds at most
+1,024 summands, each keyed by at most 16 words of ints, and drops its oldest
 entry first.  A written summand keeps its own text: the first file written
 that holds a summand, parsed or built by hand, writes its text once, and
 every later file joins that text.
@@ -43,7 +43,7 @@ every later file joins that text.
 from __future__ import annotations
 
 import json
-from collections import Counter, OrderedDict
+from collections import Counter
 from json.encoder import encode_basestring_ascii
 
 from ._json_text import json_text
@@ -122,13 +122,12 @@ _decode = json.JSONDecoder(object_pairs_hook=_object).decode
 
 
 #: the intern table's bounds: summands held, and the weight of the ints their
-#: keys hold, in 64-bit words (``_words``); a summand whose key weighs more
-#: than _HELD_WORDS_EACH is parsed and not held.  A held summand's text writes
-#: no int but its key's (and K3's three), so it is at most 128 characters and
-#: 32 a word
+#: keys hold, in 64-bit words (``_words``).  A summand is held only when its
+#: key weighs at most _HELD_WORDS // _HELD_SUMMANDS (16) words, so a bound on
+#: the count bounds the weight.  A held summand's text writes no int but its
+#: key's (and K3's three), so it is at most 128 characters and 32 a word
 _HELD_SUMMANDS = 1024
 _HELD_WORDS = 1 << 14
-_HELD_WORDS_EACH = 1 << 9
 _SCALARS = {int, str}
 _INTS = {int}
 
@@ -145,7 +144,7 @@ def _key(raw: object) -> frozenset | None:
     for name, value in raw.items():
         if type(value) is list:
             # an int weighs a word at least
-            if len(value) > _HELD_WORDS_EACH or not _INTS.issuperset(map(type, value)):
+            if len(value) > _HELD_WORDS // _HELD_SUMMANDS or not _INTS.issuperset(map(type, value)):
                 return None
             value = (*value,)
         elif type(value) not in _SCALARS:
@@ -167,26 +166,19 @@ def _words(key: frozenset) -> int:
     return words
 
 
-class _Held(OrderedDict):
-    """The intern table: a summand object's key -> its ``Summand``, oldest
-    first; ``words`` is the weight of the keys held."""
-
-    words = 0
-
-    def parse(self, key: frozenset | None, raw: object, index: int) -> Summand:
-        """A summand object not held: checked as it stands, then held if it
-        has a key of few enough words."""
-        summand = _parse_summand(raw, index)
-        if key is None or (words := _words(key)) > _HELD_WORDS_EACH:
-            return summand
-        while len(self) >= _HELD_SUMMANDS or self.words + words > _HELD_WORDS:
-            self.words -= _words(self.popitem(last=False)[0])
-        self[key] = summand
-        self.words += words
-        return summand
+#: the intern table: a summand object's key -> its ``Summand``, oldest first
+_HELD: dict = {}
 
 
-_HELD = _Held()
+def _parse_held(key: frozenset | None, raw: object, index: int) -> Summand:
+    """A summand object not held: checked as it stands, then held if it has
+    a key of few enough words, in place of the oldest when the table is full."""
+    summand = _parse_summand(raw, index)
+    if key is not None and _words(key) <= _HELD_WORDS // _HELD_SUMMANDS:
+        if len(_HELD) >= _HELD_SUMMANDS:
+            del _HELD[next(iter(_HELD))]
+        _HELD[key] = summand
+    return summand
 
 
 def _parse_summand(raw: object, index: int) -> Summand:
@@ -259,7 +251,7 @@ def parse_manifold(text: str) -> ManifoldDoc:
         if field_name in raw and not isinstance(raw[field_name], str):
             raise ManifoldSemanticError(f"'{field_name}' must be a string")
     summands = [  # held, or parsed now and held if it can be
-        _HELD.get(key := _key(obj)) or _HELD.parse(key, obj, index)
+        _HELD.get(key := _key(obj)) or _parse_held(key, obj, index)
         for index, obj in enumerate(summands_raw)
     ]
     return ManifoldDoc(summands, raw.get("name"), raw.get("notes"))

@@ -29,5 +29,5 @@ def child_env() -> dict[str, str]:
 def no_summand_held(monkeypatch):
     """An empty intern table of parsed summands in place of ``manifold_io``'s
     for the test, so that every summand a file holds is parsed afresh."""
-    monkeypatch.setattr(manifold_io, "_HELD", manifold_io._Held())
+    monkeypatch.setattr(manifold_io, "_HELD", {})
     return manifold_io._HELD

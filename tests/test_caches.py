@@ -10,7 +10,7 @@ the closed-form table (``table_oracle``), the odd count
 2^popcount(p_g - 1) m n, and the standard library's manifold text
 (``_reference_text``).  After every step the caches are checked against a
 model of what they hold.  The intern table runs at small bounds, so that a
-pool of thirteen summand objects evicts; every cache and bound is restored
+pool of fourteen summand objects evicts; every cache and bound is restored
 after each example, as the ``emptied`` and ``no_summand_held`` fixtures do.
 """
 
@@ -39,17 +39,19 @@ from swstem.lattice import SpinC
 from swstem.manifold_io import ManifoldDoc, parse_manifold, serialize_manifold
 from swstem.recognize import Pattern, recognize
 from test_blocks import coprime_grid, table_oracle
-from test_manifold_io import _reference_text
+from test_manifold_io import _held_key, _reference_text
 
 pytestmark = pytest.mark.deep
 
 #: small coprime triples; keys reach past 256, where CPython shares no int
 TRIPLES = [t for t in coprime_grid(9, 9) if t[0] * t[1] * t[2] <= 400]
 
-#: the intern table's bounds while the machine runs: (summands, words, words each)
-BOUNDS = (6, 48, 20)
+#: the intern table's bounds while the machine runs: (summands, words); a
+#: summand is held when its key weighs at most their quotient, 20 words
+BOUNDS = (6, 120)
+EACH = BOUNDS[1] // BOUNDS[0]
 
-#: (summand object, its words by hand, or None where it is not held, and the
+#: (summand object, its words by hand, or None where it is refused, and the
 #: summand it parses to, or None where it is refused)
 POOL = [
     ({"type": "k3"}, 0, lambda: Summand(K3)),
@@ -59,15 +61,18 @@ POOL = [
     ({"type": "symplectic", "b_plus": 7}, 1, lambda: Summand(SymplecticGeneric(7))),
     ({"type": "kaehler", "b_plus": 3, "odd_basic": [3, 1]}, 3,
      lambda: Summand(KaehlerGeneric(3, (1, 3)))),
-    # a label repeated weighs as often as it is written, and is written once
-    ({"type": "kaehler", "b_plus": 7, "odd_basic": [1] * 18}, 19,
+    # a label repeated weighs as often as it is written, and is written once:
+    # at an entry's words, and one word past them
+    ({"type": "kaehler", "b_plus": 7, "odd_basic": [1] * 19}, EACH,
      lambda: Summand(KaehlerGeneric(7, (1,)))),
+    ({"type": "kaehler", "b_plus": 13, "odd_basic": [1] * 20}, EACH + 1,
+     lambda: Summand(KaehlerGeneric(13, (1,)))),
     ({"type": "kaehler", "b_plus": 3, "odd_basic": [2**100 + 1]}, 3,
      lambda: Summand(KaehlerGeneric(3, (2**100 + 1,)))),
     # past the words of an entry: a list longer than them, and one int wider
-    ({"type": "kaehler", "b_plus": 11, "odd_basic": [1] * 25}, None,
+    ({"type": "kaehler", "b_plus": 11, "odd_basic": [1] * 25}, 26,
      lambda: Summand(KaehlerGeneric(11, (1,)))),
-    ({"type": "kaehler", "b_plus": 3, "odd_basic": [2**1300 + 1]}, None,
+    ({"type": "kaehler", "b_plus": 3, "odd_basic": [2**1300 + 1]}, 22,
      lambda: Summand(KaehlerGeneric(3, (2**1300 + 1,)))),
     ({"type": "negative_definite", "rank": 2, "c": [1, -3]}, 3,
      lambda: Summand(NegativeDefinite(2), SpinC.from_coords([1, -3]))),
@@ -78,7 +83,7 @@ BUILT = [i for i, (_, _, build) in enumerate(POOL) if build is not None]
 
 
 def _pool_key(i: int) -> frozenset:
-    return frozenset((k, tuple(v) if type(v) is list else v) for k, v in POOL[i][0].items())
+    return _held_key(POOL[i][0])
 
 
 def _odd_oracle(p_g: int, m: int, n: int) -> tuple[int, ...]:
@@ -97,14 +102,12 @@ class CacheMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.saved = (blocks._TABLES, manifold_io._HELD, manifold_io.json_text,
-                      manifold_io._HELD_SUMMANDS, manifold_io._HELD_WORDS,
-                      manifold_io._HELD_WORDS_EACH)
+                      manifold_io._HELD_SUMMANDS, manifold_io._HELD_WORDS)
         blocks._TABLES = {}
         blocks._recognizable.cache_clear()
         blocks._LISTED.clear()
-        manifold_io._HELD = manifold_io._Held()
-        (manifold_io._HELD_SUMMANDS, manifold_io._HELD_WORDS,
-         manifold_io._HELD_WORDS_EACH) = BOUNDS
+        manifold_io._HELD = {}
+        manifold_io._HELD_SUMMANDS, manifold_io._HELD_WORDS = BOUNDS
         self.texts_written = 0
         write = self.saved[2]
 
@@ -120,8 +123,7 @@ class CacheMachine(RuleBasedStateMachine):
 
     def teardown(self):
         (blocks._TABLES, manifold_io._HELD, manifold_io.json_text,
-         manifold_io._HELD_SUMMANDS, manifold_io._HELD_WORDS,
-         manifold_io._HELD_WORDS_EACH) = self.saved
+         manifold_io._HELD_SUMMANDS, manifold_io._HELD_WORDS) = self.saved
         # the sets built may hold keys of tables dropped, and the listing holds the sets
         blocks._recognizable.cache_clear()
         blocks._LISTED.clear()
@@ -231,9 +233,9 @@ class CacheMachine(RuleBasedStateMachine):
             doc = None
         for i in indices:  # held first to last; the oldest dropped first
             words = POOL[i][1]
-            if i in self.held or words is None:
+            if i in self.held or words is None or words > EACH:
                 continue
-            while len(self.held) >= BOUNDS[0] or sum(self.held.values()) + words > BOUNDS[1]:
+            if len(self.held) == BOUNDS[0]:
                 self.held.popitem(last=False)
             self.held[i] = words
         if doc is None:
@@ -269,7 +271,7 @@ class CacheMachine(RuleBasedStateMachine):
         assert self.texts_written - before == len(unwritten)
         assert text == _reference_text(doc) == serialize_manifold(doc)
         assert self.texts_written - before == len(unwritten)
-        held, manifold_io._HELD = manifold_io._HELD, manifold_io._Held()
+        held, manifold_io._HELD = manifold_io._HELD, {}
         try:  # a round trip that leaves the machine's table as it was
             assert parse_manifold(text) == doc
         finally:
@@ -279,7 +281,7 @@ class CacheMachine(RuleBasedStateMachine):
     @rule()
     def no_summand_held(self):
         """The reset of the ``no_summand_held`` fixture."""
-        manifold_io._HELD = manifold_io._Held()
+        manifold_io._HELD = {}
         self.held.clear()
 
     @invariant()
@@ -287,8 +289,9 @@ class CacheMachine(RuleBasedStateMachine):
         table = manifold_io._HELD
         assert [*table] == [*map(_pool_key, self.held)]
         assert [*table.values()] == [POOL[i][2]() for i in self.held]
-        assert table.words == sum(map(manifold_io._words, table)) == sum(self.held.values())
-        assert len(table) <= BOUNDS[0] and table.words <= BOUNDS[1]
+        weights = [*map(manifold_io._words, table)]
+        assert weights == [*self.held.values()] and max(weights, default=0) <= EACH
+        assert len(table) <= BOUNDS[0] and sum(weights) <= BOUNDS[1]
         for summand in (*table.values(), *(s for doc in self.docs for s in doc.summands)):
             text = getattr(summand, "_text", None)
             if text is not None:

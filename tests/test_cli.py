@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -15,8 +16,14 @@ import pytest
 
 from swstem import blocks, cli
 from swstem.blocks import EllipticSurface
-from swstem.errors import MAX_INPUT_BITS, InvalidParameters
+from swstem.errors import (
+    MAX_INPUT_BITS,
+    InvalidParameters,
+    ManifoldSemanticError,
+    ManifoldSyntaxError,
+)
 from swstem.invariants import connected_sum, odd_basic_fingerprint
+from swstem.manifold_io import parse_manifold
 from conftest import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -619,6 +626,77 @@ def test_hostile_files_end_in_one_error_line(tmp_path, raw):
     assert "set_int_max_str_digits" not in proc.stderr
     assert proc.stderr.startswith("error:")
     assert sum(line.startswith("error:") for line in proc.stderr.splitlines()) == 1
+
+
+def _tour() -> list[tuple[list[str], str]]:
+    """The README's command line tour: each ``$ swstem`` line's arguments and
+    the lines shown under it, up to the next blank line."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line tour", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    calls = []
+    for entry in block.strip().split("\n\n"):
+        command, *shown = entry.split("\n")
+        argv = shlex.split(command.removeprefix("$ "), comments=True)
+        assert argv[0] == "swstem", command
+        calls.append((argv[1:], "".join(line + "\n" for line in shown)))
+    return calls
+
+
+TOUR = _tour()
+
+
+def test_the_readme_tour_shows_every_subcommand():
+    assert {argv[0] for argv, _ in TOUR} == cli._COMMANDS
+
+
+@pytest.mark.parametrize("argv, shown", TOUR, ids=[f"{i}-{a[0]}" for i, (a, _) in enumerate(TOUR)])
+def test_the_readme_tour_prints_what_it_shows(argv, shown):
+    proc = subprocess.run(
+        [sys.executable, "-m", "swstem", *argv],
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+        cwd=ROOT,  # the tour's sample paths are relative to the checkout
+        env=child_env(),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, shown, "")
+
+
+#: a summand object holding a list where an int or a list of ints belongs
+NESTED = {
+    "b_plus": '{"type": "symplectic", "b_plus": %s}',
+    "rank": '{"type": "negative_definite", "rank": %s}',
+    "p_g": '{"type": "elliptic", "p_g": %s, "m": 1, "n": 1}',
+    "m": '{"type": "elliptic", "p_g": 1, "m": %s, "n": 1}',
+    "odd_basic": '{"type": "kaehler", "b_plus": 3, "odd_basic": %s}',
+    "odd_basic-item": '{"type": "kaehler", "b_plus": 3, "odd_basic": [1, %s]}',
+    "c": '{"type": "negative_definite", "rank": 1, "c": %s}',
+}
+
+
+@pytest.mark.parametrize("summand", NESTED.values(), ids=list(NESTED))
+def test_a_deeply_nested_value_ends_in_one_error_line(tmp_path, capsys, summand):
+    # every depth to past the JSON decoder's limit, which moves with the
+    # Python version: a message echoes the value, or names it by its type
+    # where its repr would overflow the stack, just below that limit
+    texts = [
+        '{"summands": [%s]}' % (summand % ("[" * depth + "true" + "]" * depth))
+        for depth in range(1, sys.getrecursionlimit() + 50)
+    ]
+    named = []
+    for depth, text in enumerate(texts, 1):
+        with pytest.raises((ManifoldSyntaxError, ManifoldSemanticError)) as exc:
+            parse_manifold(text)
+        if str(exc.value).endswith("got a list nested too deeply to show"):
+            named.append(depth)
+    assert named
+    # the command line, from below that window to past the decoder's limit
+    path = tmp_path / "nested.json"
+    for depth in range(named[0] - 50, len(texts) + 1):
+        path.write_text(texts[depth - 1])
+        assert cli.main(["invariant", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, depth
 
 
 @pytest.mark.parametrize("flags", [(), ("--json",)])

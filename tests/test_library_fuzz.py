@@ -7,7 +7,8 @@ tuples.  What comes out is the record (or listing) it builds or
 deadline.  A table or odd-SW set past ``MAX_LISTING`` entries or
 ``MAX_LISTING_BITS`` bits (of keys, and of a table's values) is refused
 unbuilt, so a valid but huge triple ends at once.  An error message names
-an integer too wide to print by its bit length.
+an integer too wide to print by its bit length, and a value nested too
+deeply to print by its type.
 """
 
 import time
@@ -25,7 +26,7 @@ from swstem.blocks import (
     basic_class_table,
     recognizable_set,
 )
-from swstem.errors import MAX_INPUT_BITS, InvalidParameters, SwStemError
+from swstem.errors import MAX_INPUT_BITS, InvalidParameters, SwStemError, exact_int
 from swstem.invariants import SplitQuery
 from swstem.lattice import SpinC, dirac_index
 from swstem.recognize import Pattern, recognize
@@ -114,4 +115,28 @@ ECHOES = {
 @pytest.mark.parametrize("call", ECHOES.values(), ids=list(ECHOES))
 def test_an_echoed_integer_too_wide_to_print_is_named_by_its_bit_length(call):
     with pytest.raises(SwStemError, match="a 16610-bit integer"):
+        call()
+
+
+def _nested(depth: int) -> list:
+    """[[...[]...]], ``depth`` lists deep: repr overflows the stack past about 1,000."""
+    value = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
+DEEP = _nested(5000)
+NESTED = {
+    "exact-int": lambda: exact_int(DEEP, "rank"),
+    "pattern": lambda: Pattern([DEEP]),
+    "elliptic": lambda: EllipticSurface(DEEP, 1, 1),
+    "spin-c": lambda: SpinC.from_coords([DEEP]),
+    "kaehler": lambda: KaehlerGeneric(3, [DEEP]),
+}
+
+
+@pytest.mark.parametrize("call", NESTED.values(), ids=list(NESTED))
+def test_an_echoed_value_too_deeply_nested_to_print_is_named_by_its_type(call):
+    with pytest.raises(InvalidParameters, match="got a list nested too deeply to show$"):
         call()

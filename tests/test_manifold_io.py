@@ -1,7 +1,9 @@
 """Strict manifold-description parsing and canonical serialization."""
 
 import json
+import random
 import warnings
+from collections import OrderedDict
 from math import gcd
 from pathlib import Path
 
@@ -364,7 +366,10 @@ _WIDE = 2**MAX_INPUT_BITS
 )
 def test_a_near_miss_of_a_held_summand_is_refused_as_before(valid, near_miss, message):
     warm = parse_manifold(f'{{"summands": [{valid}]}}').summands[0]
-    assert parse_manifold(f'{{"summands": [{valid}]}}').summands[0] is warm  # held
+    # held, but for the 6,999-bit twin of "too-wide": its key weighs 112
+    # words, past an entry's 16, so it is parsed afresh each time
+    held = _weight(json.loads(valid)) <= _EACH
+    assert (parse_manifold(f'{{"summands": [{valid}]}}').summands[0] is warm) is held
     with pytest.raises(ManifoldSemanticError) as exc:
         parse_manifold(f'{{"summands": [{valid}, {near_miss}]}}')
     assert exc.value.block_index == 1
@@ -373,6 +378,27 @@ def test_a_near_miss_of_a_held_summand_is_refused_as_before(valid, near_miss, me
 
 def _elliptic(p_g: int) -> dict:
     return {"type": "elliptic", "p_g": p_g, "m": 1, "n": 1}
+
+
+#: the most words a held key weighs: the table's words over its summands
+_EACH = 16
+
+
+def _held_key(raw: dict) -> frozenset:
+    """A summand object's key in the intern table, by hand."""
+    return frozenset((key, tuple(v) if type(v) is list else v) for key, v in raw.items())
+
+
+def _weight(raw: dict) -> int:
+    """A summand object's weight in words, by hand: a word for each int and
+    each 64 bits of its width, the widths of a list's ints summed."""
+    words = 0
+    for value in raw.values():
+        if type(value) is int:
+            words += 1 + value.bit_length() // 64
+        elif type(value) is list:
+            words += len(value) + sum(x.bit_length() for x in value) // 64
+    return words
 
 
 def test_a_held_summand_is_the_same_object_in_every_file(no_summand_held):
@@ -389,16 +415,18 @@ def test_a_held_summand_is_the_same_object_in_every_file(no_summand_held):
 def _check_accounts(held) -> None:
     """The table's bounds hold, and so does its count of words: each key
     weighs at least its ints (a word each, and one more for each 64 bits of
-    each), and a text written on a held summand is short for its weight."""
+    each) and at most an entry's words, and a text written on a held summand
+    is short for its weight."""
+    assert manifold_io._HELD_WORDS // manifold_io._HELD_SUMMANDS == _EACH
     assert len(held) <= manifold_io._HELD_SUMMANDS
     for key, summand in held.items():
         words = manifold_io._words(key)
         ints = [v for _, v in key if type(v) is int]
         ints += [x for _, v in key if type(v) is tuple for x in v]
-        assert words >= sum(1 + x.bit_length() // 64 for x in ints)
+        assert sum(1 + x.bit_length() // 64 for x in ints) <= words <= _EACH
         text = getattr(summand, "_text", None)
         assert text is None or len(text) <= 128 + 32 * words
-    assert held.words == sum(map(manifold_io._words, held)) <= manifold_io._HELD_WORDS
+    assert sum(map(manifold_io._words, held)) <= manifold_io._HELD_WORDS
 
 
 def test_the_table_holds_no_more_summands_than_its_bound(no_summand_held):
@@ -418,35 +446,124 @@ def test_the_table_holds_no_more_summands_than_its_bound(no_summand_held):
     "labels, words",
     [
         # a list weighs 1 word an int and 1 for each 64 bits of them all; b_plus 1 word
+        ([1] * 15, 16),  # an entry's words: 15, and 1
+        ([2**896 + 1], 16),  # 897 bits: 1 + 14, and 1
         ([_WIDE - 1], 111),  # 7,000 bits: 1 + 109, and 1
-        ([1] * 400, 407),  # a label repeated is held as often as the file writes it: 400 + 6, and 1
+        ([1] * 400, 407),  # a label repeated weighs as often as the file writes it: 400 + 6, and 1
         ([_WIDE - 1] * 4, 442),  # 4 + 437, and 1
     ],
-    ids=["wide", "repeated", "repeated-wide"],
+    ids=["at-entry", "wide-at-entry", "wide", "repeated", "repeated-wide"],
 )
 def test_the_table_holds_no_more_words_than_its_bound(no_summand_held, labels, words):
-    held = [{"type": "kaehler", "b_plus": 2 * i + 1, "odd_basic": labels} for i in range(200)]
-    for start in range(0, 200, 50):
-        doc = parse_manifold(json.dumps({"summands": held[start:start + 50]}))
+    # a key of an entry's words is held, a heavier one never: the table's
+    # words reach their bound only when it holds its most summands, each of
+    # an entry's words
+    bound = manifold_io._HELD_SUMMANDS
+    count = bound + 100 if words <= _EACH else 200
+    held = [{"type": "kaehler", "b_plus": 2 * i + 1, "odd_basic": labels} for i in range(count)]
+    assert {_weight(raw) for raw in held} == {words}
+    for start in range(0, count, 300):
+        doc = parse_manifold(json.dumps({"summands": held[start:start + 300]}))
         assert doc.summands[0] == Summand(KaehlerGeneric(2 * start + 1, tuple(labels)))
         assert serialize_manifold(doc) == _reference_text(doc)
         _check_accounts(no_summand_held)
-    assert set(map(manifold_io._words, no_summand_held)) == {words}
-    assert len(no_summand_held) == manifold_io._HELD_WORDS // words < 200
+    weights = [*map(manifold_io._words, no_summand_held)]
+    if words <= _EACH:
+        assert weights == [words] * bound and sum(weights) == manifold_io._HELD_WORDS
+        assert [*no_summand_held][0] == _held_key(held[count - bound])  # the oldest dropped
+    else:
+        assert weights == []
 
 
 @pytest.mark.parametrize(
     "labels",
-    [list(range(-2500, 2501)), [1] * 513, [_WIDE - 1 - 2 * i for i in range(5)], [_WIDE - 1] * 4096],
-    ids=["many", "repeated", "wide", "repeated-wide"],
+    [
+        [1] * 16,  # one word past an entry's: 16, and b_plus 1
+        [2**960 + 1],  # 961 bits: 1 + 15, and 1
+        [1] * 17,  # a list longer than an entry's words is refused before it is weighed
+        list(range(-2500, 2501)),
+        [1] * 513,
+        [_WIDE - 1 - 2 * i for i in range(5)],
+        [_WIDE - 1] * 4096,
+    ],
+    ids=["one-past", "wide-one-past", "longer", "many", "repeated", "wide", "repeated-wide"],
 )
 def test_a_summand_past_the_words_of_an_entry_is_parsed_and_not_held(no_summand_held, labels):
-    text = json.dumps({"summands": [{"type": "kaehler", "b_plus": 3, "odd_basic": labels}]})
+    raw = {"type": "kaehler", "b_plus": 3, "odd_basic": labels}
+    assert _weight(raw) > _EACH
+    text = json.dumps({"summands": [raw]})
     doc = parse_manifold(text)
     assert doc.summands == (Summand(KaehlerGeneric(3, tuple(labels))),)
     assert serialize_manifold(doc) == _reference_text(doc)
-    assert len(no_summand_held) == no_summand_held.words == 0
+    assert no_summand_held == {}
     assert parse_manifold(text).summands[0] is not doc.summands[0]
+
+
+def _capped_summand(rng: random.Random) -> dict:
+    """A summand object whose key weighs at most an entry's words; about one
+    in two hundred is refused (m and n share a factor)."""
+    kind = rng.randrange(20)
+    if kind == 0:
+        return {"type": rng.choice(["k3", "s4"])}
+    if kind < 5:  # p_g weighs up to 14 words
+        m, n = rng.choice([(1, 1), (1, 2), (2, 3), (3, 5)] * 6 + [(2, 4)])
+        return {"type": "elliptic", "p_g": rng.getrandbits(rng.choice([8, 64, 895])), "m": m, "n": n}
+    if kind < 9:  # up to 16 words
+        return {"type": "symplectic", "b_plus": 2 * rng.getrandbits(rng.choice([8, 64, 1022])) + 1}
+    if kind < 12:
+        rank = rng.randrange(15)
+        raw = {"type": "negative_definite", "rank": rank}
+        if rank and rng.random() < 0.8:
+            raw["c"] = [rng.randrange(-99, 100, 2) for _ in range(rank)]
+        return raw
+    raw = {"type": "kaehler", "b_plus": rng.randrange(1, 16, 2)}
+    width, most = rng.choice([(3, 15), (3, 15), (64, 7), (500, 1)])  # up to 15, 14 and 8 words
+    labels = [rng.getrandbits(width) - 4 for _ in range(rng.randint(0, most))]
+    if labels or rng.random() < 0.5:
+        raw["odd_basic"] = labels
+    return raw
+
+
+def _weighed_insert(held: OrderedDict, words_held: int, raw: dict) -> int:
+    """``raw`` parsed into the intern table as it was weighed before each key
+    was capped: at most 1,024 summands and 2^14 words, no key over 512 words,
+    the oldest dropped first until a new key fits.  Returns the words held."""
+    key, words = _held_key(raw), _weight(raw)
+    if key in held or words > 512:
+        return words_held
+    while len(held) >= 1024 or words_held + words > 2**14:
+        words_held -= held.popitem(last=False)[1]
+    held[key] = words
+    return words_held + words
+
+
+@settings(deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_a_capped_table_holds_what_the_weighed_one_held(rng):
+    # streams of summand objects of at most an entry's words, a fifth of them
+    # repeats; about a fifth hold more distinct objects than the table does
+    rng = random.Random(rng.getrandbits(64))  # drawn by hypothesis, then fast
+    size = rng.randint(1, 1_000) if rng.random() < 0.7 else rng.randint(1_300, 2_000)
+    pool = [_capped_summand(rng) for _ in range(size)]
+    assert max(map(_weight, pool)) <= _EACH
+    stream = [pool[rng.randrange(i + 1)] if rng.random() < 0.2 else raw for i, raw in enumerate(pool)]
+    weighed, words_held = OrderedDict(), 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(manifold_io, "_HELD", {})
+        while stream:
+            cut = rng.randint(1, 400)  # summands a file
+            summands, stream = stream[:cut], stream[cut:]
+            try:
+                parse_manifold(json.dumps({"summands": summands}))
+            except ManifoldSemanticError as exc:  # each before the refused one is parsed
+                refused = exc.block_index
+                summands, stream = summands[:refused], summands[refused + 1:] + stream
+            for raw in summands:
+                words_held = _weighed_insert(weighed, words_held, raw)
+            assert [*manifold_io._HELD] == [*weighed]
+        held = manifold_io._HELD
+    assert len(held) <= manifold_io._HELD_SUMMANDS == 1024
+    assert max(map(manifold_io._words, held), default=0) <= _EACH
 
 
 def test_a_held_text_is_written_once_by_the_first_file_written(no_summand_held):
@@ -769,9 +886,9 @@ def test_a_warm_table_parses_as_an_empty_one(pairs, rng):
     rng.shuffle(entries)
     text = '{"summands": [%s]}' % ", ".join(entries)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(manifold_io, "_HELD", manifold_io._Held())
+        patch.setattr(manifold_io, "_HELD", {})
         cold = _outcome(text)
-        patch.setattr(manifold_io, "_HELD", manifold_io._Held())
+        patch.setattr(manifold_io, "_HELD", {})
         _outcome('{"summands": [%s]}' % ", ".join(valid))  # every valid summand held
         warm = _outcome(text)
     assert warm == cold
