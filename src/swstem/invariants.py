@@ -292,8 +292,8 @@ class Summand:
     multiple for elliptic surfaces, a declared c^2 label for Kaehler blocks,
     or ``CANONICAL`` for symplectic blocks; None means the distinguished
     class.  The check of an almost complex summand reads its block's SW
-    parity at that class, the one read of it, and keeps it as ``_parity``,
-    not a field.
+    parity at that class, the one read of it, and keeps it as ``_parity``
+    and in ``_entry``, (block, b+, parity), which sums share; not fields.
     """
 
     block: BuildingBlock
@@ -304,7 +304,7 @@ class Summand:
         _catalogued(self.block)  # raises UncataloguedBlock on aliens
         if self.spin_c is None and self.class_key is None:
             if self.block.almost_complex:
-                object.__setattr__(self, "_parity", self.block.sw_parity())
+                self._keep(self.block.sw_parity())
             return  # a block alone: every summand a file without c gives
         if isinstance(self.block, NegativeDefinite):
             if self.class_key is not None:
@@ -332,14 +332,18 @@ class Summand:
             raise InvalidParameters(
                 f"{self.block.label} declares no SW data at class {shown(self.class_key)}"
             )
+        self._keep(parity)
+
+    def _keep(self, parity) -> None:
         object.__setattr__(self, "_parity", parity)
+        object.__setattr__(self, "_entry", (self.block, self.block.b_plus, parity))
 
 
 @record
 class ConnectedSum:
     """A nonempty formal connected sum.  Its check sorts the summands once, in order, into
     ``_neutral``, ``_negdef`` and ``_ac``; ``_digest`` is each ``_ac``'s (block, b+, SW parity),
-    the parity its ``Summand`` read."""
+    the ``_entry`` its ``Summand`` keeps."""
 
     summands: tuple[Summand, ...]
 
@@ -354,7 +358,7 @@ class ConnectedSum:
             block = s.block
             if block.almost_complex:  # b+ >= 1, so never neutral
                 ac.append(s)
-                digest.append((block, block.b_plus, s._parity))
+                digest.append(s._entry)
             elif block.neutral:
                 neutral.append(s)
             else:

@@ -29,15 +29,20 @@ A file is written by ``json_text``, the package's one JSON writer, from each
 summand's record fields, "type" and ``c``, so a ``ManifoldDoc`` holds no class
 key and no spin-c data but ``c``.
 
+The decoder leaves each JSON object the tuple of its (key, value) pairs; only
+the top level and a summand not held below become dicts, through the
+repeated-key check.  A refused document is read again with every object a
+dict, so every refusal reads as before, a value holding an object as a dict.
+
 A summand object whose values are exact ints or lists of them is interned:
 its first parse runs every check, and every later equal object, in any file
-of the process, parses to the same shared, frozen ``Summand``.  Any other
-object (a bool, a float, a nested list, ...) is checked as it stands, so
-every refusal reads as it would with nothing held.  The table holds at most
-1,024 summands, each keyed by at most 16 words of ints, and drops its oldest
-entry first.  A written summand keeps its own text: the first file written
-that holds a summand, parsed or built by hand, writes its text once, and
-every later file joins that text.
+of the process, parses to the same shared, frozen ``Summand``, its key read
+off its pairs.  Any other object (a bool, a float, a nested list, ...) is
+checked as it stands, so every refusal reads as it would with nothing held.
+The table holds at most 1,024 summands, each keyed by at most 16 words of
+ints, and drops its oldest entry first.  A written summand keeps its own
+text: the first file written that holds a summand, parsed or built by hand,
+writes its text once, and every later file joins that text.
 """
 
 from __future__ import annotations
@@ -107,8 +112,8 @@ class _Repeats(dict):
     """A JSON object in which ``key`` (an attribute) appears more than once."""
 
 
-def _object(pairs: list) -> dict:
-    """json's object hook: the object as a dict, a ``_Repeats`` if a key repeats."""
+def _object(pairs: list | tuple) -> dict:
+    """An object's pairs as a dict, a ``_Repeats`` if a key repeats."""
     raw = dict(pairs)
     if len(raw) < len(pairs):
         counts = Counter(key for key, _ in pairs)
@@ -118,7 +123,8 @@ def _object(pairs: list) -> dict:
 
 
 # built once: json.loads(text, object_pairs_hook=...) builds a decoder per call
-_decode = json.JSONDecoder(object_pairs_hook=_object).decode
+_pairs = json.JSONDecoder(object_pairs_hook=tuple).decode
+_dicts = json.JSONDecoder(object_pairs_hook=_object).decode
 
 
 #: the intern table's bounds: summands held, and the weight of the ints their
@@ -132,25 +138,31 @@ _SCALARS = {int, str}
 _INTS = {int}
 
 
-def _key(raw: object) -> frozenset | None:
+def _key(pairs: object) -> frozenset | None:
     """A summand object's key in the intern table, or None: its (key, value)
     pairs, a list value as a tuple.  Every value is an exact int, a string or
     a list of exact ints, so an equal key is an equal object of the same types
-    (an int equals a bool or a float that no kind admits).  A string anywhere
-    but "type" never parses, so no such key is ever held."""
-    if type(raw) is not dict:  # a _Repeats too
+    (an int equals a bool or a float that no kind admits).  A name repeated
+    with its value leaves fewer pairs than the object, so no key; with two
+    values, a key that no summand held has.  A string anywhere but "type"
+    never parses, so no such key is ever held."""
+    if type(pairs) is not tuple:  # a dict, when a refused document is read again
         return None
-    items = []
-    for name, value in raw.items():
-        if type(value) is list:
-            # an int weighs a word at least
-            if len(value) > _HELD_WORDS // _HELD_SUMMANDS or not _INTS.issuperset(map(type, value)):
-                return None
-            value = (*value,)
-        elif type(value) not in _SCALARS:
-            return None
-        items.append((name, value))
-    return frozenset(items)
+    items = pairs
+    for _, value in pairs:  # faster than a C-level test of so few values
+        if type(value) not in _SCALARS:
+            items = []
+            for name, value in pairs:
+                if type(value) is list:  # an int weighs a word at least
+                    if len(value) > _HELD_WORDS // _HELD_SUMMANDS or {*map(type, value)} - _INTS:
+                        return None
+                    value = (*value,)
+                elif type(value) not in _SCALARS:
+                    return None
+                items.append((name, value))
+            break
+    key = frozenset(items)
+    return key if len(key) == len(pairs) else None
 
 
 def _words(key: frozenset) -> int:
@@ -182,7 +194,9 @@ def _parse_held(key: frozenset | None, raw: object, index: int) -> Summand:
 
 
 def _parse_summand(raw: object, index: int) -> Summand:
-    if type(raw) is not dict:  # _object builds every JSON object
+    if type(raw) is tuple:  # an object's pairs
+        raw = _object(raw)
+    if type(raw) is not dict:  # a JSON object is a dict by now
         if type(raw) is _Repeats:
             raise ManifoldSemanticError(f"repeated key {raw.key!r}", index)
         raise ManifoldSemanticError("summands must be JSON objects", index)
@@ -220,12 +234,10 @@ def _parse_summand(raw: object, index: int) -> Summand:
         raise ManifoldSemanticError(str(exc), index) from exc
 
 
-def parse_manifold(text: str) -> ManifoldDoc:
-    """Parse a manifold description from JSON text."""
-    if text.startswith("\ufeff"):  # json.loads refuses it; the decoder alone would not say why
-        raise ManifoldSyntaxError("Unexpected UTF-8 BOM (decode using utf-8-sig)", 1, 1)
+def _parse(text: str, decode) -> ManifoldDoc:
+    """The document ``text`` describes, each JSON object decoded by ``decode``."""
     try:
-        raw = _decode(text)
+        raw = decode(text)
     except json.JSONDecodeError as exc:
         raise ManifoldSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
     except ValueError as exc:
@@ -235,6 +247,8 @@ def parse_manifold(text: str) -> ManifoldDoc:
         raise ManifoldSyntaxError(f"integer literal too long: {detail}") from exc
     except RecursionError as exc:
         raise ManifoldSyntaxError(str(exc)) from exc  # nesting past the recursion limit
+    if type(raw) is tuple:
+        raw = _object(raw)
     if type(raw) is not dict:
         if type(raw) is _Repeats:
             raise ManifoldSemanticError(f"repeated key {raw.key!r}")
@@ -244,17 +258,28 @@ def parse_manifold(text: str) -> ManifoldDoc:
             raise ManifoldSemanticError(f"unknown top-level key {key!r}")
     if "summands" not in raw:
         raise ManifoldSemanticError("missing top-level key 'summands'")
-    summands_raw = raw["summands"]
-    if not isinstance(summands_raw, list) or not summands_raw:
+    summands = raw["summands"]
+    if not isinstance(summands, list) or not summands:
         raise ManifoldSemanticError("'summands' must be a nonempty list")
     for field_name in ("name", "notes"):
         if field_name in raw and not isinstance(raw[field_name], str):
             raise ManifoldSemanticError(f"'{field_name}' must be a string")
-    summands = [  # held, or parsed now and held if it can be
-        _HELD.get(key := _key(obj)) or _parse_held(key, obj, index)
-        for index, obj in enumerate(summands_raw)
-    ]
+    for index, obj in enumerate(summands):  # in place of its pairs: held, or parsed now
+        summands[index] = _HELD.get(key := _key(obj)) or _parse_held(key, obj, index)
     return ManifoldDoc(summands, raw.get("name"), raw.get("notes"))
+
+
+def parse_manifold(text: str) -> ManifoldDoc:
+    """Parse a manifold description from JSON text."""
+    if not isinstance(text, str):  # load_manifold reads a file's bytes
+        raise InvalidParameters(f"a manifold description is a str, got {type(text).__name__}")
+    if text.startswith("\ufeff"):  # json.loads refuses it; the decoder alone would not say why
+        raise ManifoldSyntaxError("Unexpected UTF-8 BOM (decode using utf-8-sig)", 1, 1)
+    try:
+        return _parse(text, _pairs)
+    except ManifoldSemanticError:  # an object in a summand is always refused
+        pass  # read again, each object a dict, so the refusal shows one as a dict
+    return _parse(text, _dicts)
 
 
 def _summand_text(summand: Summand) -> str:

@@ -1,5 +1,6 @@
 """Strict manifold-description parsing and canonical serialization."""
 
+import itertools
 import json
 import random
 import warnings
@@ -113,6 +114,24 @@ def test_a_byte_order_mark_is_refused_as_json_loads_refuses_it():
     with pytest.raises(ManifoldSyntaxError) as exc:
         parse_manifold('\ufeff{"summands": [{"type": "k3"}]}')
     assert str(exc.value) == "line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+
+
+@pytest.mark.parametrize(
+    "text, name",
+    [
+        (b'{"summands": [{"type": "k3"}]}', "bytes"),
+        (bytearray(b'{"summands": [{"type": "k3"}]}'), "bytearray"),
+        (None, "NoneType"),
+        (5, "int"),
+        (['{"summands": [{"type": "k3"}]}'], "list"),
+    ],
+    ids=["bytes", "bytearray", "none", "int", "list"],
+)
+def test_a_description_that_is_not_text_is_refused_by_its_type(text, name):
+    # load_manifold reads a file's bytes as UTF-8; parse_manifold takes text alone
+    with pytest.raises(InvalidParameters) as exc:
+        parse_manifold(text)
+    assert str(exc.value) == f"a manifold description is a str, got {name}"
 
 
 def test_semantic_error_carries_block_index():
@@ -360,20 +379,38 @@ _WIDE = 2**MAX_INPUT_BITS
             f"p_g has more than {MAX_INPUT_BITS} bits",
         ),
         ('{"type": "k3"}', '{"type": "k3", "type": "k3"}', "repeated key 'type'"),
+        (
+            # each value of the repeated key alone gives a held summand
+            '{"type": "elliptic", "p_g": 1, "m": 1, "n": 1}, '
+            '{"type": "elliptic", "p_g": 3, "m": 1, "n": 1}',
+            '{"type": "elliptic", "p_g": 1, "p_g": 3, "m": 1, "n": 1}',
+            "repeated key 'p_g'",
+        ),
+        (
+            '{"type": "elliptic", "p_g": 1, "m": 1, "n": 1}',
+            '{"type": "elliptic", "p_g": {"a": 1}, "m": 1, "n": 1}',
+            "p_g must be an integer, got {'a': 1}",
+        ),
+        (
+            '{"type": "kaehler", "b_plus": 3, "odd_basic": [1]}',
+            '{"type": "kaehler", "b_plus": 3, "odd_basic": [{"a": 1}]}',
+            "odd_basic entry must be an integer, got {'a': 1}",
+        ),
     ],
     ids=["bool", "float", "bool-in-list", "nested-list", "int-for-list", "bool-coordinate",
-         "too-wide", "repeated-type"],
+         "too-wide", "repeated-type", "repeated-held-values", "object-for-int", "object-in-list"],
 )
 def test_a_near_miss_of_a_held_summand_is_refused_as_before(valid, near_miss, message):
-    warm = parse_manifold(f'{{"summands": [{valid}]}}').summands[0]
+    text = f'{{"summands": [{valid}]}}'
+    warm = parse_manifold(text).summands
     # held, but for the 6,999-bit twin of "too-wide": its key weighs 112
     # words, past an entry's 16, so it is parsed afresh each time
-    held = _weight(json.loads(valid)) <= _EACH
-    assert (parse_manifold(f'{{"summands": [{valid}]}}').summands[0] is warm) is held
+    held = [_weight(raw) <= _EACH for raw in json.loads(text)["summands"]]
+    assert [a is b for a, b in zip(parse_manifold(text).summands, warm)] == held
     with pytest.raises(ManifoldSemanticError) as exc:
         parse_manifold(f'{{"summands": [{valid}, {near_miss}]}}')
-    assert exc.value.block_index == 1
-    assert str(exc.value) == f"summand 1: {message}"
+    assert exc.value.block_index == len(warm)
+    assert str(exc.value) == f"summand {len(warm)}: {message}"
 
 
 def _elliptic(p_g: int) -> dict:
@@ -399,6 +436,39 @@ def _weight(raw: dict) -> int:
         elif type(value) is list:
             words += len(value) + sum(x.bit_length() for x in value) // 64
     return words
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        _elliptic(3),
+        {"type": "symplectic", "b_plus": 7},
+        {"type": "kaehler", "b_plus": 3, "odd_basic": [2, 0]},
+        {"type": "negative_definite", "rank": 2, "c": [3, -1]},
+    ],
+    ids=["elliptic", "symplectic", "kaehler", "negative-definite"],
+)
+def test_a_held_summand_in_any_key_order_is_the_same_summand(no_summand_held, raw):
+    held = parse_manifold(json.dumps({"summands": [raw]})).summands[0]
+    for keys in itertools.permutations(raw):
+        reordered = {key: raw[key] for key in keys}
+        assert parse_manifold(json.dumps({"summands": [reordered]})).summands[0] is held
+    assert [*no_summand_held.values()] == [held]
+
+
+def test_a_sum_of_parsed_summands_shares_their_digest_entries(no_summand_held):
+    text = json.dumps({"summands": [
+        _elliptic(3), {"type": "k3"}, {"type": "s4"}, {"type": "kaehler", "b_plus": 3},
+        _elliptic(3), {"type": "negative_definite", "rank": 1}, {"type": "k3"},
+    ]})
+    first, second = parse_manifold(text), parse_manifold(text)
+    for doc in (first, second):
+        csum = doc.to_connected_sum()
+        assert len(csum._digest) == 5
+        for s, entry in zip(csum._ac, csum._digest):
+            assert entry is s._entry == (s.block, s.block.b_plus, s._parity)
+    # one tuple for each distinct summand, whichever sum holds it
+    assert first.to_connected_sum()._digest[0] is second.to_connected_sum()._digest[3]
 
 
 def test_a_held_summand_is_the_same_object_in_every_file(no_summand_held):
@@ -854,19 +924,35 @@ def _equal_value(value):
     return st.just(True)
 
 
+#: a JSON object in place of a value, or of a list's item: the decoder reads
+#: it as the tuple of its pairs, and a refusal shows it as a dict
+_json_object = st.dictionaries(st.sampled_from(["a", "type", "p_g"]), st.integers(-2, 2), max_size=2)
+
+
+def _object_for(value):
+    """``value`` swapped for a JSON object, or a list's first item for one."""
+    if type(value) is list and value:
+        return _json_object.map(lambda obj: [obj, *value[1:]])
+    return _json_object
+
+
 @st.composite
 def _near_miss(draw):
     """A valid summand object, and one near it: some of its values swapped for
-    an equal value of another type or a bad scalar, or a key repeated."""
+    an equal value of another type, a bad scalar or a JSON object, or a key
+    repeated, with its value or another."""
     valid = draw(_summand_json)
     raw = dict(valid)
     keys = sorted(key for key in raw if key != "type")
     for key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=len(keys))) if keys else ():
-        raw[key] = draw(_equal_value(raw[key]) | _equal_value(raw[key]) | _bad_scalars)
+        value = raw[key]
+        raw[key] = draw(_equal_value(value) | _equal_value(value) | _bad_scalars | _object_for(value))
     text = json.dumps(raw)
     if not keys or draw(st.booleans()):
         key = draw(st.sampled_from(sorted(raw)))
-        text = f'{text[:-1]}, {json.dumps(key)}: {json.dumps(raw[key])}}}'
+        # repeated with its value (the pairs then give a key shorter than them) or another
+        value = draw(st.just(raw[key]) | _summand_json.map(lambda other: other.get(key, 0)))
+        text = f'{text[:-1]}, {json.dumps(key)}: {json.dumps(value)}}}'
     return json.dumps(valid), text
 
 
@@ -878,6 +964,14 @@ def _outcome(text: str):
         return type(exc), str(exc), getattr(exc, "block_index", None)
 
 
+class _NothingHeld(dict):
+    """An intern table that never returns what it holds, so that every
+    summand of a file is parsed afresh, even one that an earlier one equals."""
+
+    def get(self, key, default=None):
+        return default
+
+
 @_text_settings
 @given(st.lists(_near_miss(), min_size=1, max_size=4), st.randoms(use_true_random=False))
 def test_a_warm_table_parses_as_an_empty_one(pairs, rng):
@@ -886,7 +980,7 @@ def test_a_warm_table_parses_as_an_empty_one(pairs, rng):
     rng.shuffle(entries)
     text = '{"summands": [%s]}' % ", ".join(entries)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(manifold_io, "_HELD", {})
+        patch.setattr(manifold_io, "_HELD", _NothingHeld())
         cold = _outcome(text)
         patch.setattr(manifold_io, "_HELD", {})
         _outcome('{"summands": [%s]}' % ", ".join(valid))  # every valid summand held
