@@ -90,71 +90,9 @@ from .stems import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasicClassTable",
-    "BlowupResult",
-    "BuildingBlock",
-    "CANONICAL",
-    "ConnectedSum",
-    "CriteriaResult",
-    "DistinctionVerdict",
-    "ETA",
-    "EllipticSurface",
-    "HomotopySphereLike",
-    "IndexNotIntegral",
-    "InvalidParameters",
-    "InvariantClass",
-    "K3",
-    "KaehlerGeneric",
-    "ManifoldDoc",
-    "ManifoldSemanticError",
-    "ManifoldSyntaxError",
-    "NegativeDefinite",
-    "NotAnEllipticPattern",
-    "ONE",
-    "Parity",
-    "Pattern",
-    "PositiveIndexOnNegativeDefinite",
-    "PreconditionNotMet",
-    "RecognitionResult",
-    "SpinC",
-    "SplitKind",
-    "SplitQuery",
-    "SplitVerdict",
-    "StemElement",
-    "StemKind",
-    "Summand",
-    "SwStemError",
-    "SymplecticGeneric",
-    "TriState",
-    "UncataloguedBlock",
-    "UnknownSW",
-    "basic_class_table",
-    "blowup",
-    "connected_sum",
-    "dirac_index",
-    "distinguish",
-    "expected_dimension",
-    "hopf_power",
-    "integer_class",
-    "invariant",
-    "is_nonzero",
-    "load_manifold",
-    "max_multiple",
-    "nonvanishing_criteria",
-    "odd_basic_fingerprint",
-    "odd_binomial",
-    "parse_manifold",
-    "recognizable_set",
-    "recognize",
-    "recognize_oracle",
-    "serialize_manifold",
-    "smash",
-    "smash_all",
-    "split_verdict",
-    "sq2_detects_hopf",
-    "sw_parity",
-    "sw_value",
-    "unknown",
-    "zero",
-]
+# the public names the imports above bind; importing a submodule binds its
+# name too (``blocks``, ...), and a module is no export
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and type(value) is not type(blocks)
+)

@@ -44,7 +44,8 @@ from typing import Iterable
 from ._record import record
 from .blocks import _EVEN, _ODD, BuildingBlock, EllipticSurface, HomotopySphereLike
 from .blocks import NegativeDefinite, _catalogued, odd_class_sets
-from .errors import InvalidParameters, PositiveIndexOnNegativeDefinite, PreconditionNotMet, shown
+from .errors import InvalidParameters, PositiveIndexOnNegativeDefinite, PreconditionNotMet
+from .errors import as_tuple, shown
 from .lattice import SpinC, dirac_index, expected_dimension
 from .stems import StemElement, StemKind, TriState, hopf_power, smash_degree_one, unknown, zero
 
@@ -292,8 +293,8 @@ class Summand:
     multiple for elliptic surfaces, a declared c^2 label for Kaehler blocks,
     or ``CANONICAL`` for symplectic blocks; None means the distinguished
     class.  The check of an almost complex summand reads its block's SW
-    parity at that class, the one read of it, and keeps it as ``_parity``
-    and in ``_entry``, (block, b+, parity), which sums share; not fields.
+    parity at that class, the one read of it, and keeps it in ``_entry``,
+    (block, b+, parity), which sums share; not a field.
     """
 
     block: BuildingBlock
@@ -304,14 +305,17 @@ class Summand:
         _catalogued(self.block)  # raises UncataloguedBlock on aliens
         if self.spin_c is None and self.class_key is None:
             if self.block.almost_complex:
-                self._keep(self.block.sw_parity())
+                block = self.block
+                object.__setattr__(self, "_entry", (block, block.b_plus, block.sw_parity()))
             return  # a block alone: every summand a file without c gives
         if isinstance(self.block, NegativeDefinite):
             if self.class_key is not None:
                 raise InvalidParameters(
                     "negative definite summands take spin-c data, not a class key"
                 )
-            coords = self.spin_c.c_coords  # past the early return, no key means spin-c data
+            if not isinstance(self.spin_c, SpinC):  # past the early return, no key means one
+                raise InvalidParameters(f"spin_c must be a SpinC, got {type(self.spin_c).__name__}")
+            coords = self.spin_c.c_coords
             if coords is not None and len(coords) != self.block.rank:
                 raise InvalidParameters(
                     f"{len(coords)} coordinates given for a rank-{self.block.rank} block"
@@ -332,10 +336,6 @@ class Summand:
             raise InvalidParameters(
                 f"{self.block.label} declares no SW data at class {shown(self.class_key)}"
             )
-        self._keep(parity)
-
-    def _keep(self, parity) -> None:
-        object.__setattr__(self, "_parity", parity)
         object.__setattr__(self, "_entry", (self.block, self.block.b_plus, parity))
 
 
@@ -348,7 +348,7 @@ class ConnectedSum:
     summands: tuple[Summand, ...]
 
     def __post_init__(self):
-        items = tuple(self.summands)
+        items = as_tuple(self.summands, "summands")
         if not items:
             raise InvalidParameters("a connected sum needs at least one summand")
         parts = neutral, negdef, ac, digest = [], [], [], []
@@ -558,12 +558,13 @@ def invariant(csum: ConnectedSum) -> InvariantClass:
             equivariant = _criteria(ac, steps)
         else:  # SW times a generator: the summand-count rules start at two
             (lone,) = csum._ac
+            _, _, parity = lone._entry
             # a block without a parity has no value; a Kaehler block's is a Parity
-            nonzero = None if lone._parity is None else lone.block.sw_nonzero(lone.class_key)
+            nonzero = None if parity is None else lone.block.sw_nonzero(lone.class_key)
             if nonzero is not None:
                 equivariant = _YES if nonzero else _NO
                 steps.append((_LONE_SW, lone.block, lone.class_key))
-            elif lone._parity is _ODD:
+            elif parity is _ODD:
                 equivariant = _YES
                 steps.append((_LONE_ODD,))
             else:
@@ -732,7 +733,7 @@ def distinguish(
     # one sum per side; an empty side is S^4, the unit of the sum
     sums = [
         side if isinstance(side, ConnectedSum)
-        else connected_sum(*(tuple(side) or (HomotopySphereLike(),)))
+        else connected_sum(*(as_tuple(side, "a side") or (HomotopySphereLike(),)))
         for side in (sum_a, sum_b)
     ]
     bags = []

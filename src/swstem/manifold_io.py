@@ -35,10 +35,13 @@ repeated-key check.  A refused document is read again with every object a
 dict, so every refusal reads as before, a value holding an object as a dict.
 
 A summand object whose values are exact ints or lists of them is interned:
-its first parse runs every check, and every later equal object, in any file
-of the process, parses to the same shared, frozen ``Summand``, its key read
-off its pairs.  Any other object (a bool, a float, a nested list, ...) is
-checked as it stands, so every refusal reads as it would with nothing held.
+its first parse runs every check, and every later object with the same pairs
+in the same order, in any file of the process, parses to the same shared,
+frozen ``Summand``, keyed by the pairs the decoder gave.  One summand written
+in two key orders is held twice; files written by ``serialize_manifold`` sort
+their keys, so they share their keys.  Any other object (a bool, a float, a
+nested list, ...) is checked as it stands, so every refusal reads as it would
+with nothing held.
 The table holds at most 1,024 summands, each keyed by at most 16 words of
 ints, and drops its oldest entry first.  A written summand keeps its own
 text: the first file written that holds a summand, parsed or built by hand,
@@ -48,6 +51,7 @@ writes its text once, and every later file joins that text.
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from json.encoder import encode_basestring_ascii
 
@@ -138,17 +142,16 @@ _SCALARS = {int, str}
 _INTS = {int}
 
 
-def _key(pairs: object) -> frozenset | None:
+def _key(pairs: object) -> tuple | None:
     """A summand object's key in the intern table, or None: its (key, value)
-    pairs, a list value as a tuple.  Every value is an exact int, a string or
-    a list of exact ints, so an equal key is an equal object of the same types
-    (an int equals a bool or a float that no kind admits).  A name repeated
-    with its value leaves fewer pairs than the object, so no key; with two
-    values, a key that no summand held has.  A string anywhere but "type"
-    never parses, so no such key is ever held."""
+    pairs as the decoder gave them, a list value as a tuple.  Every value is
+    an exact int, a string or a list of exact ints, so an equal key is an
+    equal object of the same types, its names in the same order (an int
+    equals a bool or a float that no kind admits).  A held key is the pairs
+    of an object that parsed, so it repeats no name.  A string anywhere but
+    "type" never parses, so no such key is ever held."""
     if type(pairs) is not tuple:  # a dict, when a refused document is read again
         return None
-    items = pairs
     for _, value in pairs:  # faster than a C-level test of so few values
         if type(value) not in _SCALARS:
             items = []
@@ -160,12 +163,11 @@ def _key(pairs: object) -> frozenset | None:
                 elif type(value) not in _SCALARS:
                     return None
                 items.append((name, value))
-            break
-    key = frozenset(items)
-    return key if len(key) == len(pairs) else None
+            return (*items,)
+    return pairs
 
 
-def _words(key: frozenset) -> int:
+def _words(key: tuple) -> int:
     """The weight of the ints a key holds, in 64-bit words: one for each
     scalar and each 64 bits of its width, one for each int of a list and each
     64 bits of their widths' sum."""
@@ -182,7 +184,7 @@ def _words(key: frozenset) -> int:
 _HELD: dict = {}
 
 
-def _parse_held(key: frozenset | None, raw: object, index: int) -> Summand:
+def _parse_held(key: tuple | None, raw: object, index: int) -> Summand:
     """A summand object not held: checked as it stands, then held if it has
     a key of few enough words, in place of the oldest when the table is full."""
     summand = _parse_summand(raw, index)
@@ -291,7 +293,7 @@ def _summand_text(summand: Summand) -> str:
     if spin_c is not None:  # ManifoldDoc admits it with coordinates only
         raw["c"] = spin_c.c_coords
     text = json_text(raw, "\n    ")
-    object.__setattr__(summand, "_text", text)  # as Summand keeps _parity
+    object.__setattr__(summand, "_text", text)  # as Summand keeps _entry
     return text
 
 
@@ -306,8 +308,14 @@ def serialize_manifold(doc: ManifoldDoc) -> str:
     return f'{{\n{head}  "summands": [\n    {body}\n  ]\n}}\n'
 
 
-def load_manifold(path: str) -> ManifoldDoc:
-    """Read and parse a manifold file."""
+def load_manifold(path: str | os.PathLike) -> ManifoldDoc:
+    """Read and parse a manifold file, named by a str or a path, never a
+    file descriptor."""
+    try:
+        path = os.fspath(path)
+    except TypeError:  # open() would read an int as a descriptor, and close it
+        kind = type(path).__name__
+        raise InvalidParameters(f"a manifold file is named by a path, got {kind}") from None
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()

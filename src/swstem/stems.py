@@ -66,6 +66,8 @@ class StemElement:
             if self.degree not in (1, 2, 3) or self.value is not None:
                 raise InvalidParameters("Hopf powers exist in degrees 1..3 only")
         else:
+            if self.kind is not _ZERO and self.kind is not _UNKNOWN:
+                raise InvalidParameters(f"stem kind must be a StemKind, got {shown(self.kind)}")
             if self.value is not None:
                 raise InvalidParameters(f"{self.kind.value} carries no value")
             if self.kind is StemKind.UNKNOWN and self.degree < 0:

@@ -31,9 +31,10 @@ from swstem.blocks import (
     sw_value,
 )
 from swstem.errors import MAX_SHOWN_BITS, InvalidParameters, UncataloguedBlock, UnknownSW
-from swstem.invariants import Summand
+from swstem.invariants import ConnectedSum, Summand, blowup, connected_sum, distinguish, invariant
+from swstem.manifold_io import ManifoldDoc
 from swstem.recognize import Pattern, recognize_oracle
-from swstem.stems import sq2_detects_hopf
+from swstem.stems import StemElement, sq2_detects_hopf
 
 
 def coprime_grid(p_g_max=8, n_max=6):
@@ -624,8 +625,18 @@ def test_kaehler_rejects_non_integer_labels(labels):
         (lambda: sq2_detects_hopf(2.0), "d must be an integer, got 2.0"),
         (lambda: basic_class_table(3, 1, 1).value(0.0), "multiple must be an integer, got 0.0"),
         (lambda: basic_class_table(3, 1, 1).value("0"), "multiple must be an integer, got '0'"),
+        # the data model's constructors: junk ends in one refusal, not a bare error
+        (lambda: ConnectedSum(5), "summands must be iterable, got int"),
+        (lambda: ManifoldDoc(5), "summands must be iterable, got int"),
+        (lambda: distinguish(5, []), "a side must be iterable, got int"),
+        (lambda: Summand(NegativeDefinite(1), spin_c="x"), "spin_c must be a SpinC, got str"),
+        (lambda: blowup(invariant(connected_sum(K3)), NegativeDefinite(1), 5),
+         "spin_c must be a SpinC, got int"),
+        (lambda: StemElement("hopf", 1), "stem kind must be a StemKind, got 'hopf'"),
     ],
-    ids=["table", "recognizable", "odd-count", "oracle-bounds", "sq2", "value-float", "value-str"],
+    ids=["table", "recognizable", "odd-count", "oracle-bounds", "sq2", "value-float", "value-str",
+         "sum-of-int", "doc-of-int", "distinguish-int", "spin-c-str", "blowup-spin-c-int",
+         "stem-kind-str"],
 )
 def test_entry_points_refuse_non_integers(call, message):
     with pytest.raises(InvalidParameters, match=message):

@@ -58,6 +58,8 @@ POOL = [
     ({"type": "s4"}, 0, lambda: Summand(HomotopySphereLike())),
     ({"type": "elliptic", "p_g": 3, "m": 1, "n": 1}, 3, lambda: Summand(EllipticSurface(3, 1, 1))),
     ({"type": "elliptic", "p_g": 2, "m": 2, "n": 3}, 3, lambda: Summand(EllipticSurface(2, 2, 3))),
+    # E(3) with its keys in another order: an equal summand, held as its own entry
+    ({"n": 1, "m": 1, "type": "elliptic", "p_g": 3}, 3, lambda: Summand(EllipticSurface(3, 1, 1))),
     ({"type": "symplectic", "b_plus": 7}, 1, lambda: Summand(SymplecticGeneric(7))),
     ({"type": "kaehler", "b_plus": 3, "odd_basic": [3, 1]}, 3,
      lambda: Summand(KaehlerGeneric(3, (1, 3)))),
@@ -82,7 +84,7 @@ POOL = [
 BUILT = [i for i, (_, _, build) in enumerate(POOL) if build is not None]
 
 
-def _pool_key(i: int) -> frozenset:
+def _pool_key(i: int) -> tuple:
     return _held_key(POOL[i][0])
 
 

@@ -538,6 +538,7 @@ def test_a_sum_sorts_its_summands_once_in_order(parts):
     assert csum._digest == tuple(
         (s.block, s.block.b_plus, sw_parity(s.block, s.class_key)) for s in csum._ac
     )
+    assert all(entry is s._entry for s, entry in zip(csum._ac, csum._digest))  # shared
     # none of it is a field: equality, hash and repr read the summands alone
     twin = connected_sum(*parts)
     assert twin == csum and hash(twin) == hash(csum)

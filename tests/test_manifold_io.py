@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import os
 import random
 import warnings
 from collections import OrderedDict
@@ -23,6 +24,7 @@ from swstem.blocks import (
     SymplecticGeneric,
     basic_class_table,
     recognizable_set,
+    sw_parity,
 )
 from swstem.errors import (
     MAX_INPUT_BITS,
@@ -132,6 +134,23 @@ def test_a_description_that_is_not_text_is_refused_by_its_type(text, name):
     with pytest.raises(InvalidParameters) as exc:
         parse_manifold(text)
     assert str(exc.value) == f"a manifold description is a str, got {name}"
+
+
+@pytest.mark.parametrize("path, name", [(True, "bool"), (None, "NoneType"), ([], "list")])
+def test_a_file_is_named_by_a_path_not_a_descriptor(path, name):
+    read, write = os.pipe()
+    os.write(write, b'{"summands": [{"type": "k3"}]}')
+    os.close(write)  # a descriptor read to its end, were it read
+    try:
+        for value, kind in ((read, "int"), (path, name)):
+            with pytest.raises(InvalidParameters) as exc:
+                load_manifold(value)
+            assert str(exc.value) == f"a manifold file is named by a path, got {kind}"
+        os.fstat(read)  # neither read nor closed, nor is stdout
+        os.fstat(1)
+    finally:
+        os.close(read)
+    assert load_manifold(SAMPLES / "k3x2.json") == load_manifold(str(SAMPLES / "k3x2.json"))
 
 
 def test_semantic_error_carries_block_index():
@@ -421,9 +440,9 @@ def _elliptic(p_g: int) -> dict:
 _EACH = 16
 
 
-def _held_key(raw: dict) -> frozenset:
-    """A summand object's key in the intern table, by hand."""
-    return frozenset((key, tuple(v) if type(v) is list else v) for key, v in raw.items())
+def _held_key(raw: dict) -> tuple:
+    """A summand object's key in the intern table, by hand: its pairs in file order."""
+    return tuple((key, tuple(v) if type(v) is list else v) for key, v in raw.items())
 
 
 def _weight(raw: dict) -> int:
@@ -449,11 +468,29 @@ def _weight(raw: dict) -> int:
     ids=["elliptic", "symplectic", "kaehler", "negative-definite"],
 )
 def test_a_held_summand_in_any_key_order_is_the_same_summand(no_summand_held, raw):
-    held = parse_manifold(json.dumps({"summands": [raw]})).summands[0]
-    for keys in itertools.permutations(raw):
-        reordered = {key: raw[key] for key in keys}
-        assert parse_manifold(json.dumps({"summands": [reordered]})).summands[0] is held
-    assert [*no_summand_held.values()] == [held]
+    # an equal summand, written as one text; each key order is held as its own entry
+    first = parse_manifold(json.dumps({"summands": [raw]}))
+    written = serialize_manifold(first)
+    orders = [{key: raw[key] for key in keys} for keys in itertools.permutations(raw)]
+    for reordered in orders:
+        text = json.dumps({"summands": [reordered]})
+        (summand,) = parse_manifold(text).summands
+        assert summand == first.summands[0]
+        assert parse_manifold(text).summands[0] is summand
+        assert no_summand_held[_held_key(reordered)] is summand
+        assert serialize_manifold(ManifoldDoc([summand])) == written
+    assert [*no_summand_held] == [*map(_held_key, orders)]
+
+
+def test_a_summand_in_two_key_orders_is_two_equal_held_summands(no_summand_held):
+    reordered = {"n": 1, "m": 1, "type": "elliptic", "p_g": 3}
+    doc = parse_manifold(json.dumps({"summands": [_elliptic(3), reordered]}))
+    first, second = doc.summands
+    assert first == second and first is not second
+    assert [*no_summand_held.values()] == [first, second]
+    assert first._entry == second._entry
+    assert serialize_manifold(doc) == _reference_text(doc)
+    assert first._text == second._text
 
 
 def test_a_sum_of_parsed_summands_shares_their_digest_entries(no_summand_held):
@@ -466,7 +503,7 @@ def test_a_sum_of_parsed_summands_shares_their_digest_entries(no_summand_held):
         csum = doc.to_connected_sum()
         assert len(csum._digest) == 5
         for s, entry in zip(csum._ac, csum._digest):
-            assert entry is s._entry == (s.block, s.block.b_plus, s._parity)
+            assert entry is s._entry == (s.block, s.block.b_plus, sw_parity(s.block))
     # one tuple for each distinct summand, whichever sum holds it
     assert first.to_connected_sum()._digest[0] is second.to_connected_sum()._digest[3]
 
@@ -476,10 +513,15 @@ def test_a_held_summand_is_the_same_object_in_every_file(no_summand_held):
     first, second = parse_manifold(text), parse_manifold(text)
     assert all(a is b for a, b in zip(first.summands, second.summands))
     assert first.summands[0] is first.summands[2]
-    # an equal object with its keys in another order is the same summand
-    reordered = {"n": 1, "m": 1, "type": "elliptic", "p_g": 3}
-    assert parse_manifold(json.dumps({"summands": [reordered]})).summands[0] is first.summands[0]
     assert len(no_summand_held) == 2
+    # a written file sorts its keys: every file read from it shares them
+    written = serialize_manifold(first)
+    again = parse_manifold(written)
+    assert again == first and again.summands[0] is again.summands[2]
+    assert again.summands[0] is not first.summands[0]  # the file's key order differs
+    assert again.summands[1] is first.summands[1]  # {"type": "s4"} in either
+    assert all(a is b for a, b in zip(parse_manifold(written).summands, again.summands))
+    assert len(no_summand_held) == 3
 
 
 def _check_accounts(held) -> None:
@@ -508,8 +550,8 @@ def test_the_table_holds_no_more_summands_than_its_bound(no_summand_held):
         assert serialize_manifold(doc) == _reference_text(doc)
         _check_accounts(no_summand_held)
     assert len(no_summand_held) == bound  # the newest, the oldest dropped first
-    assert frozenset(docs[-1][-1].items()) in no_summand_held
-    assert frozenset(_elliptic(0).items()) not in no_summand_held
+    assert _held_key(docs[-1][-1]) in no_summand_held
+    assert _held_key(_elliptic(0)) not in no_summand_held
 
 
 @pytest.mark.parametrize(

@@ -70,3 +70,11 @@ def test_the_package_exports_exactly_the_public_names_it_binds():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert swstem.__all__ == sorted(bound)
+    # ``__all__`` is derived: it is the names that __init__'s imports list
+    imported = [
+        alias.name
+        for node in ast.walk(parsed()["__init__"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert swstem.__all__ == sorted(imported)
