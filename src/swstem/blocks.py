@@ -22,20 +22,23 @@ absolute: the Fintushel-Stern product formula gives the signed value
 symmetric under negation with equal values for |SW| only.
 
 A lookup at one multiple inverts the key map in O(1) (``_genus_index``).
-Tables are built only for listing and recognition, in ascending key order
-by residue blocks (``_residue_masks``) with no sort, each held in ``_TABLES``
+Tables are built only for listing and recognition, in ascending key order by
+residue blocks (``_residue_masks``) with no sort, each held in ``_TABLES``
 as one ``BasicClassTable`` of two tuples: the keys, and values from one
-binomial row.  An odd-SW set builds no values and walks only the odd rows'
-blocks.  Key ints are shared by one rule, in either build order: a block's
-keys within 2^15 of 0 (``_SHARED``) are a slice of one window of shared
-ints (``_keys``), grown as wider keys are asked for but never past
-2^16 + 1 ints (about 2.6 MB); where row p_g - 1 is all odd (p_g a power of
-two), the table's key column is its odd-SW set, one tuple; past the
-window, any other row builds its own ints.  A table and an odd-SW set are
-each admitted here before they are built; a fingerprint's sets together
-first (``odd_class_sets``), then each elliptic set again as it is built.
-``BasicClassTable.entries`` builds each (key, value) pair only when it is
-read.
+binomial row.  The residue masks of the last (m, n) are held (``_MASKS``),
+immutable and replaced as one tuple, so a thread reads a whole entry; a
+table and then its odd-SW set compute them once.  An odd-SW set builds no
+values and walks only the odd rows' blocks.  Key ints are shared by one
+rule, in either build order: a block's keys within 2^15 of 0 (``_SHARED``)
+are a slice of one window of shared ints (``_keys``), grown as wider keys
+are asked for but never past 2^16 + 1 ints (about 2.6 MB); where row p_g - 1
+is all odd (p_g a power of two), the table's key column is its odd-SW set,
+one tuple; a table's middle blocks, p_g - 1 down to 1, are one slice where
+they lie wholly in the window; past the window, any other row builds its own
+ints.  A table and an odd-SW set are each admitted here before they are
+built; a fingerprint's sets together first (``odd_class_sets``), then each
+elliptic set again as it is built.  ``BasicClassTable.entries`` builds each
+(key, value) pair only when it is read.
 """
 
 from __future__ import annotations
@@ -398,6 +401,11 @@ def _abs_sw(p_g: int, m: int, n: int, key: int) -> int:
     return 0 if a is None else comb(p_g - 1, a)
 
 
+#: the last answer of ``_residue_masks``, as (m, n, answer): one entry, replaced
+#: as one tuple, so a thread reads either the old entry or the new one whole
+_MASKS: tuple = (0, 0, None)
+
+
 def _residue_masks(m: int, n: int):
     """How a residue block of the listing splits between two rows.
 
@@ -408,14 +416,22 @@ def _residue_masks(m: int, n: int):
     steps of 2, its position i holding t = mn - 1 - i.  Returns ``wraps``,
     the slices of t where h[t] = 1 with their lengths, and the masks of the
     positions of row j - 1 (``high``, h = 1) and of row j (``low``, h = 0).
+    The last answer is held (``_MASKS``): immutable, two masks of mn bytes
+    and m - 1 slices, so a table and then its odd-SW set compute it once.
     """
+    global _MASKS
+    held = _MASKS  # one read: a whole entry, whatever another thread writes
+    if held[0] == m and held[1] == n:
+        return held[2]
     # the c >= ceil((m - b) n / m) wrap past mn: h[t] = 1 on these slices
-    wraps = [(slice(b * n % m, b * n, m), b * n // m) for b in range(1, m)]
+    wraps = tuple((slice(b * n % m, b * n, m), b * n // m) for b in range(1, m))
     h = bytearray(m * n)
     for span, count in wraps:
         h[span] = b"\x01" * count
-    high = h[::-1]
-    return wraps, high, high.translate(bytes.maketrans(b"\0\1", b"\1\0"))
+    high = bytes(h[::-1])
+    masks = wraps, high, high.translate(bytes.maketrans(b"\0\1", b"\1\0"))
+    _MASKS = (m, n, masks)
+    return masks
 
 
 #: every table ``_table`` built, by triple, unbounded.  A table and an odd-SW
@@ -461,24 +477,31 @@ def _table(p_g: int, m: int, n: int) -> BasicClassTable:
         row.append(row[-1] * (p_g - 1 - a) // (a + 1))
     wraps, high, low = _residue_masks(m, n)
     mn, top, edge = m * n, max_multiple(p_g, m, n), high.count(1)
-    # row p_g - 1 is all odd (Lucas): the keys are the odd-SW set, admitted
-    # with the table (as many entries, fewer bits)
-    all_odd = not p_g & (p_g - 1)
-    keys: list[int] = []
-    values: list[int] = []
-    for j in range(p_g, -1, -1):
-        start = top - 2 * (j * mn + mn - 1)
-        block = () if all_odd else _keys(start, start + 2 * mn)
-        if j == p_g or j == 0:  # the two ends of the row, each 1
-            keys.extend(compress(block, high if j else low))
-            values.extend(repeat(1, edge if j else mn - edge))
-            continue
-        keys.extend(block)
+    values: list[int] = [1] * edge  # the two ends of the row, each 1
+    for j in range(p_g - 1, 0, -1):
         run = [row[j]] * mn  # row j - 1 where h = 1
         for span, count in wraps:
             run[span] = [row[j - 1]] * count
         values.extend(reversed(run))
-    column = _recognizable(p_g, m, n) if all_odd else tuple(keys)
+    values.extend(repeat(1, mn - edge))
+    # row p_g - 1 is all odd (Lucas): the keys are the odd-SW set, admitted
+    # with the table (as many entries, fewer bits)
+    if not p_g & (p_g - 1):
+        column = _recognizable(p_g, m, n)
+    else:
+        def block(j: int):
+            start = top - 2 * (j * mn + mn - 1)
+            return _keys(start, start + 2 * mn)
+
+        keys = [*compress(block(p_g), high)]
+        start, stop = top - 2 * (p_g * mn - 1), top - 2 * mn + 2  # blocks p_g - 1 .. 1
+        if -_SHARED <= start and stop - 2 <= _SHARED:  # in the window: one slice of it
+            keys += _keys(start, stop)
+        else:  # each block as _keys gives it, so those within the window share
+            for j in range(p_g - 1, 0, -1):
+                keys += block(j)
+        keys += compress(block(0), low)
+        column = tuple(keys)
     held = _TABLES[p_g, m, n] = BasicClassTable(p_g, m, n, column, tuple(values))
     return held
 

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import json
 import os
-from collections import Counter
+from collections import Counter, OrderedDict
 from json.encoder import encode_basestring_ascii
 
 from ._json_text import json_text
@@ -180,8 +180,10 @@ def _words(key: tuple) -> int:
     return words
 
 
-#: the intern table: a summand object's key -> its ``Summand``, oldest first
-_HELD: dict = {}
+#: the intern table: a summand object's key -> its ``Summand``, oldest first.
+#: An ``OrderedDict`` drops its oldest entry in one C call (``popitem``), so
+#: two threads that fill it at once never drop the same key twice
+_HELD: OrderedDict = OrderedDict()
 
 
 def _parse_held(key: tuple | None, raw: object, index: int) -> Summand:
@@ -189,9 +191,11 @@ def _parse_held(key: tuple | None, raw: object, index: int) -> Summand:
     a key of few enough words, in place of the oldest when the table is full."""
     summand = _parse_summand(raw, index)
     if key is not None and _words(key) <= _HELD_WORDS // _HELD_SUMMANDS:
-        if len(_HELD) >= _HELD_SUMMANDS:
-            del _HELD[next(iter(_HELD))]
         _HELD[key] = summand
+        # held, then trimmed: each thread trims after its own insertion, so
+        # the bound holds once every thread has returned
+        while len(_HELD) > _HELD_SUMMANDS:
+            _HELD.popitem(last=False)
     return summand
 
 

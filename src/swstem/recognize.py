@@ -79,10 +79,18 @@ def recognize(pattern: Pattern) -> RecognitionResult:
     The algorithm: a singleton pattern is the trivial surface (1, 1, 1).
     Otherwise let k be the largest multiple and h half the gap down to the
     second largest.  When h is coprime to k, h is the smaller multiplicity m
-    (the gap between the top classes moves one step along the finer fiber);
-    the larger multiplicity n is the first lambda >= 1 with k - 2*lambda*m
-    missing from the pattern (a walk down the sorted pattern, no set), and
-    p_g follows from the formula for the largest multiple.  When h and k
+    (the gap between the top classes moves one step along the finer fiber),
+    and the pattern's size names the rest (``_counted``): an odd-SW set has
+    2^j m n multiples, j = popcount(p_g - 1), so each j gives n and then p_g
+    through the largest multiple, and the first candidate that can be a
+    surface is checked against its regenerated set.  Where that candidate
+    regenerates the pattern it is the answer; otherwise the larger
+    multiplicity n is the first lambda >= 1 with k - 2*lambda*m missing from
+    the pattern (a walk down the sorted pattern, no set), which names the
+    candidate, or the refusal, of a pattern no triple generates, and p_g
+    follows from the formula for the largest multiple.  Both agree on a set
+    the count validates: row 0 holds k - 2*lambda*m for every lambda < n,
+    and k - 2mn is only row 1's, an even binomial for odd p_g.  When h and k
     share a factor, the pattern can only belong to the no-log-transform
     family m = n = 1 with p_g = k + 1.  Either way the candidate is validated
     by comparing its odd count 2^popcount(p_g - 1) m n with the pattern's
@@ -110,6 +118,9 @@ def recognize(pattern: Pattern) -> RecognitionResult:
 
     if gcd(h, k) == 1:
         m = h
+        counted = _counted(pattern, k, m)
+        if counted is not None:
+            return counted
         n = _detect_larger_multiplicity(values, k, m)
         numerator = k - (m - 1) * n - (n - 1) * m
         if numerator % (m * n) != 0:
@@ -126,6 +137,35 @@ def recognize(pattern: Pattern) -> RecognitionResult:
 
 def _not_elliptic(detail: str) -> NotAnEllipticPattern:
     return NotAnEllipticPattern(f"not the odd-SW set of an odd-genus elliptic surface: {detail}")
+
+
+def _counted(pattern: Pattern, k: int, m: int) -> RecognitionResult | None:
+    """The validated result of the triple the pattern's size names, or None.
+
+    E(p_g; m, n) has 2^j m n odd-SW multiples, j = popcount(p_g - 1), the
+    largest k with k + m = n((p_g + 1) m - 1).  So j = 0 .. v2(|P| / m) each
+    fix n = |P| / (2^j m) and p_g; the first with odd p_g >= 1, popcount
+    (p_g - 1) = j and coprime m <= n is the one candidate built.  None where
+    it regenerates another set, is refused (past the listing budget, or p_g
+    too wide) or where no j names one: the fiber walk decides those."""
+    mn, rest = divmod(len(pattern.multiples), m)
+    if rest:
+        return None
+    for j in range((mn & -mn).bit_length()):
+        n = mn >> j
+        if n < m:  # n only falls as j grows
+            return None
+        q, rest = divmod(k + m, n)
+        p_g, off = divmod(q + 1, m)
+        p_g -= 1
+        if rest or off or p_g < 1 or not p_g % 2 or (p_g - 1).bit_count() != j or gcd(m, n) != 1:
+            continue
+        try:
+            odd = recognizable_set(p_g, m, n)
+        except InvalidParameters:
+            return None
+        return RecognitionResult(p_g, m, n, True) if _same(odd, pattern) else None
+    return None
 
 
 def _detect_larger_multiplicity(values: tuple[int, ...], k: int, m: int) -> int:

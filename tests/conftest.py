@@ -9,6 +9,7 @@ Every child process the suite starts takes its environment from
 """
 
 import os
+from collections import OrderedDict
 
 import pytest
 from hypothesis import settings
@@ -29,5 +30,5 @@ def child_env() -> dict[str, str]:
 def no_summand_held(monkeypatch):
     """An empty intern table of parsed summands in place of ``manifold_io``'s
     for the test, so that every summand a file holds is parsed afresh."""
-    monkeypatch.setattr(manifold_io, "_HELD", {})
+    monkeypatch.setattr(manifold_io, "_HELD", OrderedDict())
     return manifold_io._HELD

@@ -369,13 +369,18 @@ def test_odd_width_is_the_widest_odd_class(block):
             lambda: recognizable_set(2**6999 + 1, 99, 100),
             "the odd-SW set would list more than 128000000 bits of keys",
         ),
+        # p_g * m * n = 2,000,002 entries, counted with m > 1
+        (
+            lambda: basic_class_table(1, 2, 1_000_001),
+            "the table would list more than 2000000 entries",
+        ),
         # 20,001 keys of 15 bits and values below 2^20,000
         (
             lambda: basic_class_table(20_001, 1, 1),
             "the table would list more than 128000000 bits of keys and values",
         ),
     ],
-    ids=["table-entries", "odd-set-entries", "odd-set-bits", "table-bits"],
+    ids=["table-entries", "odd-set-entries", "odd-set-bits", "table-entries-m", "table-bits"],
 )
 def test_listings_past_the_bounds_are_refused_unbuilt(build, message):
     start = time.perf_counter()

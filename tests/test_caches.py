@@ -1,7 +1,8 @@
 """A state machine over the caches that share objects: the held tables
 (``blocks._TABLES``), the odd-SW sets (``blocks._recognizable``) with their
 listing (``blocks._LISTED``), the window of shared key ints
-(``blocks._window``), and the intern table of parsed summands
+(``blocks._window``), the last residue masks (``blocks._MASKS``), and the
+intern table of parsed summands
 (``manifold_io._HELD``) with the texts written on its summands.
 
 Each rule asks the library as a caller would, in whatever order hypothesis
@@ -14,7 +15,9 @@ pool of fourteen summand objects evicts; every cache and bound is restored
 after each example, as the ``emptied`` and ``no_summand_held`` fixtures do.
 """
 
+import importlib
 import json
+import operator
 from collections import OrderedDict
 
 import pytest
@@ -42,6 +45,9 @@ from test_blocks import coprime_grid, table_oracle
 from test_manifold_io import _held_key, _reference_text
 
 pytestmark = pytest.mark.deep
+
+# the package exports the function ``recognize`` under the module's name
+RECOGNIZE = importlib.import_module("swstem.recognize")
 
 #: small coprime triples; keys reach past 256, where CPython shares no int
 TRIPLES = [t for t in coprime_grid(9, 9) if t[0] * t[1] * t[2] <= 400]
@@ -96,6 +102,15 @@ def _odd_count(p_g: int, m: int, n: int) -> int:
     return 2 ** bin(p_g - 1).count("1") * m * n
 
 
+def _masks_oracle(m: int, n: int) -> tuple[bytes, bytes]:
+    """The masks of the positions i = mn - 1 - t of a residue block whose
+    s = b*n + c*m (b < m, c < n, s = t mod mn) wraps past mn, and of the rest."""
+    mn = m * n
+    wrapped = {s % mn: s >= mn for s in (b * n + c * m for b in range(m) for c in range(n))}
+    high = bytes(wrapped[mn - 1 - i] for i in range(mn))
+    return high, bytes(1 - x for x in high)
+
+
 def _all_odd(p_g: int) -> bool:
     return p_g & (p_g - 1) == 0  # row p_g - 1 is all odd (Lucas)
 
@@ -108,7 +123,7 @@ class CacheMachine(RuleBasedStateMachine):
         blocks._TABLES = {}
         blocks._recognizable.cache_clear()
         blocks._LISTED.clear()
-        manifold_io._HELD = {}
+        manifold_io._HELD = OrderedDict()
         manifold_io._HELD_SUMMANDS, manifold_io._HELD_WORDS = BOUNDS
         self.texts_written = 0
         write = self.saved[2]
@@ -141,7 +156,10 @@ class CacheMachine(RuleBasedStateMachine):
 
     @rule(triple=st.sampled_from(TRIPLES))
     def table(self, triple):
+        built = triple not in blocks._TABLES
         table = basic_class_table(*triple)
+        if built:  # a table built leaves its own masks held
+            assert blocks._MASKS[:2] == triple[1:]
         oracle = table_oracle(*triple)
         assert table.keys == tuple(sorted(oracle))
         assert table.values == tuple(oracle[k] for k in table.keys)
@@ -174,17 +192,49 @@ class CacheMachine(RuleBasedStateMachine):
         odd = recognizable_set(*triple)
         self._check_set(triple, odd)
         pattern = Pattern(list(odd) if copied else odd)
-        try:
-            result = recognize(pattern)
-        except NotAnEllipticPattern:
-            assert triple[0] % 2 == 0  # every odd-genus set is recognized
+        asked = []  # every set recognize builds, its count path's candidate too
+
+        def listed(*candidate):
+            asked.append(candidate)
+            return recognizable_set(*candidate)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(RECOGNIZE, "recognizable_set", listed)
+            try:
+                result = recognize(pattern)
+            except NotAnEllipticPattern:
+                assert triple[0] % 2 == 0  # every odd-genus set is recognized
+                result = None
+        for candidate in asked:  # small triples: each asked for is built
+            self.sets.setdefault(candidate, None)
+        if result is None:
             return
         if triple[0] % 2:
             assert result.validated and result.triple == triple
         elif result.validated:  # read as the odd-genus surface with the same set
             assert result.p_g % 2 and _odd_oracle(*result.triple) == odd
-        if _odd_count(*result.triple) == len(odd):  # the candidate's set was built
-            self.sets.setdefault(result.triple, None)
+
+    @rule(triple=st.sampled_from(TRIPLES))
+    def residue_masks(self, triple):
+        _, m, n = triple
+        masks = blocks._residue_masks(m, n)
+        assert blocks._MASKS == (m, n, masks) and blocks._MASKS[2] is masks
+        again = blocks._residue_masks(m, n)  # a hit: the objects held
+        assert again is masks and all(map(operator.is_, again, masks))
+
+    @invariant()
+    def the_masks_held_are_one_pairs(self):
+        m, n, masks = blocks._MASKS
+        if masks is None:
+            return  # nothing built since the module was loaded
+        wraps, high, low = masks
+        assert type(wraps) is tuple and type(high) is type(low) is bytes  # immutable
+        assert (high, low) == _masks_oracle(m, n) and len(wraps) == m - 1
+        h = bytearray(m * n)
+        for span, count in wraps:
+            assert len(range(m * n)[span]) == count
+            h[span] = b"\x01" * count
+        assert bytes(h[::-1]) == high
 
     @rule()
     def emptied(self):
@@ -273,7 +323,7 @@ class CacheMachine(RuleBasedStateMachine):
         assert self.texts_written - before == len(unwritten)
         assert text == _reference_text(doc) == serialize_manifold(doc)
         assert self.texts_written - before == len(unwritten)
-        held, manifold_io._HELD = manifold_io._HELD, {}
+        held, manifold_io._HELD = manifold_io._HELD, OrderedDict()
         try:  # a round trip that leaves the machine's table as it was
             assert parse_manifold(text) == doc
         finally:
@@ -283,7 +333,7 @@ class CacheMachine(RuleBasedStateMachine):
     @rule()
     def no_summand_held(self):
         """The reset of the ``no_summand_held`` fixture."""
-        manifold_io._HELD = {}
+        manifold_io._HELD = OrderedDict()
         self.held.clear()
 
     @invariant()

@@ -63,6 +63,15 @@ FLAG_CASES = {
     "recognize-note": ("recognize", "--classes", "-6,6"),
     "recognize-bounds-match": ("recognize", "--classes", "-2,2", "--bounds", "15,9"),
     "recognize-bounds-none": ("recognize", "--classes", "-3,3", "--bounds", "9,5"),
+    # the coprime branch (the top gap coprime to the top): the odd-SW set of
+    # E(3; 2, 3), E(2; 2, 3)'s set, and a pattern whose derived m exceeds n
+    "recognize-coprime-e3_2_3": (
+        "recognize", "--classes", "-19,-15,-13,-11,-9,-5,5,9,11,13,15,19"
+    ),
+    "recognize-coprime-even-genus": (
+        "recognize", "--classes", "-13,-9,-7,-5,-3,-1,1,3,5,7,9,13"
+    ),
+    "recognize-coprime-unordered": ("recognize", "--classes", "-7,-1,1,7"),
     "distinguish-same": ("distinguish", sample("k3"), sample("k3")),
     "distinguish-different": ("distinguish", sample("k3"), sample("e311_k3")),
     "distinguish-out": ("distinguish", sample("k3"), sample("symplectic_pair")),

@@ -304,6 +304,18 @@ def test_blowup_within_dimension_bound_preserves_sw():
     assert result.invariant.equivariant_nonzero is TriState.UNKNOWN
 
 
+def test_blowup_of_total_b_plus_two_within_the_bound_preserves_sw():
+    # b+ = 2 > 1 and k = 2 * 3 - 2 - 1 = 3 >= 2|d| = 2; no file reaches b+ = 2
+    # with k >= 2 (two b+ = 1 summands give k = 1), so the class is built by hand
+    inv = InvariantClass(
+        total_d=3, total_b_plus=2, stem_degree=4,
+        nonequiv_class=unknown(4), equivariant_nonzero=TriState.UNKNOWN, gamma_power=0,
+    )
+    result = blowup(inv, NegativeDefinite(1), SpinC.from_coords((3,)))
+    assert result.sw_preserved is TriState.YES
+    assert result.invariant.stem_degree == 2
+
+
 def test_blowup_beyond_dimension_bound_is_unknown():
     inv = invariant(connected_sum(K3))  # stem 1, k = 0
     result = blowup(inv, NegativeDefinite(1), SpinC.from_coords((3,)))

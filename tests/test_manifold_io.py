@@ -4,6 +4,8 @@ import itertools
 import json
 import os
 import random
+import sys
+import threading
 import warnings
 from collections import OrderedDict
 from math import gcd
@@ -554,6 +556,48 @@ def test_the_table_holds_no_more_summands_than_its_bound(no_summand_held):
     assert _held_key(_elliptic(0)) not in no_summand_held
 
 
+@pytest.mark.deep
+def test_threads_parsing_through_a_full_table_each_get_their_documents(no_summand_held):
+    # 4 threads, each parsing 40 files of 500 distinct summands: every
+    # insertion into the full table drops its oldest entry, often at once
+    threads, files, each = 4, 40, 500
+    texts = [
+        [
+            json.dumps({"summands": [_elliptic(1 + ((t * files + f) * each + i)) for i in range(each)]})
+            for f in range(files)
+        ]
+        for t in range(threads)
+    ]
+    alone = [[parse_manifold(text) for text in mine] for mine in texts]
+    no_summand_held.clear()
+    parse_manifold(json.dumps({"summands": [_elliptic(10**6 + p_g) for p_g in range(1024)]}))
+    assert len(no_summand_held) == manifold_io._HELD_SUMMANDS  # full before the threads start
+    start = threading.Barrier(threads)
+    parsed = [[] for _ in range(threads)]
+    raised = []
+
+    def parse_all(mine, out):
+        start.wait()
+        try:
+            out.extend(map(parse_manifold, mine))
+        except BaseException as exc:  # any escape fails the test below
+            raised.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=parse_all, args=args) for args in zip(texts, parsed)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert raised == []
+    assert parsed == alone
+    assert len(no_summand_held) <= manifold_io._HELD_SUMMANDS
+
+
 @pytest.mark.parametrize(
     "labels, words",
     [
@@ -661,7 +705,7 @@ def test_a_capped_table_holds_what_the_weighed_one_held(rng):
     stream = [pool[rng.randrange(i + 1)] if rng.random() < 0.2 else raw for i, raw in enumerate(pool)]
     weighed, words_held = OrderedDict(), 0
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(manifold_io, "_HELD", {})
+        patch.setattr(manifold_io, "_HELD", OrderedDict())
         while stream:
             cut = rng.randint(1, 400)  # summands a file
             summands, stream = stream[:cut], stream[cut:]
@@ -1006,7 +1050,7 @@ def _outcome(text: str):
         return type(exc), str(exc), getattr(exc, "block_index", None)
 
 
-class _NothingHeld(dict):
+class _NothingHeld(OrderedDict):
     """An intern table that never returns what it holds, so that every
     summand of a file is parsed afresh, even one that an earlier one equals."""
 
@@ -1024,7 +1068,7 @@ def test_a_warm_table_parses_as_an_empty_one(pairs, rng):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(manifold_io, "_HELD", _NothingHeld())
         cold = _outcome(text)
-        patch.setattr(manifold_io, "_HELD", {})
+        patch.setattr(manifold_io, "_HELD", OrderedDict())
         _outcome('{"summands": [%s]}' % ", ".join(valid))  # every valid summand held
         warm = _outcome(text)
     assert warm == cold

@@ -40,6 +40,7 @@ from conftest import child_env
 
 # the package exports the function ``recognize`` under the module's name
 RECOGNIZE = importlib.import_module("swstem.recognize")
+BLOCKS = importlib.import_module("swstem.blocks")
 
 
 def odd_coprime_grid(p_g_max=7, n_max=5):
@@ -267,6 +268,105 @@ def test_fiber_walk_matches_the_set_walk(halves, m):
     values = tuple(sorted({x for h in halves for x in (h, -h)}))
     k = values[-1]
     assert _detect_larger_multiplicity(values, k, m) == set_walk(values, k, m)
+
+
+def outcome(pattern):
+    """What recognize answers, or the class and text of what it raises."""
+    try:
+        return recognize(pattern)
+    except (NotAnEllipticPattern, InvalidParameters) as exc:
+        return type(exc), str(exc)
+
+
+def counted_calls(pattern, counted=True):
+    """recognize's outcome with or without the count path, and how many
+    times it called recognizable_set."""
+    calls = []
+
+    def listed(*triple):
+        calls.append(triple)
+        return recognizable_set(*triple)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RECOGNIZE, "recognizable_set", listed)
+        if not counted:
+            patch.setattr(RECOGNIZE, "_counted", lambda pattern, k, m: None)
+        return outcome(pattern), len(calls)
+
+
+def check_count_path(values):
+    """The count path changes no outcome, and builds at most one set more."""
+    pattern = Pattern(values)
+    counted, calls = counted_calls(pattern)
+    walked, walk_calls = counted_calls(pattern, counted=False)
+    assert counted == walked, values
+    assert calls <= walk_calls + 1, values
+
+
+@pytest.mark.parametrize("values", HOSTILE)
+def test_the_count_path_matches_the_walk_on_hostile_patterns(values):
+    check_count_path(values)
+
+
+def test_the_count_path_matches_the_walk_on_the_coprime_grid():
+    # even genus included: refused, read as an odd alias, or left unvalidated
+    for triple in coprime_grid():
+        check_count_path(recognizable_set(*triple))
+
+
+@st.composite
+def near_listed(draw):
+    """A symmetric set, or a listed odd-SW set with one pair removed or added."""
+    if draw(st.booleans()):
+        halves = draw(st.sets(st.integers(0, 60), min_size=1, max_size=20))
+        return tuple(sorted({x for h in halves for x in (h, -h)}))
+    p_g, m, n = draw(
+        st.tuples(st.integers(1, 40), st.integers(1, 12), st.integers(1, 12))
+        .map(lambda t: (t[0], min(t[1:]), max(t[1:])))
+        .filter(lambda t: math.gcd(t[1], t[2]) == 1)
+    )
+    odd = set(recognizable_set(p_g, m, n))
+    pair = abs(draw(st.sampled_from(sorted(odd)) | st.integers(-200, 200)))
+    changed = odd - {pair, -pair} if pair in odd else odd | {pair, -pair}
+    return tuple(sorted(changed or odd))
+
+
+@pytest.mark.deep
+@given(near_listed())
+def test_the_count_path_matches_the_walk(values):
+    check_count_path(values)
+
+
+def test_a_listed_pattern_is_recognized_by_its_size_alone(monkeypatch):
+    def walked(*args):
+        raise AssertionError("the fiber walk ran on a listed set")
+
+    monkeypatch.setattr(RECOGNIZE, "_detect_larger_multiplicity", walked)
+    for triple in (*odd_coprime_grid(), (13, 1, 600), (1, 1, 1000), (5, 1, 2048), (3, 2, 3)):
+        result, calls = counted_calls(Pattern(recognizable_set(*triple)))
+        assert (result.triple, result.validated, calls) == (triple, True, 1)
+
+
+def test_a_candidate_the_count_refutes_is_built_once_more_at_most():
+    # E(1; 2, 7)'s set without +-1: 12 multiples, top 19 and m = 2 name
+    # (3, 2, 3), whose set is E(3; 2, 3)'s; the walk then decides alone
+    values = tuple(y for y in recognizable_set(1, 2, 7) if abs(y) != 1)
+    pattern = Pattern(values)
+    assert RECOGNIZE._counted(pattern, 19, 2) is None
+    counted, calls = counted_calls(pattern)
+    walked, walk_calls = counted_calls(pattern, counted=False)
+    assert counted == walked and calls == walk_calls + 1
+
+
+def test_a_pattern_past_the_listing_budget_ends_as_the_walk_ends(monkeypatch):
+    # E(3; 2, 3)'s 12 multiples past a budget of 10: the count's candidate is
+    # refused unbuilt, and the walk names it again and raises the refusal
+    values = recognizable_set(3, 2, 3)
+    monkeypatch.setattr(BLOCKS, "MAX_LISTING", 10)
+    counted, calls = counted_calls(Pattern(values))
+    assert counted == counted_calls(Pattern(values), counted=False)[0]
+    assert counted == (InvalidParameters, "the odd-SW set would list more than 10 entries")
+    assert calls == 2
 
 
 def test_even_genus_patterns_collapse_to_odd_representatives():
