@@ -5,94 +5,77 @@ blocks, pushes it through the truncated stable stems under connected sum, and
 answers nonvanishing, splitting and recognition questions with exact integers
 and explicit rule traces.  See the README for a tour; the ``swstem`` command
 exposes everything on the command line.
+
+The package exports its public names lazily (PEP 562): ``_EXPORTS`` maps each
+name to the submodule that defines it, and the first access of a name imports
+that submodule and binds the name here, so ``import swstem`` compiles no
+submodule.  ``recognize`` names both a submodule and its function; the package
+keeps the function bound, whichever is imported first, because its module type
+ignores a submodule assigned to an exported name.
 """
 
-from .blocks import (
-    CANONICAL,
-    K3,
-    BasicClassTable,
-    BuildingBlock,
-    EllipticSurface,
-    HomotopySphereLike,
-    KaehlerGeneric,
-    NegativeDefinite,
-    Parity,
-    SymplecticGeneric,
-    basic_class_table,
-    max_multiple,
-    odd_binomial,
-    recognizable_set,
-    sw_parity,
-    sw_value,
-)
-from .errors import (
-    IndexNotIntegral,
-    InvalidParameters,
-    ManifoldSemanticError,
-    ManifoldSyntaxError,
-    NotAnEllipticPattern,
-    PositiveIndexOnNegativeDefinite,
-    PreconditionNotMet,
-    SwStemError,
-    UncataloguedBlock,
-    UnknownSW,
-)
-from .invariants import (
-    BlowupResult,
-    ConnectedSum,
-    CriteriaResult,
-    DistinctionVerdict,
-    InvariantClass,
-    SplitKind,
-    SplitQuery,
-    SplitVerdict,
-    Summand,
-    blowup,
-    connected_sum,
-    distinguish,
-    invariant,
-    nonvanishing_criteria,
-    odd_basic_fingerprint,
-    split_verdict,
-)
-from .lattice import (
-    SpinC,
-    dirac_index,
-    expected_dimension,
-)
-from .manifold_io import (
-    ManifoldDoc,
-    load_manifold,
-    parse_manifold,
-    serialize_manifold,
-)
-from .recognize import (
-    Pattern,
-    RecognitionResult,
-    recognize,
-    recognize_oracle,
-)
-from .stems import (
-    ETA,
-    ONE,
-    StemElement,
-    StemKind,
-    TriState,
-    hopf_power,
-    integer_class,
-    is_nonzero,
-    smash,
-    smash_all,
-    sq2_detects_hopf,
-    unknown,
-    zero,
-)
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-# the public names the imports above bind; importing a submodule binds its
-# name too (``blocks``, ...), and a module is no export
-__all__ = sorted(
-    name for name, value in globals().items()
-    if not name.startswith("_") and type(value) is not type(blocks)
-)
+#: each public name, by the submodule that defines it
+_EXPORTS = {
+    name: module
+    for module, names in (
+        (
+            "blocks",
+            "CANONICAL K3 BasicClassTable BuildingBlock EllipticSurface HomotopySphereLike"
+            " KaehlerGeneric NegativeDefinite Parity SymplecticGeneric basic_class_table"
+            " max_multiple odd_binomial recognizable_set sw_parity sw_value",
+        ),
+        (
+            "errors",
+            "IndexNotIntegral InvalidParameters ManifoldSemanticError ManifoldSyntaxError"
+            " NotAnEllipticPattern PositiveIndexOnNegativeDefinite PreconditionNotMet"
+            " SwStemError UncataloguedBlock UnknownSW",
+        ),
+        (
+            "invariants",
+            "BlowupResult ConnectedSum CriteriaResult DistinctionVerdict InvariantClass"
+            " SplitKind SplitQuery SplitVerdict Summand blowup connected_sum distinguish"
+            " invariant nonvanishing_criteria odd_basic_fingerprint split_verdict",
+        ),
+        ("lattice", "SpinC dirac_index expected_dimension"),
+        ("manifold_io", "ManifoldDoc load_manifold parse_manifold serialize_manifold"),
+        ("recognize", "Pattern RecognitionResult recognize recognize_oracle"),
+        (
+            "stems",
+            "ETA ONE StemElement StemKind TriState hopf_power integer_class is_nonzero"
+            " smash smash_all sq2_detects_hopf unknown zero",
+        ),
+    )
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})
+
+
+class _Package(types.ModuleType):
+    """The package's module type: an import binds each submodule as an attribute
+    of its package, except where the name is an export (``recognize``)."""
+
+    def __setattr__(self, name, value):
+        if not (name in _EXPORTS and isinstance(value, types.ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -437,7 +437,9 @@ def _residue_masks(m: int, n: int):
 #: every table ``_table`` built, by triple, unbounded.  A table and an odd-SW
 #: set take the key ints of a block within ``_SHARED`` of 0 from ``_window``,
 #: which is bounded; an all-odd row's table holds its odd-SW set as its keys;
-#: past the window, any other row builds its own ints
+#: past the window, any other row builds its own ints.  Threads: two callers
+#: that miss one triple at once may each build its table, the last one stored
+#: is held, and each caller gets an equal table
 _TABLES: dict[tuple[int, int, int], BasicClassTable] = {}
 
 #: how far from 0 ``_window`` may reach: it never holds more than
@@ -451,7 +453,10 @@ _window: tuple[int, ...] = (0,)
 def _keys(start: int, stop: int):
     """``range(start, stop, 2)``, a non-empty block of keys: a slice of
     ``_window``, grown to reach the block (at least doubled, its objects
-    kept), or the range itself where the block reaches past ``_SHARED``."""
+    kept), or the range itself where the block reaches past ``_SHARED``.
+    Threads: two callers may each grow the window from the same one, and the
+    last one stored is kept, so a block sliced from the other shares its ints
+    with fewer later blocks; sharing is lost, never a key's value."""
     global _window
     last = stop - 2
     if start < -_SHARED or last > _SHARED:
@@ -604,7 +609,10 @@ def _recognizable(p_g: int, m: int, n: int) -> tuple[int, ...]:
     """The odd-SW set, by the blocks of the odd rows (``_submasks``), a row's
     mask selecting each block's odd keys.  Its keys come from ``_keys`` alone:
     the shared window within 2^15 of 0, else the block's own ints; an
-    all-odd row's table takes this tuple as its key column."""
+    all-odd row's table takes this tuple as its key column.  Threads: the
+    ``lru_cache`` may run this twice for one triple when two callers miss at
+    once; each gets an equal set, both are listed in ``_LISTED``, and each is
+    admitted by ``Pattern`` unchecked, as any set listed is."""
     _, high, low = _residue_masks(m, n)
     mn, top = m * n, max_multiple(p_g, m, n)
     runs = []

@@ -59,7 +59,9 @@ class RecognitionResult:
 
     ``validated`` is true exactly when the candidate's recognizable set
     equals the input pattern; a validated candidate has odd p_g, and only
-    an unvalidated one carries a diagnostic, which explains the mismatch.
+    an unvalidated one carries a diagnostic, which explains the mismatch,
+    or names the listing budget where the candidate's set has the input's
+    size but is refused unbuilt, so it could not be compared.
     """
 
     p_g: int
@@ -94,7 +96,8 @@ def recognize(pattern: Pattern) -> RecognitionResult:
     share a factor, the pattern can only belong to the no-log-transform
     family m = n = 1 with p_g = k + 1.  Either way the candidate is validated
     by comparing its odd count 2^popcount(p_g - 1) m n with the pattern's
-    size, then its regenerated recognizable set; mismatches come back with
+    size, then its regenerated recognizable set; mismatches, and a matching
+    size whose set is past the listing budget, come back with
     validated=False rather than a guess.  A validated candidate has odd p_g:
     for even p_g, binomial(p_g - 1, 1) is odd, so its set holds k - 2mn (the
     walk does not stop at n) and, when m = n = 1, k - 2 (which makes h = 1).
@@ -189,8 +192,17 @@ def _validated_result(p_g: int, m: int, n: int, pattern: Pattern) -> Recognition
         count = _odd_count(p_g, m, n)
     except InvalidParameters as exc:
         raise _not_elliptic(str(exc)) from exc
-    if count == len(pattern.multiples) and _same(recognizable_set(p_g, m, n), pattern):
-        return RecognitionResult(p_g, m, n, True)  # p_g is odd: see recognize
+    if count == len(pattern.multiples):
+        try:
+            odd = recognizable_set(p_g, m, n)
+        except InvalidParameters as exc:  # past the listing budget: unknown, not a guess
+            diagnostic = (
+                f"candidate ({p_g}, {m}, {n}) regenerates {shown(count)} multiples, "
+                f"as many as the input, left unchecked: {exc}"
+            )
+            return RecognitionResult(p_g, m, n, False, (diagnostic,))
+        if _same(odd, pattern):
+            return RecognitionResult(p_g, m, n, True)  # p_g is odd: see recognize
     # the largest multiple always has value 1, so it is always odd
     diagnostic = (
         f"candidate ({p_g}, {m}, {n}) regenerates {shown(count)} multiples "

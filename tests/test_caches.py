@@ -18,6 +18,9 @@ after each example, as the ``emptied`` and ``no_summand_held`` fixtures do.
 import importlib
 import json
 import operator
+import random
+import sys
+import threading
 from collections import OrderedDict
 
 import pytest
@@ -41,7 +44,7 @@ from swstem.invariants import Summand
 from swstem.lattice import SpinC
 from swstem.manifold_io import ManifoldDoc, parse_manifold, serialize_manifold
 from swstem.recognize import Pattern, recognize
-from test_blocks import coprime_grid, table_oracle
+from test_blocks import coprime_grid, emptied, table_oracle  # noqa: F401 (a fixture)
 from test_manifold_io import _held_key, _reference_text
 
 pytestmark = pytest.mark.deep
@@ -353,3 +356,74 @@ class CacheMachine(RuleBasedStateMachine):
 
 CacheMachine.TestCase.settings = settings(stateful_step_count=20, deadline=None)
 TestCaches = CacheMachine.TestCase
+
+
+def _answer(what, arg):
+    """What the library answers to one op of the shared pool below."""
+    if what == "table":
+        table = basic_class_table(*arg)
+        return table.keys, table.values
+    if what == "set":
+        return recognizable_set(*arg)
+    if what == "recognize":
+        return recognize(Pattern(recognizable_set(*arg)))
+    if what == "parse":
+        return parse_manifold(arg)
+    return serialize_manifold(parse_manifold(arg))  # "write"
+
+
+def test_threads_over_a_shared_pool_each_get_the_answers_of_one(emptied, no_summand_held, monkeypatch):
+    # 4 threads run one pool, each in its own order, from empty caches and a
+    # one-int window: they miss the same tables and sets at once, grow the
+    # window at once, and parse and write overlapping files of 1,650 distinct
+    # summands through the 1,024-summand intern table
+    texts = [
+        json.dumps({"summands": [{"type": "elliptic", "p_g": p_g, "m": 1, "n": 1}
+                                 for p_g in range(start, start + 300)]})
+        for start in range(1, 1500, 150)
+    ]
+    pool = [
+        *((what, t) for t in TRIPLES for what in ("table", "set")),
+        *(("recognize", t) for t in TRIPLES if t[0] % 2),
+        *(("parse", text) for text in texts),
+        *(("write", text) for text in texts),
+    ]
+
+    def fresh():
+        emptied()
+        no_summand_held.clear()
+        monkeypatch.setattr(blocks, "_window", (0,))
+        monkeypatch.setattr(blocks, "_MASKS", (0, 0, None))
+
+    fresh()
+    alone = [_answer(*op) for op in pool]
+    fresh()
+    threads = 4
+    orders = [random.Random(seed).sample(range(len(pool)), len(pool)) for seed in range(threads)]
+    answers = [{} for _ in range(threads)]
+    start = threading.Barrier(threads)
+    raised = []
+
+    def run(order, out):
+        start.wait()
+        try:
+            for i in order:
+                out[i] = _answer(*pool[i])
+        except BaseException as exc:  # any escape fails the test below
+            raised.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run, args=args) for args in zip(orders, answers)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert raised == []
+    for out in answers:
+        assert [out[i] for i in range(len(pool))] == alone
+    assert len(manifold_io._HELD) <= manifold_io._HELD_SUMMANDS

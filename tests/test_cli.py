@@ -1,8 +1,9 @@
 """End-to-end command line tests: child processes of ``python -m swstem``, the
-program ``cli.run``, and ``cli.main`` called in process."""
+program ``swstem.__main__.run``, and ``cli.main`` called in process."""
 
 import gc
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -27,6 +28,8 @@ from swstem.manifold_io import parse_manifold
 from conftest import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
+# the program, whose table of subcommands the tests read
+PROGRAM = importlib.import_module("swstem.__main__")
 SAMPLES = ROOT / "samples"
 
 
@@ -277,6 +280,57 @@ def test_import_loads_no_dataclasses_and_every_library_module():
     assert {f"swstem.{name}" for name in library} <= added
 
 
+#: the ``swstem.*`` modules a listing loads: no engine module
+LISTING = {"errors", "_record", "blocks"}
+#: what a file command loads: the engine, and the writer its files use
+ENGINE = LISTING | {"manifold_io", "invariants", "lattice", "stems", "_json_text"}
+TRIPLE = ("--pg", "3", "--m", "2", "--n", "3")
+
+#: (argv, its exit code, the ``swstem.*`` modules ``python -m swstem argv`` loads)
+LOADED = (
+    (("basic-classes", *TRIPLE), 0, LISTING),
+    (("basic-classes", *TRIPLE, "--json"), 0, LISTING | {"_json_text"}),
+    (("recognizable", *TRIPLE), 0, LISTING),
+    (("recognizable", *TRIPLE, "--json"), 0, LISTING | {"_json_text"}),
+    (("recognize", "--classes=-7,-3,-1,1,3,7"), 0, LISTING | {"recognize"}),
+    (
+        ("recognize", "--classes=-7,-3,-1,1,3,7", "--bounds", "5,5", "--json"),
+        0,
+        LISTING | {"recognize", "_json_text"},
+    ),
+    (("invariant", sample("k3x2.json")), 0, ENGINE),
+    (("nonvanishing", sample("k3x2.json"), "--json"), 0, ENGINE),
+    (("blowup", sample("k3.json"), "--rank", "1"), 0, ENGINE),
+    (("split-check", sample("k3x2.json"), "--modulus", "2", "--residue", "1"), 0, ENGINE),
+    (("distinguish", sample("k3x2.json"), sample("k3x4.json")), 0, ENGINE),
+    (("fingerprint", sample("e311_k3.json")), 0, ENGINE),
+    (("invariant", "/no/such/file.json"), 1, ENGINE),
+    (("bogus",), 2, {"errors"}),
+    (("basic-classes", "--pg", "3"), 2, {"errors"}),
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code, modules", LOADED, ids=[" ".join(Path(t).name for t in a) for a, _, _ in LOADED]
+)
+def test_a_call_loads_only_the_modules_its_command_uses(argv, code, modules):
+    # run_module with alter_sys runs the package as `python -m swstem` does:
+    # its __main__ under that name, so it is no swstem module; swstem.cli is
+    # never imported
+    hook = (
+        "import atexit, runpy, sys; "
+        "atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr)); "
+        "runpy.run_module('swstem', run_name='__main__', alter_sys=True)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", hook, *argv], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == code
+    loaded = proc.stderr.splitlines()[-1].split()
+    assert "swstem" in loaded
+    assert {name.removeprefix("swstem.") for name in loaded if name.startswith("swstem.")} == modules
+
+
 def test_usage_errors_exit_two():
     run_cli("bogus", expect=2)
     run_cli("basic-classes", "--pg", "1", expect=2)  # missing --m/--n
@@ -336,7 +390,7 @@ def _parsed(parser, argv, capsys):
     return (stop.value.code, *capsys.readouterr())
 
 
-@pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+@pytest.mark.parametrize("name", sorted(PROGRAM._COMMANDS))
 def test_a_parser_of_one_subcommand_reads_as_the_full_one(name, monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")
     alone, full = cli.build_parser(name), cli.build_parser()
@@ -344,7 +398,7 @@ def test_a_parser_of_one_subcommand_reads_as_the_full_one(name, monkeypatch, cap
     for argv in ([name, "-h"], [name]):
         assert _parsed(alone, argv, capsys) == _parsed(full, argv, capsys)
     assert _parsed(full, [name], capsys)[0] == 2
-    other = min(cli._COMMANDS - {name})
+    other = min(PROGRAM._COMMANDS - {name})
     assert "invalid choice" in _parsed(alone, [other], capsys)[2]
 
 
@@ -646,7 +700,7 @@ TOUR = _tour()
 
 
 def test_the_readme_tour_shows_every_subcommand():
-    assert {argv[0] for argv, _ in TOUR} == cli._COMMANDS
+    assert {argv[0] for argv, _ in TOUR} == PROGRAM._COMMANDS
 
 
 @pytest.mark.parametrize("argv, shown", TOUR, ids=[f"{i}-{a[0]}" for i, (a, _) in enumerate(TOUR)])
@@ -794,7 +848,7 @@ ENTRY_CALLS = (
 @pytest.mark.parametrize("argv", ENTRY_CALLS, ids=["ok", "domain-error", "usage-error"])
 def test_every_way_of_running_swstem_answers_alike(argv):
     module, function = _scripts_target()
-    assert (module, function) == ("swstem.cli", "run")
+    assert (module, function) == ("swstem.__main__", "run")
     script = f"import sys; from {module} import {function}; sys.exit({function}())"
     answers = [
         subprocess.run(

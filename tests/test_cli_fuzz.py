@@ -8,6 +8,7 @@ a large listing is refused unbuilt by ``blocks.MAX_LISTING`` instead of built.
 """
 
 import contextlib
+import importlib
 import io
 import tempfile
 import time
@@ -16,7 +17,8 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from swstem import cli
+# the program: its table of subcommands, its flag types and main
+program = importlib.import_module("swstem.__main__")
 
 SAMPLES = sorted(map(str, (Path(__file__).resolve().parent.parent / "samples").glob("*.json")))
 
@@ -66,8 +68,8 @@ _file = st.sampled_from(SAMPLES) | st.binary(max_size=80) | _document | _junk
 
 _FLAG_VALUES = {
     int: _ints,
-    cli._int_list: (_int_lists | _symmetric).map(",".join),
-    cli._bounds: st.tuples(_ints, _ints).map(",".join),
+    program._int_list: (_int_lists | _symmetric).map(",".join),
+    program._bounds: st.tuples(_ints, _ints).map(",".join),
 }
 
 
@@ -78,7 +80,7 @@ def _one_in(k: int):
 
 @st.composite
 def _argv(draw):
-    name, _, _, arguments, traced = draw(st.sampled_from(cli._SUBCOMMANDS))
+    name, _, _, arguments, traced = draw(st.sampled_from(program._SUBCOMMANDS))
     files, options = [], []  # positional tokens keep their order; options move
     for flag, spec in arguments:
         if not flag.startswith("-"):
@@ -122,7 +124,7 @@ def test_any_argv_ends_cleanly(drawn):
             warnings.simplefilter("always")
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 try:
-                    code = cli.main(argv)
+                    code = program.main(argv)
                 except SystemExit as exc:  # argparse: a usage error, or -h
                     code = exc.code
         elapsed = time.perf_counter() - start

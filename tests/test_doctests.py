@@ -12,8 +12,6 @@ def test_doctests():
     modules = pkgutil.walk_packages(swstem.__path__, "swstem.")
     total = 0
     for name in ["swstem", *(info.name for info in modules)]:
-        if name == "swstem.__main__":
-            continue  # importing it runs the command line
         module = importlib.import_module(name)
         result = doctest.testmod(module)
         assert result.failed == 0, name

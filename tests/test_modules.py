@@ -2,11 +2,16 @@
 
 import ast
 import importlib
+import subprocess
+import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import swstem
 from swstem import invariants
+from conftest import child_env
 
 SOURCE = Path(swstem.__file__).parent
 
@@ -14,12 +19,12 @@ SOURCE = Path(swstem.__file__).parent
 #: ``blocks`` alone, reading a connected sum is the engine's, and ``_json_text``,
 #: the one JSON writer, imports no module of the package
 GRAPH = {
-    "__init__": {"blocks", "errors", "invariants", "lattice", "manifold_io", "recognize", "stems"},
-    "__main__": {"cli"},
+    "__init__": set(),
+    "__main__": {"_json_text", "blocks", "errors", "invariants", "lattice", "manifold_io", "recognize"},
     "_json_text": set(),
     "_record": {"errors"},
     "blocks": {"_record", "errors"},
-    "cli": {"_json_text", "blocks", "errors", "invariants", "lattice", "manifold_io", "recognize"},
+    "cli": {"__main__", "blocks", "invariants", "lattice", "manifold_io", "recognize", "stems"},
     "errors": set(),
     "invariants": {"_record", "blocks", "errors", "lattice", "stems"},
     "lattice": {"_record", "errors"},
@@ -40,8 +45,13 @@ def test_each_module_imports_the_pinned_modules():
     graph = {}
     for name, tree in parsed().items():
         froms = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
-        assert all(node.level == 1 and node.module for node in froms), name
-        graph[name] = {node.module for node in froms}
+        assert all(node.level == 1 for node in froms), name
+        # ``from . import x`` imports the module x
+        graph[name] = {
+            target
+            for node in froms
+            for target in ([node.module] if node.module else [alias.name for alias in node.names])
+        }
     assert graph == GRAPH
 
 
@@ -64,17 +74,56 @@ def test_the_package_exports_the_engines_distinction():
 
 
 def test_the_package_exports_exactly_the_public_names_it_binds():
+    # ``__all__`` is derived from ``_EXPORTS``; each name is its submodule's object
+    assert swstem.__all__ == sorted(swstem._EXPORTS)
+    assert len(swstem.__all__) == 66
+    for name, module in swstem._EXPORTS.items():
+        value = getattr(swstem, name)
+        assert not isinstance(value, types.ModuleType), name
+        assert value is getattr(importlib.import_module(f"swstem.{module}"), name), name
+    # once read, the public names the package binds are its exports, and no other
     bound = (
         name
         for name, value in vars(swstem).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert swstem.__all__ == sorted(bound)
-    # ``__all__`` is derived: it is the names that __init__'s imports list
-    imported = [
-        alias.name
-        for node in ast.walk(parsed()["__init__"])
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
-    assert swstem.__all__ == sorted(imported)
+
+
+def test_every_export_is_listed_and_an_unknown_name_is_refused_by_name():
+    assert set(swstem.__all__) <= set(dir(swstem))
+    assert {"__version__", "__getattr__", "__dir__"} <= set(dir(swstem))
+    with pytest.raises(AttributeError, match="module 'swstem' has no attribute 'no_such_name'"):
+        swstem.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        from swstem import no_such_name  # noqa: F401
+
+
+#: each way of importing the submodule ``recognize``, before the name is read
+IMPORT_ORDERS = (
+    "import swstem",
+    "import swstem.recognize",
+    "from swstem.recognize import Pattern",
+    "import swstem.recognize as r",
+    "import importlib; importlib.import_module('swstem.recognize')",
+)
+
+
+@pytest.mark.parametrize("order", IMPORT_ORDERS)
+def test_the_package_binds_the_function_recognize_in_every_import_order(order):
+    # a fresh child each: no submodule binds itself over the export
+    probe = (
+        "import sys, types, swstem; "
+        "bound = vars(swstem).get('recognize'); "
+        "from swstem import recognize; "
+        "print(isinstance(bound, types.ModuleType), "
+        "recognize is swstem.recognize is sys.modules['swstem.recognize'].recognize, "
+        "isinstance(vars(swstem)['recognize'], types.ModuleType))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{order}; {probe}"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert (proc.stdout, proc.stderr) == ("False True False\n", "")

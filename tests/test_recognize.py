@@ -31,6 +31,7 @@ from swstem.invariants import (
 from swstem.lattice import SpinC
 from swstem.recognize import (
     Pattern,
+    RecognitionResult,
     _detect_larger_multiplicity,
     recognize,
     recognize_oracle,
@@ -360,13 +361,32 @@ def test_a_candidate_the_count_refutes_is_built_once_more_at_most():
 
 def test_a_pattern_past_the_listing_budget_ends_as_the_walk_ends(monkeypatch):
     # E(3; 2, 3)'s 12 multiples past a budget of 10: the count's candidate is
-    # refused unbuilt, and the walk names it again and raises the refusal
+    # refused unbuilt, and the walk names it again and answers it unvalidated,
+    # naming the budget
     values = recognizable_set(3, 2, 3)
     monkeypatch.setattr(BLOCKS, "MAX_LISTING", 10)
     counted, calls = counted_calls(Pattern(values))
     assert counted == counted_calls(Pattern(values), counted=False)[0]
-    assert counted == (InvalidParameters, "the odd-SW set would list more than 10 entries")
+    diagnostic = (
+        "candidate (3, 2, 3) regenerates 12 multiples, as many as the input, "
+        "left unchecked: the odd-SW set would list more than 10 entries"
+    )
+    assert counted == RecognitionResult(3, 2, 3, False, (diagnostic,))
     assert calls == 2
+
+
+def test_a_genuine_set_past_the_bits_budget_is_answered_unvalidated():
+    # E(2^6990 + 1; 1, 10000): rows 0 and p_g - 1 are its only odd ones, so its
+    # 20,000 multiples are +-2^6990 n + (n - 1 - 2c), too many bits to list
+    n, top = 10_000, 2**6990 * 10_000
+    pattern = Pattern([sign * top + n - 1 - 2 * c for sign in (1, -1) for c in range(n)])
+    result = recognize(pattern)
+    assert (result.triple, result.validated) == ((2**6990 + 1, 1, n), False)
+    (diagnostic,) = result.diagnostics
+    assert diagnostic.endswith(
+        ", 1, 10000) regenerates 20000 multiples, as many as the input, left unchecked: "
+        f"the odd-SW set would list more than {BLOCKS.MAX_LISTING_BITS} bits of keys"
+    )
 
 
 def test_even_genus_patterns_collapse_to_odd_representatives():
