@@ -320,7 +320,7 @@ BuildingBlock = Union[
 
 def _catalogued(block) -> _Block:
     if not isinstance(block, _Block):
-        raise UncataloguedBlock(f"not a catalogued building block: {block!r}")
+        raise UncataloguedBlock(f"not a catalogued building block: {shown(block)}")
     return block
 
 

@@ -354,7 +354,7 @@ class ConnectedSum:
         parts = neutral, negdef, ac, digest = [], [], [], []
         for s in items:
             if not isinstance(s, Summand):
-                raise InvalidParameters(f"not a summand: {s!r}")
+                raise InvalidParameters(f"not a summand: {shown(s)}")
             block = s.block
             if block.almost_complex:  # b+ >= 1, so never neutral
                 ac.append(s)

@@ -29,10 +29,10 @@ A file is written by ``json_text``, the package's one JSON writer, from each
 summand's record fields, "type" and ``c``, so a ``ManifoldDoc`` holds no class
 key and no spin-c data but ``c``.
 
-The decoder leaves each JSON object the tuple of its (key, value) pairs; only
-the top level and a summand not held below become dicts, through the
-repeated-key check.  A refused document is read again with every object a
-dict, so every refusal reads as before, a value holding an object as a dict.
+A text is decoded once, each JSON object the tuple of its (key, value) pairs;
+the top level and a summand not held below become dicts through the
+repeated-key check.  A summand that may hold an object has each object in its
+values, at any depth, made a dict first, so that a message shows it as one.
 
 A summand object whose values are exact ints or lists of them is interned:
 its first parse runs every check, and every later object with the same pairs
@@ -58,11 +58,7 @@ from json.encoder import encode_basestring_ascii
 from ._json_text import json_text
 from ._record import record
 from .blocks import K3, BuildingBlock, NegativeDefinite
-from .errors import (
-    InvalidParameters,
-    ManifoldSemanticError,
-    ManifoldSyntaxError,
-)
+from .errors import InvalidParameters, ManifoldSemanticError, ManifoldSyntaxError, shown
 from .invariants import ConnectedSum, Summand
 from .lattice import SpinC
 
@@ -112,23 +108,33 @@ class ManifoldDoc:
         return self._csum
 
 
-class _Repeats(dict):
-    """A JSON object in which ``key`` (an attribute) appears more than once."""
-
-
-def _object(pairs: list | tuple) -> dict:
-    """An object's pairs as a dict, a ``_Repeats`` if a key repeats."""
+def _object(pairs: tuple, index: int | None = None) -> dict:
+    """An object's pairs as a dict; refused, as summand ``index`` or the
+    top level, if a key repeats."""
     raw = dict(pairs)
     if len(raw) < len(pairs):
         counts = Counter(key for key, _ in pairs)
-        raw = _Repeats(raw)
-        raw.key = next(key for key, count in counts.items() if count > 1)
+        key = next(key for key, count in counts.items() if count > 1)
+        raise ManifoldSemanticError(f"repeated key {key!r}", index)
     return raw
+
+
+def _with_dicts(raw: dict) -> None:
+    """Makes each object in ``raw``'s values, at any depth, the dict of its pairs
+    (a repeated key's last value kept), as a message shows it.  It rewrites one
+    container at a time, in place, so no depth overflows the stack."""
+    stack = [raw]
+    while stack:
+        container = stack.pop()
+        for slot, item in container.items() if type(container) is dict else enumerate(container):
+            if type(item) is tuple:
+                container[slot] = item = dict(item)
+            if type(item) is dict or type(item) is list:
+                stack.append(item)
 
 
 # built once: json.loads(text, object_pairs_hook=...) builds a decoder per call
 _pairs = json.JSONDecoder(object_pairs_hook=tuple).decode
-_dicts = json.JSONDecoder(object_pairs_hook=_object).decode
 
 
 #: the intern table's bounds: summands held, and the weight of the ints their
@@ -150,7 +156,7 @@ def _key(pairs: object) -> tuple | None:
     equals a bool or a float that no kind admits).  A held key is the pairs
     of an object that parsed, so it repeats no name.  A string anywhere but
     "type" never parses, so no such key is ever held."""
-    if type(pairs) is not tuple:  # a dict, when a refused document is read again
+    if type(pairs) is not tuple:  # not an object, so refused
         return None
     for _, value in pairs:  # faster than a C-level test of so few values
         if type(value) not in _SCALARS:
@@ -189,7 +195,7 @@ _HELD: OrderedDict = OrderedDict()
 def _parse_held(key: tuple | None, raw: object, index: int) -> Summand:
     """A summand object not held: checked as it stands, then held if it has
     a key of few enough words, in place of the oldest when the table is full."""
-    summand = _parse_summand(raw, index)
+    summand = _parse_summand(raw, index, key is None)
     if key is not None and _words(key) <= _HELD_WORDS // _HELD_SUMMANDS:
         _HELD[key] = summand
         # held, then trimmed: each thread trims after its own insertion, so
@@ -199,19 +205,18 @@ def _parse_held(key: tuple | None, raw: object, index: int) -> Summand:
     return summand
 
 
-def _parse_summand(raw: object, index: int) -> Summand:
-    if type(raw) is tuple:  # an object's pairs
-        raw = _object(raw)
-    if type(raw) is not dict:  # a JSON object is a dict by now
-        if type(raw) is _Repeats:
-            raise ManifoldSemanticError(f"repeated key {raw.key!r}", index)
+def _parse_summand(pairs: object, index: int, unkeyed: bool) -> Summand:
+    if type(pairs) is not tuple:  # a JSON object decodes as its pairs
         raise ManifoldSemanticError("summands must be JSON objects", index)
+    raw = _object(pairs, index)
+    if unkeyed:  # no key in the intern table (_key), so it may hold an object
+        _with_dicts(raw)
     tag = raw.get("type")
     entry = _KINDS.get(tag) if isinstance(tag, str) else None
     if entry is None:
         known = ", ".join(sorted(_KINDS))
         raise ManifoldSemanticError(
-            f"unknown summand type {tag!r}; expected one of: {known}", index
+            f"unknown summand type {shown(tag)}; expected one of: {known}", index
         )
     kind, required, lists, allowed = entry
     if not raw.keys() <= allowed:
@@ -240,10 +245,10 @@ def _parse_summand(raw: object, index: int) -> Summand:
         raise ManifoldSemanticError(str(exc), index) from exc
 
 
-def _parse(text: str, decode) -> ManifoldDoc:
-    """The document ``text`` describes, each JSON object decoded by ``decode``."""
+def _parse(text: str) -> ManifoldDoc:
+    """The document ``text`` describes."""
     try:
-        raw = decode(text)
+        raw = _pairs(text)
     except json.JSONDecodeError as exc:
         raise ManifoldSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
     except ValueError as exc:
@@ -253,12 +258,9 @@ def _parse(text: str, decode) -> ManifoldDoc:
         raise ManifoldSyntaxError(f"integer literal too long: {detail}") from exc
     except RecursionError as exc:
         raise ManifoldSyntaxError(str(exc)) from exc  # nesting past the recursion limit
-    if type(raw) is tuple:
-        raw = _object(raw)
-    if type(raw) is not dict:
-        if type(raw) is _Repeats:
-            raise ManifoldSemanticError(f"repeated key {raw.key!r}")
+    if type(raw) is not tuple:  # a JSON object decodes as its pairs
         raise ManifoldSemanticError("a manifold description is a JSON object")
+    raw = _object(raw)
     for key in raw:
         if key not in _TOP_KEYS:
             raise ManifoldSemanticError(f"unknown top-level key {key!r}")
@@ -281,11 +283,7 @@ def parse_manifold(text: str) -> ManifoldDoc:
         raise InvalidParameters(f"a manifold description is a str, got {type(text).__name__}")
     if text.startswith("\ufeff"):  # json.loads refuses it; the decoder alone would not say why
         raise ManifoldSyntaxError("Unexpected UTF-8 BOM (decode using utf-8-sig)", 1, 1)
-    try:
-        return _parse(text, _pairs)
-    except ManifoldSemanticError:  # an object in a summand is always refused
-        pass  # read again, each object a dict, so the refusal shows one as a dict
-    return _parse(text, _dicts)
+    return _parse(text)
 
 
 def _summand_text(summand: Summand) -> str:

@@ -716,41 +716,87 @@ def test_the_readme_tour_prints_what_it_shows(argv, shown):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, shown, "")
 
 
-#: a summand object holding a list where an int or a list of ints belongs
+#: a document holding a value where an int, a string or a list of ints
+#: belongs; the refusal of an object there, "{}" standing for the object
+#: shown as a dict; and whether a list nested just below the JSON decoder's
+#: limit is named by its type, which a value echoed from a check deeper in
+#: the stack than the decoder's own depth is
 NESTED = {
-    "b_plus": '{"type": "symplectic", "b_plus": %s}',
-    "rank": '{"type": "negative_definite", "rank": %s}',
-    "p_g": '{"type": "elliptic", "p_g": %s, "m": 1, "n": 1}',
-    "m": '{"type": "elliptic", "p_g": 1, "m": %s, "n": 1}',
-    "odd_basic": '{"type": "kaehler", "b_plus": 3, "odd_basic": %s}',
-    "odd_basic-item": '{"type": "kaehler", "b_plus": 3, "odd_basic": [1, %s]}',
-    "c": '{"type": "negative_definite", "rank": 1, "c": %s}',
+    "type": (
+        '{"summands": [{"type": %s}]}',
+        "summand 0: unknown summand type {}; expected one of: "
+        "elliptic, k3, kaehler, negative_definite, s4, symplectic",
+        False,
+    ),
+    "name": ('{"name": %s, "summands": [{"type": "k3"}]}', "'name' must be a string", False),
+    "b_plus": (
+        '{"summands": [{"type": "symplectic", "b_plus": %s}]}',
+        "summand 0: b_plus must be an integer, got {}",
+        True,
+    ),
+    "rank": (
+        '{"summands": [{"type": "negative_definite", "rank": %s}]}',
+        "summand 0: rank must be an integer, got {}",
+        True,
+    ),
+    "p_g": (
+        '{"summands": [{"type": "elliptic", "p_g": %s, "m": 1, "n": 1}]}',
+        "summand 0: p_g must be an integer, got {}",
+        True,
+    ),
+    "m": (
+        '{"summands": [{"type": "elliptic", "p_g": 1, "m": %s, "n": 1}]}',
+        "summand 0: m must be an integer, got {}",
+        True,
+    ),
+    "odd_basic": (
+        '{"summands": [{"type": "kaehler", "b_plus": 3, "odd_basic": %s}]}',
+        "summand 0: odd_basic must be a list",
+        True,
+    ),
+    "odd_basic-item": (
+        '{"summands": [{"type": "kaehler", "b_plus": 3, "odd_basic": [1, %s]}]}',
+        "summand 0: odd_basic entry must be an integer, got {}",
+        True,
+    ),
+    "c": (
+        '{"summands": [{"type": "negative_definite", "rank": 1, "c": %s}]}',
+        "summand 0: c must be a list of integers",
+        True,
+    ),
 }
 
 
-@pytest.mark.parametrize("summand", NESTED.values(), ids=list(NESTED))
-def test_a_deeply_nested_value_ends_in_one_error_line(tmp_path, capsys, summand):
-    # every depth to past the JSON decoder's limit, which moves with the
-    # Python version: a message echoes the value, or names it by its type
-    # where its repr would overflow the stack, just below that limit
-    texts = [
-        '{"summands": [%s]}' % (summand % ("[" * depth + "true" + "]" * depth))
-        for depth in range(1, sys.getrecursionlimit() + 50)
-    ]
-    named = []
-    for depth, text in enumerate(texts, 1):
-        with pytest.raises((ManifoldSyntaxError, ManifoldSemanticError)) as exc:
-            parse_manifold(text)
-        if str(exc.value).endswith("got a list nested too deeply to show"):
-            named.append(depth)
-    assert named
-    # the command line, from below that window to past the decoder's limit
+@pytest.mark.parametrize("document, refusal, named", NESTED.values(), ids=list(NESTED))
+def test_a_deeply_nested_value_ends_in_one_error_line(tmp_path, capsys, document, refusal, named):
+    # lists and objects, at every depth to past the JSON decoder's limit,
+    # which moves with the Python version: a message echoes the value (an
+    # object as a dict), or names it by its type where its repr would
+    # overflow the stack, just below that limit
     path = tmp_path / "nested.json"
-    for depth in range(named[0] - 50, len(texts) + 1):
-        path.write_text(texts[depth - 1])
-        assert cli.main(["invariant", str(path)]) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, depth
+    for opener, core, closer in (("[", "true", "]"), ('{"a": ', "1", "}")):
+        texts = [
+            document % (opener * depth + core + closer * depth)
+            for depth in range(1, sys.getrecursionlimit() + 50)
+        ]
+        shown, deepest = [], 0
+        for depth, text in enumerate(texts, 1):
+            with pytest.raises((ManifoldSyntaxError, ManifoldSemanticError)) as exc:
+                parse_manifold(text)
+            if str(exc.value).endswith("nested too deeply to show"):
+                shown.append(depth)
+            if type(exc.value) is ManifoldSemanticError:
+                assert deepest == depth - 1, depth  # refused as JSON only past the limit
+                deepest = depth
+            if opener != "[" and depth <= 3:
+                assert str(exc.value) == refusal.format("{'a': " * depth + "1" + "}" * depth)
+        assert shown or not (named and opener == "["), opener
+        # the command line, from below that window to past the decoder's limit
+        for depth in range((shown or [deepest])[0] - 50, len(texts) + 1):
+            path.write_text(texts[depth - 1])
+            assert cli.main(["invariant", str(path)]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, depth
 
 
 @pytest.mark.parametrize("flags", [(), ("--json",)])

@@ -25,9 +25,16 @@ from swstem.blocks import (
     SymplecticGeneric,
     basic_class_table,
     recognizable_set,
+    sw_value,
 )
-from swstem.errors import MAX_INPUT_BITS, InvalidParameters, SwStemError, exact_int
-from swstem.invariants import SplitQuery
+from swstem.errors import (
+    MAX_INPUT_BITS,
+    InvalidParameters,
+    SwStemError,
+    UncataloguedBlock,
+    exact_int,
+)
+from swstem.invariants import ConnectedSum, SplitQuery, connected_sum
 from swstem.lattice import SpinC, dirac_index
 from swstem.recognize import Pattern, recognize
 from swstem.stems import hopf_power, sq2_detects_hopf
@@ -109,6 +116,9 @@ ECHOES = {
     "split-residue": lambda: SplitQuery(4, K),
     "hopf-power": lambda: hopf_power(K),
     "sq2-detects-hopf": lambda: sq2_detects_hopf(-K),
+    "sw-value-block": lambda: sw_value(K, None),
+    "connected-sum-block": lambda: connected_sum(K),
+    "connected-sum-summand": lambda: ConnectedSum((K,)),
 }
 
 
@@ -134,9 +144,21 @@ NESTED = {
     "spin-c": lambda: SpinC.from_coords([DEEP]),
     "kaehler": lambda: KaehlerGeneric(3, [DEEP]),
 }
+#: a value where a block or a summand belongs, named after its refusal's ": "
+NESTED_ARGUMENTS = {
+    "sw-value-block": (UncataloguedBlock, lambda: sw_value(DEEP, None)),
+    "connected-sum-block": (UncataloguedBlock, lambda: connected_sum(DEEP)),
+    "connected-sum-summand": (InvalidParameters, lambda: ConnectedSum((DEEP,))),
+}
 
 
 @pytest.mark.parametrize("call", NESTED.values(), ids=list(NESTED))
 def test_an_echoed_value_too_deeply_nested_to_print_is_named_by_its_type(call):
     with pytest.raises(InvalidParameters, match="got a list nested too deeply to show$"):
+        call()
+
+
+@pytest.mark.parametrize("error, call", NESTED_ARGUMENTS.values(), ids=list(NESTED_ARGUMENTS))
+def test_a_refused_argument_too_deeply_nested_to_print_is_named_by_its_type(error, call):
+    with pytest.raises(error, match=": a list nested too deeply to show$"):
         call()
