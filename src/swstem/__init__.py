@@ -24,11 +24,12 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in (
+        ("_listing", "BasicClassTable basic_class_table recognizable_set"),
         (
             "blocks",
-            "CANONICAL K3 BasicClassTable BuildingBlock EllipticSurface HomotopySphereLike"
-            " KaehlerGeneric NegativeDefinite Parity SymplecticGeneric basic_class_table"
-            " max_multiple odd_binomial recognizable_set sw_parity sw_value",
+            "CANONICAL K3 BuildingBlock EllipticSurface HomotopySphereLike KaehlerGeneric"
+            " NegativeDefinite Parity SymplecticGeneric max_multiple odd_binomial sw_parity"
+            " sw_value",
         ),
         (
             "errors",

@@ -100,7 +100,7 @@ def _invariant_view(inv: InvariantClass) -> tuple[dict, list[str]]:
 
 
 def _cmd_basic_classes(args):
-    from .blocks import basic_class_table
+    from ._listing import basic_class_table
 
     table = basic_class_table(args.pg, args.m, args.n)
     # JSON renders each pair as a list; the text reads the two columns
@@ -110,7 +110,7 @@ def _cmd_basic_classes(args):
 
 
 def _cmd_recognizable(args):
-    from .blocks import recognizable_set
+    from ._listing import recognizable_set
 
     classes = recognizable_set(args.pg, args.m, args.n)
     payload = {"classes": classes, "m": args.m, "n": args.n, "p_g": args.pg}

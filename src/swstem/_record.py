@@ -17,10 +17,13 @@ into an immutable value type that behaves like a frozen dataclass:
 
 Importing ``dataclasses`` loads ``inspect``, ``ast``, ``dis`` and
 ``tokenize``, and each decorated class compiles six methods; together that
-was about a third of the start-up of every ``swstem`` call.  Here one small
-source per class is compiled once, for ``__init__``, ``__eq__`` and
-``__hash__``: the same code a dataclass generates, so they run as fast.
+was about a third of the start-up of every ``swstem`` call.  Here each class
+compiles one method, ``__init__``, from the source a dataclass generates, so
+construction runs as fast; every record shares one ``__eq__`` and one
+``__hash__``, which read the tuple of the compared fields off ``_record_key``.
 """
+
+from operator import attrgetter
 
 from .errors import shown
 
@@ -50,6 +53,25 @@ def _repr(self) -> str:
     return f"{type(self).__qualname__}({fields})"
 
 
+def _eq(self, other):
+    if other.__class__ is self.__class__:
+        key = self._record_key
+        return key(self) == key(other)
+    return NotImplemented
+
+
+def _hash(self) -> int:
+    return hash(self._record_key(self))
+
+
+def _key(names: tuple[str, ...]):
+    """The fields' values as a tuple, which ``attrgetter`` gives for two or more."""
+    if len(names) == 1:
+        get = attrgetter(*names)
+        return staticmethod(lambda obj: (get(obj),))
+    return attrgetter(*names) if names else staticmethod(lambda obj: ())
+
+
 def record(cls=None, *, uncompared: tuple[str, ...] = ()):
     """Class decorator: ``@record`` or ``@record(uncompared=(...))``."""
     if cls is None:
@@ -67,24 +89,13 @@ def record(cls=None, *, uncompared: tuple[str, ...] = ()):
     body = "".join(f"    _set(self, {name!r}, {name})\n" for name in names)
     if hasattr(cls, "__post_init__"):
         body += "    self.__post_init__()\n"
-
-    def key(obj: str) -> str:
-        return "(" + "".join(f"{obj}.{n}, " for n in names if n not in uncompared) + ")"
-
-    exec(
-        f"def __init__(self, {', '.join(params)}):\n{body or '    pass'}\n"
-        "def __eq__(self, other):\n"
-        "    if other.__class__ is self.__class__:\n"
-        f"        return {key('self')} == {key('other')}\n"
-        "    return NotImplemented\n"
-        f"def __hash__(self):\n    return hash({key('self')})\n",
-        namespace,
-    )
-    for method in ("__init__", "__eq__", "__hash__"):
-        function = namespace[method]
-        function.__qualname__ = f"{cls.__qualname__}.{method}"
-        setattr(cls, method, function)
+    exec(f"def __init__(self, {', '.join(params)}):\n{body or '    pass'}\n", namespace)
+    init = cls.__init__ = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
     cls._record_fields = names
+    cls._record_key = _key(tuple(name for name in names if name not in uncompared))
+    cls.__eq__ = _eq
+    cls.__hash__ = _hash
     cls.__repr__ = _repr
     cls.__setattr__ = _setattr
     cls.__delattr__ = _delattr

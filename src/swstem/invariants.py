@@ -43,7 +43,7 @@ from typing import Iterable
 
 from ._record import record
 from .blocks import _EVEN, _ODD, BuildingBlock, EllipticSurface, HomotopySphereLike
-from .blocks import NegativeDefinite, _catalogued, odd_class_sets
+from .blocks import NegativeDefinite, _catalogued
 from .errors import InvalidParameters, PositiveIndexOnNegativeDefinite, PreconditionNotMet
 from .errors import as_tuple, shown
 from .lattice import SpinC, dirac_index, expected_dimension
@@ -707,6 +707,8 @@ def odd_basic_fingerprint(csum: ConnectedSum) -> tuple[tuple[int, ...], ...]:
     Blocks without complete parity data have no fingerprint, and sets past
     the listing bounds together are refused unbuilt (``odd_class_sets``).
     """
+    from ._listing import odd_class_sets
+
     return tuple(sorted(odd_class_sets(s.block for s in csum.summands)))
 
 

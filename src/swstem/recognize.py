@@ -15,7 +15,8 @@ from itertools import count
 from math import gcd, isqrt
 
 from ._record import record
-from .blocks import _LISTED, _odd_count, max_multiple, recognizable_set
+from ._listing import _LISTED, _odd_count, recognizable_set
+from .blocks import max_multiple
 from .errors import InvalidParameters, NotAnEllipticPattern, as_tuple, exact_int, shown
 
 

@@ -97,8 +97,7 @@ def integer_class(value: int) -> StemElement:
 def hopf_power(j: int) -> StemElement:
     """eta^j for j in {1, 2, 3}."""
     if type(j) is not int or j not in _HOPFS:
-        got = shown(j) if type(j) is int else j
-        raise InvalidParameters(f"Hopf powers exist in degrees 1..3 only, got {got}")
+        raise InvalidParameters(f"Hopf powers exist in degrees 1..3 only, got {shown(j)}")
     return _HOPFS[j]
 
 

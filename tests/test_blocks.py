@@ -8,7 +8,8 @@ import warnings
 import pytest
 from hypothesis import given, strategies as st
 
-from swstem import blocks
+from swstem import _listing, blocks
+from swstem._listing import _odd_count, _table
 from swstem.blocks import (
     CANONICAL,
     K3,
@@ -20,8 +21,6 @@ from swstem.blocks import (
     NegativeDefinite,
     Parity,
     SymplecticGeneric,
-    _odd_count,
-    _table,
     basic_class_table,
     max_multiple,
     odd_binomial,
@@ -135,7 +134,7 @@ def test_a_repeated_table_is_the_held_record(emptied, monkeypatch):
 
     monkeypatch.setattr(BasicClassTable, "__post_init__", counted)
     first = basic_class_table(5, 2, 3)
-    assert basic_class_table(5, 2, 3) is first and blocks._TABLES[5, 2, 3] is first
+    assert basic_class_table(5, 2, 3) is first and _listing._TABLES[5, 2, 3] is first
     assert checked == [(5, 2, 3)]
 
 
@@ -144,18 +143,18 @@ def emptied(monkeypatch):
     """Empties the held tables, the cached odd-SW sets and their listing now
     and whenever called; the tables held before the test are held again
     after it."""
-    monkeypatch.setattr(blocks, "_TABLES", {})
+    monkeypatch.setattr(_listing, "_TABLES", {})
 
     def empty():
-        blocks._TABLES.clear()
-        blocks._recognizable.cache_clear()
-        blocks._LISTED.clear()
+        _listing._TABLES.clear()
+        _listing._recognizable.cache_clear()
+        _listing._LISTED.clear()
 
     empty()
     yield empty
     # its sets may hold keys of the tables dropped, and the listing holds its sets
-    blocks._recognizable.cache_clear()
-    blocks._LISTED.clear()
+    _listing._recognizable.cache_clear()
+    _listing._LISTED.clear()
 
 
 def odd_sets(triples, empty):
@@ -168,7 +167,7 @@ def odd_sets(triples, empty):
             if held:
                 basic_class_table(p_g, m, n)
             odd = recognizable_set(p_g, m, n)
-            assert ((p_g, m, n) in blocks._TABLES) is held
+            assert ((p_g, m, n) in _listing._TABLES) is held
             yield p_g, m, n, odd
 
 
@@ -203,7 +202,7 @@ def test_an_odd_set_of_a_held_table_holds_the_table_keys(emptied):
 def unwindowed(monkeypatch, emptied):
     """``emptied``, and a window of key ints holding only 0, as at import; the
     window held before the test is held again after it."""
-    monkeypatch.setattr(blocks, "_window", (0,))
+    monkeypatch.setattr(_listing, "_window", (0,))
 
 
 def by_value(window):
@@ -223,7 +222,7 @@ def test_overlapping_tables_hold_one_object_per_key(unwindowed):
 def test_an_odd_set_built_before_its_table_holds_the_table_keys(unwindowed):
     for p_g, m, n in (*coprime_grid(), *WIDE_TRIPLES):
         odd = recognizable_set(p_g, m, n)
-        assert (p_g, m, n) not in blocks._TABLES
+        assert (p_g, m, n) not in _listing._TABLES
         keys = {key: key for key in basic_class_table(p_g, m, n).keys}
         assert all(key is keys[key] for key in odd)
 
@@ -234,13 +233,13 @@ def test_a_table_past_the_window_builds_its_outer_blocks_from_ranges(emptied, mo
     # the odd rows 0 and 2 of row 2 = (1, 2, 1) walk all four blocks
     for set_first in (False, True):
         emptied()
-        monkeypatch.setattr(blocks, "_window", (0,))
+        monkeypatch.setattr(_listing, "_window", (0,))
         if set_first:
             recognizable_set(3, 100, 163)
         table = basic_class_table(3, 100, 163)
         assert table.entries == tuple(sorted(table_oracle(3, 100, 163).items()))
-        held = by_value(blocks._window)
-        assert len(blocks._window) == 2 * 32_337 + 1
+        held = by_value(_listing._window)
+        assert len(_listing._window) == 2 * 32_337 + 1
         assert all((key is held(key)) == (-261 <= key <= 32_337) for key in table.keys)
         odd = recognizable_set(3, 100, 163)
         assert odd == tuple(key for key, value in table.entries if value % 2)
@@ -266,31 +265,31 @@ def test_an_all_odd_rows_table_keys_are_its_odd_set_in_either_order(emptied):
 
 
 def test_the_window_grows_keeping_its_objects_up_to_its_bound(unwindowed):
-    keys = blocks._keys
-    assert keys(-3, 5) == (-3, -1, 1, 3) and len(blocks._window) == 7
-    small = blocks._window
+    keys = _listing._keys
+    assert keys(-3, 5) == (-3, -1, 1, 3) and len(_listing._window) == 7
+    small = _listing._window
     assert keys(-1001, -997) == (-1001, -999)  # grown to what the block asks
-    assert len(blocks._window) == 2 * 1001 + 1
+    assert len(_listing._window) == 2 * 1001 + 1
     assert keys(1500, 1504) == (1500, 1502)  # doubled, past what it asks
-    assert len(blocks._window) == 2 * 2002 + 1
-    held = by_value(blocks._window)
+    assert len(_listing._window) == 2 * 2002 + 1
+    held = by_value(_listing._window)
     assert all(held(key) is key for key in small)
-    bound = blocks._SHARED
+    bound = _listing._SHARED
     assert keys(-bound, bound + 2) == tuple(range(-bound, bound + 1, 2))
-    assert len(blocks._window) == 2 * bound + 1
-    full = blocks._window
+    assert len(_listing._window) == 2 * bound + 1
+    full = _listing._window
     assert all(by_value(full)(key) is key for key in small)
     # a block reaching past the bound is its range, and the window stays
     assert keys(-bound - 2, 0) == range(-bound - 2, 0, 2)
     assert keys(0, bound + 4) == range(0, bound + 4, 2)
-    assert blocks._window is full
+    assert _listing._window is full
 
 
 def test_a_small_table_builds_a_small_window(unwindowed):
     keys = basic_class_table(3, 9, 10).keys
     # its widest block reaches 2mn - 2 past its widest key at most
-    assert len(blocks._window) // 2 <= max(keys) + 2 * 9 * 10
-    held = by_value(blocks._window)
+    assert len(_listing._window) // 2 <= max(keys) + 2 * 9 * 10
+    held = by_value(_listing._window)
     assert all(held(key) is key for key in keys)
 
 
@@ -307,19 +306,19 @@ def test_key_tuples_leave_the_collector_after_a_collection(unwindowed):
         "keys": table.keys,
         "values": table.values,
         "all-odd keys": all_odd.keys,
-        "window": blocks._window,
+        "window": _listing._window,
     }
     assert [name for name, column in held.items() if gc.is_tracked(column)] == []
 
 
 def test_recognizable_set_walks_only_the_odd_rows():
     # row 2**80 has two odd entries: the set is (-2**80, 2**80), built at once
-    tables = dict(blocks._TABLES)
+    tables = dict(_listing._TABLES)
     start = time.perf_counter()
     assert recognizable_set(2**80 + 1, 1, 1) == (-(2**80), 2**80)
     assert recognizable_set(2**80 + 1, 2, 3)[-1] == max_multiple(2**80 + 1, 2, 3)
     assert time.perf_counter() - start < 0.1
-    assert blocks._TABLES == tables  # and builds no table
+    assert _listing._TABLES == tables  # and builds no table
 
 
 def test_table_structure_on_grid():

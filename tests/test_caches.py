@@ -1,7 +1,7 @@
 """A state machine over the caches that share objects: the held tables
-(``blocks._TABLES``), the odd-SW sets (``blocks._recognizable``) with their
-listing (``blocks._LISTED``), the window of shared key ints
-(``blocks._window``), the last residue masks (``blocks._MASKS``), and the
+(``_listing._TABLES``), the odd-SW sets (``_listing._recognizable``) with their
+listing (``_listing._LISTED``), the window of shared key ints
+(``_listing._window``), the last residue masks (``_listing._MASKS``), and the
 intern table of parsed summands
 (``manifold_io._HELD``) with the texts written on its summands.
 
@@ -27,7 +27,7 @@ import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from swstem import blocks, manifold_io
+from swstem import _listing, manifold_io
 from swstem.blocks import (
     K3,
     EllipticSurface,
@@ -121,11 +121,11 @@ def _all_odd(p_g: int) -> bool:
 class CacheMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.saved = (blocks._TABLES, manifold_io._HELD, manifold_io.json_text,
+        self.saved = (_listing._TABLES, manifold_io._HELD, manifold_io.json_text,
                       manifold_io._HELD_SUMMANDS, manifold_io._HELD_WORDS)
-        blocks._TABLES = {}
-        blocks._recognizable.cache_clear()
-        blocks._LISTED.clear()
+        _listing._TABLES = {}
+        _listing._recognizable.cache_clear()
+        _listing._LISTED.clear()
         manifold_io._HELD = OrderedDict()
         manifold_io._HELD_SUMMANDS, manifold_io._HELD_WORDS = BOUNDS
         self.texts_written = 0
@@ -142,11 +142,11 @@ class CacheMachine(RuleBasedStateMachine):
         self.docs = []  # documents parsed or built, the newest few
 
     def teardown(self):
-        (blocks._TABLES, manifold_io._HELD, manifold_io.json_text,
+        (_listing._TABLES, manifold_io._HELD, manifold_io.json_text,
          manifold_io._HELD_SUMMANDS, manifold_io._HELD_WORDS) = self.saved
         # the sets built may hold keys of tables dropped, and the listing holds the sets
-        blocks._recognizable.cache_clear()
-        blocks._LISTED.clear()
+        _listing._recognizable.cache_clear()
+        _listing._LISTED.clear()
 
     # -- the odd-SW sets and tables
 
@@ -159,10 +159,10 @@ class CacheMachine(RuleBasedStateMachine):
 
     @rule(triple=st.sampled_from(TRIPLES))
     def table(self, triple):
-        built = triple not in blocks._TABLES
+        built = triple not in _listing._TABLES
         table = basic_class_table(*triple)
         if built:  # a table built leaves its own masks held
-            assert blocks._MASKS[:2] == triple[1:]
+            assert _listing._MASKS[:2] == triple[1:]
         oracle = table_oracle(*triple)
         assert table.keys == tuple(sorted(oracle))
         assert table.values == tuple(oracle[k] for k in table.keys)
@@ -220,14 +220,14 @@ class CacheMachine(RuleBasedStateMachine):
     @rule(triple=st.sampled_from(TRIPLES))
     def residue_masks(self, triple):
         _, m, n = triple
-        masks = blocks._residue_masks(m, n)
-        assert blocks._MASKS == (m, n, masks) and blocks._MASKS[2] is masks
-        again = blocks._residue_masks(m, n)  # a hit: the objects held
+        masks = _listing._residue_masks(m, n)
+        assert _listing._MASKS == (m, n, masks) and _listing._MASKS[2] is masks
+        again = _listing._residue_masks(m, n)  # a hit: the objects held
         assert again is masks and all(map(operator.is_, again, masks))
 
     @invariant()
     def the_masks_held_are_one_pairs(self):
-        m, n, masks = blocks._MASKS
+        m, n, masks = _listing._MASKS
         if masks is None:
             return  # nothing built since the module was loaded
         wraps, high, low = masks
@@ -242,33 +242,33 @@ class CacheMachine(RuleBasedStateMachine):
     @rule()
     def emptied(self):
         """The reset of the ``emptied`` fixture."""
-        blocks._TABLES.clear()
-        blocks._recognizable.cache_clear()
-        blocks._LISTED.clear()
+        _listing._TABLES.clear()
+        _listing._recognizable.cache_clear()
+        _listing._LISTED.clear()
         self.tables.clear()
         self.sets.clear()
 
     @invariant()
     def caches_hold_what_was_built(self):
-        assert blocks._TABLES == self.tables
-        assert all(blocks._TABLES[t] is table for t, table in self.tables.items())
-        assert blocks._recognizable.cache_info().currsize == len(self.sets)
-        before = blocks._recognizable.cache_info()
-        held = {t: blocks._recognizable(*t) for t in self.sets}
-        assert blocks._recognizable.cache_info().misses == before.misses
+        assert _listing._TABLES == self.tables
+        assert all(_listing._TABLES[t] is table for t, table in self.tables.items())
+        assert _listing._recognizable.cache_info().currsize == len(self.sets)
+        before = _listing._recognizable.cache_info()
+        held = {t: _listing._recognizable(*t) for t in self.sets}
+        assert _listing._recognizable.cache_info().misses == before.misses
         for triple, odd in held.items():
             assert self.sets[triple] is None or self.sets[triple] is odd
         # every listed set is one the cache holds, listed by its id
-        assert {id(odd): odd for odd in held.values()} == blocks._LISTED
-        assert all(blocks._LISTED[id(odd)] is odd for odd in held.values())
+        assert {id(odd): odd for odd in held.values()} == _listing._LISTED
+        assert all(_listing._LISTED[id(odd)] is odd for odd in held.values())
         for triple, table in self.tables.items():
             if _all_odd(triple[0]):
                 assert table.keys is held[triple]
-        window = blocks._window
+        window = _listing._window
         reach = len(window) // 2
         for keys in (*held.values(), *(table.keys for table in self.tables.values())):
             for key in keys:
-                assert -blocks._SHARED <= key <= blocks._SHARED
+                assert -_listing._SHARED <= key <= _listing._SHARED
                 assert key is window[key + reach]
 
     # -- manifold files
@@ -392,8 +392,8 @@ def test_threads_over_a_shared_pool_each_get_the_answers_of_one(emptied, no_summ
     def fresh():
         emptied()
         no_summand_held.clear()
-        monkeypatch.setattr(blocks, "_window", (0,))
-        monkeypatch.setattr(blocks, "_MASKS", (0, 0, None))
+        monkeypatch.setattr(_listing, "_window", (0,))
+        monkeypatch.setattr(_listing, "_MASKS", (0, 0, None))
 
     fresh()
     alone = [_answer(*op) for op in pool]

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from swstem import blocks, cli
+from swstem import _listing, blocks, cli
 from swstem.blocks import EllipticSurface
 from swstem.errors import (
     MAX_INPUT_BITS,
@@ -276,14 +276,18 @@ def test_import_loads_no_dataclasses_and_every_library_module():
     )
     added = set(loaded.stdout.split()) - set(bare.stdout.split())
     assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
-    library = ("blocks", "cli", "invariants", "lattice", "manifold_io", "recognize", "stems")
+    library = (
+        "_listing", "blocks", "cli", "invariants", "lattice", "manifold_io", "recognize", "stems",
+    )
     assert {f"swstem.{name}" for name in library} <= added
 
 
-#: the ``swstem.*`` modules a listing loads: no engine module
-LISTING = {"errors", "_record", "blocks"}
-#: what a file command loads: the engine, and the writer its files use
-ENGINE = LISTING | {"manifold_io", "invariants", "lattice", "stems", "_json_text"}
+#: the ``swstem.*`` modules every library call loads: the block kinds
+KINDS = {"errors", "_record", "blocks"}
+#: what a listing loads: the kinds and the listing half, no engine module
+LISTING = KINDS | {"_listing"}
+#: what a file command loads: the engine and the writer its files use, no listing
+ENGINE = KINDS | {"manifold_io", "invariants", "lattice", "stems", "_json_text"}
 TRIPLE = ("--pg", "3", "--m", "2", "--n", "3")
 
 #: (argv, its exit code, the ``swstem.*`` modules ``python -m swstem argv`` loads)
@@ -303,7 +307,7 @@ LOADED = (
     (("blowup", sample("k3.json"), "--rank", "1"), 0, ENGINE),
     (("split-check", sample("k3x2.json"), "--modulus", "2", "--residue", "1"), 0, ENGINE),
     (("distinguish", sample("k3x2.json"), sample("k3x4.json")), 0, ENGINE),
-    (("fingerprint", sample("e311_k3.json")), 0, ENGINE),
+    (("fingerprint", sample("e311_k3.json")), 0, ENGINE | {"_listing"}),
     (("invariant", "/no/such/file.json"), 1, ENGINE),
     (("bogus",), 2, {"errors"}),
     (("basic-classes", "--pg", "3"), 2, {"errors"}),
@@ -425,8 +429,8 @@ def unbuilt(*triple):
     ids=["table-just-over", "table-huge", "odd-set-over", "odd-set-huge"],
 )
 def test_listings_over_the_limit_are_refused_unbuilt(argv, monkeypatch, capsys):
-    monkeypatch.setattr(blocks, "_table", unbuilt)
-    monkeypatch.setattr(blocks, "_recognizable", unbuilt)
+    monkeypatch.setattr(_listing, "_table", unbuilt)
+    monkeypatch.setattr(_listing, "_recognizable", unbuilt)
     assert cli.main(list(argv)) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -441,7 +445,7 @@ _BUDGET_EDGE = 11_306
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
 def test_a_table_one_past_the_budget_is_refused_unbuilt(json_flag, monkeypatch, capsys):
-    monkeypatch.setattr(blocks, "_table", unbuilt)
+    monkeypatch.setattr(_listing, "_table", unbuilt)
     argv = ["basic-classes", "--pg", str(_BUDGET_EDGE + 1), "--m", "1", "--n", "1", *json_flag]
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()
@@ -458,7 +462,7 @@ def test_a_table_at_the_budget_is_built(monkeypatch, capsys):
         built.append(triple)
         return blocks.BasicClassTable(*triple, (0,) * _BUDGET_EDGE, (1,) * _BUDGET_EDGE)
 
-    monkeypatch.setattr(blocks, "_table", stub)
+    monkeypatch.setattr(_listing, "_table", stub)
     argv = ["basic-classes", "--pg", str(_BUDGET_EDGE), "--m", "1", "--n", "1"]
     assert cli.main(argv) == 0
     assert built == [(_BUDGET_EDGE, 1, 1)]
@@ -477,7 +481,7 @@ def test_a_table_at_the_budget_is_built(monkeypatch, capsys):
 def test_fingerprints_over_the_limit_are_refused_unbuilt(
     tmp_path, summands, json_flag, monkeypatch, capsys
 ):
-    monkeypatch.setattr(blocks, "_recognizable", unbuilt)
+    monkeypatch.setattr(_listing, "_recognizable", unbuilt)
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"summands": summands}))
     start = time.perf_counter()
@@ -495,7 +499,7 @@ _WIDE_KEYS = (2**6999 + 1, 99, 100)
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
 def test_an_odd_set_of_wide_keys_is_refused_unbuilt(json_flag, monkeypatch, capsys):
-    monkeypatch.setattr(blocks, "_recognizable", unbuilt)
+    monkeypatch.setattr(_listing, "_recognizable", unbuilt)
     p_g, m, n = _WIDE_KEYS
     argv = ["recognizable", "--pg", str(p_g), "--m", str(m), "--n", str(n), *json_flag]
     assert cli.main(argv) == 1
@@ -508,7 +512,7 @@ def test_an_odd_set_of_wide_keys_is_refused_unbuilt(json_flag, monkeypatch, caps
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
 def test_a_fingerprint_of_wide_keys_is_refused_unbuilt(tmp_path, json_flag, monkeypatch, capsys):
-    monkeypatch.setattr(blocks, "_recognizable", unbuilt)
+    monkeypatch.setattr(_listing, "_recognizable", unbuilt)
     p_g, m, n = _WIDE_KEYS
     path = tmp_path / "wide-keys.json"
     path.write_text(json.dumps({"summands": [{"type": "elliptic", "p_g": p_g, "m": m, "n": n}]}))
@@ -521,9 +525,9 @@ def test_a_fingerprint_of_wide_keys_is_refused_unbuilt(tmp_path, json_flag, monk
 
 
 def test_the_entry_bound_with_64_bit_keys_is_admitted():
-    blocks._admit(blocks.MAX_LISTING, 64 * blocks.MAX_LISTING, "the listing")
+    _listing._admit(blocks.MAX_LISTING, 64 * blocks.MAX_LISTING, "the listing")
     with pytest.raises(InvalidParameters):
-        blocks._admit(blocks.MAX_LISTING, 64 * blocks.MAX_LISTING + 1, "the listing")
+        _listing._admit(blocks.MAX_LISTING, 64 * blocks.MAX_LISTING + 1, "the listing")
 
 
 def _fingerprint(*triples):
@@ -547,8 +551,8 @@ _REFUSED_LISTINGS = {
 
 @pytest.mark.parametrize("case", _REFUSED_LISTINGS)
 def test_the_library_refuses_what_the_command_line_refuses(case, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(blocks, "_table", unbuilt)
-    monkeypatch.setattr(blocks, "_recognizable", unbuilt)
+    monkeypatch.setattr(_listing, "_table", unbuilt)
+    monkeypatch.setattr(_listing, "_recognizable", unbuilt)
     command, triples, call = _REFUSED_LISTINGS[case]
     if command == "fingerprint":
         path = tmp_path / "sum.json"

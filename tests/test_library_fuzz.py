@@ -143,6 +143,7 @@ NESTED = {
     "elliptic": lambda: EllipticSurface(DEEP, 1, 1),
     "spin-c": lambda: SpinC.from_coords([DEEP]),
     "kaehler": lambda: KaehlerGeneric(3, [DEEP]),
+    "hopf-power": lambda: hopf_power(DEEP),
 }
 #: a value where a block or a summand belongs, named after its refusal's ": "
 NESTED_ARGUMENTS = {

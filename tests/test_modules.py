@@ -10,26 +10,32 @@ from pathlib import Path
 import pytest
 
 import swstem
-from swstem import invariants
+from swstem import _record, invariants
 from conftest import child_env
 
 SOURCE = Path(swstem.__file__).parent
 
 #: each module's ``from .x import`` targets; ``recognize`` inverts patterns over
-#: ``blocks`` alone, reading a connected sum is the engine's, and ``_json_text``,
-#: the one JSON writer, imports no module of the package
+#: ``blocks`` and its listing half alone, reading a connected sum is the
+#: engine's, and ``_json_text``, the one JSON writer, imports no module of the
+#: package.  ``blocks`` and ``invariants`` import ``_listing`` only when a
+#: listing runs
 GRAPH = {
     "__init__": set(),
-    "__main__": {"_json_text", "blocks", "errors", "invariants", "lattice", "manifold_io", "recognize"},
+    "__main__": {
+        "_json_text", "_listing", "blocks", "errors", "invariants", "lattice", "manifold_io",
+        "recognize",
+    },
     "_json_text": set(),
+    "_listing": {"_record", "blocks", "errors"},
     "_record": {"errors"},
-    "blocks": {"_record", "errors"},
+    "blocks": {"_listing", "_record", "errors"},
     "cli": {"__main__", "blocks", "invariants", "lattice", "manifold_io", "recognize", "stems"},
     "errors": set(),
-    "invariants": {"_record", "blocks", "errors", "lattice", "stems"},
+    "invariants": {"_listing", "_record", "blocks", "errors", "lattice", "stems"},
     "lattice": {"_record", "errors"},
     "manifold_io": {"_json_text", "_record", "blocks", "errors", "invariants", "lattice"},
-    "recognize": {"_record", "blocks", "errors"},
+    "recognize": {"_listing", "_record", "blocks", "errors"},
     "stems": {"_record", "errors"},
 }
 
@@ -127,3 +133,61 @@ def test_the_package_binds_the_function_recognize_in_every_import_order(order):
         env=child_env(),
     )
     assert (proc.stdout, proc.stderr) == ("False True False\n", "")
+
+
+#: the listing names ``blocks`` forwards to ``_listing``, read on first use
+FORWARDED = (
+    "basic_class_table", "recognizable_set", "BasicClassTable", "odd_class_sets", "MAX_LISTING",
+    "MAX_LISTING_BITS",
+)
+
+
+def test_importing_blocks_loads_no_listing_half():
+    probe = "import sys, swstem.blocks; print('swstem._listing' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
+    )
+    assert (proc.stdout, proc.stderr) == ("False\n", "")
+
+
+def test_blocks_forwards_each_public_listing_name_to_its_object():
+    from swstem import _listing, blocks
+    from swstem.blocks import (
+        MAX_LISTING,
+        MAX_LISTING_BITS,
+        BasicClassTable,
+        basic_class_table,
+        odd_class_sets,
+        recognizable_set,
+    )
+
+    imported = (
+        basic_class_table, recognizable_set, BasicClassTable, odd_class_sets, MAX_LISTING,
+        MAX_LISTING_BITS,
+    )
+    for name, value in zip(FORWARDED, imported):
+        assert value is getattr(_listing, name) is getattr(blocks, name), name
+    assert blocks._LISTING == set(FORWARDED)
+
+
+@pytest.mark.parametrize("name", ["_table", "_TABLES", "_recognizable", "_admit", "no_such_name"])
+def test_blocks_forwards_no_other_name(name):
+    # a patch of a private listing name on ``blocks`` fails instead of patching nothing
+    from swstem import blocks
+
+    with pytest.raises(AttributeError, match=f"module 'swstem.blocks' has no attribute '{name}'"):
+        getattr(blocks, name)
+
+
+def test_every_record_class_shares_one_eq_and_one_hash():
+    importlib.import_module("swstem.cli")  # loads every library module
+    records = {
+        value
+        for name, module in sys.modules.items()
+        if name.startswith("swstem.")
+        for value in vars(module).values()
+        if isinstance(value, type) and "_record_fields" in vars(value)
+    }
+    assert len(records) == 18
+    assert {value.__eq__ for value in records} == {_record._eq}
+    assert {value.__hash__ for value in records} == {_record._hash}

@@ -17,9 +17,9 @@ from swstem.blocks import (
     KaehlerGeneric,
     NegativeDefinite,
     SymplecticGeneric,
-    _recognizable,
     recognizable_set,
 )
+from swstem._listing import _recognizable
 from swstem.errors import InvalidParameters, NotAnEllipticPattern, UncataloguedBlock
 from swstem.invariants import (
     DistinctionVerdict,
@@ -41,7 +41,7 @@ from conftest import child_env
 
 # the package exports the function ``recognize`` under the module's name
 RECOGNIZE = importlib.import_module("swstem.recognize")
-BLOCKS = importlib.import_module("swstem.blocks")
+LISTING = importlib.import_module("swstem._listing")
 
 
 def odd_coprime_grid(p_g_max=7, n_max=5):
@@ -364,7 +364,7 @@ def test_a_pattern_past_the_listing_budget_ends_as_the_walk_ends(monkeypatch):
     # refused unbuilt, and the walk names it again and answers it unvalidated,
     # naming the budget
     values = recognizable_set(3, 2, 3)
-    monkeypatch.setattr(BLOCKS, "MAX_LISTING", 10)
+    monkeypatch.setattr(LISTING, "MAX_LISTING", 10)
     counted, calls = counted_calls(Pattern(values))
     assert counted == counted_calls(Pattern(values), counted=False)[0]
     diagnostic = (
@@ -385,7 +385,7 @@ def test_a_genuine_set_past_the_bits_budget_is_answered_unvalidated():
     (diagnostic,) = result.diagnostics
     assert diagnostic.endswith(
         ", 1, 10000) regenerates 20000 multiples, as many as the input, left unchecked: "
-        f"the odd-SW set would list more than {BLOCKS.MAX_LISTING_BITS} bits of keys"
+        f"the odd-SW set would list more than {LISTING.MAX_LISTING_BITS} bits of keys"
     )
 
 
