@@ -24,12 +24,13 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in (
+        ("_elliptic", "max_multiple odd_binomial"),
         ("_listing", "BasicClassTable basic_class_table recognizable_set"),
+        ("_split", "SplitKind SplitQuery SplitVerdict split_verdict"),
         (
             "blocks",
             "CANONICAL K3 BuildingBlock EllipticSurface HomotopySphereLike KaehlerGeneric"
-            " NegativeDefinite Parity SymplecticGeneric max_multiple odd_binomial sw_parity"
-            " sw_value",
+            " NegativeDefinite Parity SymplecticGeneric sw_parity sw_value",
         ),
         (
             "errors",
@@ -39,9 +40,9 @@ _EXPORTS = {
         ),
         (
             "invariants",
-            "BlowupResult ConnectedSum CriteriaResult DistinctionVerdict InvariantClass"
-            " SplitKind SplitQuery SplitVerdict Summand blowup connected_sum distinguish"
-            " invariant nonvanishing_criteria odd_basic_fingerprint split_verdict",
+            "BlowupResult ConnectedSum CriteriaResult DistinctionVerdict InvariantClass Summand"
+            " blowup connected_sum distinguish invariant nonvanishing_criteria"
+            " odd_basic_fingerprint",
         ),
         ("lattice", "SpinC dirac_index expected_dimension"),
         ("manifold_io", "ManifoldDoc load_manifold parse_manifold serialize_manifold"),

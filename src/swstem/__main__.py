@@ -19,7 +19,9 @@ unknown flag too, prints its usage.  ``run`` is the program; ``main`` answers
 in process and leaves the caller's garbage collector alone.
 A call loads only the modules its command uses: each ``_cmd_*`` imports its
 library names when it runs, and ``json_text`` is imported under --json only.
-``swstem.cli`` is the program's library face, which loads the whole library.
+``swstem.cli`` is the program's library face, which loads the library's
+modules and forwards ``build_parser``, ``main`` and ``run`` from here on
+first read.
 """
 
 from __future__ import annotations
@@ -181,7 +183,7 @@ def _cmd_blowup(args):
 
 
 def _cmd_split_check(args):
-    from .invariants import SplitQuery, split_verdict
+    from ._split import SplitQuery, split_verdict
 
     csum = _sum(args.file)
     verdict = split_verdict(csum, SplitQuery(args.modulus, args.residue))

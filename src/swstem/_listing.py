@@ -11,7 +11,8 @@ fingerprint's sets together first (``odd_class_sets``), then each elliptic
 set again.  ``BasicClassTable.entries`` builds each (key, value) pair only
 when it is read.  No file command but ``fingerprint`` lists, so this module
 loads on first use: ``blocks`` forwards its public names, and
-``EllipticSurface.odd_classes`` imports it when it runs.
+``EllipticSurface.odd_classes`` imports it when it runs.  It reads the closed
+forms from ``_elliptic``, so a listing loads no block kind.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from collections.abc import Sequence
 from functools import lru_cache
 from itertools import chain, compress, repeat
 
+from ._elliptic import _abs_sw, _check_multiplicities, _triple_ints, max_multiple, odd_binomial
 from ._record import record
-from .blocks import _abs_sw, _check_multiplicities, _triple_ints, max_multiple, odd_binomial
 from .errors import InvalidParameters, as_tuple, exact_int
 
 

@@ -34,6 +34,11 @@ engine records a step per rule applied, the rule and its data (a block, not
 its label), and formats no text: a ``Trace`` renders its lines on their
 first read and from then on reads, compares and hashes as the tuple of
 them.
+
+The splitting obstruction (``split_verdict``, its query, verdict and kinds)
+is ``swstem._split``, loaded on first use, as only ``split-check`` asks it:
+its rules are declared here, so ``RULES`` is whole without it, and its four
+names (``_SPLIT``) are forwarded on first read (PEP 562).
 """
 
 from __future__ import annotations
@@ -44,10 +49,9 @@ from typing import Iterable
 from ._record import record
 from .blocks import _EVEN, _ODD, BuildingBlock, EllipticSurface, HomotopySphereLike
 from .blocks import NegativeDefinite, _catalogued
-from .errors import InvalidParameters, PositiveIndexOnNegativeDefinite, PreconditionNotMet
-from .errors import as_tuple, shown
+from .errors import InvalidParameters, PositiveIndexOnNegativeDefinite, as_tuple, shown
 from .lattice import SpinC, dirac_index, expected_dimension
-from .stems import StemElement, StemKind, TriState, hopf_power, smash_degree_one, unknown, zero
+from .stems import StemElement, TriState, hopf_power, smash_degree_one, unknown, zero
 
 _YES, _NO, _UNKNOWN = TriState  # bound once: an enum lookup on its class is slow
 
@@ -223,7 +227,7 @@ _SW_UNSURE = Rule(
     "sw-preservation-open", _BLOWUP_FORMULA,
     "2|d| = {0} exceeds k = {1} or b+ <= 1: SW preservation unknown",
 )
-# split_verdict
+# split_verdict, in ``_split``
 _R1 = "(R1) negative stems vanish"
 _R2 = "(R2) a smash product is nonzero only if each factor is"
 _R3 = "(R3) a nonzero stem-1 factor is almost complex with b+ = 3 (mod 4) and odd SW"
@@ -409,43 +413,6 @@ class CriteriaResult:
 class BlowupResult:
     invariant: InvariantClass
     sw_preserved: TriState
-
-
-class SplitKind(enum.Enum):
-    IMPOSSIBLE = "impossible"
-    FORCES_NEGATIVE_DEFINITE_COMPLEMENT = "forces_negative_definite_complement"
-    UNKNOWN = "unknown"
-
-
-@record
-class SplitQuery:
-    """Congruence constraint b+(X1) = residue (mod modulus) on a hypothetical
-    splitting X = X1 # X2.  b1 of both parts is zero automatically, since the
-    engine only forms sums of b1 = 0 blocks and first Betti numbers add."""
-
-    modulus: int
-    residue: int
-
-    def __post_init__(self):
-        for value in (self.modulus, self.residue):
-            if type(value) is not int:
-                raise InvalidParameters(f"split queries take integers, got {shown(value)}")
-        if self.modulus not in (2, 4):
-            raise InvalidParameters(f"modulus must be 2 or 4, got {shown(self.modulus)}")
-        if not 0 <= self.residue < self.modulus:
-            raise InvalidParameters(
-                f"residue must lie in [0, {self.modulus}), got {shown(self.residue)}"
-            )
-
-
-@record
-class SplitVerdict:
-    kind: SplitKind
-    trace: Trace | tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.trace:
-            raise InvalidParameters("split verdicts must carry a reasoning trace")
 
 
 def _negdef_index(block: NegativeDefinite, spin_c: SpinC | None) -> int:
@@ -644,61 +611,6 @@ def blowup(
     return BlowupResult(new_inv, preserved)
 
 
-def split_verdict(csum: ConnectedSum, query: SplitQuery) -> SplitVerdict:
-    """Decide whether X can split as X1 # X2 with b+(X1) in the queried
-    congruence class, given that the total nonequivariant class is a Hopf
-    power eta^j with j in {2, 3}.
-
-    The analysis runs over the stem-degree decompositions j = j1 + j2 with
-    these rules: (R1) negative stems vanish, so both degrees are >= 0;
-    (R2) the smash of the factors is nonzero, so each factor is nonzero;
-    (R3) a nonzero factor in degree 1 forces an almost complex manifold with
-    b+ = 3 (mod 4) and odd SW; (R4) a nonzero factor in degree 0 forces
-    b+ = 0 on that part, since positive b+ makes its mapping degree zero.
-    IMPOSSIBLE means every decomposition is contradicted; the complement is
-    forced negative definite when every surviving decomposition pins
-    b+(X2) = 0.
-    """
-    inv = invariant(csum)
-    cls = inv.nonequiv_class
-    if cls.kind is not StemKind.HOPF or cls.degree not in (2, 3):
-        four = inv.stem_degree == 4 and inv.equivariant_nonzero is _YES
-        raise PreconditionNotMet(
-            f"splitting analysis needs a total class eta^2 or eta^3, got {cls} "
-            f"in stem {inv.stem_degree}"
-            + ("; the four-summand equivariant nonvanishing does not feed "
-               "this obstruction" if four else "")
-        )
-
-    j = cls.degree
-    mod, res = query.modulus, query.residue
-    steps: list = [(_QUERY, cls, j, res, mod), (_BOTH_NONZERO,), (_STEMS_ADD, j)]
-    survivors = 0
-    all_pin_complement = True
-    for j1 in range(j + 1):
-        j2 = j - j1
-        # b1 = 0 on both parts, so j_i = 2 d_i - b+(X_i) has the parity of b+(X_i)
-        if j1 % 2 != res % 2:
-            steps.append((_PARITY_CONTRADICTS, j1, j2, res))
-        elif j1 == 1 and mod == 4 and res == 1:
-            steps.append((_R3_CONTRADICTS, j1, j2))
-        elif j1 == 0 and res != 0:
-            steps.append((_R4_CONTRADICTS, j1, j2, res, mod))
-        else:
-            survivors += 1
-            all_pin_complement &= j2 == 0
-            steps.append((_SURVIVES, j1, j2))
-
-    if survivors == 0:
-        kind, last = SplitKind.IMPOSSIBLE, _IMPOSSIBLE
-    elif all_pin_complement:
-        kind, last = SplitKind.FORCES_NEGATIVE_DEFINITE_COMPLEMENT, _FORCED
-    else:
-        kind, last = SplitKind.UNKNOWN, _NO_OBSTRUCTION
-    steps.append((last,))
-    return SplitVerdict(kind, Trace(tuple(steps)))
-
-
 def odd_basic_fingerprint(csum: ConnectedSum) -> tuple[tuple[int, ...], ...]:
     """Multiset (as a sorted tuple) of the summands' odd-SW class sets.
 
@@ -749,3 +661,16 @@ def distinguish(
     if bags[0] == bags[1]:
         return DistinctionVerdict.SAME_SUMMANDS
     return DistinctionVerdict.DIFFERENT_SUMMANDS
+
+
+#: the split-check names read here, each defined in ``_split``
+_SPLIT = frozenset(("SplitKind", "SplitQuery", "SplitVerdict", "split_verdict"))
+
+
+def __getattr__(name: str):
+    if name not in _SPLIT:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import _split
+
+    value = globals()[name] = getattr(_split, name)
+    return value

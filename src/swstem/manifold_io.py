@@ -27,7 +27,8 @@ ManifoldSyntaxError with line and column, a well-formed but invalid
 description raises ManifoldSemanticError with the offending summand's index.
 A file is written by ``json_text``, the package's one JSON writer, from each
 summand's record fields, "type" and ``c``, so a ``ManifoldDoc`` holds no class
-key and no spin-c data but ``c``.
+key and no spin-c data but ``c``.  The writer is imported on a summand's first
+write, so reading a file loads none.
 
 A text is decoded once, each JSON object the tuple of its (key, value) pairs;
 the top level and a summand not held below become dicts through the
@@ -55,7 +56,6 @@ import os
 from collections import Counter, OrderedDict
 from json.encoder import encode_basestring_ascii
 
-from ._json_text import json_text
 from ._record import record
 from .blocks import K3, BuildingBlock, NegativeDefinite
 from .errors import InvalidParameters, ManifoldSemanticError, ManifoldSyntaxError, shown
@@ -290,6 +290,8 @@ def _summand_text(summand: Summand) -> str:
     """A summand's text at its depth in a file, kept on it as ``_text``: its
     record fields, "type" and ``c``.  Every key and tag is ASCII, so json_text
     writes them as encode_basestring_ascii would."""
+    from ._json_text import json_text
+
     block, spin_c = summand.block, summand.spin_c
     raw = {**vars(block), "type": block.tag}  # a record keeps its fields there, by name
     if spin_c is not None:  # ManifoldDoc admits it with coordinates only

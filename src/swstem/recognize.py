@@ -14,9 +14,9 @@ from bisect import bisect_left
 from itertools import count
 from math import gcd, isqrt
 
-from ._record import record
+from ._elliptic import max_multiple
 from ._listing import _LISTED, _odd_count, recognizable_set
-from .blocks import max_multiple
+from ._record import record
 from .errors import InvalidParameters, NotAnEllipticPattern, as_tuple, exact_int, shown
 
 

@@ -8,7 +8,7 @@ import warnings
 import pytest
 from hypothesis import given, strategies as st
 
-from swstem import _listing, blocks
+from swstem import _elliptic, _listing
 from swstem._listing import _odd_count, _table
 from swstem.blocks import (
     CANONICAL,
@@ -787,7 +787,7 @@ def test_every_value_of_the_largest_admitted_row_is_answered(monkeypatch):
     table = basic_class_table(edge, 1, 1)
     # one exact binomial of row 11,305 takes milliseconds: first record which
     # binomial each lookup asks for, at every key, then compute some exactly
-    monkeypatch.setattr(blocks, "comb", lambda n, k: (n, k))
+    monkeypatch.setattr(_elliptic, "comb", lambda n, k: (n, k))
     asked = [table.value(key) for key in table.keys]
     assert asked == [(edge - 1, a) for a in range(edge - 1, -1, -1)]  # keys ascend
     monkeypatch.undo()

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from swstem import _listing, manifold_io
+from swstem import _json_text, _listing, manifold_io
 from swstem.blocks import (
     K3,
     EllipticSurface,
@@ -121,7 +121,7 @@ def _all_odd(p_g: int) -> bool:
 class CacheMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.saved = (_listing._TABLES, manifold_io._HELD, manifold_io.json_text,
+        self.saved = (_listing._TABLES, manifold_io._HELD, _json_text.json_text,
                       manifold_io._HELD_SUMMANDS, manifold_io._HELD_WORDS)
         _listing._TABLES = {}
         _listing._recognizable.cache_clear()
@@ -132,17 +132,18 @@ class CacheMachine(RuleBasedStateMachine):
         write = self.saved[2]
 
         def counted(value, *args):
-            self.texts_written += 1
+            # a summand's text is the one dict written; its lists recurse through here too
+            self.texts_written += type(value) is dict
             return write(value, *args)
 
-        manifold_io.json_text = counted
+        _json_text.json_text = counted
         self.tables = {}  # triple -> the table first returned since a reset
         self.sets = {}  # triple -> the odd-SW set first returned, or None if not yet read
         self.held = OrderedDict()  # pool index -> its words, oldest first
         self.docs = []  # documents parsed or built, the newest few
 
     def teardown(self):
-        (_listing._TABLES, manifold_io._HELD, manifold_io.json_text,
+        (_listing._TABLES, manifold_io._HELD, _json_text.json_text,
          manifold_io._HELD_SUMMANDS, manifold_io._HELD_WORDS) = self.saved
         # the sets built may hold keys of tables dropped, and the listing holds the sets
         _listing._recognizable.cache_clear()

@@ -267,28 +267,41 @@ def test_import_loads_no_dataclasses_and_every_library_module():
         check=True,
         env=child_env(),
     )
+    # the program's names are forwarded on first read, each the program's own
+    forwarded = (
+        "first = swstem.cli.main; import swstem.__main__ as program; "
+        "print(first is program.main is swstem.cli.main, "
+        "all(getattr(swstem.cli, name) is getattr(program, name) for name in swstem.cli.__all__))"
+    )
     loaded = subprocess.run(
-        [sys.executable, "-c", "import swstem.cli; " + listing],
+        [sys.executable, "-c", f"import swstem.cli; {listing}; {forwarded}"],
         capture_output=True,
         text=True,
         check=True,
         env=child_env(),
     )
-    added = set(loaded.stdout.split()) - set(bare.stdout.split())
+    modules, read = loaded.stdout.splitlines()
+    added = set(modules.split()) - set(bare.stdout.split())
     assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
     library = (
-        "_listing", "blocks", "cli", "invariants", "lattice", "manifold_io", "recognize", "stems",
+        "_elliptic", "_listing", "blocks", "cli", "invariants", "lattice", "manifold_io",
+        "recognize", "stems",
     )
     assert {f"swstem.{name}" for name in library} <= added
+    # the library face compiles no program and no argparse
+    assert not added & {"swstem.__main__", "argparse"}
+    assert read == "True True"
 
 
-#: the ``swstem.*`` modules every library call loads: the block kinds
-KINDS = {"errors", "_record", "blocks"}
-#: what a listing loads: the kinds and the listing half, no engine module
-LISTING = KINDS | {"_listing"}
-#: what a file command loads: the engine and the writer its files use, no listing
-ENGINE = KINDS | {"manifold_io", "invariants", "lattice", "stems", "_json_text"}
+#: the ``swstem.*`` modules every library call loads: the closed forms of E(p_g; m, n)
+CLOSED = {"errors", "_record", "_elliptic"}
+#: what a listing loads: the closed forms and the listing half, no block kind
+LISTING = CLOSED | {"_listing"}
+#: what a file command loads: the block kinds and the engine, no listing, no
+#: split-check and no writer
+ENGINE = CLOSED | {"blocks", "manifold_io", "invariants", "lattice", "stems"}
 TRIPLE = ("--pg", "3", "--m", "2", "--n", "3")
+SPLIT = ("split-check", sample("k3x2.json"), "--modulus", "2", "--residue", "1")
 
 #: (argv, its exit code, the ``swstem.*`` modules ``python -m swstem argv`` loads)
 LOADED = (
@@ -303,9 +316,11 @@ LOADED = (
         LISTING | {"recognize", "_json_text"},
     ),
     (("invariant", sample("k3x2.json")), 0, ENGINE),
-    (("nonvanishing", sample("k3x2.json"), "--json"), 0, ENGINE),
+    (("invariant", sample("k3x2.json"), "--json"), 0, ENGINE | {"_json_text"}),
+    (("nonvanishing", sample("k3x2.json"), "--json"), 0, ENGINE | {"_json_text"}),
     (("blowup", sample("k3.json"), "--rank", "1"), 0, ENGINE),
-    (("split-check", sample("k3x2.json"), "--modulus", "2", "--residue", "1"), 0, ENGINE),
+    (SPLIT, 0, ENGINE | {"_split"}),
+    ((*SPLIT, "--json"), 0, ENGINE | {"_split", "_json_text"}),
     (("distinguish", sample("k3x2.json"), sample("k3x4.json")), 0, ENGINE),
     (("fingerprint", sample("e311_k3.json")), 0, ENGINE | {"_listing"}),
     (("invariant", "/no/such/file.json"), 1, ENGINE),

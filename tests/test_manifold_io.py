@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from swstem import manifold_io
+from swstem import _json_text, manifold_io
 from swstem._json_text import json_text
 from swstem._record import FrozenInstanceError
 from swstem.blocks import (
@@ -743,7 +743,7 @@ def test_a_summand_text_is_written_once_whoever_built_the_document(no_summand_he
         written.append(value["type"])
         return json_text(value, *args)
 
-    monkeypatch.setattr(manifold_io, "json_text", counted)
+    monkeypatch.setattr(_json_text, "json_text", counted)
     e3, k3 = Summand(EllipticSurface(3, 1, 1)), Summand(K3)
     by_hand = ManifoldDoc([e3, k3, e3], name="by hand")
     first = serialize_manifold(by_hand)

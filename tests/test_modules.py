@@ -16,26 +16,29 @@ from conftest import child_env
 SOURCE = Path(swstem.__file__).parent
 
 #: each module's ``from .x import`` targets; ``recognize`` inverts patterns over
-#: ``blocks`` and its listing half alone, reading a connected sum is the
-#: engine's, and ``_json_text``, the one JSON writer, imports no module of the
-#: package.  ``blocks`` and ``invariants`` import ``_listing`` only when a
-#: listing runs
+#: the closed forms (``_elliptic``) and the listing half alone, and a listing
+#: loads no block kind; reading a connected sum is the engine's, and
+#: ``_json_text``, the one JSON writer, imports no module of the package.
+#: ``blocks`` and ``invariants`` import ``_listing`` only when a listing runs,
+#: and ``invariants`` imports ``_split`` only when split-check runs
 GRAPH = {
     "__init__": set(),
     "__main__": {
-        "_json_text", "_listing", "blocks", "errors", "invariants", "lattice", "manifold_io",
-        "recognize",
+        "_json_text", "_listing", "_split", "blocks", "errors", "invariants", "lattice",
+        "manifold_io", "recognize",
     },
+    "_elliptic": {"errors"},
     "_json_text": set(),
-    "_listing": {"_record", "blocks", "errors"},
+    "_listing": {"_elliptic", "_record", "errors"},
     "_record": {"errors"},
-    "blocks": {"_listing", "_record", "errors"},
+    "_split": {"_record", "errors", "invariants", "stems"},
+    "blocks": {"_elliptic", "_listing", "_record", "errors"},
     "cli": {"__main__", "blocks", "invariants", "lattice", "manifold_io", "recognize", "stems"},
     "errors": set(),
-    "invariants": {"_listing", "_record", "blocks", "errors", "lattice", "stems"},
+    "invariants": {"_listing", "_record", "_split", "blocks", "errors", "lattice", "stems"},
     "lattice": {"_record", "errors"},
     "manifold_io": {"_json_text", "_record", "blocks", "errors", "invariants", "lattice"},
-    "recognize": {"_listing", "_record", "blocks", "errors"},
+    "recognize": {"_elliptic", "_listing", "_record", "errors"},
     "stems": {"_record", "errors"},
 }
 
@@ -179,8 +182,43 @@ def test_blocks_forwards_no_other_name(name):
         getattr(blocks, name)
 
 
+#: the split-check names ``invariants`` forwards to ``_split``, read on first use
+SPLIT_FORWARDED = ("SplitKind", "SplitQuery", "SplitVerdict", "split_verdict")
+
+
+def test_importing_invariants_declares_every_rule_and_loads_no_split_check():
+    # the split rules are declared in ``invariants``: ``RULES`` is whole without ``_split``
+    probe = (
+        "import sys, swstem.invariants as engine; "
+        "print(len(engine.RULES), 'swstem._split' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
+    )
+    assert (proc.stdout, proc.stderr) == ("39 False\n", "")
+
+
+def test_invariants_forwards_each_split_name_to_its_object():
+    from swstem import _split
+    from swstem.invariants import SplitKind, SplitQuery, SplitVerdict, split_verdict
+
+    imported = (SplitKind, SplitQuery, SplitVerdict, split_verdict)
+    for name, value in zip(SPLIT_FORWARDED, imported):
+        assert value is getattr(_split, name) is getattr(invariants, name), name
+    assert invariants._SPLIT == set(SPLIT_FORWARDED)
+
+
+@pytest.mark.parametrize("name", ["_split", "_SplitKind", "Split", "no_such_name"])
+def test_invariants_forwards_no_other_name(name):
+    with pytest.raises(
+        AttributeError, match=f"module 'swstem.invariants' has no attribute '{name}'"
+    ):
+        getattr(invariants, name)
+
+
 def test_every_record_class_shares_one_eq_and_one_hash():
     importlib.import_module("swstem.cli")  # loads every library module
+    importlib.import_module("swstem._split")  # and split-check, loaded on first use
     records = {
         value
         for name, module in sys.modules.items()
