@@ -344,6 +344,10 @@ def main(argv: list[str] | None = None) -> int:
     # command, none) is answered by the parser of all nine
     only = argv[0] if argv and argv[0] in _COMMANDS else None
     parser = _parser(only)
+    if only is None and argv and not argv[0].startswith("-"):
+        # argparse's own text, but quoted alike on every Python (3.13.13 drops the quotes)
+        choices = ", ".join(repr(name) for name, *_ in _SUBCOMMANDS)
+        parser.error(f"argument COMMAND: invalid choice: {argv[0]!r} (choose from {choices})")
     args, extras = parser.parse_known_args(_normalize_argv(argv))
     if extras:  # as parse_args reports them, but with a named subcommand's usage
         (parser if only is None else args.parser).error(

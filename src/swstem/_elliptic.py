@@ -1,5 +1,5 @@
-"""The closed forms of E(p_g; m, n)'s basic classes, shared by ``blocks``, its
-listing half ``_listing`` and ``recognize``.
+"""The closed forms of E(p_g; m, n)'s basic classes, shared by ``blocks`` and
+its listing half ``_listing``, through which ``recognize`` reads them.
 
 The parameter checks of a triple, the largest multiple, the parity of a
 binomial, the index of the table entry at a key and |SW| there: each is

@@ -2,7 +2,9 @@
 
 Every simply connected minimal elliptic surface E(p_g; m, n) with odd p_g
 leaves a fingerprint: the set of fiber multiples carrying odd SW values.
-``recognize`` inverts that map using only integer arithmetic on the pattern;
+``recognize`` inverts that map by one rule: the top gap gives m, the
+pattern's size and largest multiple then name at most one triple, and that
+triple's set, the one set it builds, is compared with the pattern.
 ``recognize_oracle`` does the same by enumeration of the triples whose odd
 count matches and is the cross-check used in the test suite.
 """
@@ -10,12 +12,9 @@ count matches and is the cross-check used in the test suite.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
-from itertools import count
 from math import gcd, isqrt
 
-from ._elliptic import max_multiple
-from ._listing import _LISTED, _odd_count, recognizable_set
+from ._listing import _LISTED, recognizable_set
 from ._record import record
 from .errors import InvalidParameters, NotAnEllipticPattern, as_tuple, exact_int, shown
 
@@ -79,137 +78,89 @@ class RecognitionResult:
 def recognize(pattern: Pattern) -> RecognitionResult:
     """Identify the surface whose odd-SW multiples form the given pattern.
 
-    The algorithm: a singleton pattern is the trivial surface (1, 1, 1).
-    Otherwise let k be the largest multiple and h half the gap down to the
-    second largest.  When h is coprime to k, h is the smaller multiplicity m
-    (the gap between the top classes moves one step along the finer fiber),
-    and the pattern's size names the rest (``_counted``): an odd-SW set has
-    2^j m n multiples, j = popcount(p_g - 1), so each j gives n and then p_g
-    through the largest multiple, and the first candidate that can be a
-    surface is checked against its regenerated set.  Where that candidate
-    regenerates the pattern it is the answer; otherwise the larger
-    multiplicity n is the first lambda >= 1 with k - 2*lambda*m missing from
-    the pattern (a walk down the sorted pattern, no set), which names the
-    candidate, or the refusal, of a pattern no triple generates, and p_g
-    follows from the formula for the largest multiple.  Both agree on a set
-    the count validates: row 0 holds k - 2*lambda*m for every lambda < n,
-    and k - 2mn is only row 1's, an even binomial for odd p_g.  When h and k
-    share a factor, the pattern can only belong to the no-log-transform
-    family m = n = 1 with p_g = k + 1.  Either way the candidate is validated
-    by comparing its odd count 2^popcount(p_g - 1) m n with the pattern's
-    size, then its regenerated recognizable set; mismatches, and a matching
-    size whose set is past the listing budget, come back with
-    validated=False rather than a guess.  A validated candidate has odd p_g:
-    for even p_g, binomial(p_g - 1, 1) is odd, so its set holds k - 2mn (the
-    walk does not stop at n) and, when m = n = 1, k - 2 (which makes h = 1).
-    So an even-genus surface's set is refused (NotAnEllipticPattern, or
-    validated=False), or read as the odd-genus surface with the same set:
-    E(2; 1, 1)'s set (-1, 1) gives (1, 1, 2).
+    One rule answers every pattern.  Let k be the largest multiple and h half
+    the gap down to the second largest (a singleton has no gap).  When h is
+    coprime to k, h is the smaller multiplicity m (the gap between the top
+    classes moves one step along the finer fiber); otherwise m = 1.  The
+    pattern's size and k then name at most one triple (``_counted``), whose
+    set is built once and compared with the pattern: equal, the triple comes
+    back validated; past the listing budget (or with p_g too wide to list),
+    unvalidated with a diagnostic naming the bound; different, unvalidated
+    with a diagnostic saying where the sets part.  Where no triple fits, the pattern is refused
+    (NotAnEllipticPattern, naming its size, its largest multiple and m).
+    A validated candidate has odd p_g, so an even-genus surface's set is
+    refused, or read as the odd-genus surface with the same set: E(2; 1, 1)'s
+    set (-1, 1) gives (1, 1, 2).
     """
     values = pattern.multiples
-    if len(values) == 1:
-        # symmetry forces the single multiple to be 0
-        return _validated_result(1, 1, 1, pattern)
-
-    k = values[-1]
-    second = values[-2]
-    if (k - second) % 2 != 0:
-        raise _not_elliptic(
-            "multiples in one pattern share a parity; "
-            f"{shown(k)} and {shown(second)} do not"
-        )
-    h = (k - second) // 2
-
-    if gcd(h, k) == 1:
-        m = h
-        counted = _counted(pattern, k, m)
-        if counted is not None:
-            return counted
-        n = _detect_larger_multiplicity(values, k, m)
-        numerator = k - (m - 1) * n - (n - 1) * m
-        if numerator % (m * n) != 0:
+    k, m = values[-1], 1
+    if len(values) > 1:
+        gap = k - values[-2]
+        if gap % 2:
             raise _not_elliptic(
-                f"largest multiple {shown(k)} is incompatible with "
-                f"multiplicities ({shown(m)}, {shown(n)})"
+                "multiples in one pattern share a parity; "
+                f"{shown(k)} and {shown(values[-2])} do not"
             )
-        # _validated_result refuses p_g < 1 and unordered or non-coprime (m, n)
-        return _validated_result(numerator // (m * n) + 1, m, n, pattern)
-
-    # h and k share a factor: the m = n = 1 family, or no surface at all
-    return _validated_result(k + 1, 1, 1, pattern)
+        if gcd(gap // 2, k) == 1:
+            m = gap // 2
+    return _counted(pattern, k, m)
 
 
 def _not_elliptic(detail: str) -> NotAnEllipticPattern:
     return NotAnEllipticPattern(f"not the odd-SW set of an odd-genus elliptic surface: {detail}")
 
 
-def _counted(pattern: Pattern, k: int, m: int) -> RecognitionResult | None:
-    """The validated result of the triple the pattern's size names, or None.
+def _counted(pattern: Pattern, k: int, m: int) -> RecognitionResult:
+    """The result for the one triple the pattern's size and largest multiple k
+    name, with smaller multiplicity m.
 
     E(p_g; m, n) has 2^j m n odd-SW multiples, j = popcount(p_g - 1), the
     largest k with k + m = n((p_g + 1) m - 1).  So j = 0 .. v2(|P| / m) each
-    fix n = |P| / (2^j m) and p_g; the first with odd p_g >= 1, popcount
-    (p_g - 1) = j and coprime m <= n is the one candidate built.  None where
-    it regenerates another set, is refused (past the listing budget, or p_g
-    too wide) or where no j names one: the fiber walk decides those."""
-    mn, rest = divmod(len(pattern.multiples), m)
-    if rest:
-        return None
-    for j in range((mn & -mn).bit_length()):
+    fix n = |P| / (2^j m) and p_g; a triple fits when p_g >= 1 is odd with
+    popcount(p_g - 1) = j and m <= n.  Then m and n are coprime: m is 1 or
+    coprime to k, and a common factor of m and n divides k + m, so k too.
+    At most one triple fits: a second fit at a larger j, by d steps, has
+    n' = n / 2^d, so n is even and the coprime m odd; then (p_g' + 1) m - 1
+    is odd, for odd p_g', yet equals 2^d ((p_g + 1) m - 1).  The fitting
+    triple's set is built once, and NotAnEllipticPattern refuses a pattern
+    no triple fits."""
+    values = pattern.multiples
+    size = len(values)
+    mn, rest = divmod(size, m)
+    for j in range(0 if rest else (mn & -mn).bit_length()):
         n = mn >> j
         if n < m:  # n only falls as j grows
-            return None
+            break
         q, rest = divmod(k + m, n)
         p_g, off = divmod(q + 1, m)
         p_g -= 1
-        if rest or off or p_g < 1 or not p_g % 2 or (p_g - 1).bit_count() != j or gcd(m, n) != 1:
+        if rest or off or p_g < 1 or not p_g % 2 or (p_g - 1).bit_count() != j:
             continue
         try:
             odd = recognizable_set(p_g, m, n)
-        except InvalidParameters:
-            return None
-        return RecognitionResult(p_g, m, n, True) if _same(odd, pattern) else None
-    return None
-
-
-def _detect_larger_multiplicity(values: tuple[int, ...], k: int, m: int) -> int:
-    """First lambda >= 1 with k - 2*lambda*m off the pattern.  Targets descend:
-    each is tried just below the last hit (values[-1] = k tops them), then bisected."""
-    i = len(values) - 1
-    for lam in count(1):
-        target = k - 2 * lam * m
-        i = i - 1 if values[i - 1] == target else bisect_left(values, target, 0, i)
-        if values[i] != target:  # on a miss, values[i] may be the last hit
-            return lam
+        except InvalidParameters as exc:  # past the budget, or p_g too wide: unknown, not a guess
+            diagnostic = (
+                f"candidate ({shown(p_g)}, {m}, {n}) regenerates {size} multiples, "
+                f"as many as the input, left unchecked: {exc}"
+            )
+            return RecognitionResult(p_g, m, n, False, (diagnostic,))
+        if _same(odd, pattern):
+            return RecognitionResult(p_g, m, n, True)  # p_g is odd
+        # both sets have |P| multiples and the largest k: name the highest place they part
+        ours, theirs = next((a, b) for a, b in zip(reversed(odd), reversed(values)) if a != b)
+        diagnostic = (
+            f"candidate ({p_g}, {m}, {n}) regenerates {size} multiples with largest {k}, "
+            f"as the input does, but holds {ours} where the input holds {theirs}"
+        )
+        return RecognitionResult(p_g, m, n, False, (diagnostic,))
+    raise _not_elliptic(
+        f"no triple with m = {shown(m)} has {size} multiples and largest {shown(k)}"
+    )
 
 
 def _same(regenerated: tuple[int, ...], pattern: Pattern) -> bool:
     # tuple == walks every item even when both sides are one object
     return regenerated is pattern.multiples or regenerated == pattern.multiples
-
-
-def _validated_result(p_g: int, m: int, n: int, pattern: Pattern) -> RecognitionResult:
-    try:
-        count = _odd_count(p_g, m, n)
-    except InvalidParameters as exc:
-        raise _not_elliptic(str(exc)) from exc
-    if count == len(pattern.multiples):
-        try:
-            odd = recognizable_set(p_g, m, n)
-        except InvalidParameters as exc:  # past the listing budget: unknown, not a guess
-            diagnostic = (
-                f"candidate ({p_g}, {m}, {n}) regenerates {shown(count)} multiples, "
-                f"as many as the input, left unchecked: {exc}"
-            )
-            return RecognitionResult(p_g, m, n, False, (diagnostic,))
-        if _same(odd, pattern):
-            return RecognitionResult(p_g, m, n, True)  # p_g is odd: see recognize
-    # the largest multiple always has value 1, so it is always odd
-    diagnostic = (
-        f"candidate ({p_g}, {m}, {n}) regenerates {shown(count)} multiples "
-        f"with largest {shown(max_multiple(p_g, m, n))}, which differ from the input"
-    )
-    return RecognitionResult(p_g, m, n, False, (diagnostic,))
 
 
 def recognize_oracle(

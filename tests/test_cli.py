@@ -86,10 +86,14 @@ def test_recognize_with_equals_form():
 
 
 def test_recognize_rejects_a_huge_pair_by_its_count():
-    # the candidate (10**23 + 2, 1, 1) is refused without building its set
+    # no triple has 2 multiples and the largest 10**23 + 1: refused, no set built
     k = 10**23 + 1
-    out = run_cli("recognize", f"--classes=-{k},{k}", timeout=10).stdout
-    assert f"p_g={k + 1} m=1 n=1 (unvalidated)\n" in out
+    proc = run_cli("recognize", f"--classes=-{k},{k}", expect=1, timeout=10)
+    assert (proc.stdout, proc.stderr) == (
+        "",
+        "error: not the odd-SW set of an odd-genus elliptic surface: "
+        f"no triple with m = 1 has 2 multiples and largest {k}\n",
+    )
 
 
 def test_recognize_oracle_bounds():

@@ -6,12 +6,11 @@ of ``nonvanishing_criteria``, and ``blowup`` by three negative definite blocks
 (d = 0, d = -1 and d = -2).  The corpus reaches every trace line these three
 functions can emit; ``test_corpus_reaches_every_rule`` checks that.  To
 rewrite the goldens after an intended output change, run
-``PYTHONPATH=src python tests/test_engine_goldens.py`` and review the diff.
+``PYTHONPATH=src python tests/test_engine_goldens.py`` (pytest is not needed)
+and review the diff.
 """
 
 from pathlib import Path
-
-import pytest
 
 from swstem.blocks import (
     K3,
@@ -153,9 +152,15 @@ def render(csum) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("name", CORPUS)
 def test_engine_golden(name):
     assert render(CORPUS[name]) == (ENGINE / f"{name}.out").read_text(encoding="utf-8")
+
+
+def pytest_generate_tests(metafunc):
+    """Parametrize ``test_engine_golden`` by corpus entry: a hook, not pytest's
+    decorator, so the module, and with it ``regenerate``, imports without pytest."""
+    if metafunc.function is test_engine_golden:
+        metafunc.parametrize("name", CORPUS)
 
 
 def test_corpus_reaches_every_rule():

@@ -10,16 +10,15 @@ flags and of the subcommands.  Each sample's canonical text, as
 ``serialize_manifold`` writes it, is pinned in
 ``goldens/<sample>/serialized.json``.  All cases run with ``COLUMNS=200``
 so that argparse does not wrap.  To rewrite the goldens after an intended
-output change, run ``PYTHONPATH=src python tests/test_goldens.py`` and
-review the diff.
+output change, run ``PYTHONPATH=src python tests/test_goldens.py`` (pytest
+is not needed) and review the diff.
 """
 
 import contextlib
 import io
 import os
 from pathlib import Path
-
-import pytest
+from unittest import mock
 
 from swstem.cli import main
 from swstem.manifold_io import load_manifold, serialize_manifold
@@ -60,11 +59,11 @@ FLAG_CASES = {
     "basic-classes-e1_2_3": ("basic-classes", "--pg", "1", "--m", "2", "--n", "3"),
     "recognizable": ("recognizable", "--pg", "1", "--m", "2", "--n", "3"),
     "recognize-validated": ("recognize", "--classes", "-2,2"),
-    "recognize-note": ("recognize", "--classes", "-6,6"),
+    "recognize-note": ("recognize", "--classes", "-14,-6,-2,2,6,14"),
     "recognize-bounds-match": ("recognize", "--classes", "-2,2", "--bounds", "15,9"),
     "recognize-bounds-none": ("recognize", "--classes", "-3,3", "--bounds", "9,5"),
-    # the coprime branch (the top gap coprime to the top): the odd-SW set of
-    # E(3; 2, 3), E(2; 2, 3)'s set, and a pattern whose derived m exceeds n
+    # m from the top gap (coprime to the top): the odd-SW set of E(3; 2, 3),
+    # E(2; 2, 3)'s set, and a pattern whose size leaves no n >= m
     "recognize-coprime-e3_2_3": (
         "recognize", "--classes", "-19,-15,-13,-11,-9,-5,5,9,11,13,15,19"
     ),
@@ -133,7 +132,11 @@ def cases():
 
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (
+        mock.patch.dict(os.environ, COLUMNS=COLUMNS),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
         try:
             code = main(list(argv))
         except SystemExit as exc:
@@ -151,14 +154,6 @@ def usage_lines(err):
 CASES = list(cases())
 
 
-@pytest.fixture(autouse=True)
-def wide_terminal(monkeypatch):
-    monkeypatch.setenv("COLUMNS", COLUMNS)
-
-
-@pytest.mark.parametrize(
-    "base, stem, argv", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
-)
 def test_cli_golden(base, stem, argv):
     code, out, err = run(argv)
     assert out == (base / f"{stem}.out").read_text(encoding="utf-8")
@@ -170,7 +165,6 @@ def test_cli_golden(base, stem, argv):
         assert code == 0, err
 
 
-@pytest.mark.parametrize("name, argv", USAGE_CASES.items(), ids=list(USAGE_CASES))
 def test_usage_golden(name, argv):
     code, out, err = run(argv)
     assert (code, out) == (2, "")
@@ -206,15 +200,26 @@ def test_split_goldens_reach_every_rule():
 SAMPLE_STEMS = [path.stem for path in sorted(SAMPLES.glob("*.json"))]
 
 
-@pytest.mark.parametrize("stem", SAMPLE_STEMS)
 def test_sample_serializes_canonically(stem):
     doc = load_manifold(sample(stem))
     golden = GOLDENS / stem / "serialized.json"
     assert serialize_manifold(doc) == golden.read_text(encoding="utf-8")
 
 
+def pytest_generate_tests(metafunc):
+    """Parametrize the tests above: a hook, not pytest's decorators, so the
+    module, and with it ``regenerate``, imports without pytest installed."""
+    params = {
+        "test_cli_golden": ("base, stem, argv", [c[1:] for c in CASES], [c[0] for c in CASES]),
+        "test_usage_golden": ("name, argv", list(USAGE_CASES.items()), list(USAGE_CASES)),
+        "test_sample_serializes_canonically": ("stem", SAMPLE_STEMS, None),
+    }.get(metafunc.function.__name__)
+    if params is not None:
+        names, values, ids = params
+        metafunc.parametrize(names, values, ids=ids)
+
+
 def regenerate():
-    os.environ["COLUMNS"] = COLUMNS
     for _, base, stem, argv in CASES:
         base.mkdir(parents=True, exist_ok=True)
         code, out, err = run(argv)

@@ -16,7 +16,7 @@ from conftest import child_env
 SOURCE = Path(swstem.__file__).parent
 
 #: each module's ``from .x import`` targets; ``recognize`` inverts patterns over
-#: the closed forms (``_elliptic``) and the listing half alone, and a listing
+#: the listing half alone, and a listing
 #: loads no block kind; reading a connected sum is the engine's, and
 #: ``_json_text``, the one JSON writer, imports no module of the package.
 #: ``blocks`` and ``invariants`` import ``_listing`` only when a listing runs,
@@ -38,7 +38,7 @@ GRAPH = {
     "invariants": {"_listing", "_record", "_split", "blocks", "errors", "lattice", "stems"},
     "lattice": {"_record", "errors"},
     "manifold_io": {"_json_text", "_record", "blocks", "errors", "invariants", "lattice"},
-    "recognize": {"_elliptic", "_listing", "_record", "errors"},
+    "recognize": {"_listing", "_record", "errors"},
     "stems": {"_record", "errors"},
 }
 

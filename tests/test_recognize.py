@@ -1,5 +1,6 @@
 """Pattern recognition, the enumeration oracle and sum distinction."""
 
+import functools
 import importlib
 import math
 import re
@@ -32,7 +33,6 @@ from swstem.lattice import SpinC
 from swstem.recognize import (
     Pattern,
     RecognitionResult,
-    _detect_larger_multiplicity,
     recognize,
     recognize_oracle,
 )
@@ -182,29 +182,30 @@ def test_recognize_rejects_mixed_parity():
 
 
 def test_recognize_refuses_unordered_derived_multiplicities():
-    # the top gap derives m = 3 and the walk n = 2: the table check refuses m > n
-    with pytest.raises(NotAnEllipticPattern, match=r"m <= n, got \(3, 2\)") as caught:
+    # the top gap derives m = 3, and 4 multiples leave no n >= 3
+    with pytest.raises(NotAnEllipticPattern) as caught:
         recognize(Pattern([-7, -1, 1, 7]))
-    assert str(caught.value).startswith(NOT_ODD_GENUS)
+    assert str(caught.value) == NOT_ODD_GENUS + "no triple with m = 3 has 4 multiples and largest 7"
 
 
 def test_recognize_unvalidated_candidate():
-    # (-3, 3) derives the candidate (4, 1, 1), whose table disagrees
-    result = recognize(Pattern([-3, 3]))
-    assert not result.validated
-    assert result.diagnostics
+    # 6 multiples and the top 14 name (5, 1, 3), whose set holds 12 below 14
+    result = recognize(Pattern([-14, -6, -2, 2, 6, 14]))
+    assert (result.triple, result.validated) == ((5, 1, 3), False)
+    assert result.diagnostics == (
+        "candidate (5, 1, 3) regenerates 6 multiples with largest 14, "
+        "as the input does, but holds 12 where the input holds 6",
+    )
 
 
 def test_recognize_refuses_a_huge_pair_by_its_count():
-    # {-K, K} with odd K leads to (K + 1, 1, 1); its odd count is not 2
+    # {-K, K} with odd K: n = 2 gives p_g = (K + 1) / 2, not 1 as j = 0 asks,
+    # and n = 1 gives the even K + 1, so no triple fits and none is built
     k = 10**23 + 1
-    result = recognize(Pattern([-k, k]))
-    assert result.triple == (k + 1, 1, 1)
-    assert not result.validated
-    count = 2 ** bin(k).count("1")
-    assert result.diagnostics == (
-        f"candidate ({k + 1}, 1, 1) regenerates {count} multiples "
-        f"with largest {k}, which differ from the input",
+    with pytest.raises(NotAnEllipticPattern) as caught:
+        recognize(Pattern([-k, k]))
+    assert str(caught.value) == (
+        NOT_ODD_GENUS + f"no triple with m = 1 has 2 multiples and largest {k}"
     )
 
 
@@ -217,7 +218,7 @@ def test_recognize_validates_a_huge_pair_with_two_odd_rows():
 
 
 def test_round_trip_on_grid():
-    # and m = 1 with a long fiber walk
+    # and m = 1 with a large n
     for p_g, m, n in (*odd_coprime_grid(), (13, 1, 600), (1, 1, 1000), (5, 1, 2048)):
         pattern = Pattern(recognizable_set(p_g, m, n))
         result = recognize(pattern)
@@ -225,23 +226,77 @@ def test_round_trip_on_grid():
         assert result.validated
 
 
-def set_walk(values, k, m):
-    """The set-based detection of the larger multiplicity, as an oracle."""
-    present = set(values)
-    lam = 1
-    while k - 2 * lam * m in present:
-        lam += 1
-    return lam
+@functools.cache
+def plain_enumeration(top):
+    """Every odd-genus triple, coprime m <= n, whose largest multiple
+    (p_g - 1) m n + (m - 1) n + (n - 1) m is at most ``top``, under its odd-SW
+    set: each set built, with no count and no inversion."""
+    found = {}
+    for p_g in range(1, top + 2, 2):
+        for n in range(1, top + 2):
+            for m in range(1, n + 1):
+                if (p_g - 1) * m * n + (m - 1) * n + (n - 1) * m > top:
+                    break
+                if math.gcd(m, n) == 1:
+                    found.setdefault(recognizable_set(p_g, m, n), []).append((p_g, m, n))
+            if n - 1 > top:  # the largest multiple of (p_g, 1, n) is at least n - 1
+                break
+    return found
 
 
-def recognize_outcome(pattern):
+#: the top of E(11; 6, 7), the largest on the oracle grid below
+ENUMERATED_TOP = 491
+
+
+def check_against_the_enumeration(values):
+    """recognize validates a triple exactly when the plain enumeration finds
+    it; a set no triple generates is refused or answered unvalidated."""
+    assert values[-1] <= ENUMERATED_TOP, values
+    generators = plain_enumeration(ENUMERATED_TOP).get(tuple(values), ())
     try:
-        return recognize(pattern)
-    except NotAnEllipticPattern as exc:
-        return str(exc)
+        result = recognize(Pattern(values))
+    except NotAnEllipticPattern:
+        assert not generators, values
+        return
+    if generators:
+        assert result.validated and result.triple in generators, (values, result)
+    else:
+        assert not result.validated, (values, result)
 
 
-#: symmetric patterns whose walk runs down to index 0 and off it
+#: the triples of the oracle grid: p_g <= 11 and coprime m <= n <= 7, each genus
+ORACLE_GRID = [
+    (p_g, m, n)
+    for p_g in range(1, 12)
+    for m in range(1, 8)
+    for n in range(m, 8)
+    if math.gcd(m, n) == 1
+]
+
+
+def grid_patterns():
+    """Every odd-SW set on the oracle grid, and each with one pair removed."""
+    odd_sets = [recognizable_set(*triple) for triple in ORACLE_GRID]
+    patterns = set(odd_sets)
+    for odd in odd_sets:
+        patterns.update(tuple(y for y in odd if abs(y) != x) for x in odd if x >= 0)
+    patterns.discard(())
+    return patterns
+
+
+def test_the_plain_enumeration_lists_each_odd_genus_set_once():
+    enumerated = plain_enumeration(ENUMERATED_TOP)
+    assert all(len(triples) == 1 for triples in enumerated.values())
+    assert enumerated[recognizable_set(11, 6, 7)] == [(11, 6, 7)]
+
+
+def test_recognize_matches_a_plain_enumeration():
+    for values in grid_patterns():
+        check_against_the_enumeration(values)
+
+
+#: symmetric patterns of evenly spaced multiples, whole or with gaps: four are
+#: E(1; 1, n)'s sets, three no surface's
 HOSTILE = (
     tuple(range(-11, 12, 2)),
     tuple(range(-10, 11, 2)),
@@ -254,65 +309,8 @@ HOSTILE = (
 
 
 @pytest.mark.parametrize("values", HOSTILE)
-def test_fiber_walk_matches_the_set_walk_on_hostile_patterns(values, monkeypatch):
-    k = values[-1]
-    for m in range(1, 2 * k + 2):
-        assert _detect_larger_multiplicity(values, k, m) == set_walk(values, k, m)
-    pattern = Pattern(values)
-    walked = recognize_outcome(pattern)
-    monkeypatch.setattr(RECOGNIZE, "_detect_larger_multiplicity", set_walk)
-    assert recognize_outcome(pattern) == walked
-
-
-@given(st.sets(st.integers(0, 40), min_size=1, max_size=15), st.integers(1, 30))
-def test_fiber_walk_matches_the_set_walk(halves, m):
-    values = tuple(sorted({x for h in halves for x in (h, -h)}))
-    k = values[-1]
-    assert _detect_larger_multiplicity(values, k, m) == set_walk(values, k, m)
-
-
-def outcome(pattern):
-    """What recognize answers, or the class and text of what it raises."""
-    try:
-        return recognize(pattern)
-    except (NotAnEllipticPattern, InvalidParameters) as exc:
-        return type(exc), str(exc)
-
-
-def counted_calls(pattern, counted=True):
-    """recognize's outcome with or without the count path, and how many
-    times it called recognizable_set."""
-    calls = []
-
-    def listed(*triple):
-        calls.append(triple)
-        return recognizable_set(*triple)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(RECOGNIZE, "recognizable_set", listed)
-        if not counted:
-            patch.setattr(RECOGNIZE, "_counted", lambda pattern, k, m: None)
-        return outcome(pattern), len(calls)
-
-
-def check_count_path(values):
-    """The count path changes no outcome, and builds at most one set more."""
-    pattern = Pattern(values)
-    counted, calls = counted_calls(pattern)
-    walked, walk_calls = counted_calls(pattern, counted=False)
-    assert counted == walked, values
-    assert calls <= walk_calls + 1, values
-
-
-@pytest.mark.parametrize("values", HOSTILE)
-def test_the_count_path_matches_the_walk_on_hostile_patterns(values):
-    check_count_path(values)
-
-
-def test_the_count_path_matches_the_walk_on_the_coprime_grid():
-    # even genus included: refused, read as an odd alias, or left unvalidated
-    for triple in coprime_grid():
-        check_count_path(recognizable_set(*triple))
+def test_recognize_matches_a_plain_enumeration_on_hostile_patterns(values):
+    check_against_the_enumeration(values)
 
 
 @st.composite
@@ -333,16 +331,29 @@ def near_listed(draw):
 
 
 @pytest.mark.deep
-@given(near_listed())
-def test_the_count_path_matches_the_walk(values):
-    check_count_path(values)
+@given(near_listed().filter(lambda values: values[-1] <= ENUMERATED_TOP))
+def test_recognize_matches_a_plain_enumeration_near_listed_sets(values):
+    check_against_the_enumeration(values)
 
 
-def test_a_listed_pattern_is_recognized_by_its_size_alone(monkeypatch):
-    def walked(*args):
-        raise AssertionError("the fiber walk ran on a listed set")
+def counted_calls(pattern):
+    """What recognize answers, or the class and text of what it raises, and
+    how many times it called recognizable_set."""
+    calls = []
 
-    monkeypatch.setattr(RECOGNIZE, "_detect_larger_multiplicity", walked)
+    def listed(*triple):
+        calls.append(triple)
+        return recognizable_set(*triple)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RECOGNIZE, "recognizable_set", listed)
+        try:
+            return recognize(pattern), len(calls)
+        except (NotAnEllipticPattern, InvalidParameters) as exc:
+            return (type(exc), str(exc)), len(calls)
+
+
+def test_a_listed_pattern_is_recognized_by_its_size_alone():
     for triple in (*odd_coprime_grid(), (13, 1, 600), (1, 1, 1000), (5, 1, 2048), (3, 2, 3)):
         result, calls = counted_calls(Pattern(recognizable_set(*triple)))
         assert (result.triple, result.validated, calls) == (triple, True, 1)
@@ -350,29 +361,25 @@ def test_a_listed_pattern_is_recognized_by_its_size_alone(monkeypatch):
 
 def test_a_candidate_the_count_refutes_is_built_once_more_at_most():
     # E(1; 2, 7)'s set without +-1: 12 multiples, top 19 and m = 2 name
-    # (3, 2, 3), whose set is E(3; 2, 3)'s; the walk then decides alone
+    # (3, 2, 3), whose set is E(3; 2, 3)'s, built once and told apart
     values = tuple(y for y in recognizable_set(1, 2, 7) if abs(y) != 1)
-    pattern = Pattern(values)
-    assert RECOGNIZE._counted(pattern, 19, 2) is None
-    counted, calls = counted_calls(pattern)
-    walked, walk_calls = counted_calls(pattern, counted=False)
-    assert counted == walked and calls == walk_calls + 1
+    diagnostic = (
+        "candidate (3, 2, 3) regenerates 12 multiples with largest 19, "
+        "as the input does, but holds 13 where the input holds 11"
+    )
+    assert counted_calls(Pattern(values)) == (RecognitionResult(3, 2, 3, False, (diagnostic,)), 1)
 
 
-def test_a_pattern_past_the_listing_budget_ends_as_the_walk_ends(monkeypatch):
+def test_a_pattern_past_the_listing_budget_is_answered_unvalidated(monkeypatch):
     # E(3; 2, 3)'s 12 multiples past a budget of 10: the count's candidate is
-    # refused unbuilt, and the walk names it again and answers it unvalidated,
-    # naming the budget
+    # refused unbuilt and answered unvalidated, naming the budget
     values = recognizable_set(3, 2, 3)
     monkeypatch.setattr(LISTING, "MAX_LISTING", 10)
-    counted, calls = counted_calls(Pattern(values))
-    assert counted == counted_calls(Pattern(values), counted=False)[0]
     diagnostic = (
         "candidate (3, 2, 3) regenerates 12 multiples, as many as the input, "
         "left unchecked: the odd-SW set would list more than 10 entries"
     )
-    assert counted == RecognitionResult(3, 2, 3, False, (diagnostic,))
-    assert calls == 2
+    assert counted_calls(Pattern(values)) == (RecognitionResult(3, 2, 3, False, (diagnostic,)), 1)
 
 
 def test_a_genuine_set_past_the_bits_budget_is_answered_unvalidated():
@@ -386,6 +393,19 @@ def test_a_genuine_set_past_the_bits_budget_is_answered_unvalidated():
     assert diagnostic.endswith(
         ", 1, 10000) regenerates 20000 multiples, as many as the input, left unchecked: "
         f"the odd-SW set would list more than {LISTING.MAX_LISTING_BITS} bits of keys"
+    )
+
+
+def test_a_genuine_pair_past_the_width_of_p_g_is_answered_unvalidated():
+    # E(2^8000 + 1; 1, 1): rows 0 and 2^8000 are its odd ones, so its set is
+    # {-2^8000, 2^8000}, but its p_g is wider than a triple may be
+    k = 2**8000
+    result = recognize(Pattern([-k, k]))
+    assert (result.triple, result.validated) == ((k + 1, 1, 1), False)
+    (diagnostic,) = result.diagnostics
+    assert diagnostic.endswith(
+        ", 1, 1) regenerates 2 multiples, as many as the input, left unchecked: "
+        "p_g has more than 7000 bits"
     )
 
 
@@ -412,7 +432,7 @@ def test_an_even_genus_set_is_refused_as_not_odd_genus():
     with pytest.raises(NotAnEllipticPattern) as caught:
         recognize(Pattern(recognizable_set(2, 2, 3)))
     assert str(caught.value) == (
-        NOT_ODD_GENUS + "largest multiple 13 is incompatible with multiplicities (2, 6)"
+        NOT_ODD_GENUS + "no triple with m = 2 has 12 multiples and largest 13"
     )
 
 
@@ -430,20 +450,8 @@ def test_oracle_default_bounds_contain_the_generator():
 def test_oracle_matches_a_plain_enumeration():
     # the oracle against every odd-genus coprime triple within (11, 7), on
     # every odd set with p_g <= 11, m <= n <= 7 and each with one pair removed
-    grid = [
-        (p_g, m, n)
-        for p_g in range(1, 12)
-        for m in range(1, 8)
-        for n in range(m, 8)
-        if math.gcd(m, n) == 1
-    ]
-    odd_sets = {triple: recognizable_set(*triple) for triple in grid}
-    candidates = [(t, odd) for t, odd in odd_sets.items() if t[0] % 2]
-    patterns = set(odd_sets.values())
-    for odd in odd_sets.values():
-        patterns.update(tuple(y for y in odd if abs(y) != x) for x in odd if x >= 0)
-    patterns.discard(())
-    for multiples in patterns:
+    candidates = [(t, recognizable_set(*t)) for t in ORACLE_GRID if t[0] % 2]
+    for multiples in grid_patterns():
         expected = tuple(t for t, odd in candidates if odd == multiples)
         assert recognize_oracle(Pattern(multiples), (11, 7)) == expected
 
