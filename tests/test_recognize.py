@@ -313,6 +313,90 @@ def test_recognize_matches_a_plain_enumeration_on_hostile_patterns(values):
     check_against_the_enumeration(values)
 
 
+def set_walk(values, k, m):
+    """The set-based detection of the larger multiplicity, as an oracle:
+    the first lambda >= 1 with k - 2*lambda*m off the pattern."""
+    present = set(values)
+    lam = 1
+    while k - 2 * lam * m in present:
+        lam += 1
+    return lam
+
+
+def walked_triple(values):
+    """The triple a walk down the set validates, or None: m from the top gap
+    (m = n = 1 where it shares a factor with k), n from ``set_walk`` and p_g
+    from the largest multiple, kept when its odd-SW set is the pattern."""
+    k = values[-1]
+    if len(values) == 1:
+        return (1, 1, 1)
+    gap = k - values[-2]
+    if gap % 2:
+        return None
+    if math.gcd(gap // 2, k) != 1:
+        p_g, m, n = k + 1, 1, 1
+    else:
+        m = gap // 2
+        n = set_walk(values, k, m)
+        p_g, rest = divmod(k - (m - 1) * n - (n - 1) * m, m * n)
+        p_g += 1
+        if rest or p_g < 1 or m > n or math.gcd(m, n) != 1:
+            return None
+    try:
+        return (p_g, m, n) if recognizable_set(p_g, m, n) == values else None
+    except InvalidParameters:
+        return None
+
+
+def check_the_fiber(values, m):
+    """Row 0 holds k - 2*lambda*m for lambda < n and k - 2mn is off an odd
+    genus's set, so a triple the count validates for this m has the larger
+    multiplicity the set walk finds."""
+    k = values[-1]
+    try:
+        result = RECOGNIZE._counted(Pattern(values), k, m)
+    except NotAnEllipticPattern:
+        return
+    if result.validated:
+        assert result.n == set_walk(values, k, m), (values, m)
+
+
+@pytest.mark.parametrize("values", HOSTILE)
+def test_fiber_walk_matches_the_set_walk_on_hostile_patterns(values):
+    for m in range(1, 2 * values[-1] + 2):
+        check_the_fiber(values, m)
+
+
+@st.composite
+def walked_patterns(draw):
+    """A symmetric set and an m, or a listed odd-genus set and its own m."""
+    if draw(st.booleans()):
+        halves = draw(st.sets(st.integers(0, 40), min_size=1, max_size=15))
+        return tuple(sorted({x for h in halves for x in (h, -h)})), draw(st.integers(1, 30))
+    p_g, m, n = draw(
+        st.tuples(st.integers(0, 20), st.integers(1, 12), st.integers(1, 12))
+        .map(lambda t: (2 * t[0] + 1, min(t[1:]), max(t[1:])))
+        .filter(lambda t: math.gcd(t[1], t[2]) == 1)
+    )
+    return recognizable_set(p_g, m, n), m
+
+
+@given(walked_patterns())
+def test_fiber_walk_matches_the_set_walk(walked):
+    check_the_fiber(*walked)
+
+
+@pytest.mark.parametrize("values", HOSTILE)
+def test_the_count_path_matches_the_walk_on_hostile_patterns(values):
+    try:
+        result = recognize(Pattern(values))
+    except NotAnEllipticPattern:
+        counted = None
+    else:
+        counted = result.triple if result.validated else None
+    assert counted == walked_triple(values), values
+
+
 @st.composite
 def near_listed(draw):
     """A symmetric set, or a listed odd-SW set with one pair removed or added."""
