@@ -53,6 +53,13 @@ def max_multiple(p_g: int, m: int, n: int) -> int:
     return (p_g - 1) * m * n + (m - 1) * n + (n - 1) * m
 
 
+def _odd_size(p_g: int, m: int, n: int) -> tuple[int, int]:
+    """How many multiples carry an odd |SW|, 2^popcount(p_g - 1) m n (Lucas),
+    and the bit length of the widest, the largest multiple; unbuilt, on
+    integers already checked."""
+    return 2 ** (p_g - 1).bit_count() * m * n, max_multiple(p_g, m, n).bit_length()
+
+
 def _genus_index(p_g: int, m: int, n: int, key: int) -> int | None:
     """The index a of the table entry at ``key``, None off the table.
 

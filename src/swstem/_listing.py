@@ -2,26 +2,29 @@
 
 Both are built only for listing and recognition, in ascending key order by
 residue blocks (``_residue_masks``, whose last answer ``_MASKS`` holds, so a
-table and then its odd-SW set compute it once) with no sort.  A table is
-held in ``_TABLES`` as one ``BasicClassTable`` of two tuples, the keys and
-values from one binomial row; an odd-SW set builds no values and walks only
-the odd rows' blocks.  Key ints are shared by one rule in either build order
-(``_keys``, ``_TABLES``).  Each listing is admitted before it is built, a
-fingerprint's sets together first (``odd_class_sets``), then each elliptic
-set again.  ``BasicClassTable.entries`` builds each (key, value) pair only
-when it is read.  No file command but ``fingerprint`` lists, so this module
-loads on first use: ``blocks`` forwards its public names, and
-``EllipticSurface.odd_classes`` imports it when it runs.  It reads the closed
-forms from ``_elliptic``, so a listing loads no block kind.
+table and then its odd-SW set compute it once) with no sort.  Both key
+columns come from one walk over the rows' blocks (``_walk``): a table's
+from every row, an odd-SW set's from the odd rows alone.  A table is one
+``BasicClassTable`` of two tuples, the keys and values from one binomial
+row; an odd-SW set builds no values.  Each is held by an ``lru_cache``
+(``_table``, ``_recognizable``), and key ints are shared by one rule in
+either build order (``_keys``).  Each listing is admitted before it is
+built, a fingerprint's sets together first (``odd_class_sets``), then each
+elliptic set again.  ``BasicClassTable.entries`` builds each (key, value)
+pair only when it is read.  No file command but ``fingerprint`` lists, so
+this module loads on first use: ``blocks`` forwards its public names, and
+``EllipticSurface.odd_classes`` imports it when it runs.  It reads the
+closed forms from ``_elliptic``, so a listing loads no block kind.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, compress, repeat
 
-from ._elliptic import _abs_sw, _check_multiplicities, _triple_ints, max_multiple, odd_binomial
+from ._elliptic import _abs_sw, _check_multiplicities, _odd_size, _triple_ints, max_multiple
+from ._elliptic import odd_binomial
 from ._record import record
 from .errors import InvalidParameters, as_tuple, exact_int
 
@@ -83,14 +86,6 @@ def _residue_masks(m: int, n: int):
     return masks
 
 
-#: every table ``_table`` built, by triple, unbounded.  A table and an odd-SW
-#: set take the key ints of a block within ``_SHARED`` of 0 from ``_window``,
-#: which is bounded; an all-odd row's table holds its odd-SW set as its keys;
-#: past the window, any other row builds its own ints.  Threads: two callers
-#: that miss one triple at once may each build its table, the last one stored
-#: is held, and each caller gets an equal table
-_TABLES: dict[tuple[int, int, int], BasicClassTable] = {}
-
 #: how far from 0 ``_window`` may reach: it never holds more than
 #: 2 * _SHARED + 1 ints (about 2.6 MB)
 _SHARED = 2**15
@@ -119,18 +114,39 @@ def _keys(start: int, stop: int):
     return window[start + reach:stop + reach:2]
 
 
+def _walk(p_g: int, m: int, n: int, rows, listed) -> tuple[int, ...]:
+    """The keys of the rows ``rows`` (descending) of E(p_g; m, n), ascending.
+    Row a lies in blocks a + 1 and a; a block is taken whole when both its
+    rows are ``listed``, else by the mask of the row that is.  Its keys come
+    from ``_keys`` alone: the shared window within 2^15 of 0, else the
+    block's own ints."""
+    _, high, low = _residue_masks(m, n)
+    mn, top = m * n, max_multiple(p_g, m, n)
+    runs = []
+    last = None
+    for a in rows:
+        for j in (a,) if a + 1 == last else (a + 1, a):  # block a + 1 came with row a + 1
+            start = top - 2 * (j * mn + mn - 1)
+            keys = _keys(start, start + 2 * mn)
+            on_low, on_high = listed(j), listed(j - 1)  # rows j and j - 1 of block j
+            runs.append(keys if on_low and on_high else compress(keys, low if on_low else high))
+        last = a
+    return tuple(chain.from_iterable(runs))
+
+
+@lru_cache(maxsize=None)
 def _table(p_g: int, m: int, n: int) -> BasicClassTable:
-    """The table, built once and held in ``_TABLES``; its columns by blocks p_g
-    down to 0: block p_g holds row p_g - 1 at its high positions only, block
-    0 row 0 at its low positions only, and each block between all mn."""
-    held = _TABLES.get((p_g, m, n))
-    if held is not None:
-        return held
+    """The table, built once and held by the ``lru_cache``: its values by
+    blocks p_g down to 0 (block p_g holds row p_g - 1 at its high positions
+    only, block 0 row 0 at its low positions only, each block between all
+    mn), its keys by ``_walk`` over every row.  Threads: two callers that miss
+    one triple at once may each build its table, the last one stored is held,
+    and each caller gets an equal table."""
     row = [1]  # binomial(p_g - 1, a) for 0 <= a < p_g, each exact from the last
     for a in range(p_g - 1):
         row.append(row[-1] * (p_g - 1 - a) // (a + 1))
-    wraps, high, low = _residue_masks(m, n)
-    mn, top, edge = m * n, max_multiple(p_g, m, n), high.count(1)
+    wraps, high, _ = _residue_masks(m, n)
+    mn, edge = m * n, high.count(1)
     values: list[int] = [1] * edge  # the two ends of the row, each 1
     for j in range(p_g - 1, 0, -1):
         run = [row[j]] * mn  # row j - 1 where h = 1
@@ -141,23 +157,10 @@ def _table(p_g: int, m: int, n: int) -> BasicClassTable:
     # row p_g - 1 is all odd (Lucas): the keys are the odd-SW set, admitted
     # with the table (as many entries, fewer bits)
     if not p_g & (p_g - 1):
-        column = _recognizable(p_g, m, n)
+        keys = _recognizable(p_g, m, n)
     else:
-        def block(j: int):
-            start = top - 2 * (j * mn + mn - 1)
-            return _keys(start, start + 2 * mn)
-
-        keys = [*compress(block(p_g), high)]
-        start, stop = top - 2 * (p_g * mn - 1), top - 2 * mn + 2  # blocks p_g - 1 .. 1
-        if -_SHARED <= start and stop - 2 <= _SHARED:  # in the window: one slice of it
-            keys += _keys(start, stop)
-        else:  # each block as _keys gives it, so those within the window share
-            for j in range(p_g - 1, 0, -1):
-                keys += block(j)
-        keys += compress(block(0), low)
-        column = tuple(keys)
-    held = _TABLES[p_g, m, n] = BasicClassTable(p_g, m, n, column, tuple(values))
-    return held
+        keys = _walk(p_g, m, n, range(p_g - 1, -1, -1), range(p_g).__contains__)
+    return BasicClassTable(p_g, m, n, keys, tuple(values))
 
 
 class _Pairs(Sequence):
@@ -255,33 +258,14 @@ _LISTED: dict[int, tuple[int, ...]] = {}
 
 @lru_cache(maxsize=None)
 def _recognizable(p_g: int, m: int, n: int) -> tuple[int, ...]:
-    """The odd-SW set, by the blocks of the odd rows (``_submasks``), a row's
-    mask selecting each block's odd keys.  Its keys come from ``_keys`` alone:
-    the shared window within 2^15 of 0, else the block's own ints; an
+    """The odd-SW set, by ``_walk`` over the odd rows (``_submasks``); an
     all-odd row's table takes this tuple as its key column.  Threads: the
     ``lru_cache`` may run this twice for one triple when two callers miss at
     once; each gets an equal set, both are listed in ``_LISTED``, and each is
     admitted by ``Pattern`` unchecked, as any set listed is."""
-    _, high, low = _residue_masks(m, n)
-    mn, top = m * n, max_multiple(p_g, m, n)
-    runs = []
-    last = None
-    for a in _submasks(p_g - 1):  # row a lies in blocks a + 1 and a
-        for j in (a,) if a + 1 == last else (a + 1, a):  # block a + 1 came with row a + 1
-            start = top - 2 * (j * mn + mn - 1)
-            keys = _keys(start, start + 2 * mn)
-            odd_low, odd_high = odd_binomial(p_g - 1, j), odd_binomial(p_g - 1, j - 1)
-            runs.append(keys if odd_low and odd_high else compress(keys, low if odd_low else high))
-        last = a
-    odd = tuple(chain.from_iterable(runs))
+    odd = _walk(p_g, m, n, _submasks(p_g - 1), partial(odd_binomial, p_g - 1))
     _LISTED[id(odd)] = odd
     return odd
-
-
-def _odd_count(p_g: int, m: int, n: int) -> int:
-    """Size of the recognizable set, 2^popcount(p_g - 1) m n, without building it."""
-    _check_table_params(p_g, m, n)
-    return 2 ** (p_g - 1).bit_count() * m * n
 
 
 def recognizable_set(p_g: int, m: int, n: int) -> tuple[int, ...]:
@@ -293,8 +277,9 @@ def recognizable_set(p_g: int, m: int, n: int) -> tuple[int, ...]:
     >>> recognizable_set(1, 2, 3)
     (-7, -3, -1, 1, 3, 7)
     """
-    size = _odd_count(p_g, m, n)  # checks the parameters
-    _admit(size, size * max_multiple(p_g, m, n).bit_length(), "the odd-SW set")
+    _check_table_params(p_g, m, n)
+    size, width = _odd_size(p_g, m, n)
+    _admit(size, size * width, "the odd-SW set")
     return _recognizable(p_g, m, n)
 
 

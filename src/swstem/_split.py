@@ -10,14 +10,14 @@ from __future__ import annotations
 import enum
 
 from ._record import record
-from .errors import InvalidParameters, PreconditionNotMet, shown
+from .errors import InvalidParameters, PreconditionNotMet, _EnumType, shown
 from .invariants import _BOTH_NONZERO, _FORCED, _IMPOSSIBLE, _NO_OBSTRUCTION, _PARITY_CONTRADICTS
 from .invariants import _QUERY, _R3_CONTRADICTS, _R4_CONTRADICTS, _STEMS_ADD, _SURVIVES, _YES
 from .invariants import ConnectedSum, Trace, invariant
 from .stems import StemKind
 
 
-class SplitKind(enum.Enum):
+class SplitKind(enum.Enum, metaclass=_EnumType):
     IMPOSSIBLE = "impossible"
     FORCES_NEGATIVE_DEFINITE_COMPLEMENT = "forces_negative_definite_complement"
     UNKNOWN = "unknown"

@@ -36,17 +36,17 @@ from __future__ import annotations
 import enum
 from typing import Union
 
-from ._elliptic import _abs_sw, _check_multiplicities, _genus_index, _triple_ints, max_multiple
-from ._elliptic import odd_binomial
+from ._elliptic import _abs_sw, _check_multiplicities, _genus_index, _odd_size, _triple_ints
+from ._elliptic import max_multiple, odd_binomial
 from ._record import record
 from .errors import MAX_SHOWN_BITS, InvalidParameters, UncataloguedBlock, UnknownSW, as_tuple
-from .errors import exact_int, narrow_int, shown
+from .errors import _EnumType, exact_int, narrow_int, shown
 
 #: class key selecting the canonical class of a symplectic block
 CANONICAL = "canonical"
 
 
-class Parity(enum.Enum):
+class Parity(enum.Enum, metaclass=_EnumType):
     EVEN = 0
     ODD = 1
 
@@ -176,10 +176,7 @@ class EllipticSurface(_Block):
     def odd_size(self) -> tuple[int, int]:
         if self.p_g < 1:
             raise UnknownSW(f"{self.label}: no declared odd basic data for p_g = 0")
-        # unbuilt: 2^popcount(p_g - 1) m n classes, symmetric under negation,
-        # the largest multiple among them
-        count = 2 ** (self.p_g - 1).bit_count() * self.m * self.n
-        return count, max_multiple(self.p_g, self.m, self.n).bit_length()
+        return _odd_size(self.p_g, self.m, self.n)
 
     def odd_classes(self) -> tuple[int, ...]:
         from ._listing import recognizable_set

@@ -6,10 +6,14 @@ callers (and the CLI) can map domain failures to a single exit code.
 ``narrow_int`` the one for block integers and spin-c coordinates, and
 ``as_tuple`` the one for an argument that lists integers.  A message names
 an integer through ``shown``, so that one too wide to print is named by its
-bit length, and a value nested too deeply to print by its type.
+bit length, and a value nested too deeply to print by its type.  Every enum
+of the package is of the type ``_EnumType``, which refuses a value that
+names no member with InvalidParameters, named through ``shown``.
 """
 
 from __future__ import annotations
+
+import enum
 
 
 class SwStemError(Exception):
@@ -88,6 +92,25 @@ def narrow_int(value, what: str) -> int:
     if exact_int(value, what).bit_length() > MAX_INPUT_BITS:
         raise InvalidParameters(f"{what} has more than {MAX_INPUT_BITS} bits")
     return value
+
+
+class _EnumType(enum.EnumMeta):
+    """The type of the package's enums: a call on one value returns its
+    member, and refuses a value that names none with InvalidParameters,
+    which names it through ``shown``.  ``enum`` itself formats the value's
+    repr first, so an int too wide to print or a list nested too deeply
+    would escape as its own error.  A call with more arguments is the
+    functional API, unchanged."""
+
+    def __call__(cls, value, *args, **kwargs):
+        if args or kwargs:
+            return super().__call__(value, *args, **kwargs)
+        try:
+            return cls._value2member_map_[value]
+        except (KeyError, TypeError):  # TypeError: an unhashable value
+            if isinstance(value, cls):
+                return value
+        raise InvalidParameters(f"{shown(value)} is not a valid {cls.__qualname__}")
 
 
 class UnknownSW(SwStemError):

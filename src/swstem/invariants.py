@@ -49,7 +49,7 @@ from typing import Iterable
 from ._record import record
 from .blocks import _EVEN, _ODD, BuildingBlock, EllipticSurface, HomotopySphereLike
 from .blocks import NegativeDefinite, _catalogued
-from .errors import InvalidParameters, PositiveIndexOnNegativeDefinite, as_tuple, shown
+from .errors import InvalidParameters, PositiveIndexOnNegativeDefinite, _EnumType, as_tuple, shown
 from .lattice import SpinC, dirac_index, expected_dimension
 from .stems import StemElement, TriState, hopf_power, smash_degree_one, unknown, zero
 
@@ -624,7 +624,7 @@ def odd_basic_fingerprint(csum: ConnectedSum) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(odd_class_sets(s.block for s in csum.summands)))
 
 
-class DistinctionVerdict(enum.Enum):
+class DistinctionVerdict(enum.Enum, metaclass=_EnumType):
     SAME_SUMMANDS = "same_summands"
     DIFFERENT_SUMMANDS = "different_summands"
     OUT_OF_REGIME = "out_of_regime"

@@ -15,12 +15,12 @@ from __future__ import annotations
 import enum
 
 from ._record import record
-from .errors import InvalidParameters, exact_int, shown
+from .errors import InvalidParameters, _EnumType, exact_int, shown
 
 _SUPERSCRIPTS = {1: "η", 2: "η²", 3: "η³"}
 
 
-class TriState(enum.Enum):
+class TriState(enum.Enum, metaclass=_EnumType):
     """Three-valued verdict used throughout the engine."""
 
     YES = "yes"
@@ -31,7 +31,7 @@ class TriState(enum.Enum):
         return self.name
 
 
-class StemKind(enum.Enum):
+class StemKind(enum.Enum, metaclass=_EnumType):
     INTEGER = "integer"
     HOPF = "hopf"
     ZERO = "zero"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from swstem import _elliptic, _listing
-from swstem._listing import _odd_count, _table
+from swstem._listing import _table
 from swstem.blocks import (
     CANONICAL,
     K3,
@@ -134,40 +134,39 @@ def test_a_repeated_table_is_the_held_record(emptied, monkeypatch):
 
     monkeypatch.setattr(BasicClassTable, "__post_init__", counted)
     first = basic_class_table(5, 2, 3)
-    assert basic_class_table(5, 2, 3) is first and _listing._TABLES[5, 2, 3] is first
+    assert basic_class_table(5, 2, 3) is first and _table(5, 2, 3) is first
     assert checked == [(5, 2, 3)]
 
 
 @pytest.fixture
-def emptied(monkeypatch):
-    """Empties the held tables, the cached odd-SW sets and their listing now
-    and whenever called; the tables held before the test are held again
-    after it."""
-    monkeypatch.setattr(_listing, "_TABLES", {})
+def emptied():
+    """Empties the held tables, the cached odd-SW sets and their listing now,
+    whenever called, and after the test: a table or set built in it may
+    hold key ints of a window the test replaced."""
 
     def empty():
-        _listing._TABLES.clear()
+        _table.cache_clear()
         _listing._recognizable.cache_clear()
         _listing._LISTED.clear()
 
     empty()
     yield empty
-    # its sets may hold keys of the tables dropped, and the listing holds its sets
-    _listing._recognizable.cache_clear()
-    _listing._LISTED.clear()
+    empty()
 
 
 def odd_sets(triples, empty):
-    """(p_g, m, n, its odd-SW set) for each triple, built just after its
-    table (held) and, after ``empty``, with no table held."""
+    """(p_g, m, n, its odd-SW set) for each of the distinct triples, built
+    just after its table (held) and, after ``empty``, with no table held."""
     triples = list(triples)
     for held in (True, False):
         empty()
-        for p_g, m, n in triples:
+        for built, (p_g, m, n) in enumerate(triples, 1):
             if held:
                 basic_class_table(p_g, m, n)
+            else:
+                _table.cache_clear()
             odd = recognizable_set(p_g, m, n)
-            assert ((p_g, m, n) in _listing._TABLES) is held
+            assert _table.cache_info().currsize == (built if held else 0)
             yield p_g, m, n, odd
 
 
@@ -220,9 +219,9 @@ def test_overlapping_tables_hold_one_object_per_key(unwindowed):
 
 
 def test_an_odd_set_built_before_its_table_holds_the_table_keys(unwindowed):
-    for p_g, m, n in (*coprime_grid(), *WIDE_TRIPLES):
+    for built, (p_g, m, n) in enumerate((*coprime_grid(), *WIDE_TRIPLES)):
         odd = recognizable_set(p_g, m, n)
-        assert (p_g, m, n) not in _listing._TABLES
+        assert _table.cache_info().currsize == built  # the tables of the triples before
         keys = {key: key for key in basic_class_table(p_g, m, n).keys}
         assert all(key is keys[key] for key in odd)
 
@@ -313,12 +312,12 @@ def test_key_tuples_leave_the_collector_after_a_collection(unwindowed):
 
 def test_recognizable_set_walks_only_the_odd_rows():
     # row 2**80 has two odd entries: the set is (-2**80, 2**80), built at once
-    tables = dict(_listing._TABLES)
+    tables = _table.cache_info().currsize
     start = time.perf_counter()
     assert recognizable_set(2**80 + 1, 1, 1) == (-(2**80), 2**80)
     assert recognizable_set(2**80 + 1, 2, 3)[-1] == max_multiple(2**80 + 1, 2, 3)
     assert time.perf_counter() - start < 0.1
-    assert _listing._TABLES == tables  # and builds no table
+    assert _table.cache_info().currsize == tables  # and builds no table
 
 
 def test_table_structure_on_grid():
@@ -624,7 +623,7 @@ def test_kaehler_rejects_non_integer_labels(labels):
     [
         (lambda: basic_class_table(2.0, 1, 1), "p_g must be an integer, got 2.0"),
         (lambda: recognizable_set(True, 1, 1), "p_g must be an integer, got True"),
-        (lambda: _odd_count(3.0, 1, 1), "p_g must be an integer, got 3.0"),
+        (lambda: recognizable_set(3.0, 1, 1), "p_g must be an integer, got 3.0"),
         (lambda: recognize_oracle(Pattern([0]), (2.5, 3)), "p_g_max must be an integer"),
         (lambda: sq2_detects_hopf(2.0), "d must be an integer, got 2.0"),
         (lambda: basic_class_table(3, 1, 1).value(0.0), "multiple must be an integer, got 0.0"),

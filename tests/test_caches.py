@@ -1,8 +1,8 @@
-"""A state machine over the caches that share objects: the held tables
-(``_listing._TABLES``), the odd-SW sets (``_listing._recognizable``) with their
-listing (``_listing._LISTED``), the window of shared key ints
-(``_listing._window``), the last residue masks (``_listing._MASKS``), and the
-intern table of parsed summands
+"""A state machine over the caches that share objects: the tables and the
+odd-SW sets, each held by an ``lru_cache`` (``_listing._table``,
+``_listing._recognizable``), the listing of the sets (``_listing._LISTED``),
+the window of shared key ints (``_listing._window``), the last residue masks
+(``_listing._MASKS``), and the intern table of parsed summands
 (``manifold_io._HELD``) with the texts written on its summands.
 
 Each rule asks the library as a caller would, in whatever order hypothesis
@@ -10,9 +10,11 @@ draws, and checks the answer against an oracle that shares no code with it:
 the closed-form table (``table_oracle``), the odd count
 2^popcount(p_g - 1) m n, and the standard library's manifold text
 (``_reference_text``).  After every step the caches are checked against a
-model of what they hold.  The intern table runs at small bounds, so that a
-pool of fourteen summand objects evicts; every cache and bound is restored
-after each example, as the ``emptied`` and ``no_summand_held`` fixtures do.
+model of what they hold: each ``lru_cache`` holds as many entries as the
+model, and a model triple hits its identical object.  The intern table runs
+at small bounds, so that a pool of fourteen summand objects evicts; after
+each example the listing caches are emptied and every bound restored, as
+the ``emptied`` and ``no_summand_held`` fixtures do.
 """
 
 import importlib
@@ -121,15 +123,15 @@ def _all_odd(p_g: int) -> bool:
 class CacheMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.saved = (_listing._TABLES, manifold_io._HELD, _json_text.json_text,
+        self.saved = (manifold_io._HELD, _json_text.json_text,
                       manifold_io._HELD_SUMMANDS, manifold_io._HELD_WORDS)
-        _listing._TABLES = {}
+        _listing._table.cache_clear()
         _listing._recognizable.cache_clear()
         _listing._LISTED.clear()
         manifold_io._HELD = OrderedDict()
         manifold_io._HELD_SUMMANDS, manifold_io._HELD_WORDS = BOUNDS
         self.texts_written = 0
-        write = self.saved[2]
+        write = self.saved[1]
 
         def counted(value, *args):
             # a summand's text is the one dict written; its lists recurse through here too
@@ -143,9 +145,9 @@ class CacheMachine(RuleBasedStateMachine):
         self.docs = []  # documents parsed or built, the newest few
 
     def teardown(self):
-        (_listing._TABLES, manifold_io._HELD, _json_text.json_text,
+        (manifold_io._HELD, _json_text.json_text,
          manifold_io._HELD_SUMMANDS, manifold_io._HELD_WORDS) = self.saved
-        # the sets built may hold keys of tables dropped, and the listing holds the sets
+        _listing._table.cache_clear()
         _listing._recognizable.cache_clear()
         _listing._LISTED.clear()
 
@@ -160,7 +162,7 @@ class CacheMachine(RuleBasedStateMachine):
 
     @rule(triple=st.sampled_from(TRIPLES))
     def table(self, triple):
-        built = triple not in _listing._TABLES
+        built = triple not in self.tables
         table = basic_class_table(*triple)
         if built:  # a table built leaves its own masks held
             assert _listing._MASKS[:2] == triple[1:]
@@ -243,7 +245,7 @@ class CacheMachine(RuleBasedStateMachine):
     @rule()
     def emptied(self):
         """The reset of the ``emptied`` fixture."""
-        _listing._TABLES.clear()
+        _listing._table.cache_clear()
         _listing._recognizable.cache_clear()
         _listing._LISTED.clear()
         self.tables.clear()
@@ -251,8 +253,10 @@ class CacheMachine(RuleBasedStateMachine):
 
     @invariant()
     def caches_hold_what_was_built(self):
-        assert _listing._TABLES == self.tables
-        assert all(_listing._TABLES[t] is table for t, table in self.tables.items())
+        assert _listing._table.cache_info().currsize == len(self.tables)
+        before = _listing._table.cache_info()
+        assert all(_listing._table(*t) is table for t, table in self.tables.items())
+        assert _listing._table.cache_info().misses == before.misses
         assert _listing._recognizable.cache_info().currsize == len(self.sets)
         before = _listing._recognizable.cache_info()
         held = {t: _listing._recognizable(*t) for t in self.sets}

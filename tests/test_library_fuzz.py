@@ -8,7 +8,7 @@ deadline.  A table or odd-SW set past ``MAX_LISTING`` entries or
 ``MAX_LISTING_BITS`` bits (of keys, and of a table's values) is refused
 unbuilt, so a valid but huge triple ends at once.  An error message names
 an integer too wide to print by its bit length, and a value nested too
-deeply to print by its type.
+deeply to print by its type; each exported enum refuses such a value so.
 """
 
 import time
@@ -17,6 +17,7 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from swstem import DistinctionVerdict, Parity, SplitKind, StemKind, TriState
 from swstem.blocks import (
     BasicClassTable,
     EllipticSurface,
@@ -163,3 +164,12 @@ def test_an_echoed_value_too_deeply_nested_to_print_is_named_by_its_type(call):
 def test_a_refused_argument_too_deeply_nested_to_print_is_named_by_its_type(error, call):
     with pytest.raises(error, match=": a list nested too deeply to show$"):
         call()
+
+
+@pytest.mark.parametrize("kind", [TriState, Parity, StemKind, SplitKind, DistinctionVerdict],
+                         ids=lambda kind: kind.__name__)
+def test_an_exported_enum_refuses_a_value_it_cannot_show_and_keeps_its_members(kind):
+    for value, named in ((K, "a 16610-bit integer"), (DEEP, "a list nested too deeply to show")):
+        with pytest.raises(SwStemError, match=f"^{named} is not a valid {kind.__name__}$"):
+            kind(value)
+    assert all(kind(member.value) is member for member in kind)
